@@ -294,19 +294,12 @@ def _load_cube(args, cfg: PipelineConfig):
     the config (typically the sidecar written by ``simulate``); the array is
     rebuilt from the header's C, fs, v, f0 plus the configured pitch factor.
     """
-    raw = np.fromfile(args.infile, dtype=np.uint8, count=8)
-    if raw.size < 8 or raw[:4].tobytes() != b"URF1":
-        # delegate to the real reader for the precise error message
-        uio.read_urf1(args.infile, [TransmitEvent.plane_wave(0.0)])
-    e_count = int(np.frombuffer(raw[4:8].tobytes(), dtype="<u4")[0])
-    placeholder = [TransmitEvent.plane_wave(0.0)] * e_count
-    cube, f0 = uio.read_urf1(args.infile, placeholder)
-    array = _array_from(cfg, num_elements=cube.num_channels, f0=f0,
-                        v=cube.speed_of_sound, fs=cube.fs)
+    e_count, c_count, _, fs, v, f0 = uio.read_urf1_header(args.infile)
+    array = _array_from(cfg, num_elements=c_count, f0=f0, v=v, fs=fs)
     events = _events_from(cfg, array)
-    if len(events) != cube.num_events:
+    if len(events) != e_count:
         raise ConfigError(
-            f"config describes {len(events)} events but file has {cube.num_events}")
+            f"config describes {len(events)} events but file has {e_count}")
     cube, _ = uio.read_urf1(args.infile, events)
     return cube, array, f0
 

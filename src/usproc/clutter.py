@@ -63,11 +63,11 @@ def unbuild_casorati(cas: CasoratiMatrix) -> list[np.ndarray]:
             for t in range(cas.num_frames)]
 
 
-def _svt_with_nuclear(y: np.ndarray, lam: float, warm_start=None):
-    res = svd(y, warm_start=warm_start)
+def _svt_with_nuclear(y: np.ndarray, lam: float):
+    res = svd(y)
     s = np.maximum(res.singular_values - lam, 0.0)
     out = (res.u * s) @ res.v.conj().T
-    return out, float(np.sum(s)), res.v
+    return out, float(np.sum(s))
 
 
 def svt(y, lam: float) -> np.ndarray:
@@ -119,11 +119,9 @@ def rpca(cas: CasoratiMatrix, lam1: float, lam2: float, mu1: float = 0.5,
     x_b = np.zeros_like(y)
     obj = 0.5 * float(np.sum(np.abs(y) ** 2))
     iters = 0
-    v_prev = None
     for _ in range(max_iters):
         g = y - x_t - x_b
-        x_t_new, nuc, v_prev = _svt_with_nuclear(x_t + mu1 * g, mu1 * lam1,
-                                                 warm_start=v_prev)
+        x_t_new, nuc = _svt_with_nuclear(x_t + mu1 * g, mu1 * lam1)
         x_b_new = mixed_l12_threshold(x_b + mu2 * g, mu2 * lam2)
         iters += 1
         resid = y - x_t_new - x_b_new

@@ -19,6 +19,8 @@ PGM output is binary P5 with maxval 255.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 
 import numpy as np
@@ -37,6 +39,51 @@ def _read_exact(fh, n: int, what: str) -> bytes:
     return data
 
 
+def _read_dims(fh, magic: bytes, fmt: str) -> tuple[int, ...]:
+    got = _read_exact(fh, 4, "magic")
+    if got != magic:
+        raise FileFormatError(f"wrong magic: {got!r} is not {magic.decode()}")
+    return struct.unpack(fmt, _read_exact(fh, struct.calcsize(fmt), "dimensions"))
+
+
+def _check_size(fh, count: int, what: str) -> None:
+    """Raise unless ``count`` f32 values exactly fill the rest of the file.
+
+    Checked before reading, so a forged header cannot ask for a huge read.
+    """
+    held = os.fstat(fh.fileno()).st_size - fh.tell()
+    if 4 * count != held:
+        raise FileFormatError(f"truncated payload: header declares {4 * count} "
+                              f"bytes of {what}, file holds {held}")
+
+
+def _read_f32(fh, shape: tuple[int, ...], what: str) -> np.ndarray:
+    count = math.prod(shape)
+    _check_size(fh, count, what)
+    raw = _read_exact(fh, 4 * count, what)
+    return np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
+
+
+def _read_urf1_header(fh):
+    e, c, nt = _read_dims(fh, _URF1_MAGIC, "<III")
+    return (e, c, nt) + struct.unpack("<ddd", _read_exact(fh, 24, "header floats"))
+
+
+def read_urf1_header(path):
+    """Read and check a URF1 header; returns (E, C, Nt, fs, v, f0).
+
+    The header must match the file size and describe a cube an array can be
+    built for (E, Nt >= 1; finite v > 0; finite fs > 2 f0 > 0), so that a
+    caller may size arrays from it before the samples are read.
+    """
+    with open(path, "rb") as fh:
+        e, c, nt, fs, v, f0 = _read_urf1_header(fh)
+        _check_size(fh, e * c * nt, "samples")
+    if e * nt == 0 or not (0 < v < math.inf and 0 < 2 * f0 < fs < math.inf):
+        raise FileFormatError(f"bad header: E={e} Nt={nt} fs={fs} v={v} f0={f0}")
+    return e, c, nt, fs, v, f0
+
+
 def write_urf1(path, cube: RfDataCube, f0: float) -> None:
     validate(cube)
     e, c, nt = cube.samples.shape
@@ -53,15 +100,8 @@ def read_urf1(path, events: list[TransmitEvent]):
     ``events`` must describe the E transmits (the file stores none).
     """
     with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, "magic")
-        if magic != _URF1_MAGIC:
-            raise FileFormatError(f"wrong magic: {magic!r} is not URF1")
-        e, c, nt = struct.unpack("<III", _read_exact(fh, 12, "dimensions"))
-        fs, v, f0 = struct.unpack("<ddd", _read_exact(fh, 24, "header floats"))
-        raw = _read_exact(fh, 4 * e * c * nt, "samples")
-        if fh.read(1):
-            raise FileFormatError("truncated payload: trailing bytes after samples")
-    samples = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(e, c, nt)
+        e, c, nt, fs, v, f0 = _read_urf1_header(fh)
+        samples = _read_f32(fh, (e, c, nt), "samples")
     cube = RfDataCube(samples, fs, v, tuple(events))
     validate(cube)
     return cube, f0
@@ -79,14 +119,7 @@ def write_uim1(path, image: np.ndarray) -> None:
 
 def read_uim1(path) -> np.ndarray:
     with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, "magic")
-        if magic != _UIM1_MAGIC:
-            raise FileFormatError(f"wrong magic: {magic!r} is not UIM1")
-        rx, rz = struct.unpack("<II", _read_exact(fh, 8, "dimensions"))
-        raw = _read_exact(fh, 4 * rx * rz, "pixels")
-        if fh.read(1):
-            raise FileFormatError("truncated payload: trailing bytes after pixels")
-    return np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(rx, rz)
+        return _read_f32(fh, _read_dims(fh, _UIM1_MAGIC, "<II"), "pixels")
 
 
 def write_uim1_seq(path, frames: np.ndarray) -> None:
@@ -103,15 +136,8 @@ def write_uim1_seq(path, frames: np.ndarray) -> None:
 def read_uim1_seq(path) -> np.ndarray:
     """Read a multi-frame UIM1 file; returns frames of shape (T, Rx, Rz)."""
     with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, "magic")
-        if magic != _UIM1_MAGIC:
-            raise FileFormatError(f"wrong magic: {magic!r} is not UIM1")
-        rx, rz, t = struct.unpack("<III", _read_exact(fh, 12, "dimensions"))
-        raw = _read_exact(fh, 4 * rx * rz * t, "pixels")
-        if fh.read(1):
-            raise FileFormatError("truncated payload: trailing bytes after pixels")
-    data = np.frombuffer(raw, dtype="<f4").astype(np.float64)
-    return data.reshape(t, rx, rz)
+        rx, rz, t = _read_dims(fh, _UIM1_MAGIC, "<III")
+        return _read_f32(fh, (t, rx, rz), "pixels")
 
 
 def write_pgm(path, log_db: np.ndarray, dynamic_range_db: float) -> None:

@@ -1,9 +1,10 @@
-"""Self-contained numerical kernels: FFT, Hermitian solve, SVD, operator norm.
+"""Numerical kernels: FFT, Hermitian solve, SVD, operator norm.
 
-All kernels are pure functions with no global state.  They are written from
-first principles (iterative radix-2 / Bluestein FFT, Cholesky factorization,
-one-sided Jacobi rotations) so the rest of the toolkit does not depend on a
-linear-algebra backend for the operations it is specified over.
+All kernels are pure functions with no global state.  The FFT, the Cholesky
+factorization and the SVD are numpy's own (``numpy.fft`` and
+``numpy.linalg``, backed by pocketfft and LAPACK); this module keeps the
+toolkit's input checks and maps LAPACK failures onto the toolkit's named
+errors.  The operator norm is a power iteration over caller-supplied maps.
 """
 
 from __future__ import annotations
@@ -19,86 +20,20 @@ from .errors import (
     SingularMatrixError,
 )
 
-_MAX_JACOBI_SWEEPS = 60
-# Relative column-orthogonality target; implies the absolute off-diagonal
-# Gram level 1e-14*||A||_F^2 used as the documented convergence threshold.
-_JACOBI_REL_TOL = 1e-15
-
 
 # ---------------------------------------------------------------------------
 # FFT
 
 
-def _bit_reversal(n: int) -> np.ndarray:
-    bits = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.int64)
-    for _ in range(bits):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    return rev
-
-
-def _fft_pow2(a: np.ndarray) -> np.ndarray:
-    """Unnormalized forward DFT along the last axis; length must be 2**k."""
-    n = a.shape[-1]
-    if n == 1:
-        return a.astype(np.complex128, copy=True)
-    y = a[..., _bit_reversal(n)].astype(np.complex128, copy=True)
-    lead = y.shape[:-1]
-    m = 1
-    while m < n:
-        tw = np.exp(-1j * np.pi * np.arange(m) / m)
-        y = y.reshape(lead + (n // (2 * m), 2 * m))
-        even = y[..., :m]
-        odd = y[..., m:] * tw
-        y = np.concatenate([even + odd, even - odd], axis=-1)
-        m *= 2
-    return y.reshape(lead + (n,))
-
-
-def _ifft_pow2(a: np.ndarray) -> np.ndarray:
-    return np.conj(_fft_pow2(np.conj(a))) / a.shape[-1]
-
-
-def _fft_bluestein(a: np.ndarray) -> np.ndarray:
-    """Unnormalized forward DFT of arbitrary length via chirp convolution."""
-    n = a.shape[-1]
-    k = np.arange(n, dtype=np.int64)
-    # reduce k^2 mod 2n before the complex exponential to preserve accuracy
-    chirp = np.exp(-1j * np.pi * ((k * k) % (2 * n)) / n)
-    m = 1 << (2 * n - 1).bit_length()
-    fa = np.zeros(a.shape[:-1] + (m,), dtype=np.complex128)
-    fa[..., :n] = a * chirp
-    fb = np.zeros(m, dtype=np.complex128)
-    fb[:n] = np.conj(chirp)
-    fb[m - n + 1:] = np.conj(chirp[1:])[::-1]
-    conv = _ifft_pow2(_fft_pow2(fa) * _fft_pow2(fb[None, :])[0])
-    return conv[..., :n] * chirp
-
-
-def _dft_batch(a: np.ndarray, inverse: bool) -> np.ndarray:
-    """DFT/IDFT along the last axis of a stacked array; IDFT carries 1/N."""
-    a = np.asarray(a, dtype=np.complex128)
-    n = a.shape[-1]
-    if inverse:
-        return np.conj(_dft_batch(np.conj(a), inverse=False)) / n
-    if n & (n - 1) == 0:
-        return _fft_pow2(a)
-    return _fft_bluestein(a)
-
-
 def fft(signal, inverse: bool = False) -> np.ndarray:
-    """Exact DFT (or IDFT with the 1/N factor) of a 1-D sequence.
+    """Exact DFT (or IDFT with the 1/N factor) of a 1-D sequence of any length.
 
-    Forward: X[k] = sum_n x[n] exp(-2i pi k n / N).  Power-of-two lengths
-    use an iterative radix-2 transform, any other length uses Bluestein's
-    chirp-z algorithm, so arbitrary N is supported.
+    Forward: X[k] = sum_n x[n] exp(-2i pi k n / N).
     """
     x = np.asarray(signal, dtype=np.complex128)
     if x.ndim != 1 or x.size < 1:
         raise DimensionMismatchError("dimension-mismatch: fft expects a 1-D sequence")
-    return _dft_batch(x[None, :], inverse)[0]
+    return np.fft.ifft(x) if inverse else np.fft.fft(x)
 
 
 # ---------------------------------------------------------------------------
@@ -108,8 +43,9 @@ def fft(signal, inverse: bool = False) -> np.ndarray:
 def solve_hermitian(a, b, loading: float = 0.0) -> np.ndarray:
     """Solve (A + loading*I) x = b for Hermitian A via Cholesky.
 
-    Raises ``singular-matrix`` when a Cholesky pivot is <= 0 after loading,
-    which for a Hermitian matrix signals that it is not positive definite.
+    Raises ``singular-matrix`` when the Cholesky factorization fails after
+    loading, which for a Hermitian matrix signals that it is not positive
+    definite.
     """
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
@@ -120,31 +56,16 @@ def solve_hermitian(a, b, loading: float = 0.0) -> np.ndarray:
     scale = max(1.0, float(np.max(np.abs(a))) if a.size else 1.0)
     if np.max(np.abs(a - a.conj().T)) > 1e-10 * scale:
         raise ValueError("matrix is not Hermitian to 1e-10")
-    n = a.shape[0]
-    m = a + loading * np.eye(n)
-    low = np.zeros_like(m)
-    for j in range(n):
-        pivot = m[j, j].real - np.sum(np.abs(low[j, :j]) ** 2)
-        if pivot <= 0.0:
-            raise SingularMatrixError(
-                f"singular-matrix: Cholesky pivot {pivot:.3e} <= 0 at column {j}")
-        low[j, j] = np.sqrt(pivot)
-        if j + 1 < n:
-            low[j + 1:, j] = (m[j + 1:, j]
-                              - low[j + 1:, :j] @ np.conj(low[j, :j])) / low[j, j]
-    # forward then backward substitution
-    y = np.zeros(n, dtype=np.complex128)
-    for i in range(n):
-        y[i] = (b[i] - low[i, :i] @ y[:i]) / low[i, i]
-    x = np.zeros(n, dtype=np.complex128)
-    lh = low.conj().T
-    for i in range(n - 1, -1, -1):
-        x[i] = (y[i] - lh[i, i + 1:] @ x[i + 1:]) / lh[i, i]
-    return x
+    try:
+        low = np.linalg.cholesky(a + loading * np.eye(a.shape[0]))
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(f"singular-matrix: Cholesky failed ({exc})") from exc
+    # forward then backward substitution through the two triangular factors
+    return np.linalg.solve(low.conj().T, np.linalg.solve(low, b))
 
 
 # ---------------------------------------------------------------------------
-# SVD (one-sided Jacobi)
+# SVD
 
 
 @dataclass(frozen=True)
@@ -168,105 +89,22 @@ class SvdResult:
         return (self.u * self.singular_values) @ self.v.conj().T
 
 
-def _round_robin_rounds(n: int):
-    """Brent-Luk tournament: cover all column pairs with disjoint rounds."""
-    players = list(range(n)) + ([n] if n % 2 else [])
-    m = len(players)
-    for _ in range(m - 1):
-        pairs = [(players[i], players[m - 1 - i]) for i in range(m // 2)]
-        yield [(p, q) for p, q in pairs if p < n and q < n]
-        players = [players[0], players[m - 1]] + players[1:m - 1]
+def svd(a) -> SvdResult:
+    """Thin singular value decomposition of a finite 2-D matrix.
 
-
-def _orthonormal_fill(u: np.ndarray, cols: np.ndarray) -> None:
-    """Fill zero columns of u with canonical vectors, Gram-Schmidt style."""
-    m = u.shape[0]
-    for j in cols:
-        for k in range(m):
-            cand = np.zeros(m, dtype=np.complex128)
-            cand[k] = 1.0
-            cand -= u @ (u.conj().T @ cand)
-            nrm = np.sqrt(np.sum(np.abs(cand) ** 2))
-            if nrm > 0.5:
-                u[:, j] = cand / nrm
-                break
-
-
-def svd(a, warm_start=None) -> SvdResult:
-    """Singular value decomposition via one-sided Jacobi rotations.
-
-    Columns of the working matrix are rotated pairwise until mutually
-    orthogonal (off-diagonal Gram entries below 1e-14 * ||A||_F^2, enforced
-    through a per-pair relative threshold); raises ``no-convergence`` after
-    60 sweeps, which signals pathological input.
-
-    ``warm_start`` may carry the right singular vectors of a nearby matrix
-    (an N x N unitary); the input columns are pre-rotated by it, which cuts
-    the sweep count when decomposing slowly-varying sequences.  The result
-    is the same decomposition up to roundoff.
+    Raises ``no-convergence`` when LAPACK's SVD does not converge, which
+    signals pathological input.
     """
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise DimensionMismatchError("dimension-mismatch: svd expects a 2-D matrix")
     if not np.all(np.isfinite(a)):
         raise ValueError("svd input must be finite")
-    if a.shape[0] < a.shape[1]:
-        res = svd(a.conj().T, warm_start=warm_start)
-        return SvdResult(res.v, res.singular_values, res.u)
-
-    _, n = a.shape
-    if warm_start is not None and warm_start.shape == (n, n):
-        v = np.asarray(warm_start, dtype=np.complex128).copy()
-        b = a @ v
-    else:
-        v = np.eye(n, dtype=np.complex128)
-        b = a.copy()
-    rounds = list(_round_robin_rounds(n))
-    for sweep in range(_MAX_JACOBI_SWEEPS + 1):
-        if sweep == _MAX_JACOBI_SWEEPS:
-            raise NoConvergenceError(
-                f"no-convergence: one-sided Jacobi exceeded {_MAX_JACOBI_SWEEPS} sweeps")
-        rotated = False
-        for pairs in rounds:
-            p = np.array([pq[0] for pq in pairs])
-            q = np.array([pq[1] for pq in pairs])
-            bp, bq = b[:, p], b[:, q]
-            app = np.sum(np.abs(bp) ** 2, axis=0)
-            aqq = np.sum(np.abs(bq) ** 2, axis=0)
-            apq = np.sum(np.conj(bp) * bq, axis=0)
-            act = np.abs(apq) > _JACOBI_REL_TOL * np.sqrt(app * aqq)
-            if not np.any(act):
-                continue
-            rotated = True
-            p, q, apq = p[act], q[act], apq[act]
-            app, aqq = app[act], aqq[act]
-            bp, bq = b[:, p], b[:, q]
-            phase = apq / np.abs(apq)
-            bq = bq * np.conj(phase)
-            vp, vq = v[:, p], v[:, q] * np.conj(phase)
-            tau = (aqq - app) / (2.0 * np.abs(apq))
-            t = np.where(tau >= 0, 1.0, -1.0) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = c * t
-            b[:, p] = c * bp - s * bq
-            b[:, q] = s * bp + c * bq
-            v[:, p] = c * vp - s * vq
-            v[:, q] = s * vp + c * vq
-        if not rotated:
-            break
-
-    norms = np.sqrt(np.sum(np.abs(b) ** 2, axis=0))
-    order = np.argsort(-norms, kind="stable")
-    norms = norms[order]
-    b = b[:, order]
-    v = v[:, order]
-    u = np.zeros_like(b)
-    cutoff = np.max(norms) * 1e-300 if norms.size else 0.0
-    nonzero = norms > cutoff
-    u[:, nonzero] = b[:, nonzero] / norms[nonzero]
-    if not np.all(nonzero):
-        _orthonormal_fill(u, np.flatnonzero(~nonzero))
-    return SvdResult(u, norms, v)
+    try:
+        u, s, vh = np.linalg.svd(a, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"no-convergence: SVD failed ({exc})") from exc
+    return SvdResult(u, s, vh.conj().T)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from .errors import (
     NonPositiveSpeedError,
     ShapeMismatchError,
 )
-from .numerics import _dft_batch
 
 
 @dataclass(frozen=True)
@@ -128,31 +127,19 @@ def envelope(rf_image, axis: int = -1) -> np.ndarray:
 
     For B-mode images the lines are axial (the default last axis).
     """
-    x = np.asarray(rf_image, dtype=np.complex128)
-    moved = np.moveaxis(x, axis, -1)
-    n = moved.shape[-1]
-    if n < 4:
-        raise DimensionMismatchError(
-            "dimension-mismatch: envelope needs axial length >= 4")
-    flat = moved.reshape(-1, n)
-    spec = _dft_batch(flat, inverse=False) * _analytic_spectrum_mask(n)
-    analytic = _dft_batch(spec, inverse=True)
-    env = np.abs(analytic).reshape(moved.shape)
-    return np.moveaxis(env, -1, axis)
+    return np.abs(analytic_signal(rf_image, axis))
 
 
 def analytic_signal(rf_image, axis: int = -1) -> np.ndarray:
-    """Complex analytic signal along ``axis`` (same spectrum mask as envelope)."""
+    """Complex analytic signal along ``axis``, one FFT per line."""
     x = np.asarray(rf_image, dtype=np.complex128)
     moved = np.moveaxis(x, axis, -1)
     n = moved.shape[-1]
     if n < 4:
         raise DimensionMismatchError(
             "dimension-mismatch: analytic signal needs length >= 4")
-    flat = moved.reshape(-1, n)
-    spec = _dft_batch(flat, inverse=False) * _analytic_spectrum_mask(n)
-    out = _dft_batch(spec, inverse=True).reshape(moved.shape)
-    return np.moveaxis(out, -1, axis)
+    spec = np.fft.fft(moved) * _analytic_spectrum_mask(n)
+    return np.moveaxis(np.fft.ifft(spec), -1, axis)
 
 
 def log_compress(env, dynamic_range_db: float) -> np.ndarray:

@@ -1,5 +1,7 @@
 """CLI pipelines: exit codes, reproducibility, config round-trips, formats."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,31 @@ class TestExitCodes:
         assert run(["simulate", "--field", field, "--out", str(out)]) == 0
         out.write_bytes(out.read_bytes()[:-7])
         rc = run(["beamform", "--in", str(out), "--out", str(tmp_path / "img")])
+        assert rc == 2
+        assert "truncated payload" in capsys.readouterr().err
+
+    def test_forged_urf_header_exit_2(self, tmp_path, capsys):
+        # E=1, C=Nt=2**31 declares 2**64 bytes in a 40-byte file
+        path = tmp_path / "f.urf1"
+        path.write_bytes(b"URF1" + struct.pack("<III", 1, 2 ** 31, 2 ** 31)
+                         + struct.pack("<ddd", 40e6, 1540.0, 5e6))
+        rc = run(["beamform", "--in", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "truncated payload" in capsys.readouterr().err
+
+    def test_header_without_usable_array_exit_2(self, tmp_path, capsys):
+        # fs below 2 f0 admits no transducer array to rebuild
+        path = tmp_path / "f.urf1"
+        path.write_bytes(b"URF1" + struct.pack("<III", 1, 2, 1)
+                         + struct.pack("<ddd", 8e6, 1540.0, 5e6) + bytes(8))
+        rc = run(["beamform", "--in", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "bad header" in capsys.readouterr().err
+
+    def test_forged_uim1_sequence_header_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "s.uim1"
+        path.write_bytes(b"UIM1" + struct.pack("<III", 1, 2 ** 31, 2 ** 31))
+        rc = run(["clutter", "--in", str(path), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "truncated payload" in capsys.readouterr().err
 

@@ -1,5 +1,7 @@
 """Domain-type invariants, validation, and the URF1 binary format."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,15 @@ from usproc.errors import (
     NonFiniteSampleError,
     NonPositiveSpeedError,
 )
+
+HUGE = 2 ** 31  # E=1, C=Nt=2**31 declares 2**64 payload bytes
+
+
+def forged_urf1(path, e, c, nt, fs=40e6, v=1540.0, f0=5e6):
+    """A bare URF1 header (40 bytes, no samples) declaring E x C x Nt."""
+    path.write_bytes(b"URF1" + struct.pack("<III", e, c, nt)
+                     + struct.pack("<ddd", fs, v, f0))
+    return path
 
 
 def make_cube(e=1, c=2, nt=16, v=1540.0):
@@ -144,6 +155,43 @@ class TestUrf1:
         with pytest.raises(FileFormatError, match="truncated payload"):
             uio.read_urf1(path, cube.events)
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        cube = make_cube()
+        path = tmp_path / "t.urf"
+        uio.write_urf1(path, cube, 5e6)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(FileFormatError, match="truncated payload"):
+            uio.read_urf1(path, cube.events)
+
+    def test_forged_header_rejected_before_reading(self, tmp_path):
+        path = forged_urf1(tmp_path / "f.urf", 1, HUGE, HUGE)
+        with pytest.raises(FileFormatError, match="truncated payload"):
+            uio.read_urf1(path, [TransmitEvent.plane_wave(0.0)])
+        with pytest.raises(FileFormatError, match="truncated payload"):
+            uio.read_urf1_header(path)
+
+    def test_header_round_trip(self, tmp_path):
+        cube = make_cube(e=2, c=3, nt=5)
+        path = tmp_path / "t.urf"
+        uio.write_urf1(path, cube, 5e6)
+        assert uio.read_urf1_header(path) == (2, 3, 5, 40e6, 1540.0, 5e6)
+
+    @pytest.mark.parametrize("dims, floats", [
+        ((1, 2, 0), {}),
+        ((0, HUGE, 1), {}),
+        ((1, 2, 3), {"v": 0.0}),
+        ((1, 2, 3), {"v": float("nan")}),
+        ((1, 2, 3), {"f0": 0.0}),
+        ((1, 2, 3), {"fs": 8e6}),
+        ((1, 2, 3), {"fs": float("inf")}),
+    ])
+    def test_header_describing_no_usable_cube(self, tmp_path, dims, floats):
+        path = forged_urf1(tmp_path / "f.urf", *dims, **floats)
+        with path.open("ab") as fh:
+            fh.write(b"\x00" * (4 * dims[0] * dims[1] * dims[2]))
+        with pytest.raises(FileFormatError, match="bad header"):
+            uio.read_urf1_header(path)
+
 
 class TestUim1:
     def test_round_trip_f32_exact(self, tmp_path):
@@ -166,6 +214,16 @@ class TestUim1:
         path.write_bytes(path.read_bytes()[:-1])
         with pytest.raises(FileFormatError, match="truncated payload"):
             uio.read_uim1(path)
+
+    def test_forged_header_rejected_before_reading(self, tmp_path):
+        image = tmp_path / "i.uim1"
+        image.write_bytes(b"UIM1" + struct.pack("<II", HUGE, HUGE))
+        with pytest.raises(FileFormatError, match="truncated payload"):
+            uio.read_uim1(image)
+        seq = tmp_path / "s.uim1"
+        seq.write_bytes(b"UIM1" + struct.pack("<III", 1, HUGE, HUGE))
+        with pytest.raises(FileFormatError, match="truncated payload"):
+            uio.read_uim1_seq(seq)
 
 
 def test_scatterer_field_text_round_trip(tmp_path):

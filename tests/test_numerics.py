@@ -2,8 +2,8 @@
 
 Oracles: direct O(N^2) DFT summation for the FFT, Gaussian elimination with
 full pivoting for the Hermitian solve, and a two-sided Jacobi eigensolver on
-A^H A for the singular values (the production SVD is one-sided on A, a
-different code path).
+A^H A (or A A^H) for the singular values.  The production kernels are numpy's
+pocketfft and LAPACK; none is ever checked against numpy itself.
 """
 
 import numpy as np
@@ -103,6 +103,33 @@ class TestSolveHermitian:
         x = solve_hermitian(a, np.array([1.0, 1.0]), 0.1)
         assert np.allclose((a + 0.1 * np.eye(2)) @ x, [1.0, 1.0], atol=1e-12)
 
+    @given(st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_random_pd_property(self, n, seed):
+        rng = np.random.default_rng(seed)
+        m = rand_complex(rng, n, n)
+        a = m @ m.conj().T + 0.1 * np.eye(n)
+        a = 0.5 * (a + a.conj().T)
+        b = rand_complex(rng, n)
+        x = solve_hermitian(a, b, 0.0)
+        ref = solve_full_pivot(a, b)
+        assert np.max(np.abs(x - ref)) \
+            <= 1e-9 * max(np.max(np.abs(ref)), 1.0)
+
+    @given(st.integers(2, 8), st.integers(0, 7), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_psd_with_zero_row_is_singular(self, n, k, seed):
+        # a PD block with one zero row and column inserted: the Cholesky
+        # pivot of that row is exactly 0, so zero loading must fail
+        rng = np.random.default_rng(seed)
+        k %= n
+        m = rand_complex(rng, n - 1, n - 1)
+        a = np.zeros((n, n), dtype=np.complex128)
+        keep = np.delete(np.arange(n), k)
+        a[np.ix_(keep, keep)] = m @ m.conj().T + np.eye(n - 1)
+        with pytest.raises(SingularMatrixError, match="singular-matrix"):
+            solve_hermitian(a, rand_complex(rng, n), 0.0)
+
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError):
             solve_hermitian(np.array([[1.0, 2.0], [0.0, 1.0]]),
@@ -158,6 +185,28 @@ class TestSvd:
         assert np.allclose(res.singular_values,
                            [expected, 0.0, 0.0], atol=1e-10 * expected)
         assert np.allclose(res.u.conj().T @ res.u, np.eye(3), atol=1e-10)
+
+    @given(st.integers(1, 7), st.integers(1, 7), st.integers(0, 7),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_eig_oracle_on_random_shapes(self, rows, cols, rank, seed):
+        # tall, wide and square shapes; rank < min(rows, cols) makes the
+        # matrix rank-deficient (rank 0 is the zero matrix)
+        rng = np.random.default_rng(seed)
+        r = min(rows, cols)
+        rank = min(rank, r)
+        a = rand_complex(rng, rows, rank) @ rand_complex(rng, rank, cols)
+        res = svd(a)
+        assert res.u.shape == (rows, r) and res.v.shape == (cols, r)
+        for q in (res.u, res.v):
+            assert np.max(np.abs(q.conj().T @ q - np.eye(r))) <= 1e-10
+        gram = a.conj().T @ a if rows >= cols else a @ a.conj().T
+        lam = eigvals_jacobi_hermitian(gram)
+        scale = max(float(lam[0]), 1.0)
+        assert np.max(np.abs(res.singular_values ** 2 - lam)) <= 1e-10 * scale
+        assert np.all(res.singular_values[rank:] <= 1e-6 * np.sqrt(scale))
+        fro = np.sqrt(np.sum(np.abs(a) ** 2))
+        assert np.sqrt(np.sum(np.abs(res.compose() - a) ** 2)) <= 1e-10 * max(fro, 1.0)
 
 
 # ---------------------------------------------------------------------------
