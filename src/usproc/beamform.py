@@ -1,16 +1,19 @@
 """Beamformers over TOF-corrected data: DAS, MV, Wiener, CF, iMAP, compounding.
 
-Every estimator is per pixel: given the focused channel vector y_r it
-produces a reflectivity estimate.  Pixels whose focused vector is entirely
-zero yield 0 (avoids 0/0 in the adaptive weights at empty corners).
+Each estimator maps a pixel's focused channel vector y_r to a reflectivity
+estimate.  DAS, CF and iMAP are array expressions over the whole image; MV,
+Wiener and MV compounding build one lateral column's covariances as an
+(Rz, L, L) stack and solve it in one batched Hermitian solve, which caps
+memory at one column's stack.  Pixels whose focused vector is entirely zero
+yield 0 (avoids 0/0 in the adaptive weights at empty corners).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import ApodizationWindow, BeamformedImage, FocusedTensor
 from .errors import GridMismatchError, ShapeMismatchError
@@ -67,7 +70,7 @@ def estimate_covariance(neighborhood, cfg: CovarianceConfig) -> np.ndarray:
     ell = cfg.subaperture_length
     if ell > c:
         raise ShapeMismatchError(f"shape-mismatch: L={ell} exceeds C={c}")
-    wins = np.lib.stride_tricks.sliding_window_view(nb, ell, axis=0)
+    wins = sliding_window_view(nb, ell, axis=0)
     rows = wins.reshape(-1, ell)
     gamma = (rows.T @ rows.conj()) / rows.shape[0]
     gamma = 0.5 * (gamma + gamma.conj().T)
@@ -77,83 +80,91 @@ def estimate_covariance(neighborhood, cfg: CovarianceConfig) -> np.ndarray:
     return gamma
 
 
-def _neighborhood(vals, ix, iz, half) -> np.ndarray:
-    lo = max(iz - half, 0)
-    hi = min(iz + half + 1, vals.shape[2])
-    return vals[:, ix, lo:hi]
+def _smoothed_covariances(rows, k: int, eps: float) -> np.ndarray:
+    """Loaded covariances of a column's pixels from their snapshot rows.
 
-
-def _mv_pixel(vals, ix, iz, cfg, covariance_fn):
-    """Per-pixel MV solve; returns (estimate, weights, covariance)."""
-    center = vals[:, ix, iz]
-    if not np.any(center):
-        return 0.0 + 0.0j, None, None
-    gamma = covariance_fn(_neighborhood(vals, ix, iz, cfg.temporal_half_window), cfg)
-    ell = gamma.shape[0]
-    w = solve_hermitian(gamma, np.ones(ell, dtype=np.complex128), 0.0)
-    w = w / np.sum(w)
-    subs = np.lib.stride_tricks.sliding_window_view(center, ell)
-    est = np.mean(subs @ np.conj(w))
-    return est, w, gamma
-
-
-def _column_map(fn, nx, threads):
-    if threads <= 1:
-        for ix in range(nx):
-            fn(ix)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(fn, range(nx)))
-
-
-def mv(focused: FocusedTensor, cfg: CovarianceConfig | None = None,
-       covariance_fn=estimate_covariance, threads: int = 1) -> BeamformedImage:
-    """Minimum-variance (Capon) beamformer.
-
-    Per pixel: w = Gamma^-1 1 normalized to unity gain (1^H w = 1), estimate
-    averaged over the sliding subapertures.  ``covariance_fn`` may replace
-    the default estimator (e.g. for analysis with a known covariance).
+    ``rows`` is (Rz, m, n): each pixel's m snapshot vectors (subapertures
+    for MV, lateral neighbors for compounding).  Pixel z averages the outer
+    products over its axial +-k window clamped to the column, as a sum of
+    2k+1 shifted slices of a zero-padded stack: differences of a cumulative
+    sum would lose faint pixels below a bright echo.  Loading adds
+    eps * trace / n to the diagonal.
     """
-    vals = focused.values
+    nz, m, n = rows.shape
+    pad = np.pad(np.swapaxes(rows, 1, 2) @ np.conj(rows), ((k, k), (0, 0), (0, 0)))
+    count = m * np.convolve(np.ones(nz), np.ones(2 * k + 1))[k:k + nz]
+    gamma = sum(pad[d:d + nz] for d in range(2 * k + 1)) / count[:, None, None]
+    gamma = 0.5 * (gamma + np.conj(np.swapaxes(gamma, 1, 2)))
+    if eps > 0:
+        load = eps * np.trace(gamma, axis1=1, axis2=2).real / n
+        gamma = gamma + load[:, None, None] * np.eye(n)
+    return gamma
+
+
+def _column_weights(rows, block, live, cfg, covariance_fn):
+    """Covariances of one column's live pixels and, from one stacked solve,
+    their weights w = Gamma^-1 1 normalized to 1^H w = 1.
+
+    A custom ``covariance_fn`` is called per live pixel on its clamped axial
+    +-K slice of the (n, ..., Rz) ``block``, flattened to (n, samples).
+    """
+    k = cfg.temporal_half_window
+    if covariance_fn is None:
+        gamma = _smoothed_covariances(rows, k, cfg.loading_fraction)[live]
+    else:
+        gamma = np.stack([covariance_fn(
+            block[..., max(iz - k, 0):iz + k + 1].reshape(block.shape[0], -1), cfg)
+            for iz in np.flatnonzero(live)])
+    w = solve_hermitian(gamma, np.ones(gamma.shape[:-1], dtype=np.complex128), 0.0)
+    return gamma, w / np.sum(w, axis=-1, keepdims=True)
+
+
+def _capon(focused: FocusedTensor, cfg, covariance_fn, postfilter: bool):
+    """MV (with ``postfilter``, Wiener) image, one batched solve per column."""
     if cfg is None:
         cfg = default_covariance_config(focused.num_channels)
-    nx, nz = focused.grid.shape
-    rf = np.zeros((nx, nz), dtype=np.complex128)
-
-    def run_column(ix):
-        for iz in range(nz):
-            rf[ix, iz] = _mv_pixel(vals, ix, iz, cfg, covariance_fn)[0]
-
-    _column_map(run_column, nx, threads)
+    ell, c = cfg.subaperture_length, focused.num_channels
+    if ell > c:
+        raise ShapeMismatchError(f"shape-mismatch: L={ell} exceeds C={c}")
+    rf = np.zeros(focused.grid.shape, dtype=np.complex128)
+    for ix in range(rf.shape[0]):
+        col = focused.values[:, ix, :]
+        live = np.any(col, axis=0)
+        if not np.any(live):
+            continue
+        gamma, w = _column_weights(sliding_window_view(col.T, ell, axis=1),
+                                   col, live, cfg, covariance_fn)
+        subs = sliding_window_view(col[:, live].T, gamma.shape[-1], axis=1)
+        est = np.mean((subs @ np.conj(w)[:, :, None])[..., 0], axis=-1)
+        if postfilter:  # w^H Gamma w > 0, as Gamma passed the Cholesky test
+            sig = np.abs(est) ** 2
+            noise = np.einsum("ni,nij,nj->n", np.conj(w), gamma, w).real
+            est = sig / (sig + noise) * est
+        rf[ix, live] = est
     return BeamformedImage(rf, focused.grid)
 
 
+def mv(focused: FocusedTensor, cfg: CovarianceConfig | None = None,
+       covariance_fn=None) -> BeamformedImage:
+    """Minimum-variance (Capon) beamformer with spatial smoothing.
+
+    Per pixel: w = Gamma^-1 1 normalized to unity gain (1^H w = 1), estimate
+    averaged over the sliding subapertures, with Gamma the
+    :func:`estimate_covariance` of the pixel's clamped axial +-K neighborhood
+    (computed a column at a time).  A ``covariance_fn`` with that signature
+    may replace it, e.g. for analysis with a known covariance.
+    """
+    return _capon(focused, cfg, covariance_fn, postfilter=False)
+
+
 def wiener(focused: FocusedTensor, cfg: CovarianceConfig | None = None,
-           covariance_fn=estimate_covariance, threads: int = 1) -> BeamformedImage:
+           covariance_fn=None) -> BeamformedImage:
     """MV beamformer followed by the Wiener post-filter.
 
     The unknown signal power uses the plug-in estimate |x_MV|^2, scaling the
     MV output by H = sigma_x^2 / (sigma_x^2 + w^H Gamma w).
     """
-    vals = focused.values
-    if cfg is None:
-        cfg = default_covariance_config(focused.num_channels)
-    nx, nz = focused.grid.shape
-    rf = np.zeros((nx, nz), dtype=np.complex128)
-
-    def run_column(ix):
-        for iz in range(nz):
-            est, w, gamma = _mv_pixel(vals, ix, iz, cfg, covariance_fn)
-            if w is None:
-                continue
-            sig = abs(est) ** 2
-            if sig == 0.0:
-                continue
-            noise = (np.conj(w) @ gamma @ w).real
-            rf[ix, iz] = sig / (sig + noise) * est
-
-    _column_map(run_column, nx, threads)
-    return BeamformedImage(rf, focused.grid)
+    return _capon(focused, cfg, covariance_fn, postfilter=True)
 
 
 def coherence_factor(focused: FocusedTensor) -> np.ndarray:
@@ -201,8 +212,9 @@ def compound(images, mode: str = MEAN, cfg: CovarianceConfig | None = None,
              covariance_fn=None) -> BeamformedImage:
     """Aggregate per-transmit images: coherent mean or MV over transmits.
 
-    MV mode estimates the transmit covariance per pixel from the
-    (2K+1)^2 spatial neighborhood with diagonal loading eps.
+    MV mode estimates the transmit covariance per pixel from its clamped
+    (2K+1)^2 spatial neighborhood with diagonal loading eps, a column of
+    pixels at a time as for :func:`mv`.
     """
     images = list(images)
     if not images:
@@ -218,30 +230,17 @@ def compound(images, mode: str = MEAN, cfg: CovarianceConfig | None = None,
     if mode != MV:
         raise ValueError(f"unknown compounding mode {mode!r}")
 
-    e_count = stack.shape[0]
     if cfg is None:
-        cfg = CovarianceConfig(e_count, 2, 0.01)
+        cfg = CovarianceConfig(stack.shape[0], 2, 0.01)
     k = cfg.temporal_half_window
-    eps = cfg.loading_fraction
-    nx, nz = grid.shape
-    rf = np.zeros((nx, nz), dtype=np.complex128)
-    for ix in range(nx):
-        xlo, xhi = max(ix - k, 0), min(ix + k + 1, nx)
-        for iz in range(nz):
-            center = stack[:, ix, iz]
-            if not np.any(center):
-                continue
-            zlo, zhi = max(iz - k, 0), min(iz + k + 1, nz)
-            patch = stack[:, xlo:xhi, zlo:zhi].reshape(e_count, -1)
-            if covariance_fn is not None:
-                gamma = covariance_fn(patch, cfg)
-            else:
-                gamma = (patch @ patch.conj().T) / patch.shape[1]
-                gamma = 0.5 * (gamma + gamma.conj().T)
-                if eps > 0:
-                    gamma = gamma + (eps * np.trace(gamma).real / e_count) \
-                        * np.eye(e_count)
-            w = solve_hermitian(gamma, np.ones(e_count, dtype=np.complex128), 0.0)
-            w = w / np.sum(w)
-            rf[ix, iz] = np.conj(w) @ center
+    rf = np.zeros(grid.shape, dtype=np.complex128)
+    for ix in range(rf.shape[0]):
+        center = stack[:, ix, :]
+        live = np.any(center, axis=0)
+        if not np.any(live):
+            continue
+        block = stack[:, max(ix - k, 0):ix + k + 1, :]   # (E, lateral, Rz)
+        _, w = _column_weights(block.transpose(2, 1, 0), block, live, cfg,
+                               covariance_fn)
+        rf[ix, live] = np.sum(np.conj(w) * center[:, live].T, axis=-1)
     return BeamformedImage(rf, grid)

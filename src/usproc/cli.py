@@ -219,8 +219,7 @@ def _grid_from(cfg: PipelineConfig, array: TransducerArray, nt: int,
 _APOD = {"rect": RECTANGULAR, "hanning": HANNING, "hamming": HAMMING}
 
 
-def _beamform_image(cfg: PipelineConfig, focused, method: str,
-                    threads: int):
+def _beamform_image(cfg: PipelineConfig, focused, method: str):
     c = focused.num_channels
     apod = ApodizationWindow(_APOD[cfg.get_str("bf.apod")], c)
     sub_l = cfg.get_int("bf.sub_l") or max(c // 2, 1)
@@ -228,9 +227,9 @@ def _beamform_image(cfg: PipelineConfig, focused, method: str,
     if method == "das":
         return bf.das(focused, apod)
     if method == "mv":
-        return bf.mv(focused, cov, threads=threads)
+        return bf.mv(focused, cov)
     if method == "wiener":
-        return bf.wiener(focused, cov, threads=threads)
+        return bf.wiener(focused, cov)
     if method == "cf":
         return bf.cf_weighted_das(focused, apod)
     if method == "imap":
@@ -314,7 +313,7 @@ def _cmd_beamform(args) -> int:
     mode = cfg.get_str("bf.compound")
     if mode == "channel" or cube.num_events == 1:
         focused = tof.focus(cube, delays, grid, per_event=False)
-        image = _beamform_image(cfg, focused, method, args.threads)
+        image = _beamform_image(cfg, focused, method)
     elif mode in (bf.MEAN, bf.MV):
         per_event = tof.focus(cube, delays, grid, per_event=True)
         apod = ApodizationWindow(_APOD[cfg.get_str("bf.apod")],
@@ -549,7 +548,7 @@ def _cmd_demo(args) -> int:
                        cx + radius + 1e-3 + 2 * half, cz + half)
     rows = []
     for method in ("das", "mv", "cf", "imap"):
-        image = _beamform_image(cfg, focused, method, args.threads)
+        image = _beamform_image(cfg, focused, method)
         _write_image_outputs(outdir / method, image, dyn)
         env = tof.detect_envelope(image).envelope
         rows.append(("contrast_db", method, mx.contrast_db(env, grid, bg, cyst)))
@@ -577,7 +576,7 @@ def _add_common(sp_parser, flag_map):
     sp_parser.add_argument("--seed", type=int, default=0,
                            help="seed for all randomness")
     sp_parser.add_argument("--threads", type=int, default=1,
-                           help="worker cap for pixel/frame loops")
+                           help="worker cap for ULM frame loops")
     sp_parser.add_argument("--config", help="key = value config file")
     sp_parser.add_argument("--set", nargs=2, action="append",
                            metavar=("KEY", "VALUE"),

@@ -43,25 +43,30 @@ def fft(signal, inverse: bool = False) -> np.ndarray:
 def solve_hermitian(a, b, loading: float = 0.0) -> np.ndarray:
     """Solve (A + loading*I) x = b for Hermitian A via Cholesky.
 
-    Raises ``singular-matrix`` when the Cholesky factorization fails after
-    loading, which for a Hermitian matrix signals that it is not positive
-    definite.
+    ``a`` is one (n, n) matrix with ``b`` of shape (n,), or a stack
+    (..., n, n) with ``b`` of shape (..., n) solved in one batched call;
+    each matrix of a stack is checked for symmetry against its own scale.
+    Raises ``singular-matrix`` when the Cholesky factorization of any matrix
+    fails after loading, which for a Hermitian matrix signals that it is not
+    positive definite.
     """
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or b.shape != (a.shape[0],):
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or b.shape != a.shape[:-1]:
         raise DimensionMismatchError("dimension-mismatch: need square A and matching b")
     if loading < 0:
         raise ValueError("loading must be >= 0")
-    scale = max(1.0, float(np.max(np.abs(a))) if a.size else 1.0)
-    if np.max(np.abs(a - a.conj().T)) > 1e-10 * scale:
+    a_h = np.conj(np.swapaxes(a, -1, -2))
+    scale = np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1), initial=0.0))
+    if np.any(np.max(np.abs(a - a_h), axis=(-2, -1), initial=0.0) > 1e-10 * scale):
         raise ValueError("matrix is not Hermitian to 1e-10")
     try:
-        low = np.linalg.cholesky(a + loading * np.eye(a.shape[0]))
+        low = np.linalg.cholesky(a + loading * np.eye(a.shape[-1]))
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"singular-matrix: Cholesky failed ({exc})") from exc
     # forward then backward substitution through the two triangular factors
-    return np.linalg.solve(low.conj().T, np.linalg.solve(low, b))
+    y = np.linalg.solve(low, b[..., None])
+    return np.linalg.solve(np.conj(np.swapaxes(low, -1, -2)), y)[..., 0]
 
 
 # ---------------------------------------------------------------------------

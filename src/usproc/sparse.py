@@ -169,6 +169,9 @@ class Conv2Same:
     def __init__(self, image_shape, kernel):
         kernel = np.asarray(kernel, dtype=np.complex128)
         self.shape = tuple(image_shape)
+        if 0 in self.shape or kernel.size == 0:
+            raise DimensionMismatchError(
+                "dimension-mismatch: image and kernel need at least one pixel")
         self.full = (self.shape[0] + kernel.shape[0] - 1,
                      self.shape[1] + kernel.shape[1] - 1)
         self.offset = ((kernel.shape[0] - 1) // 2, (kernel.shape[1] - 1) // 2)

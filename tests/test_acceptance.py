@@ -97,7 +97,7 @@ def test_criterion_2_resolution_ordering():
     delays = tof.compute_delays(array, events, grid, V)
     focused = tof.focus(cube, delays, grid)
     das_img = bf.das(focused, ApodizationWindow(RECTANGULAR, 64))
-    mv_img = bf.mv(focused, bf.CovarianceConfig(32, 2, 0.01), threads=2)
+    mv_img = bf.mv(focused, bf.CovarianceConfig(32, 2, 0.01))
     w_das = lateral_fwhm(das_img, grid)
     w_mv = lateral_fwhm(mv_img, grid)
     elapsed = time.time() - t0

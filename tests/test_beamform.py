@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import eigvals_jacobi_hermitian
+from oracles import eigvals_jacobi_hermitian, solve_full_pivot
 from usproc.beamform import (
     MEAN,
     MV,
@@ -27,7 +27,7 @@ from usproc.core import (
     HANNING,
     ImagingGrid,
 )
-from usproc.errors import GridMismatchError, ShapeMismatchError
+from usproc.errors import GridMismatchError, ShapeMismatchError, SingularMatrixError
 
 
 def grid_for(nx, nz):
@@ -112,6 +112,68 @@ def identity_cov(neighborhood, cfg):
     return np.eye(cfg.subaperture_length, dtype=np.complex128)
 
 
+def mv_reference_pixel(vals, ix, iz, cfg):
+    """Per-pixel MV by definition: estimate_covariance on the clamped axial
+    neighborhood, an oracle solve, unity-gain normalization.
+
+    Returns (estimate, weights, covariance); (0, None, None) for y_r = 0.
+    """
+    center = vals[:, ix, iz]
+    if not np.any(center):
+        return 0.0, None, None
+    k = cfg.temporal_half_window
+    gamma = estimate_covariance(vals[:, ix, max(iz - k, 0):iz + k + 1], cfg)
+    w = solve_full_pivot(gamma, np.ones(gamma.shape[0]))
+    w = w / np.sum(w)
+    subs = np.lib.stride_tricks.sliding_window_view(center, gamma.shape[0])
+    return np.mean(subs @ np.conj(w)), w, gamma
+
+
+def wiener_reference_pixel(vals, ix, iz, cfg):
+    est, w, gamma = mv_reference_pixel(vals, ix, iz, cfg)
+    if w is None or est == 0:
+        return 0.0
+    sig = abs(est) ** 2
+    return sig / (sig + (np.conj(w) @ gamma @ w).real) * est
+
+
+def compound_reference_pixel(stack, ix, iz, cfg):
+    """Per-pixel MV compounding by definition on the (2K+1)^2 patch."""
+    center = stack[:, ix, iz]
+    if not np.any(center):
+        return 0.0
+    k, e = cfg.temporal_half_window, stack.shape[0]
+    patch = stack[:, max(ix - k, 0):ix + k + 1, max(iz - k, 0):iz + k + 1]
+    patch = patch.reshape(e, -1)
+    gamma = patch @ patch.conj().T / patch.shape[1]
+    gamma = 0.5 * (gamma + gamma.conj().T)
+    gamma += cfg.loading_fraction * np.trace(gamma).real / e * np.eye(e)
+    w = solve_full_pivot(gamma, np.ones(e))
+    return np.conj(w / np.sum(w)) @ center
+
+
+def reference_image(pixel_fn, vals, cfg):
+    nx, nz = vals.shape[-2:]
+    return np.array([[pixel_fn(vals, ix, iz, cfg) for iz in range(nz)]
+                     for ix in range(nx)], dtype=complex)
+
+
+def assert_matches_reference(out, ref):
+    """Relative agreement to 1e-12, and exact zeros where the reference is 0."""
+    assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.all(out[ref == 0] == 0)
+
+
+def zeroed_tensor(rng, c, nx, nz):
+    """Random channel data with an empty corner, an empty last column and a
+    lone zero pixel."""
+    v = rng.standard_normal((c, nx, nz)) + 1j * rng.standard_normal((c, nx, nz))
+    v[:, 0, :2] = 0.0
+    v[:, nx - 1, :] = 0.0
+    v[:, nx // 2, nz - 1] = 0.0
+    return v
+
+
 class TestMv:
     def test_identity_covariance_reduces_to_das_on_subapertures(self):
         rng = np.random.default_rng(4)
@@ -160,19 +222,66 @@ class TestMv:
         rng = np.random.default_rng(7)
         t = rand_tensor(rng, 8, 3, 3)
         cfg = CovarianceConfig(4, 1, 0.05)
-        from usproc.beamform import _mv_pixel, estimate_covariance as est
+        img = mv(t, cfg)
         for ix in range(3):
             for iz in range(3):
-                _, w, _ = _mv_pixel(t.values, ix, iz, cfg, est)
+                est, w, _ = mv_reference_pixel(t.values, ix, iz, cfg)
                 assert abs(np.sum(w) - 1.0) <= 1e-12
+                assert img.rf[ix, iz] == pytest.approx(est, abs=1e-12)
 
-    def test_threads_do_not_change_result(self):
-        rng = np.random.default_rng(8)
-        t = rand_tensor(rng, 8, 5, 6)
-        cfg = CovarianceConfig(4, 2, 0.01)
-        a = mv(t, cfg, threads=1)
-        b = mv(t, cfg, threads=4)
-        assert np.array_equal(a.rf, b.rf)
+    @pytest.mark.parametrize("c,ell,k,eps", [
+        (8, 4, 2, 0.01),    # default-like smoothing, edge rows clamped
+        (8, 4, 0, 0.05),    # K = 0: no axial averaging
+        (6, 1, 1, 0.1),     # L = 1: scalar covariances
+        (6, 6, 3, 0.01),    # L = C: one subaperture, window wider than Rz/2
+        (5, 3, 1, 0.0),     # no loading, still full rank
+    ])
+    def test_matches_per_pixel_definition(self, c, ell, k, eps):
+        rng = np.random.default_rng(c * 100 + ell * 10 + k)
+        vals = zeroed_tensor(rng, c, 5, 6)
+        cfg = CovarianceConfig(ell, k, eps)
+        out = mv(tensor_from(vals), cfg).rf
+        ref = reference_image(lambda *px: mv_reference_pixel(*px)[0], vals, cfg)
+        assert_matches_reference(out, ref)
+        assert not np.any(out[0, :2]) and not np.any(out[-1])
+
+    def test_faint_pixels_below_bright_echo(self):
+        # windows away from a 1e8 brighter echo keep full relative accuracy
+        # (a running-sum window would cancel their covariances away)
+        rng = np.random.default_rng(21)
+        vals = zeroed_tensor(rng, 8, 3, 12)
+        vals[:, :, :3] *= 1e8
+        cfg = CovarianceConfig(4, 1, 0.01)
+        out = mv(tensor_from(vals), cfg).rf[:, 4:]
+        ref = reference_image(lambda *px: mv_reference_pixel(*px)[0], vals, cfg)
+        assert_matches_reference(out, ref[:, 4:])
+
+    def test_singular_live_pixel_raises(self):
+        # rank-one data with eps = 0 and L = 2 > rank: Gamma = 1 1^T exactly
+        t = tensor_from(np.ones((4, 2, 3)))
+        with pytest.raises(SingularMatrixError, match="singular-matrix"):
+            mv(t, CovarianceConfig(2, 1, 0.0))
+
+    def test_subaperture_longer_than_aperture(self):
+        with pytest.raises(ShapeMismatchError, match="shape-mismatch"):
+            mv(tensor_from(np.ones((4, 2, 3))), CovarianceConfig(5, 1, 0.01))
+
+    @given(st.integers(1, 10), st.integers(1, 10), st.integers(0, 3),
+           st.integers(1, 4), st.integers(1, 7), st.floats(1e-3, 1.0),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_unity_gain_on_rank_one_data(self, c, ell, k, nx, nz, eps, seed):
+        # y_r = a_r 1: every covariance is proportional to 1 1^T + eps I, so
+        # w = 1 / L and the estimate is a_r; a_r = 0 pixels give exactly 0
+        ell = min(ell, c)
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((nx, nz)) + 1j * rng.standard_normal((nx, nz))
+        a[rng.random((nx, nz)) < 0.3] = 0.0
+        vals = np.broadcast_to(a, (c, nx, nz))
+        out = mv(tensor_from(vals), CovarianceConfig(ell, k, eps)).rf
+        assert np.all(out[a == 0] == 0)
+        live = a != 0
+        assert np.all(np.abs(out[live] - a[live]) <= 1e-10 * np.abs(a[live]))
 
 
 class TestCoherenceFactor:
@@ -268,15 +377,22 @@ class TestWiener:
         cfg = CovarianceConfig(4, 1, 0.05)
         wimg = wiener(t, cfg).rf
         mimg = mv(t, cfg).rf
-        from usproc.beamform import _mv_pixel, estimate_covariance as est
         for ix in range(3):
             for iz in range(3):
-                estv, w, gamma = _mv_pixel(t.values, ix, iz, cfg, est)
+                estv, w, gamma = mv_reference_pixel(t.values, ix, iz, cfg)
                 q = (np.conj(w) @ gamma @ w).real
                 sx = abs(estv) ** 2
                 h = sx / (sx + q)
                 assert 0.0 < h <= 1.0
                 assert wimg[ix, iz] == pytest.approx(h * mimg[ix, iz], abs=1e-12)
+
+    @pytest.mark.parametrize("c,ell,k", [(8, 4, 2), (8, 4, 0), (6, 1, 1), (6, 6, 1)])
+    def test_matches_per_pixel_definition(self, c, ell, k):
+        rng = np.random.default_rng(c + ell + k)
+        vals = zeroed_tensor(rng, c, 5, 6)
+        cfg = CovarianceConfig(ell, k, 0.05)
+        out = wiener(tensor_from(vals), cfg).rf
+        assert_matches_reference(out, reference_image(wiener_reference_pixel, vals, cfg))
 
 
 class TestCompound:
@@ -304,6 +420,16 @@ class TestCompound:
         out = compound(imgs, MV, CovarianceConfig(3, 1, 0.0),
                        covariance_fn=lambda patch, cfg: np.eye(3, dtype=complex))
         assert np.max(np.abs(out.rf - ref.rf)) <= 1e-12
+
+    @pytest.mark.parametrize("e,k,eps", [(4, 2, 0.01), (3, 0, 0.05), (1, 1, 0.01),
+                                         (5, 3, 0.1)])
+    def test_mv_matches_per_pixel_definition(self, e, k, eps):
+        rng = np.random.default_rng(e * 10 + k)
+        stack = zeroed_tensor(rng, e, 6, 5)
+        cfg = CovarianceConfig(e, k, eps)
+        out = compound(self.make_images(list(stack)), MV, cfg).rf
+        assert_matches_reference(
+            out, reference_image(compound_reference_pixel, stack, cfg))
 
     def test_grid_mismatch(self):
         a = BeamformedImage(np.zeros((2, 2), complex), grid_for(2, 2))

@@ -87,6 +87,20 @@ class TestExitCodes:
         assert rc == 2
         assert "truncated payload" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("empty", ["image", "psf"])
+    @pytest.mark.parametrize("lam", [[], ["--lambda", "0.1"]])
+    def test_empty_deconvolve_input_exit_2(self, tmp_path, capsys, empty, lam):
+        # a 12-byte UIM1 with Rx=0, Rz=5; the default lambda reaches the
+        # adjoint first, an explicit one goes straight to deconvolve
+        paths = {n: tmp_path / f"{n}.uim1" for n in ("image", "psf")}
+        uio.write_uim1(paths["image"], np.ones((6, 6)))
+        uio.write_uim1(paths["psf"], np.ones((3, 3)) / 9.0)
+        paths[empty].write_bytes(b"UIM1" + struct.pack("<II", 0, 5))
+        rc = run(["deconvolve", "--in", str(paths["image"]),
+                  "--psf", str(paths["psf"]), "--out", str(tmp_path / "o")] + lam)
+        assert rc == 2
+        assert "dimension-mismatch" in capsys.readouterr().err
+
     def test_missing_input_exit_2(self, tmp_path):
         rc = run(["beamform", "--in", str(tmp_path / "nope.urf"),
                   "--out", str(tmp_path / "img")])

@@ -11,7 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from usproc.errors import AdjointMismatchError, SingularMatrixError
+from usproc.errors import (
+    AdjointMismatchError,
+    DimensionMismatchError,
+    SingularMatrixError,
+)
 from usproc.numerics import fft, operator_norm, solve_hermitian, svd
 
 from oracles import dft_direct, eigvals_jacobi_hermitian, solve_full_pivot
@@ -134,6 +138,40 @@ class TestSolveHermitian:
         with pytest.raises(ValueError):
             solve_hermitian(np.array([[1.0, 2.0], [0.0, 1.0]]),
                             np.array([1.0, 1.0]), 0.0)
+
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_stack_matches_per_matrix_oracle(self, batch, n, seed):
+        rng = np.random.default_rng(seed)
+        m = rand_complex(rng, batch, n, n)
+        a = m @ np.conj(np.swapaxes(m, 1, 2)) + 0.1 * np.eye(n)
+        a = 0.5 * (a + np.conj(np.swapaxes(a, 1, 2)))
+        a *= np.exp(rng.uniform(-8, 8, (batch, 1, 1)))  # scales far apart
+        b = rand_complex(rng, batch, n)
+        x = solve_hermitian(a, b, 0.0)
+        assert x.shape == (batch, n)
+        for i in range(batch):
+            ref = solve_full_pivot(a[i], b[i])
+            assert np.max(np.abs(x[i] - ref)) <= 1e-9 * max(np.max(np.abs(ref)), 1.0)
+
+    def test_stack_with_one_singular_matrix_raises(self):
+        a = np.stack([np.eye(3), np.ones((3, 3)), 2.0 * np.eye(3)])
+        with pytest.raises(SingularMatrixError, match="singular-matrix"):
+            solve_hermitian(a, np.ones((3, 3)), 0.0)
+
+    def test_stack_symmetry_scale_is_per_matrix(self):
+        # 0.5 of asymmetry is far below 1e-10 of the big matrix's scale, so
+        # a scale shared across the stack would let the small matrix pass
+        small = np.array([[1.0, 0.5], [0.0, 1.0]])
+        big = 1e12 * np.eye(2)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            solve_hermitian(np.stack([small, big]), np.ones((2, 2)), 0.0)
+        x = solve_hermitian(np.stack([np.eye(2), big]), np.ones((2, 2)), 0.0)
+        assert np.allclose(x, [[1.0, 1.0], [1e-12, 1e-12]], rtol=1e-14, atol=0)
+
+    def test_stack_shape_mismatch(self):
+        with pytest.raises(DimensionMismatchError, match="dimension-mismatch"):
+            solve_hermitian(np.stack([np.eye(2)] * 3), np.ones((2, 2)), 0.0)
 
 
 # ---------------------------------------------------------------------------
