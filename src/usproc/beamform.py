@@ -5,7 +5,11 @@ estimate.  DAS, CF and iMAP are array expressions over the whole image; MV,
 Wiener and MV compounding build one lateral column's covariances as an
 (Rz, L, L) stack and solve it in one batched Hermitian solve, which caps
 memory at one column's stack.  Pixels whose focused vector is entirely zero
-yield 0 (avoids 0/0 in the adaptive weights at empty corners).
+yield 0 (avoids 0/0 in the adaptive weights at empty corners), and so do the
+adaptive estimators' pixels whose covariance trace is below
+``_TINY_TRACE``: their data are so faint (|y| below about 1e-90) that the
+diagonal loading eps * trace / L and the weights ~ 1 / trace would reach the
+subnormal or the overflow range.
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ from .numerics import solve_hermitian
 
 MEAN = "mean"
 MV = "mv"
+# adaptive estimators treat pixels whose covariance has a smaller trace as empty
+_TINY_TRACE = 2.0 ** -600
 
 
 @dataclass(frozen=True)
@@ -107,6 +113,9 @@ def _column_weights(rows, block, live, cfg, covariance_fn):
 
     A custom ``covariance_fn`` is called per live pixel on its clamped axial
     +-K slice of the (n, ..., Rz) ``block``, flattened to (n, samples).
+    Pixels whose covariance trace is below ``_TINY_TRACE`` are dropped: the
+    returned copy of ``live`` marks the pixels that ``gamma`` and ``w``
+    describe.
     """
     k = cfg.temporal_half_window
     if covariance_fn is None:
@@ -115,8 +124,12 @@ def _column_weights(rows, block, live, cfg, covariance_fn):
         gamma = np.stack([covariance_fn(
             block[..., max(iz - k, 0):iz + k + 1].reshape(block.shape[0], -1), cfg)
             for iz in np.flatnonzero(live)])
+    solvable = np.trace(gamma, axis1=1, axis2=2).real >= _TINY_TRACE
+    live = live.copy()
+    live[live] = solvable
+    gamma = gamma[solvable]
     w = solve_hermitian(gamma, np.ones(gamma.shape[:-1], dtype=np.complex128), 0.0)
-    return gamma, w / np.sum(w, axis=-1, keepdims=True)
+    return live, gamma, w / np.sum(w, axis=-1, keepdims=True)
 
 
 def _capon(focused: FocusedTensor, cfg, covariance_fn, postfilter: bool):
@@ -132,8 +145,9 @@ def _capon(focused: FocusedTensor, cfg, covariance_fn, postfilter: bool):
         live = np.any(col, axis=0)
         if not np.any(live):
             continue
-        gamma, w = _column_weights(sliding_window_view(col.T, ell, axis=1),
-                                   col, live, cfg, covariance_fn)
+        live, gamma, w = _column_weights(
+            sliding_window_view(col.T, ell, axis=1), col, live, cfg,
+            covariance_fn)
         subs = sliding_window_view(col[:, live].T, gamma.shape[-1], axis=1)
         est = np.mean((subs @ np.conj(w)[:, :, None])[..., 0], axis=-1)
         if postfilter:  # w^H Gamma w > 0, as Gamma passed the Cholesky test
@@ -240,7 +254,7 @@ def compound(images, mode: str = MEAN, cfg: CovarianceConfig | None = None,
         if not np.any(live):
             continue
         block = stack[:, max(ix - k, 0):ix + k + 1, :]   # (E, lateral, Rz)
-        _, w = _column_weights(block.transpose(2, 1, 0), block, live, cfg,
-                               covariance_fn)
+        live, _, w = _column_weights(block.transpose(2, 1, 0), block, live,
+                                     cfg, covariance_fn)
         rf[ix, live] = np.sum(np.conj(w) * center[:, live].T, axis=-1)
     return BeamformedImage(rf, grid)

@@ -15,6 +15,7 @@ import argparse
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -167,6 +168,16 @@ def _resolve_config(args) -> PipelineConfig:
 # Shared pipeline pieces
 
 
+@contextmanager
+def _configured(what: str):
+    """Report a rejection of configured values while building ``what`` as a
+    ConfigError (exit 1) rather than letting the raw exception escape."""
+    try:
+        yield
+    except (ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"{what}: {exc}") from None
+
+
 def _array_from(cfg: PipelineConfig, num_elements: int | None = None,
                 f0: float | None = None, v: float | None = None,
                 fs: float | None = None) -> TransducerArray:
@@ -174,8 +185,10 @@ def _array_from(cfg: PipelineConfig, num_elements: int | None = None,
     f0 = f0 if f0 is not None else cfg.get_float("sim.f0")
     v = v if v is not None else cfg.get_float("sim.v")
     fs = fs if fs is not None else cfg.get_float("sim.fs_factor") * f0
-    pitch = cfg.get_float("sim.pitch_factor") * v / f0
-    return TransducerArray.linear(c, pitch, f0, fs)
+    pitch_factor = cfg.get_float("sim.pitch_factor")
+    with _configured("transducer array (sim.f0, sim.v, sim.pitch_factor, "
+                     "sim.fs_factor)"):
+        return TransducerArray.linear(c, pitch_factor * v / f0, f0, fs)
 
 
 def _events_from(cfg: PipelineConfig, array: TransducerArray):
@@ -184,7 +197,8 @@ def _events_from(cfg: PipelineConfig, array: TransducerArray):
         angles = cfg.get_floats("sim.pw_angles")
         if not angles:
             raise ConfigError("sim.pw_angles must list at least one angle")
-        return [TransmitEvent.plane_wave(a) for a in angles]
+        with _configured("sim.pw_angles"):
+            return [TransmitEvent.plane_wave(a) for a in angles]
     if scheme == "sa":
         return [TransmitEvent.synthetic_aperture(i, array)
                 for i in range(array.num_elements)]
@@ -209,11 +223,12 @@ def _grid_from(cfg: PipelineConfig, array: TransducerArray, nt: int,
         ax_max = (nt - 1) / array.sampling_frequency * v / 2.0
     nx = cfg.get_int("bf.grid_nx")
     nz = cfg.get_int("bf.grid_nz")
-    if nx <= 0:
-        nx = max(int(round((lat_max - lat_min) / (lam / 2.0))) + 1, 2)
-    if nz <= 0:
-        nz = max(int(round((ax_max - ax_min) / (lam / 4.0))) + 1, 2)
-    return ImagingGrid.regular(lat_min, lat_max, nx, ax_min, ax_max, nz)
+    with _configured("imaging grid (bf.grid_*)"):
+        if nx <= 0:
+            nx = max(int(round((lat_max - lat_min) / (lam / 2.0))) + 1, 2)
+        if nz <= 0:
+            nz = max(int(round((ax_max - ax_min) / (lam / 4.0))) + 1, 2)
+        return ImagingGrid.regular(lat_min, lat_max, nx, ax_min, ax_max, nz)
 
 
 _APOD = {"rect": RECTANGULAR, "hanning": HANNING, "hamming": HAMMING}
@@ -265,6 +280,26 @@ def _auto_nt(array, events, field, v, pulse) -> int:
     return int(math.ceil((tau_max + tail) * array.sampling_frequency)) + 2
 
 
+def _simulate_from(cfg: PipelineConfig, field: ScattererField, seed: int):
+    """Simulate ``field`` with the configured array, transmits, pulse, noise."""
+    array = _array_from(cfg)
+    events = _events_from(cfg, array)
+    v = cfg.get_float("sim.v")
+    with _configured("pulse (sim.f0, sim.bandwidth)"):
+        pulse = PulseModel(cfg.get_float("sim.f0"),
+                           cfg.get_float("sim.bandwidth"),
+                           cfg.get_float("sim.amplitude"))
+    noise_std = cfg.get_float("sim.noise_std")
+    if not noise_std >= 0.0:
+        raise ConfigError(f"sim.noise_std must be >= 0, got {noise_std}")
+    nt = cfg.get_int("sim.nt")
+    if nt < 0:
+        raise ConfigError(f"sim.nt must be >= 0, got {nt}")
+    nt = nt or _auto_nt(array, events, field, v, pulse)
+    cube = simulate(array, events, field, pulse, v, nt, noise_std, seed)
+    return cube, array, pulse
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -272,17 +307,11 @@ def _auto_nt(array, events, field, v, pulse) -> int:
 def _cmd_simulate(args) -> int:
     cfg = _resolve_config(args)
     field = uio.read_scatterer_field(args.field)
-    array = _array_from(cfg)
-    events = _events_from(cfg, array)
-    v = cfg.get_float("sim.v")
-    pulse = PulseModel(cfg.get_float("sim.f0"), cfg.get_float("sim.bandwidth"),
-                       cfg.get_float("sim.amplitude"))
-    nt = cfg.get_int("sim.nt") or _auto_nt(array, events, field, v, pulse)
-    cube = simulate(array, events, field, pulse, v, nt,
-                    cfg.get_float("sim.noise_std"), args.seed)
+    cube, _, pulse = _simulate_from(cfg, field, args.seed)
     uio.write_urf1(args.out, cube, pulse.f0)
     cfg.dump(args.out + ".config.txt", args.seed)
-    print(f"wrote {args.out} (E={cube.num_events} C={cube.num_channels} Nt={nt})")
+    print(f"wrote {args.out} (E={cube.num_events} C={cube.num_channels} "
+          f"Nt={cube.num_samples})")
     return 0
 
 
@@ -519,15 +548,9 @@ def _cmd_demo(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     field = _demo_phantom(cfg, args.seed)
     uio.write_scatterer_field(outdir / "phantom.txt", field)
-    array = _array_from(cfg)
-    events = _events_from(cfg, array)
-    v = cfg.get_float("sim.v")
-    pulse = PulseModel(cfg.get_float("sim.f0"), cfg.get_float("sim.bandwidth"),
-                       cfg.get_float("sim.amplitude"))
-    nt = cfg.get_int("sim.nt") or _auto_nt(array, events, field, v, pulse)
-    cube = simulate(array, events, field, pulse, v, nt,
-                    cfg.get_float("sim.noise_std"), args.seed)
+    cube, array, pulse = _simulate_from(cfg, field, args.seed)
     uio.write_urf1(outdir / "cube.urf", cube, pulse.f0)
+    v = cube.speed_of_sound
 
     cz = cfg.get_float("demo.cyst_cz")
     cx = cfg.get_float("demo.cyst_cx")
@@ -537,7 +560,7 @@ def _cmd_demo(args) -> int:
     for key, value in demo_grid.items():
         if math.isnan(cfg.get_float(key)):
             cfg.set(key, repr(value))
-    grid = _grid_from(cfg, array, nt, v)
+    grid = _grid_from(cfg, array, cube.num_samples, v)
     delays = tof.compute_delays(array, cube.events, grid, v)
     focused = tof.focus(cube, delays, grid, per_event=False)
     dyn = cfg.get_float("bf.dyn_range")

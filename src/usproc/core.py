@@ -56,9 +56,9 @@ class TransducerArray:
         if self.num_elements < 2 or pos.shape[0] != self.num_elements:
             raise DimensionMismatchError(
                 "dimension-mismatch: need C >= 2 elements matching positions")
-        if self.pitch <= 0:
-            raise ValueError("pitch must be > 0")
-        if self.sampling_frequency <= 2.0 * self.center_frequency:
+        if not 0 < self.pitch < math.inf:
+            raise ValueError("pitch must be finite and > 0")
+        if not self.sampling_frequency > 2.0 * self.center_frequency:
             raise ValueError("sampling_frequency must exceed 2*f0")
         lat = pos[:, 0]
         if np.any(np.diff(lat) <= 0):

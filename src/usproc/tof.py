@@ -32,7 +32,13 @@ from .errors import (
 
 @dataclass(frozen=True)
 class DelayTensor:
-    """Two-way delays [s] of shape (E, C, Rx, Rz)."""
+    """Two-way delays [s] of shape (E, C, Rx, Rz).
+
+    Delays must be finite but may be negative: a steered plane wave reaches
+    pixels on one side of the array before it crosses the origin at t = 0.
+    Like any delay outside the recording window, a negative one contributes
+    zero when focusing.
+    """
 
     delays: np.ndarray
 
@@ -43,8 +49,6 @@ class DelayTensor:
                 "dimension-mismatch: delays must be (E, C, Rx, Rz)")
         if not np.all(np.isfinite(d)):
             raise NonFiniteSampleError("non-finite-sample: delays")
-        if np.any(d < 0):
-            raise ValueError("delays must be >= 0")
         d.flags.writeable = False
         object.__setattr__(self, "delays", d)
 
@@ -81,7 +85,9 @@ def focus(cube: RfDataCube, delays: DelayTensor, grid: ImagingGrid,
     """Delay-and-interpolate the cube onto the grid (time-to-space migration).
 
     Returns per-pixel channel vectors; events are coherently summed unless
-    ``per_event`` is set, in which case they are stacked.
+    ``per_event`` is set, in which case they are stacked.  Events are
+    focused one at a time, so the summed form never holds more than one
+    event's (C, Rx, Rz) slab besides the running sum.
     """
     e_count, c_count, nt = cube.samples.shape
     if delays.delays.shape[:2] != (e_count, c_count) \
@@ -89,25 +95,47 @@ def focus(cube: RfDataCube, delays: DelayTensor, grid: ImagingGrid,
         raise ShapeMismatchError(
             f"shape-mismatch: delays {delays.delays.shape} vs cube "
             f"(E={e_count}, C={c_count}) and grid {grid.shape}")
-    idx = delays.delays * cube.fs
-    inside = (idx >= 0.0) & (idx <= nt - 1)
-    i0 = np.clip(np.floor(idx).astype(np.int64), 0, max(nt - 2, 0))
-    frac = idx - i0
-    out = np.zeros((e_count, c_count) + grid.shape, dtype=np.complex128)
-    for e in range(e_count):
-        for c in range(c_count):
-            trace = cube.samples[e, c]
-            if nt == 1:
-                val = np.where(inside[e, c], trace[0], 0.0)
-            else:
-                lo = trace[i0[e, c]]
-                hi = trace[np.minimum(i0[e, c] + 1, nt - 1)]
-                val = np.where(inside[e, c],
-                               (1.0 - frac[e, c]) * lo + frac[e, c] * hi, 0.0)
-            out[e, c] = val
     if per_event:
+        out = np.empty((e_count, c_count) + grid.shape, dtype=np.complex128)
+        for e in range(e_count):
+            out[e] = _focus_event(cube.samples[e], delays.delays[e], cube.fs)
         return FocusedTensor(out, grid, per_event=True)
-    return FocusedTensor(out.sum(axis=0), grid, per_event=False)
+    # a zero start and event-by-event adds give np.sum(axis=0)'s bits
+    total = np.zeros((c_count,) + grid.shape)
+    for e in range(e_count):
+        total += _focus_event(cube.samples[e], delays.delays[e], cube.fs)
+    return FocusedTensor(total, grid, per_event=False)
+
+
+def _focus_event(traces: np.ndarray, delays: np.ndarray,
+                 fs: float) -> np.ndarray:
+    """Linear interpolation of (C, Nt) traces at (C, Rx, Rz) delays [s].
+
+    Delays outside [0, (Nt - 1) / fs] give 0.  The arithmetic runs in place
+    but in the same order as (1 - frac) * lo + frac * hi, and temporaries are
+    released once used, so the peak stays near five (C, Rx, Rz) arrays.
+    """
+    c_count, nt = traces.shape
+    idx = delays * fs
+    outside = (idx < 0.0) | (idx > nt - 1)
+    if nt == 1:
+        val = np.broadcast_to(traces[:, :1, None], idx.shape).copy()
+    else:
+        i0 = np.floor(idx).astype(np.int64)
+        np.clip(i0, 0, nt - 2, out=i0)
+        frac = idx - i0
+        del idx
+        flat = i0.reshape(c_count, -1)
+        val = np.take_along_axis(traces, flat, axis=1).reshape(i0.shape)
+        flat += 1
+        hi = np.take_along_axis(traces, flat, axis=1).reshape(i0.shape)
+        del i0, flat
+        hi *= frac
+        np.subtract(1.0, frac, out=frac)
+        val *= frac
+        val += hi
+    val[outside] = 0.0
+    return val
 
 
 def _analytic_spectrum_mask(n: int) -> np.ndarray:

@@ -2,8 +2,13 @@
 
 These deliberately avoid the production code paths: the DFT is a direct
 O(N^2) summation, the linear solve is Gaussian elimination with full
-pivoting, and eigenvalues come from a two-sided Jacobi sweep.
+pivoting, and eigenvalues come from a two-sided Jacobi sweep.  The
+simulator and focusing references keep the plain whole-array formulas that
+the production code computes piecewise, in the same floating-point order,
+so the two must agree bit for bit.
 """
+
+import math
 
 import numpy as np
 
@@ -94,3 +99,59 @@ def nuclear_norm_direct(a):
     gram = a.conj().T @ a if a.shape[0] >= a.shape[1] else a @ a.conj().T
     lam = eigvals_jacobi_hermitian(gram)
     return float(np.sum(np.sqrt(np.clip(lam, 0.0, None))))
+
+
+def simulate_full_trace(array, events, field, pulse, v, nt, chunk=32):
+    """Noise-free (E, C, Nt) echo sum, every pulse over the whole trace.
+
+    Scatterers are taken in chunks of ``chunk``; a chunk's echoes are summed
+    in scatterer order and each chunk's sum is added to the trace.
+    """
+    fs = array.sampling_frequency
+    elem = array.element_positions
+    xs, zs, amps = (field.scatterers[:, i] for i in range(3))
+    rx_dist = np.sqrt((elem[:, 0:1] - xs[None, :]) ** 2
+                      + (elem[:, 1:2] - zs[None, :]) ** 2)
+    sigma = pulse.sigma_t
+    t_axis = np.arange(nt) / fs
+    samples = np.zeros((len(events), elem.shape[0], nt))
+    for e, event in enumerate(events):
+        if event.scheme == "plane_wave":
+            tx_dist = xs * math.sin(event.angle) + zs * math.cos(event.angle)
+        else:
+            ox, oz = event.origin
+            tx_dist = np.sqrt((xs - ox) ** 2 + (zs - oz) ** 2)
+        for lo in range(0, xs.size, chunk):
+            hi = min(lo + chunk, xs.size)
+            tau = (tx_dist[None, lo:hi] + rx_dist[:, lo:hi]) / v
+            t = t_axis[None, None, :] - tau[:, :, None]
+            echoes = pulse.amplitude * np.exp(-(t * t) / (2.0 * sigma * sigma)) \
+                * np.cos(2.0 * np.pi * pulse.f0 * t) * amps[None, lo:hi, None]
+            samples[e] += echoes.sum(axis=1)
+    return samples
+
+
+def focus_per_trace(samples, fs, delays, per_event=False):
+    """Linear-interpolation focusing, one (event, channel) trace at a time.
+
+    ``delays`` is (E, C, Rx, Rz) in seconds; a delay outside the recording
+    window gives 0.  Returns (E, C, Rx, Rz) or its sum over events.
+    """
+    e_count, c_count, nt = samples.shape
+    idx = delays * fs
+    inside = (idx >= 0.0) & (idx <= nt - 1)
+    i0 = np.clip(np.floor(idx).astype(np.int64), 0, max(nt - 2, 0))
+    frac = idx - i0
+    out = np.zeros(delays.shape, dtype=np.complex128)
+    for e in range(e_count):
+        for c in range(c_count):
+            trace = samples[e, c]
+            if nt == 1:
+                val = np.where(inside[e, c], trace[0], 0.0)
+            else:
+                lo = trace[i0[e, c]]
+                hi = trace[np.minimum(i0[e, c] + 1, nt - 1)]
+                val = np.where(inside[e, c],
+                               (1.0 - frac[e, c]) * lo + frac[e, c] * hi, 0.0)
+            out[e, c] = val
+    return out if per_event else out.sum(axis=0)

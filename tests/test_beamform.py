@@ -262,6 +262,24 @@ class TestMv:
         with pytest.raises(SingularMatrixError, match="singular-matrix"):
             mv(t, CovarianceConfig(2, 1, 0.0))
 
+    @pytest.mark.parametrize("beamformer", [mv, wiener])
+    def test_data_too_faint_to_solve_gives_zero(self, beamformer):
+        # |y| ~ 1e-170: the covariance underflows to zero or to subnormals
+        # that lose the loading, so the column reads as empty rather than
+        # raising singular-matrix; at |y| ~ 1e-80 the solve still runs and
+        # MV's scale invariance holds; other columns are untouched
+        rng = np.random.default_rng(22)
+        vals = rng.standard_normal((6, 3, 5)) + 1j * rng.standard_normal((6, 3, 5))
+        cfg = CovarianceConfig(3, 1, 0.01)
+        ref = beamformer(tensor_from(vals), cfg).rf
+        faint = vals.copy()
+        faint[:, 1] *= 1e-170
+        faint[:, 2] *= 1e-80
+        out = beamformer(tensor_from(faint), cfg).rf
+        assert not np.any(out[1])
+        assert np.array_equal(out[0], ref[0])
+        assert np.max(np.abs(out[2] * 1e80 - ref[2])) <= 1e-12 * np.max(np.abs(ref[2]))
+
     def test_subaperture_longer_than_aperture(self):
         with pytest.raises(ShapeMismatchError, match="shape-mismatch"):
             mv(tensor_from(np.ones((4, 2, 3))), CovarianceConfig(5, 1, 0.01))
@@ -430,6 +448,18 @@ class TestCompound:
         out = compound(self.make_images(list(stack)), MV, cfg).rf
         assert_matches_reference(
             out, reference_image(compound_reference_pixel, stack, cfg))
+
+    def test_mv_data_too_faint_to_solve_gives_zero(self):
+        # two faint columns, two empty ones, then data: with K = 2 the
+        # faint columns' lateral windows hold nothing brighter
+        rng = np.random.default_rng(16)
+        stack = rng.standard_normal((3, 7, 5))
+        stack[:, :4] = 0.0
+        ref = compound(self.make_images(list(stack)), MV).rf
+        stack[:, :2] = 1e-170 * rng.standard_normal((3, 2, 5))
+        out = compound(self.make_images(list(stack)), MV).rf
+        assert np.any(ref[4:])
+        assert np.array_equal(out, ref)
 
     def test_grid_mismatch(self):
         a = BeamformedImage(np.zeros((2, 2), complex), grid_for(2, 2))

@@ -5,8 +5,12 @@ import struct
 import numpy as np
 import pytest
 
+from usproc import beamform as bf
+from usproc import cli
 from usproc import io as uio
+from usproc import tof
 from usproc.cli import PipelineConfig, run
+from usproc.core import RECTANGULAR, ApodizationWindow
 from usproc.errors import ConfigError
 
 
@@ -101,6 +105,29 @@ class TestExitCodes:
         assert rc == 2
         assert "dimension-mismatch" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [
+        ("sim.f0", "0"), ("sim.f0", "nan"), ("sim.bandwidth", "3"),
+        ("sim.noise_std", "-1"), ("sim.noise_std", "nan"),
+        ("sim.pitch_factor", "0"), ("sim.v", "0"), ("sim.v", "inf"),
+        ("sim.fs_factor", "1"), ("sim.pw_angles", "2.0"), ("sim.nt", "-3")])
+    def test_bad_simulator_value_exit_1(self, tmp_path, capsys, key, value):
+        field = write_field(tmp_path / "f.txt")
+        rc = run(["simulate", "--field", field, "--out", str(tmp_path / "c.urf"),
+                  "--set", key, value])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
+
+    def test_inverted_grid_exit_1(self, tmp_path, capsys):
+        rc = run(["demo", "--out", str(tmp_path / "d"),
+                  "--set", "demo.num_scatterers", "5",
+                  "--set", "sim.num_elements", "8",
+                  "--set", "bf.grid_ax_min", "0.03",
+                  "--set", "bf.grid_ax_max", "0.02"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "bf.grid" in err
+
     def test_missing_input_exit_2(self, tmp_path):
         rc = run(["beamform", "--in", str(tmp_path / "nope.urf"),
                   "--out", str(tmp_path / "img")])
@@ -136,6 +163,33 @@ class TestSimulateBeamform:
                       "--set", "bf.grid_nx", "9", "--set", "bf.grid_nz", "12"])
             assert rc == 0, method
             assert uio.read_uim1(tmp_path / f"{method}.uim1").shape == (9, 12)
+
+
+class TestNegativePlaneWaveDelays:
+    def test_demo_with_pixels_reached_before_t0(self, tmp_path):
+        # steered 1.2 rad, the plane wave reaches the far left of this grid
+        # before it crosses the array origin at t = 0
+        out = tmp_path / "d"
+        conf = ["--set", "sim.pw_angles", "1.2",
+                "--set", "bf.grid_lat_min", "-0.03",
+                "--set", "bf.grid_ax_min", "0.0001",
+                "--set", "demo.num_scatterers", "5"]
+        assert run(["demo", "--out", str(out)] + conf) == 0
+        cfg = PipelineConfig()
+        cfg.load_file(out / "demo.config.txt")
+        e_count, c_count, nt, fs, v, f0 = uio.read_urf1_header(out / "cube.urf")
+        array = cli._array_from(cfg, c_count, f0, v, fs)
+        cube, _ = uio.read_urf1(out / "cube.urf", cli._events_from(cfg, array))
+        grid = cli._grid_from(cfg, array, nt, v)
+        delays = tof.compute_delays(array, cube.events, grid, v)
+        negative = delays.delays[0] < 0
+        assert np.any(negative)
+        focused = tof.focus(cube, delays, grid)
+        assert not np.any(focused.values[negative])
+        # the demo's DAS image is this focusing (URF1 stores float32 samples)
+        das = np.real(bf.das(focused, ApodizationWindow(RECTANGULAR, c_count)).rf)
+        written = uio.read_uim1(out / "das.uim1")
+        assert np.max(np.abs(written - das)) <= 1e-5 * np.max(np.abs(das))
 
 
 class TestRecoverDeconvolveClutterUlm:

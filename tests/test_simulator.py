@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import dft_direct
+from oracles import dft_direct, simulate_full_trace
 from usproc.core import ScattererField, TransducerArray, TransmitEvent
 from usproc.errors import DepthExceedsWindowError, EmptyEventsError
 from usproc.simulator import PulseModel, gaussian_pulse, simulate
@@ -130,3 +130,115 @@ class TestSimulate:
         s = cube.samples
         assert abs(np.std(s) - 0.7) < 0.02
         assert abs(np.mean(s)) < 0.02
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def tight_nt(arr, events, field, v, margin=2):
+    """Smallest window the depth check admits, plus ``margin`` samples."""
+    fs = arr.sampling_frequency
+    elem = arr.element_positions
+    xs, zs = field.scatterers[:, 0], field.scatterers[:, 1]
+    rx = np.hypot(elem[:, 0:1] - xs, elem[:, 1:2] - zs)
+    tau = 0.0
+    for ev in events:
+        if ev.scheme == "plane_wave":
+            tx = xs * np.sin(ev.angle) + zs * np.cos(ev.angle)
+        else:
+            tx = np.hypot(xs - ev.origin[0], zs - ev.origin[1])
+        tau = max(tau, float(np.max(tx + rx)) / v)
+    return int(np.ceil(tau * fs)) + margin
+
+
+def random_field(rng, n, z_range=(0.3e-3, 6e-3)):
+    return ScattererField(np.column_stack([
+        rng.uniform(-3e-3, 3e-3, n), rng.uniform(*z_range, n),
+        rng.standard_normal(n)]))
+
+
+class TestWindowedEchoesMatchWholeTrace:
+    """The windowed simulator is bit-identical to whole-trace evaluation."""
+
+    @pytest.mark.parametrize("bw", [0.6, 0.02])
+    @pytest.mark.parametrize("n", [1, 31, 32, 33, 75])
+    def test_mixed_events(self, n, bw):
+        # n > 32 spans several scatterer chunks; bw 0.02 makes every echo
+        # window wider than the trace; shallow scatterers put windows across
+        # sample 0 and the tight window puts the deepest across Nt - 1
+        arr = make_array(6)
+        events = [TransmitEvent.plane_wave(-0.4), TransmitEvent.plane_wave(0.25),
+                  TransmitEvent.synthetic_aperture(1, arr)]
+        field = random_field(np.random.default_rng(n), n)
+        pulse = PulseModel(F0, bw, amplitude=1.7)
+        nt = tight_nt(arr, events, field, V)
+        cube = simulate(arr, events, field, pulse, V, nt, 0.0, 0)
+        ref = simulate_full_trace(arr, events, field, pulse, V, nt)
+        assert np.any(ref)
+        assert np.array_equal(bits(cube.samples), bits(ref))
+
+    def test_window_reaches_both_trace_ends(self):
+        arr = make_array(4)
+        events = [TransmitEvent.plane_wave(0.0)]
+        field = ScattererField([[0.0, 0.1e-3, 1.0], [0.5e-3, 4e-3, -2.0]])
+        pulse = PulseModel(F0, 0.6)
+        nt = tight_nt(arr, events, field, V, margin=1)
+        cube = simulate(arr, events, field, pulse, V, nt, 0.0, 0)
+        ref = simulate_full_trace(arr, events, field, pulse, V, nt)
+        # both the first and the last sample carry echo energy
+        assert np.all(ref[0, :, 0] != 0) and np.all(ref[0, :, -1] != 0)
+        assert np.array_equal(bits(cube.samples), bits(ref))
+
+    def test_subnormal_far_tails_kept(self):
+        # a lone echo in the middle of a long trace: its envelope reaches
+        # subnormal values near 38.6 sigma_t before it rounds to 0, and the
+        # window must keep them all
+        arr = make_array(4)
+        field = ScattererField([[0.0, 5.8e-3, 1.0]])
+        pulse = PulseModel(F0, 0.6)
+        events = [TransmitEvent.plane_wave(0.0)]
+        cube = simulate(arr, events, field, pulse, V, 600, 0.0, 0)
+        ref = simulate_full_trace(arr, events, field, pulse, V, 600)
+        tails = (ref != 0) & (np.abs(ref) < 1e-310)
+        assert np.all(np.any(tails, axis=-1))
+        assert np.array_equal(bits(cube.samples), bits(ref))
+
+    def test_noise_added_after_echoes(self):
+        arr = make_array(5)
+        events = [TransmitEvent.plane_wave(0.1), TransmitEvent.plane_wave(-0.1)]
+        field = random_field(np.random.default_rng(7), 40)
+        pulse = PulseModel(F0, 0.6)
+        nt = tight_nt(arr, events, field, V)
+        noisy = simulate(arr, events, field, pulse, V, nt, 0.05, 11)
+        noise = simulate(arr, events, ScattererField(np.zeros((0, 3))), pulse,
+                         V, nt, 0.05, 11)
+        ref = simulate_full_trace(arr, events, field, pulse, V, nt) \
+            + noise.samples
+        assert np.array_equal(bits(noisy.samples), bits(ref))
+
+    @pytest.mark.parametrize("nt", [1, 2, 64])
+    def test_no_scatterers(self, nt):
+        arr = make_array(3)
+        empty = ScattererField(np.zeros((0, 3)))
+        events = [TransmitEvent.plane_wave(0.0)]
+        pulse = PulseModel(F0, 0.6)
+        ref = simulate_full_trace(arr, events, empty, pulse, V, nt)
+        assert np.array_equal(
+            bits(simulate(arr, events, empty, pulse, V, nt, 0.0, 0).samples),
+            bits(ref))
+        noisy = simulate(arr, events, empty, pulse, V, nt, 0.3, 5).samples
+        assert noisy.shape == (1, 3, nt) and np.all(noisy != 0)
+
+    @pytest.mark.parametrize("bw", [0.6, 0.02])
+    def test_two_sample_trace(self, bw):
+        # a steered plane wave reaches a scatterer beside a tiny array at
+        # about t = 0, so a 2-sample window holds its echo
+        arr = TransducerArray.linear(2, 1e-5, F0, FS)
+        events = [TransmitEvent.plane_wave(1.5)]
+        field = ScattererField([[-2e-3, 1e-4, 1.0], [-2.2e-3, 1.2e-4, 0.5]])
+        pulse = PulseModel(F0, bw)
+        cube = simulate(arr, events, field, pulse, V, 2, 0.0, 0)
+        ref = simulate_full_trace(arr, events, field, pulse, V, 2)
+        assert np.all(ref != 0)
+        assert np.array_equal(bits(cube.samples), bits(ref))

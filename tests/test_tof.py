@@ -1,9 +1,11 @@
 """Delay computation, focusing, envelope detection, log compression."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from oracles import analytic_direct
+from oracles import analytic_direct, focus_per_trace
 from usproc.core import (
     ImagingGrid,
     RfDataCube,
@@ -141,6 +143,85 @@ class TestFocus:
         summed = focus(cube, delays, grid, per_event=False)
         assert stacked.values.shape == (2, 4, 1, 1)
         assert np.allclose(stacked.values.sum(axis=0), summed.values, atol=1e-15)
+
+
+class TestFocusMatchesPerTrace:
+    """Event-streamed focusing is bit-identical to the per-trace loop."""
+
+    @staticmethod
+    def setup(e_count, c_count, nt, seed):
+        rng = np.random.default_rng(seed)
+        samples = rng.standard_normal((e_count, c_count, nt))
+        samples[rng.random(samples.shape) < 0.1] = -0.0
+        fs = 40e6
+        # delays from 3 samples before the window to 3 past its end, plus
+        # both window edges exactly
+        delays = rng.uniform(-3.0, nt + 2.0, (e_count, c_count, 5, 7)) / fs
+        delays[..., 0, 0] = 0.0
+        delays[..., 0, 1] = (nt - 1) / fs
+        events = [TransmitEvent.plane_wave(0.0)] * e_count
+        grid = ImagingGrid.regular(-1e-3, 1e-3, 5, 1e-3, 2e-3, 7)
+        return RfDataCube(samples, fs, V, events), DelayTensor(delays), grid
+
+    @pytest.mark.parametrize("per_event", [False, True])
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (3, 4, 1), (3, 4, 2),
+                                       (1, 6, 50), (7, 5, 50)])
+    def test_bit_identical(self, shape, per_event):
+        cube, delays, grid = self.setup(*shape, seed=sum(shape))
+        out = focus(cube, delays, grid, per_event=per_event).values
+        ref = focus_per_trace(cube.samples, cube.fs, delays.delays, per_event)
+        assert out.shape == ref.shape
+        assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
+
+    def test_sum_of_events_peak_memory(self):
+        # the summed form must not hold every event at once: the peak stays
+        # under four complex (C, Rx, Rz) tensors, an E-fold tensor does not
+        e_count = c_count = 16
+        grid = ImagingGrid.regular(-2e-3, 2e-3, 24, 3e-3, 8e-3, 40)
+        arr = TransducerArray.linear(c_count, V / 5e6 / 2, 5e6, 40e6)
+        events = [TransmitEvent.synthetic_aperture(i, arr)
+                  for i in range(e_count)]
+        rng = np.random.default_rng(8)
+        cube = RfDataCube(rng.standard_normal((e_count, c_count, 500)),
+                          40e6, V, events)
+        delays = compute_delays(arr, events, grid, V)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            out = focus(cube, delays, grid, per_event=False)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert out.values.shape == (c_count,) + grid.shape
+        assert peak < 4 * c_count * grid.shape[0] * grid.shape[1] * 16
+
+
+class TestNegativeDelays:
+    def test_accepted_and_contribute_zero(self):
+        # a steered plane wave reaches pixels on one side of the array
+        # before t = 0; those channels add nothing, the others interpolate
+        rng = np.random.default_rng(9)
+        samples = rng.standard_normal((1, 4, 64))
+        cube = RfDataCube(samples, 40e6, V, [TransmitEvent.plane_wave(0.5)])
+        grid = ImagingGrid([0.0], [1e-3])
+        d = np.full((1, 4, 1, 1), 10 / 40e6)
+        d[0, 1] = -1e-9
+        d[0, 3] = -2e-6
+        out = focus(cube, DelayTensor(d), grid).values[:, 0, 0]
+        assert out[1] == 0 and out[3] == 0
+        assert np.allclose(out[[0, 2]], samples[0, [0, 2], 10], atol=1e-15)
+
+    def test_plane_wave_delays_can_be_negative(self):
+        arr = TransducerArray.linear(8, V / 5e6 / 2, 5e6, 40e6)
+        grid = ImagingGrid([-5e-3, 0.0], [0.1e-3, 5e-3])
+        d = compute_delays(arr, [TransmitEvent.plane_wave(1.2)], grid, V)
+        assert np.any(d.delays < 0) and np.all(np.isfinite(d.delays))
+
+    def test_non_finite_still_rejected(self):
+        from usproc.errors import NonFiniteSampleError
+        with pytest.raises(NonFiniteSampleError, match="non-finite-sample"):
+            DelayTensor(np.full((1, 1, 1, 1), -np.inf))
 
 
 class TestEnvelope:
