@@ -161,7 +161,18 @@ def _resolve_config(args) -> PipelineConfig:
         value = getattr(args, flag, None)
         if value is not None:
             cfg.set(key, str(value))
+    _check_ranges(cfg)
     return cfg
+
+
+def _check_ranges(cfg: PipelineConfig) -> None:
+    """Reject values that would otherwise fail as data errors mid-run."""
+    c = cfg.get_int("sim.num_elements")
+    if c < 2:
+        raise ConfigError(f"sim.num_elements must be >= 2, got {c}")
+    nz = cfg.get_int("bf.grid_nz")
+    if 0 < nz < 4:   # envelope detection needs 4 axial samples
+        raise ConfigError(f"bf.grid_nz must be 0 (auto) or >= 4, got {nz}")
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +238,7 @@ def _grid_from(cfg: PipelineConfig, array: TransducerArray, nt: int,
         if nx <= 0:
             nx = max(int(round((lat_max - lat_min) / (lam / 2.0))) + 1, 2)
         if nz <= 0:
-            nz = max(int(round((ax_max - ax_min) / (lam / 4.0))) + 1, 2)
+            nz = max(int(round((ax_max - ax_min) / (lam / 4.0))) + 1, 4)
         return ImagingGrid.regular(lat_min, lat_max, nx, ax_min, ax_max, nz)
 
 
@@ -445,28 +456,33 @@ def _cmd_clutter(args) -> int:
 
 def _cmd_ulm(args) -> int:
     cfg = _resolve_config(args)
+    method = cfg.get_str("ulm.method")
+    if method not in ("sparse", "centroid"):
+        raise ConfigError(f"ulm.method must be sparse or centroid, got '{method}'")
     frames = uio.read_uim1_seq(args.frames)
     factor = cfg.get_int("ulm.factor")
     sigma = cfg.get_float("ulm.psf_sigma")
     thr = cfg.get_float("ulm.threshold")
     radius = cfg.get_int("ulm.window_radius")
-    method = cfg.get_str("ulm.method")
     psf = ulm.gaussian_psf(sigma)
     hr_shape = (frames.shape[1] * factor, frames.shape[2] * factor)
+    # every frame shares the operator, so one step serves the whole run
+    step = ulm.localization_step(frames.shape[1:], psf, factor) \
+        if method == "sparse" and len(frames) else None
 
     def localize(frame):
         if method == "sparse":
             lam = cfg.get_float("ulm.lambda_frac") \
                 * ulm.max_correlation(frame, psf, factor)
-            hr = ulm.localize_sparse(frame, psf, lam, factor,
+            if lam == 0.0:   # A^T y = 0, so x = 0 solves: nothing to localize
+                return ulm.LocalizationSet(np.empty((0, 3)))
+            hr = ulm.localize_sparse(frame, psf, lam, factor, step=step,
                                      max_iters=cfg.get_int("ulm.max_iters"),
                                      tol=cfg.get_float("ulm.tol"))
             return ulm.detect_centroids(hr, thr, radius)
-        if method == "centroid":
-            det = ulm.detect_centroids(frame, thr, radius).detections.copy()
-            det[:, :2] = det[:, :2] * factor + (factor - 1) / 2.0
-            return ulm.LocalizationSet(det)
-        raise ConfigError(f"ulm.method must be sparse or centroid, got '{method}'")
+        det = ulm.detect_centroids(frame, thr, radius).detections.copy()
+        det[:, :2] = det[:, :2] * factor + (factor - 1) / 2.0
+        return ulm.LocalizationSet(det)
 
     if args.threads > 1:
         with ThreadPoolExecutor(max_workers=args.threads) as pool:

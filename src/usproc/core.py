@@ -30,9 +30,23 @@ HANNING = "hanning"
 HAMMING = "hamming"
 
 
+class _Handover:
+    """An array passed to a constructor by the code that just built it and
+    keeps no reference to it, so :func:`_frozen` may take it without a copy."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+
 def _frozen(a, dtype=None):
-    """Copy into a read-only ndarray so dataclass instances stay immutable."""
-    out = np.array(a, dtype=dtype)
+    """Copy into a read-only ndarray so dataclass instances stay immutable.
+
+    A :class:`_Handover` array of the right dtype is frozen in place instead.
+    """
+    out = np.asarray(a.array, dtype=dtype) if isinstance(a, _Handover) \
+        else np.array(a, dtype=dtype)
     out.flags.writeable = False
     return out
 

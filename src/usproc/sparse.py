@@ -12,6 +12,8 @@ image deconvolution.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,9 +42,12 @@ def soft_threshold(x, lam: float):
 class SparseProblem:
     """One l1-regularized least-squares instance for :func:`ista`.
 
-    ``forward``/``adjoint`` act on 1-D complex vectors.  ``step=None``
-    auto-selects mu = 1/(1.01 ||A||^2) from a safety-factored power
-    iteration, guaranteeing descent.
+    ``forward``/``adjoint`` act on 1-D complex vectors, or on float64
+    vectors when ``real`` is set: then ``y``, the iterate, the residual and
+    the gradient stay real, which halves the arithmetic of a real operator.
+    ``step=None`` auto-selects mu = 1/(1.01 ||A||^2) with :func:`ista_step`,
+    guaranteeing descent; problems that share an operator can compute that
+    step once and pass it in.
     """
 
     forward: callable
@@ -52,13 +57,17 @@ class SparseProblem:
     step: float | None = None
     max_iters: int = 5000
     tol: float = 1e-8
+    real: bool = False
 
     def __post_init__(self):
-        self.y = np.asarray(self.y, dtype=np.complex128).ravel()
+        if self.real and np.iscomplexobj(self.y):
+            raise ValueError("a real problem needs real measurements y")
+        dtype = np.float64 if self.real else np.complex128
+        self.y = np.asarray(self.y, dtype=dtype).ravel()
         if self.lam <= 0:
             raise ValueError("lambda must be > 0")
-        if self.step is not None and self.step <= 0:
-            raise ValueError("step must be > 0")
+        if self.step is not None and not 0 < self.step < math.inf:
+            raise ValueError("step must be finite and > 0")
         if self.tol <= 0:
             raise ValueError("tol must be > 0")
 
@@ -68,6 +77,17 @@ def _objective(residual, x, lam):
         + lam * float(np.sum(np.abs(x)))
 
 
+def ista_step(forward, adjoint, dim: int, real: bool = False) -> float:
+    """ISTA step mu = 1/||A||^2 from the safety-factored power iteration.
+
+    This is the step :func:`ista` picks when ``step`` is None; it depends only
+    on the operator, so problems sharing one can compute it once.  Returns
+    inf for the zero operator, whose minimizer is x = 0 for any y.
+    """
+    norm = operator_norm(forward, adjoint, dim, _POWER_ITERS, real=real)
+    return math.inf if norm == 0.0 else 1.0 / (norm * norm)
+
+
 def ista(problem: SparseProblem):
     """Run ISTA from x = 0; returns (x_hat, iterations_used, final_objective).
 
@@ -75,23 +95,23 @@ def ista(problem: SparseProblem):
     beyond roundoff raises ``step-too-large``.  Stops when the relative step
     ||x_{k+1} - x_k|| / max(||x_k||, 1) drops below ``tol``.
     """
+    dtype = np.float64 if problem.real else np.complex128
     dim = np.asarray(problem.adjoint(problem.y)).size
     if problem.step is None:
-        norm = operator_norm(problem.forward, problem.adjoint, dim, _POWER_ITERS)
-        if norm == 0.0:
-            return np.zeros(dim, dtype=np.complex128), 0, _objective(problem.y, 0, problem.lam)
-        mu = 1.0 / (norm * norm)
+        mu = ista_step(problem.forward, problem.adjoint, dim, problem.real)
+        if mu == math.inf:
+            return np.zeros(dim, dtype=dtype), 0, _objective(problem.y, 0, problem.lam)
     else:
         rng = np.random.Generator(np.random.Philox(key=0x15745EED))
-        _check_adjoint(problem.forward, problem.adjoint, dim, rng)
+        _check_adjoint(problem.forward, problem.adjoint, dim, rng, real=problem.real)
         mu = problem.step
 
-    x = np.zeros(dim, dtype=np.complex128)
+    x = np.zeros(dim, dtype=dtype)
     residual = -problem.y            # A x - y at x = 0
     obj = _objective(residual, x, problem.lam)
     iters = 0
     for _ in range(problem.max_iters):
-        grad = np.asarray(problem.adjoint(residual), dtype=np.complex128).ravel()
+        grad = np.asarray(problem.adjoint(residual), dtype=dtype).ravel()
         x_new = soft_threshold(x - mu * grad, mu * problem.lam)
         residual = np.asarray(problem.forward(x_new)).ravel() - problem.y
         obj_new = _objective(residual, x_new, problem.lam)
@@ -164,10 +184,13 @@ class Conv2Same:
     ``adjoint`` is its exact adjoint (correlation with the kernel), realized
     by embedding at the crop offset and multiplying by the conjugate
     spectrum, so the adjoint identity holds to roundoff for any kernel size.
+
+    When the kernel and the input are both real, both maps run over real
+    FFTs and return float64; any complex operand takes the complex128 path.
     """
 
     def __init__(self, image_shape, kernel):
-        kernel = np.asarray(kernel, dtype=np.complex128)
+        kernel = np.asarray(kernel)
         self.shape = tuple(image_shape)
         if 0 in self.shape or kernel.size == 0:
             raise DimensionMismatchError(
@@ -175,20 +198,45 @@ class Conv2Same:
         self.full = (self.shape[0] + kernel.shape[0] - 1,
                      self.shape[1] + kernel.shape[1] - 1)
         self.offset = ((kernel.shape[0] - 1) // 2, (kernel.shape[1] - 1) // 2)
-        self.kernel_fft = np.fft.fft2(kernel, self.full)
+        self._kernel = kernel.astype(np.complex128)
+        self.real_kernel = not np.iscomplexobj(kernel)
+        if self.real_kernel:
+            self.kernel_rfft = np.fft.rfft2(kernel.astype(np.float64), self.full)
+            self.kernel_rfft_conj = np.conj(self.kernel_rfft)
+
+    @functools.cached_property
+    def kernel_fft(self):
+        """Full complex spectrum, computed when a complex operand first needs it."""
+        return np.fft.fft2(self._kernel, self.full)
+
+    def _is_real(self, a) -> bool:
+        return self.real_kernel and not np.iscomplexobj(a)
 
     def forward(self, x):
-        x = np.asarray(x, dtype=np.complex128).reshape(self.shape)
-        full = np.fft.ifft2(np.fft.fft2(x, self.full) * self.kernel_fft)
+        x = np.asarray(x)
+        if self._is_real(x):
+            x = np.asarray(x, dtype=np.float64).reshape(self.shape)
+            full = np.fft.irfft2(np.fft.rfft2(x, self.full) * self.kernel_rfft,
+                                 self.full)
+        else:
+            x = np.asarray(x, dtype=np.complex128).reshape(self.shape)
+            full = np.fft.ifft2(np.fft.fft2(x, self.full) * self.kernel_fft)
         o0, o1 = self.offset
         return full[o0:o0 + self.shape[0], o1:o1 + self.shape[1]]
 
     def adjoint(self, y):
-        y = np.asarray(y, dtype=np.complex128).reshape(self.shape)
+        y = np.asarray(y)
+        real = self._is_real(y)
+        dtype = np.float64 if real else np.complex128
+        y = np.asarray(y, dtype=dtype).reshape(self.shape)
         o0, o1 = self.offset
-        ypad = np.zeros(self.full, dtype=np.complex128)
+        ypad = np.zeros(self.full, dtype=dtype)
         ypad[o0:o0 + self.shape[0], o1:o1 + self.shape[1]] = y
-        full = np.fft.ifft2(np.fft.fft2(ypad) * np.conj(self.kernel_fft))
+        if real:
+            full = np.fft.irfft2(np.fft.rfft2(ypad) * self.kernel_rfft_conj,
+                                 self.full)
+        else:
+            full = np.fft.ifft2(np.fft.fft2(ypad) * np.conj(self.kernel_fft))
         return full[:self.shape[0], :self.shape[1]]
 
 

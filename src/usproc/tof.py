@@ -20,6 +20,7 @@ from .core import (
     ImagingGrid,
     RfDataCube,
     TransducerArray,
+    _Handover,
 )
 from .errors import (
     AllZeroEnvelopeError,
@@ -99,7 +100,7 @@ def focus(cube: RfDataCube, delays: DelayTensor, grid: ImagingGrid,
         out = np.empty((e_count, c_count) + grid.shape, dtype=np.complex128)
         for e in range(e_count):
             out[e] = _focus_event(cube.samples[e], delays.delays[e], cube.fs)
-        return FocusedTensor(out, grid, per_event=True)
+        return FocusedTensor(_Handover(out), grid, per_event=True)
     # a zero start and event-by-event adds give np.sum(axis=0)'s bits
     total = np.zeros((c_count,) + grid.shape)
     for e in range(e_count):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .sparse import Conv2Same, SparseProblem, ista
+from .sparse import Conv2Same, SparseProblem, ista, ista_step
 
 
 @dataclass(frozen=True)
@@ -141,6 +141,41 @@ def max_correlation(frame, psf, downsample_factor: int) -> float:
     return float(np.max(np.abs(op.adjoint(block_expand(frame, f)))))
 
 
+def _hr_model(lr_shape, psf, factor: int):
+    """Forward (convolve, then block-average) and adjoint maps of the
+    localization model on flattened float64 vectors, and the HR shape."""
+    lr_shape = tuple(lr_shape)
+    hr_shape = (lr_shape[0] * factor, lr_shape[1] * factor)
+    op = Conv2Same(hr_shape, psf)
+
+    def forward(x):
+        return block_average(op.forward(x), factor).ravel()
+
+    def adjoint(y):
+        return op.adjoint(block_expand(y.reshape(lr_shape), factor)).ravel()
+
+    return forward, adjoint, hr_shape
+
+
+def _unit_peak(psf) -> np.ndarray:
+    psf = np.asarray(psf, dtype=np.float64)
+    if abs(psf.max() - 1.0) > 1e-9:
+        raise ValueError("psf must be normalized to unit peak")
+    return psf
+
+
+def localization_step(lr_shape, psf, downsample_factor: int) -> float:
+    """ISTA step of :func:`localize_sparse` for frames of shape ``lr_shape``.
+
+    The step depends only on the PSF, the factor and the frame shape, so a
+    sequence of frames can share one; passing it as ``step`` gives the same
+    result as letting each solve compute it.
+    """
+    forward, adjoint, hr_shape = _hr_model(lr_shape, _unit_peak(psf),
+                                           int(downsample_factor))
+    return ista_step(forward, adjoint, hr_shape[0] * hr_shape[1], real=True)
+
+
 def localize_sparse(frame, psf, lam: float, downsample_factor: int,
                     step: float | None = None, max_iters: int = 2000,
                     tol: float = 1e-6) -> np.ndarray:
@@ -148,25 +183,16 @@ def localize_sparse(frame, psf, lam: float, downsample_factor: int,
 
     ``psf`` must be normalized to unit peak.  Forward model: HR image
     convolved with the PSF, then block-averaged by ``downsample_factor``.
+    The frame, the PSF and the HR unknown are real, so ISTA runs in float64
+    over real FFTs.  ``step`` defaults to :func:`localization_step`.
     """
     frame = np.asarray(frame, dtype=np.float64)
-    psf = np.asarray(psf, dtype=np.float64)
-    if abs(psf.max() - 1.0) > 1e-9:
-        raise ValueError("psf must be normalized to unit peak")
-    f = int(downsample_factor)
-    hr_shape = (frame.shape[0] * f, frame.shape[1] * f)
-    op = Conv2Same(hr_shape, psf)
-
-    def forward(x):
-        return block_average(op.forward(x).reshape(hr_shape), f).ravel()
-
-    def adjoint(y):
-        return op.adjoint(block_expand(y.reshape(frame.shape), f)).ravel()
-
+    forward, adjoint, hr_shape = _hr_model(frame.shape, _unit_peak(psf),
+                                           int(downsample_factor))
     problem = SparseProblem(forward, adjoint, frame.ravel(), lam, step=step,
-                            max_iters=max_iters, tol=tol)
+                            max_iters=max_iters, tol=tol, real=True)
     x, _, _ = ista(problem)
-    return np.clip(np.real(x).reshape(hr_shape), 0.0, None)
+    return np.clip(x.reshape(hr_shape), 0.0, None)
 
 
 def detect_centroids(frame, threshold_fraction: float,

@@ -5,7 +5,10 @@ O(N^2) summation, the linear solve is Gaussian elimination with full
 pivoting, and eigenvalues come from a two-sided Jacobi sweep.  The
 simulator and focusing references keep the plain whole-array formulas that
 the production code computes piecewise, in the same floating-point order,
-so the two must agree bit for bit.
+so the two must agree bit for bit.  The sparse-localization reference is
+the complex128 ISTA that ULM ran before its solve moved to real arithmetic,
+kept whole (operator, power iteration, solver) so that it cannot drift with
+the production code.
 """
 
 import math
@@ -155,3 +158,82 @@ def focus_per_trace(samples, fs, delays, per_event=False):
                                (1.0 - frac[e, c]) * lo + frac[e, c] * hi, 0.0)
             out[e, c] = val
     return out if per_event else out.sum(axis=0)
+
+
+def ulm_model_complex(lr_shape, psf, factor):
+    """Complex128 convolve-then-block-average map of the ULM model and its
+    adjoint on flattened vectors, as full complex FFTs."""
+    h0, h1 = lr_shape[0] * factor, lr_shape[1] * factor
+    kernel = np.asarray(psf, dtype=np.complex128)
+    full = (h0 + kernel.shape[0] - 1, h1 + kernel.shape[1] - 1)
+    o0, o1 = (kernel.shape[0] - 1) // 2, (kernel.shape[1] - 1) // 2
+    kernel_fft = np.fft.fft2(kernel, full)
+
+    def forward(x):
+        x = np.asarray(x, dtype=np.complex128).reshape(h0, h1)
+        conv = np.fft.ifft2(np.fft.fft2(x, full) * kernel_fft)[o0:o0 + h0, o1:o1 + h1]
+        return conv.reshape(h0 // factor, factor, h1 // factor, factor) \
+            .mean(axis=(1, 3)).ravel()
+
+    def adjoint(y):
+        y = np.asarray(y).reshape(lr_shape)
+        up = np.repeat(np.repeat(y, factor, axis=0), factor, axis=1) \
+            / (factor * factor)
+        ypad = np.zeros(full, dtype=np.complex128)
+        ypad[o0:o0 + h0, o1:o1 + h1] = np.asarray(up, dtype=np.complex128)
+        return np.fft.ifft2(np.fft.fft2(ypad) * np.conj(kernel_fft))[:h0, :h1].ravel()
+
+    return forward, adjoint
+
+
+def _unit_complex(rng, n):
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return v / np.sqrt(np.sum(np.abs(v) ** 2))
+
+
+def ista_step_complex(forward, adjoint, dim, iters=100):
+    """1 / (1.01 ||A||)^2 by power iteration from the solver's Philox key
+    (after the two adjoint-check draws that the solver makes first)."""
+    rng = np.random.Generator(np.random.Philox(key=0x75B5C0DE))
+    for _ in range(2):
+        m = np.asarray(forward(_unit_complex(rng, dim))).shape[0]
+        _unit_complex(rng, m)
+    vec = _unit_complex(rng, dim)
+    for _ in range(iters):
+        vec = np.asarray(adjoint(np.asarray(forward(vec))), dtype=np.complex128)
+        vec /= np.sqrt(np.sum(np.abs(vec) ** 2))
+    norm = 1.01 * float(np.sqrt(np.sum(np.abs(np.asarray(forward(vec))) ** 2)))
+    return 1.0 / (norm * norm)
+
+
+def localize_sparse_complex(frame, psf, lam, factor, step=None,
+                            max_iters=2000, tol=1e-6):
+    """ULM sparse localization with complex128 ISTA from x = 0.
+
+    Returns the nonneg-clamped (H, W) HR map and the iterations used.
+    """
+    frame = np.asarray(frame, dtype=np.float64)
+    forward, adjoint = ulm_model_complex(frame.shape, psf, factor)
+    y = frame.astype(np.complex128).ravel()
+    dim = y.size * factor * factor
+    mu = ista_step_complex(forward, adjoint, dim) if step is None else step
+    x = np.zeros(dim, dtype=np.complex128)
+    residual = -y
+    iters = 0
+    for _ in range(max_iters):
+        grad = np.asarray(adjoint(residual), dtype=np.complex128)
+        z = x - mu * grad
+        mag = np.abs(z)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            scale = np.where(mag > 0.0, np.maximum(
+                1.0 - mu * lam / np.maximum(mag, 1e-300), 0.0), 0.0)
+        x_new = z * scale
+        residual = forward(x_new) - y
+        iters += 1
+        delta = np.sqrt(np.sum(np.abs(x_new - x) ** 2))
+        ref = max(np.sqrt(np.sum(np.abs(x) ** 2)), 1.0)
+        x = x_new
+        if delta / ref < tol:
+            break
+    shape = (frame.shape[0] * factor, frame.shape[1] * factor)
+    return np.clip(np.real(x).reshape(shape), 0.0, None), iters

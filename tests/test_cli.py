@@ -118,6 +118,51 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and key in err
 
+    def test_single_element_array_exit_1(self, tmp_path, capsys):
+        field = write_field(tmp_path / "f.txt")
+        rc = run(["simulate", "--field", field, "--out", str(tmp_path / "c.urf"),
+                  "--set", "sim.num_elements", "1"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "sim.num_elements" in err
+        assert not (tmp_path / "c.urf").exists()
+
+    @pytest.mark.parametrize("nz", ["1", "2", "3"])
+    def test_axial_grid_under_four_pixels_exit_1(self, tmp_path, capsys, nz):
+        field = write_field(tmp_path / "f.txt")
+        cube = str(tmp_path / "c.urf")
+        assert run(["simulate", "--field", field, "--out", cube,
+                    "--set", "sim.num_elements", "8"]) == 0
+        capsys.readouterr()
+        out = tmp_path / "img"
+        rc = run(["beamform", "--in", cube, "--out", str(out),
+                  "--set", "sim.num_elements", "8", "--set", "bf.grid_nz", nz])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "bf.grid_nz" in err
+        assert list(tmp_path.glob("img*")) == []
+
+    def test_auto_axial_grid_has_four_pixels(self, tmp_path):
+        # an axial range under three quarter wavelengths still gets the
+        # four samples that envelope detection needs
+        field = write_field(tmp_path / "f.txt")
+        cube = str(tmp_path / "c.urf")
+        assert run(["simulate", "--field", field, "--out", cube,
+                    "--set", "sim.num_elements", "8"]) == 0
+        assert run(["beamform", "--in", cube, "--out", str(tmp_path / "img"),
+                    "--set", "sim.num_elements", "8",
+                    "--set", "bf.grid_ax_min", "0.008",
+                    "--set", "bf.grid_ax_max", "0.00801"]) == 0
+        assert uio.read_uim1(tmp_path / "img.uim1").shape[1] == 4
+
+    def test_all_zero_ulm_frame_no_detections(self, tmp_path):
+        seq = tmp_path / "frames.uim1"
+        uio.write_uim1_seq(seq, np.zeros((2, 6, 6)))
+        assert run(["ulm", "--frames", str(seq), "--out", str(tmp_path / "u")]) == 0
+        csv = (tmp_path / "u_detections.csv").read_text()
+        assert csv == "frame,x,z,intensity\n"
+        assert not np.any(uio.read_uim1(tmp_path / "u_density.uim1"))
+
     def test_inverted_grid_exit_1(self, tmp_path, capsys):
         rc = run(["demo", "--out", str(tmp_path / "d"),
                   "--set", "demo.num_scatterers", "5",
@@ -243,6 +288,23 @@ class TestRecoverDeconvolveClutterUlm:
         assert density.shape == (32, 32)
         csv = (tmp_path / "u_detections.csv").read_text()
         assert csv.startswith("frame,x,z,intensity")
+
+    def test_ulm_threads_byte_identical(self, tmp_path):
+        # one step is computed before the frame pool and shared by all
+        from usproc.ulm import simulate_bubbles
+        frames = simulate_bubbles((32, 32), 4, 3.0, 2.0, 4, 30.0, 8)
+        seq = tmp_path / "frames.uim1"
+        uio.write_uim1_seq(seq, np.stack([f.image for f in frames]))
+        outs = {}
+        for threads in ("1", "3"):
+            prefix = tmp_path / f"t{threads}"
+            assert run(["ulm", "--frames", str(seq), "--out", str(prefix),
+                        "--threads", threads, "--set", "ulm.max_iters", "200"]) == 0
+            outs[threads] = [(tmp_path / f"t{threads}{suffix}").read_bytes()
+                             for suffix in ("_density.uim1", "_detections.csv",
+                                            ".config.txt")]
+        assert outs["1"] == outs["3"]
+        assert outs["1"][1].count(b"\r\n") > 1   # some detections written
 
     def test_metrics_subcommand(self, tmp_path):
         rng = np.random.default_rng(3)

@@ -12,6 +12,7 @@ from usproc.core import (
     RECTANGULAR,
     ApodizationWindow,
     BeamformedImage,
+    FocusedTensor,
     ImagingGrid,
     RfDataCube,
     ScattererField,
@@ -95,6 +96,15 @@ class TestTypes:
         cube = make_cube()
         with pytest.raises(ValueError):
             cube.samples[0, 0, 0] = 1.0
+
+    def test_focused_tensor_copies_caller_array(self):
+        grid = ImagingGrid([0.0, 1e-3], [1e-3, 2e-3])
+        values = np.ones((2, 2, 2), dtype=np.complex128)
+        tensor = FocusedTensor(values, grid)
+        assert values.flags.writeable
+        assert not np.shares_memory(tensor.values, values)
+        values[0, 0, 0] = 5.0
+        assert tensor.values[0, 0, 0] == 1.0
 
     def test_beamformed_image_envelope_invariant(self):
         grid = ImagingGrid([0.0], [1e-3])

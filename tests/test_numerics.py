@@ -276,3 +276,24 @@ class TestOperatorNorm:
     def test_zero_operator(self):
         est = operator_norm(lambda v: 0.0 * v, lambda v: 0.0 * v, 4, 10)
         assert est == 0.0
+
+    def test_real_mode_matches_complex(self):
+        # a real map sees Re and Im of the same draws as two float64 vectors
+        rng = np.random.default_rng(13)
+        a = rng.standard_normal((7, 12))
+        seen = []
+
+        def forward(v):
+            seen.append(np.asarray(v).dtype)
+            return a @ v
+
+        est_c = operator_norm(lambda v: a @ v, lambda r: a.T @ r, 12, 30)
+        est_r = operator_norm(forward, lambda r: a.T @ r, 12, 30, real=True)
+        assert est_r == pytest.approx(est_c, rel=1e-13)
+        assert set(seen) == {np.dtype(np.float64)}
+
+    def test_real_mode_rejects_complex_output(self):
+        a = rand_complex(np.random.default_rng(14), 4, 4)
+        with pytest.raises(ValueError, match="real operator"):
+            operator_norm(lambda v: a @ v, lambda r: a.conj().T @ r, 4, 5,
+                          real=True)

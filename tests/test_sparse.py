@@ -14,6 +14,7 @@ from usproc.sparse import (
     corr2_same_adjoint,
     deconvolve,
     ista,
+    ista_step,
     recover_scanline,
     soft_threshold,
 )
@@ -118,6 +119,53 @@ class TestIsta:
         assert not np.any(x)
 
 
+class TestRealIsta:
+    def real_problem(self, a, y, lam, **kw):
+        return SparseProblem(lambda v: a @ v, lambda r: a.T @ r, y, lam,
+                             real=True, **kw)
+
+    def test_stays_float64_and_matches_complex(self):
+        rng = np.random.default_rng(20)
+        a = rng.standard_normal((10, 16))
+        y = rng.standard_normal(10)
+        x_r, it_r, obj_r = ista(self.real_problem(a, y, 0.05, tol=1e-10))
+        x_c, it_c, obj_c = ista(matrix_problem(a, y, 0.05, tol=1e-10))
+        assert x_r.dtype == np.float64
+        assert np.max(np.abs(x_r - x_c)) <= 1e-9
+        assert obj_r == pytest.approx(obj_c, rel=1e-10)
+
+    def test_rejects_complex_measurements(self):
+        a = np.eye(3)
+        with pytest.raises(ValueError, match="real"):
+            self.real_problem(a, np.ones(3) + 1j, 0.1)
+
+    def test_zero_operator_gives_zeros(self):
+        prob = SparseProblem(lambda v: 0.0 * v, lambda r: 0.0 * r,
+                             np.ones(3), 0.1, real=True)
+        x, iters, obj = ista(prob)
+        assert x.dtype == np.float64 and not np.any(x) and iters == 0
+        assert obj == pytest.approx(1.5)
+
+    def test_shared_step_is_bit_identical(self):
+        rng = np.random.default_rng(21)
+        a = rng.standard_normal((9, 14))
+        y = rng.standard_normal(9)
+        for real in (False, True):
+            mu = ista_step(lambda v: a @ v, lambda r: a.T @ r, 14, real=real)
+            make = self.real_problem if real else matrix_problem
+            own = ista(make(a, y, 0.02, max_iters=200))[0]
+            shared = ista(make(a, y, 0.02, step=mu, max_iters=200))[0]
+            assert np.array_equal(own.view(np.uint64), shared.view(np.uint64))
+
+    def test_zero_operator_step_is_infinite(self):
+        assert ista_step(lambda v: 0.0 * v, lambda r: 0.0 * r, 3) == np.inf
+
+    @pytest.mark.parametrize("step", [0.0, -1.0, np.inf, np.nan])
+    def test_step_must_be_finite_positive(self, step):
+        with pytest.raises(ValueError, match="step"):
+            matrix_problem(np.eye(2), np.ones(2), 0.1, step=step)
+
+
 class TestScanline:
     def make_model(self, rng, n=64, m=24):
         bins = np.sort(rng.choice(n, m, replace=False))
@@ -180,6 +228,41 @@ class TestConvOperators:
         lhs = np.vdot(op.forward(x), y)
         rhs = np.vdot(x, op.adjoint(y))
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
+
+    @given(st.integers(1, 9), st.integers(1, 9), st.integers(1, 6),
+           st.integers(1, 6), st.booleans(), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_adjoint_identity_real_and_complex(self, h0, h1, k0, k1,
+                                               complex_kernel, seed):
+        # odd and even kernels, real path (real kernel and real operand)
+        # and complex path (complex kernel, or complex operand)
+        rng = np.random.default_rng(seed)
+        h = rng.standard_normal((k0, k1))
+        if complex_kernel:
+            h = h + 1j * rng.standard_normal((k0, k1))
+        op = Conv2Same((h0, h1), h)
+        x = rng.standard_normal((h0, h1))
+        y = rng.standard_normal((h0, h1))
+        for xx, yy in ((x, y), (x + 1j * y, y - 1j * x)):
+            fx, aty = op.forward(xx), op.adjoint(yy)
+            real = not (complex_kernel or np.iscomplexobj(xx))
+            want = np.float64 if real else np.complex128
+            assert fx.dtype == want and aty.dtype == want
+            assert fx.shape == aty.shape == (h0, h1)
+            lhs = np.vdot(fx, yy)
+            rhs = np.vdot(xx, aty)
+            scale = np.sum(np.abs(h)) * np.linalg.norm(xx) * np.linalg.norm(yy)
+            assert abs(lhs - rhs) <= 1e-12 * max(scale, 1.0)
+
+    def test_real_path_matches_complex_path(self):
+        rng = np.random.default_rng(11)
+        h = rng.standard_normal((4, 5))
+        op = Conv2Same((10, 7), h)
+        x = rng.standard_normal((10, 7))
+        assert np.allclose(op.forward(x), op.forward(x.astype(complex)).real,
+                           rtol=0, atol=1e-13)
+        assert np.allclose(op.adjoint(x), op.adjoint(x.astype(complex)).real,
+                           rtol=0, atol=1e-13)
 
     def test_matches_direct_convolution(self):
         rng = np.random.default_rng(8)

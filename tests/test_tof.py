@@ -196,6 +196,33 @@ class TestFocusMatchesPerTrace:
         assert out.values.shape == (c_count,) + grid.shape
         assert peak < 4 * c_count * grid.shape[0] * grid.shape[1] * 16
 
+    def test_per_event_holds_one_stacked_tensor(self):
+        # the (E, C, Rx, Rz) complex result is built once and not copied:
+        # 16 E = 256 bytes per (C, Rx, Rz) element at E = 16, plus one
+        # event's temporaries and the finiteness scan's byte mask (a second
+        # copy would read about 528)
+        e_count = c_count = 16
+        grid = ImagingGrid.regular(-2e-3, 2e-3, 24, 3e-3, 8e-3, 40)
+        arr = TransducerArray.linear(c_count, V / 5e6 / 2, 5e6, 40e6)
+        events = [TransmitEvent.synthetic_aperture(i, arr)
+                  for i in range(e_count)]
+        rng = np.random.default_rng(9)
+        cube = RfDataCube(rng.standard_normal((e_count, c_count, 500)),
+                          40e6, V, events)
+        delays = compute_delays(arr, events, grid, V)
+        elements = c_count * grid.shape[0] * grid.shape[1]
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            out = focus(cube, delays, grid, per_event=True)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert out.values.shape == (e_count,) + (c_count,) + grid.shape
+        assert not out.values.flags.writeable
+        assert peak / elements < 320, peak / elements
+
 
 class TestNegativeDelays:
     def test_accepted_and_contribute_zero(self):

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from oracles import localize_sparse_complex, ulm_model_complex
 
+from usproc import ulm as ulm_module
+from usproc.sparse import ista_step
 from usproc.ulm import (
     LocalizationSet,
     accumulate,
@@ -10,6 +13,7 @@ from usproc.ulm import (
     block_expand,
     detect_centroids,
     gaussian_psf,
+    localization_step,
     localize_sparse,
     max_correlation,
     render_frame,
@@ -77,6 +81,104 @@ class TestLocalizeSparse:
         x = localize_sparse(frames[0].image, psf, lam, 4, max_iters=500)
         assert np.all(x >= 0)
         assert np.count_nonzero(x) <= x.size
+
+
+class TestRealSolveAgainstComplexOracle:
+    """The float64 solve against the complex128 one it replaced.
+
+    Both start from x = 0 with the same step to roundoff, and ISTA is
+    nonexpansive, so the HR maps differ by accumulated rounding only
+    (measured below 1e-14 relative).  Stated tolerance: HR maps within
+    1e-9 of the oracle's peak, detections within 1e-6 HR px, and the
+    detection counts and density maps exactly equal.
+    """
+
+    # CLI defaults: factor 4, PSF sigma 2, lambda 0.05 ||A^T y||_inf,
+    # 700-iteration cap, tol 1e-5, threshold 0.10, merge radius 1
+    @staticmethod
+    def solve_both(image, tol=1e-5):
+        psf = gaussian_psf(2.0)
+        lam = 0.05 * max_correlation(image, psf, 4)
+        hr = localize_sparse(image, psf, lam, 4, max_iters=700, tol=tol)
+        ref, iters = localize_sparse_complex(image, psf, lam, 4,
+                                             max_iters=700, tol=tol)
+        return hr, ref, iters
+
+    def assert_within_tolerance(self, hr, ref):
+        assert hr.dtype == np.float64 and hr.shape == ref.shape
+        assert np.max(np.abs(hr - ref)) <= 1e-9 * np.max(np.abs(ref))
+        det, det_ref = (detect_centroids(m, 0.10, 1) for m in (hr, ref))
+        assert len(det) == len(det_ref)
+        assert np.array_equal(accumulate([det], hr.shape),
+                              accumulate([det_ref], ref.shape))
+        assert np.all(np.abs(det.detections[:, :2]
+                             - det_ref.detections[:, :2]) <= 1e-6)
+
+    @pytest.mark.parametrize("hr_shape", [(32, 32), (48, 40), (64, 64),
+                                          (96, 80)])
+    @pytest.mark.parametrize("seed", [21, 22, 23])
+    def test_matches_oracle(self, hr_shape, seed):
+        frame = simulate_bubbles(hr_shape, 1, 6.0, 2.0, 4, 30.0, seed)[0]
+        hr, ref, _ = self.solve_both(frame.image)
+        self.assert_within_tolerance(hr, ref)
+
+    def test_empty_frame_exact_zeros(self):
+        psf = gaussian_psf(2.0)
+        hr = localize_sparse(np.zeros((8, 6)), psf, 0.1, 4)
+        ref, _ = localize_sparse_complex(np.zeros((8, 6)), psf, 0.1, 4)
+        assert hr.shape == (32, 24)
+        assert np.array_equal(hr.view(np.uint64), ref.view(np.uint64))
+        assert np.all(hr.view(np.uint64) == 0)
+
+    def test_stops_on_tol_before_cap(self, monkeypatch):
+        used = []
+        solve = ulm_module.ista
+
+        def counting_ista(problem):
+            x, iters, obj = solve(problem)
+            used.append(iters)
+            return x, iters, obj
+
+        monkeypatch.setattr(ulm_module, "ista", counting_ista)
+        frame = simulate_bubbles((32, 32), 1, 3.0, 2.0, 4, 30.0, 3)[0]
+        hr, ref, iters = self.solve_both(frame.image, tol=1e-3)
+        assert iters < 700 and used == [iters]
+        self.assert_within_tolerance(hr, ref)
+
+
+class TestSharedStep:
+    def test_complex_path_bit_identical(self):
+        # the step shared across frames is the one each complex solve drew
+        frame = simulate_bubbles((40, 32), 1, 4.0, 2.0, 4, 30.0, 5)[0].image
+        psf = gaussian_psf(2.0)
+        lam = 0.05 * max_correlation(frame, psf, 4)
+        forward, adjoint = ulm_model_complex(frame.shape, psf, 4)
+        mu = ista_step(forward, adjoint, 40 * 32)
+        own, _ = localize_sparse_complex(frame, psf, lam, 4, max_iters=300)
+        shared, _ = localize_sparse_complex(frame, psf, lam, 4, step=mu,
+                                            max_iters=300)
+        assert np.array_equal(own.view(np.uint64), shared.view(np.uint64))
+
+    def test_real_path_bit_identical(self):
+        frame = simulate_bubbles((40, 32), 1, 4.0, 2.0, 4, 30.0, 6)[0].image
+        psf = gaussian_psf(2.0)
+        lam = 0.05 * max_correlation(frame, psf, 4)
+        mu = localization_step(frame.shape, psf, 4)
+        own = localize_sparse(frame, psf, lam, 4, max_iters=300)
+        shared = localize_sparse(frame, psf, lam, 4, step=mu, max_iters=300)
+        assert np.array_equal(own.view(np.uint64), shared.view(np.uint64))
+
+    def test_real_step_matches_complex_to_roundoff(self):
+        psf = gaussian_psf(2.0)
+        for lr_shape in [(8, 8), (16, 12), (32, 32)]:
+            forward, adjoint = ulm_model_complex(lr_shape, psf, 4)
+            mu_c = ista_step(forward, adjoint, lr_shape[0] * lr_shape[1] * 16)
+            mu_r = localization_step(lr_shape, psf, 4)
+            assert mu_r == pytest.approx(mu_c, rel=1e-12)
+
+    def test_unit_peak_checked(self):
+        with pytest.raises(ValueError):
+            localization_step((8, 8), 0.5 * gaussian_psf(1.0), 2)
 
 
 class TestDetectCentroids:
