@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -379,6 +378,20 @@ def _read_bins(path) -> np.ndarray:
     return np.asarray(bins, dtype=np.int64)
 
 
+def _sparse_lambda(cfg, adjoint_y) -> float | None:
+    """``sparse.lambda``, or when that is <= 0 ``sparse.lambda_frac`` times
+    ||A^H y||_inf, with ``adjoint_y()`` giving A^H y.
+
+    None when the weight is automatic and A^H y = 0: x = 0 then solves the
+    problem for every weight, so the caller writes it without a solve.
+    """
+    lam = cfg.get_float("sparse.lambda")
+    if lam > 0:
+        return lam
+    peak = float(np.max(np.abs(adjoint_y())))
+    return None if peak == 0.0 else cfg.get_float("sparse.lambda_frac") * peak
+
+
 def _cmd_recover(args) -> int:
     cfg = _resolve_config(args)
     cube, _, _ = _load_cube(args, cfg)
@@ -393,16 +406,17 @@ def _cmd_recover(args) -> int:
                              trace.size)
     from .numerics import fft
     y_tilde = fft(trace)[bins]
-    lam = cfg.get_float("sparse.lambda")
-    if lam <= 0:
-        lam = cfg.get_float("sparse.lambda_frac") \
-            * float(np.max(np.abs(model.adjoint(y_tilde))))
-    x = sp.recover_scanline(model, y_tilde, lam,
-                            max_iters=cfg.get_int("sparse.max_iters"),
-                            tol=cfg.get_float("sparse.tol"))
+    lam = _sparse_lambda(cfg, lambda: model.adjoint(y_tilde))
+    if lam is None:   # A^H y = 0, so x = 0 solves: nothing to recover
+        x = np.zeros(trace.size)
+    else:
+        x = sp.recover_scanline(model, y_tilde, lam,
+                                max_iters=cfg.get_int("sparse.max_iters"),
+                                tol=cfg.get_float("sparse.tol"))
     uio.write_uim1(args.out + ".uim1", x[:, None])
     cfg.dump(args.out + ".config.txt", args.seed)
-    print(f"wrote {args.out}.uim1 (N={x.size}, M={bins.size}, lambda={lam:g})")
+    print(f"wrote {args.out}.uim1 (N={x.size}, M={bins.size}, "
+          f"lambda={lam or 0.0:g})")
     return 0
 
 
@@ -410,16 +424,16 @@ def _cmd_deconvolve(args) -> int:
     cfg = _resolve_config(args)
     image = uio.read_uim1(args.infile)
     psf = uio.read_uim1(args.psf)
-    lam = cfg.get_float("sparse.lambda")
-    if lam <= 0:
-        lam = cfg.get_float("sparse.lambda_frac") * float(
-            np.max(np.abs(sp.corr2_same_adjoint(image, psf))))
-    out = sp.deconvolve(image, psf, lam,
-                        max_iters=cfg.get_int("sparse.max_iters"),
-                        tol=cfg.get_float("sparse.tol"))
+    lam = _sparse_lambda(cfg, lambda: sp.corr2_same_adjoint(image, psf))
+    if lam is None:   # A^H y = 0, so x = 0 solves: nothing to deblur
+        out = np.zeros(image.shape)
+    else:
+        out = sp.deconvolve(image, psf, lam,
+                            max_iters=cfg.get_int("sparse.max_iters"),
+                            tol=cfg.get_float("sparse.tol"))
     uio.write_uim1(args.out + ".uim1", out)
     cfg.dump(args.out + ".config.txt", args.seed)
-    print(f"wrote {args.out}.uim1 (lambda={lam:g})")
+    print(f"wrote {args.out}.uim1 (lambda={lam or 0.0:g})")
     return 0
 
 
@@ -484,11 +498,7 @@ def _cmd_ulm(args) -> int:
         det[:, :2] = det[:, :2] * factor + (factor - 1) / 2.0
         return ulm.LocalizationSet(det)
 
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            sets = list(pool.map(localize, list(frames)))
-    else:
-        sets = [localize(f) for f in frames]
+    sets = [localize(f) for f in frames]
     density = ulm.accumulate(sets, hr_shape)
     uio.write_uim1(args.out + "_density.uim1", density)
     uio.write_pgm_linear(args.out + "_density.pgm", density)
@@ -615,7 +625,8 @@ def _add_common(sp_parser, flag_map):
     sp_parser.add_argument("--seed", type=int, default=0,
                            help="seed for all randomness")
     sp_parser.add_argument("--threads", type=int, default=1,
-                           help="worker cap for ULM frame loops")
+                           help="accepted for compatibility; has no effect "
+                           "(every command runs in one thread)")
     sp_parser.add_argument("--config", help="key = value config file")
     sp_parser.add_argument("--set", nargs=2, action="append",
                            metavar=("KEY", "VALUE"),

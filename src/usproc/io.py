@@ -25,7 +25,7 @@ import struct
 
 import numpy as np
 
-from .core import RfDataCube, ScattererField, TransmitEvent, validate
+from .core import RfDataCube, ScattererField, TransmitEvent, _Handover, validate
 from .errors import DimensionMismatchError, FileFormatError
 
 _URF1_MAGIC = b"URF1"
@@ -91,7 +91,7 @@ def write_urf1(path, cube: RfDataCube, f0: float) -> None:
         fh.write(_URF1_MAGIC)
         fh.write(struct.pack("<III", e, c, nt))
         fh.write(struct.pack("<ddd", cube.fs, cube.speed_of_sound, f0))
-        fh.write(cube.samples.astype("<f4").tobytes(order="C"))
+        fh.write(cube.samples.astype("<f4", order="C"))
 
 
 def read_urf1(path, events: list[TransmitEvent]):
@@ -102,7 +102,7 @@ def read_urf1(path, events: list[TransmitEvent]):
     with open(path, "rb") as fh:
         e, c, nt, fs, v, f0 = _read_urf1_header(fh)
         samples = _read_f32(fh, (e, c, nt), "samples")
-    cube = RfDataCube(samples, fs, v, tuple(events))
+    cube = RfDataCube(_Handover(samples), fs, v, tuple(events))
     validate(cube)
     return cube, f0
 

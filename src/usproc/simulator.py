@@ -32,6 +32,7 @@ from .core import (
     ScattererField,
     TransducerArray,
     TransmitEvent,
+    _Handover,
 )
 from .errors import DepthExceedsWindowError, EmptyEventsError
 
@@ -151,4 +152,4 @@ def simulate(array: TransducerArray, events, field: ScattererField,
             for ch in range(c_count):
                 samples[e, ch] += noise_std * _gauss_stream(
                     _noise_key(seed, e, ch), nt)
-    return RfDataCube(samples, fs, v, events)
+    return RfDataCube(_Handover(samples), fs, v, events)

@@ -134,6 +134,50 @@ def simulate_full_trace(array, events, field, pulse, v, nt, chunk=32):
     return samples
 
 
+def delays_per_pixel(array, events, grid, v):
+    """(E, C, Rx, Rz) two-way delays [s], one pixel at a time in scalars.
+
+    Transmit leg (planar arrival x sin + z cos for plane waves, distance
+    from the origin otherwise) plus the distance to the receiving element,
+    over v.
+    """
+    elem = array.element_positions
+    xs, zs = grid.lateral_coords, grid.axial_coords
+    out = np.empty((len(events), elem.shape[0], xs.size, zs.size))
+    for e, event in enumerate(events):
+        for c in range(elem.shape[0]):
+            ex, ez = float(elem[c, 0]), float(elem[c, 1])
+            for ix, x in enumerate(map(float, xs)):
+                for iz, z in enumerate(map(float, zs)):
+                    if event.scheme == "plane_wave":
+                        tx = x * math.sin(event.angle) + z * math.cos(event.angle)
+                    else:
+                        dx, dz = x - event.origin[0], z - event.origin[1]
+                        tx = math.sqrt(dx * dx + dz * dz)
+                    dx, dz = ex - x, ez - z
+                    out[e, c, ix, iz] = (tx + math.sqrt(dx * dx + dz * dz)) / v
+    return out
+
+
+def delays_whole_array(array, events, grid, v):
+    """(E, C, Rx, Rz) delays from the whole-array formula that
+    ``compute_delays`` once stored: (tx_leg + rx_leg) / v per event."""
+    px = grid.lateral_coords[:, None]
+    pz = grid.axial_coords[None, :]
+    elem = array.element_positions
+    rx_leg = np.sqrt((elem[:, 0, None, None] - px[None]) ** 2
+                     + (elem[:, 1, None, None] - pz[None]) ** 2)
+    delays = np.empty((len(events), elem.shape[0]) + grid.shape)
+    for e, event in enumerate(events):
+        if event.scheme == "plane_wave":
+            tx_leg = px * math.sin(event.angle) + pz * math.cos(event.angle)
+        else:
+            ox, oz = event.origin
+            tx_leg = np.sqrt((px - ox) ** 2 + (pz - oz) ** 2)
+        delays[e] = (tx_leg[None, :, :] + rx_leg) / v
+    return delays
+
+
 def focus_per_trace(samples, fs, delays, per_event=False):
     """Linear-interpolation focusing, one (event, channel) trace at a time.
 

@@ -163,6 +163,28 @@ class TestExitCodes:
         assert csv == "frame,x,z,intensity\n"
         assert not np.any(uio.read_uim1(tmp_path / "u_density.uim1"))
 
+    def test_all_zero_deconvolve_input_writes_zero(self, tmp_path):
+        # the automatic lambda is 0 when A^H y = 0; x = 0 solves
+        img, psf = tmp_path / "img.uim1", tmp_path / "psf.uim1"
+        uio.write_uim1(img, np.zeros((8, 8)))
+        uio.write_uim1(psf, np.ones((3, 3)) / 9.0)
+        assert run(["deconvolve", "--in", str(img), "--psf", str(psf),
+                    "--out", str(tmp_path / "dec")]) == 0
+        out = uio.read_uim1(tmp_path / "dec.uim1")
+        assert out.shape == (8, 8) and not np.any(out)
+
+    def test_all_zero_recover_input_writes_zero(self, tmp_path):
+        field = write_field(tmp_path / "f.txt", rows="0.0 0.008 0.0\n")
+        cube = tmp_path / "c.urf"
+        assert run(["simulate", "--field", field, "--out", str(cube),
+                    "--num-elements", "4", "--nt", "512"]) == 0
+        bins = tmp_path / "bins.txt"
+        bins.write_text("\n".join(str(b) for b in range(0, 512, 3)) + "\n")
+        assert run(["recover", "--in", str(cube), "--bins", str(bins),
+                    "--out", str(tmp_path / "rec")]) == 0
+        out = uio.read_uim1(tmp_path / "rec.uim1")
+        assert out.shape == (512, 1) and not np.any(out)
+
     def test_inverted_grid_exit_1(self, tmp_path, capsys):
         rc = run(["demo", "--out", str(tmp_path / "d"),
                   "--set", "demo.num_scatterers", "5",

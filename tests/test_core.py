@@ -1,6 +1,7 @@
 """Domain-type invariants, validation, and the URF1 binary format."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -149,6 +150,40 @@ class TestUrf1:
         assert f0 == 5e6
         assert back.fs == cube.fs and back.speed_of_sound == 1540.0
         assert np.array_equal(back.samples, samples)
+
+    def test_cube_copies_caller_array(self):
+        samples = np.ones((1, 2, 4))
+        cube = RfDataCube(samples, 40e6, 1540.0, [TransmitEvent.plane_wave(0.0)])
+        assert samples.flags.writeable
+        assert not np.shares_memory(cube.samples, samples)
+        samples[0, 0, 0] = 5.0
+        assert cube.samples[0, 0, 0] == 1.0
+
+    def test_payload_is_c_order_float32(self, tmp_path):
+        # the payload is the (E, C, Nt) cube in C order whatever its layout
+        rng = np.random.default_rng(1)
+        samples = np.asfortranarray(rng.standard_normal((2, 3, 5)))
+        events = [TransmitEvent.plane_wave(a) for a in (0.0, 0.1)]
+        path = tmp_path / "t.urf"
+        uio.write_urf1(path, RfDataCube(samples, 40e6, 1540.0, events), 5e6)
+        assert path.read_bytes()[40:] == samples.astype("<f4").tobytes(order="C")
+
+    def test_read_peak_below_two_cubes(self, tmp_path):
+        # the float64 cube read from the file is handed over, not copied:
+        # the peak is that cube plus the float32 payload
+        events = [TransmitEvent.plane_wave(0.0)] * 4
+        cube = RfDataCube(np.ones((4, 16, 2000)), 40e6, 1540.0, events)
+        path = tmp_path / "t.urf"
+        uio.write_urf1(path, cube, 5e6)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            back, _ = uio.read_urf1(path, events)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.samples, cube.samples)
+        assert peak < 1.75 * cube.samples.nbytes, peak / cube.samples.nbytes
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.urf"

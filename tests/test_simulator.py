@@ -1,5 +1,7 @@
 """Point-scatterer simulator: pulse shape, delays, noise determinism."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,26 @@ class TestSimulate:
         s = cube.samples
         assert abs(np.std(s) - 0.7) < 0.02
         assert abs(np.mean(s)) < 0.02
+
+
+    def test_peak_memory_near_one_cube(self):
+        # the cube simulate builds is handed to RfDataCube, not copied; one
+        # event's temporaries stay a small share of a 16-event cube
+        arr = make_array(16)
+        events = [TransmitEvent.plane_wave(a) for a in np.linspace(-0.2, 0.2, 16)]
+        field = ScattererField([[0.0, 5e-3, 1.0]])
+        nt = 4000
+        cube_bytes = len(events) * 16 * nt * 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            cube = simulate(arr, events, field, PulseModel(F0, 0.6), V, nt,
+                            0.1, 0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert cube.samples.shape == (16, 16, nt)
+        assert peak < 1.25 * cube_bytes, peak / cube_bytes
 
 
 def bits(a):

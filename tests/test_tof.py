@@ -5,7 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import analytic_direct, focus_per_trace
+from oracles import (
+    analytic_direct,
+    delays_per_pixel,
+    delays_whole_array,
+    focus_per_trace,
+)
 from usproc.core import (
     ImagingGrid,
     RfDataCube,
@@ -13,7 +18,12 @@ from usproc.core import (
     TransducerArray,
     TransmitEvent,
 )
-from usproc.errors import AllZeroEnvelopeError, ShapeMismatchError
+from usproc.errors import (
+    AllZeroEnvelopeError,
+    NonFiniteSampleError,
+    NonPositiveSpeedError,
+    ShapeMismatchError,
+)
 from usproc.simulator import PulseModel, simulate
 from usproc.tof import (
     DelayTensor,
@@ -224,6 +234,106 @@ class TestFocusMatchesPerTrace:
         assert peak / elements < 320, peak / elements
 
 
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestFactoredDelays:
+    """compute_delays keeps legs; its delays match the stored formula."""
+
+    @staticmethod
+    def events(scheme, arr):
+        if scheme == "plane_wave":
+            return [TransmitEvent.plane_wave(a) for a in (-1.2, -0.3, 0.0, 0.9)]
+        return [TransmitEvent.synthetic_aperture(i, arr) for i in (0, 2, 5)]
+
+    @pytest.mark.parametrize("scheme", ["plane_wave", "synthetic_aperture"])
+    def test_delays_match_oracles_bitwise(self, scheme):
+        arr = TransducerArray.linear(6, V / 5e6 / 2, 5e6, 40e6)
+        events = self.events(scheme, arr)
+        grid = ImagingGrid.regular(-4e-3, 4e-3, 9, 0.05e-3, 6e-3, 11)
+        d = compute_delays(arr, events, grid, V)
+        full = d.delays
+        assert d.shape == full.shape == (len(events), 6) + grid.shape
+        assert not full.flags.writeable
+        assert np.array_equal(bits(full),
+                              bits(delays_per_pixel(arr, events, grid, V)))
+        assert np.array_equal(bits(full),
+                              bits(delays_whole_array(arr, events, grid, V)))
+        for e in range(len(events)):
+            assert np.array_equal(bits(d.event(e)), bits(full[e]))
+        if scheme == "plane_wave":
+            assert np.any(full < 0)
+
+    @pytest.mark.parametrize("per_event", [False, True])
+    @pytest.mark.parametrize("scheme", ["plane_wave", "synthetic_aperture"])
+    def test_focus_factored_equals_full(self, scheme, per_event):
+        arr = TransducerArray.linear(6, V / 5e6 / 2, 5e6, 40e6)
+        events = self.events(scheme, arr)
+        grid = ImagingGrid.regular(-4e-3, 4e-3, 9, 0.05e-3, 6e-3, 11)
+        rng = np.random.default_rng(11)
+        cube = RfDataCube(rng.standard_normal((len(events), 6, 400)),
+                          40e6, V, events)
+        factored = compute_delays(arr, events, grid, V)
+        full = DelayTensor(factored.delays)
+        a = focus(cube, factored, grid, per_event=per_event).values
+        b = focus(cube, full, grid, per_event=per_event).values
+        ref = focus_per_trace(cube.samples, cube.fs, full.delays, per_event)
+        assert np.array_equal(bits(a), bits(b))
+        assert np.array_equal(bits(a), bits(ref))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_non_finite_leg_rejected(self):
+        # a lateral coordinate whose square overflows makes both legs inf
+        arr = TransducerArray.linear(4, V / 5e6 / 2, 5e6, 40e6)
+        grid = ImagingGrid([0.0, 1e200], [1e-3])
+        with pytest.raises(NonFiniteSampleError, match="non-finite-sample"):
+            compute_delays(arr, [TransmitEvent.synthetic_aperture(0, arr)],
+                           grid, V)
+        legs = np.ones((1, 1, 1))
+        with pytest.raises(NonFiniteSampleError, match="non-finite-sample"):
+            DelayTensor.factored(np.full((1, 1, 1), np.nan), legs, V)
+
+    def test_non_positive_speed_rejected(self):
+        arr = TransducerArray.linear(4, V / 5e6 / 2, 5e6, 40e6)
+        grid = ImagingGrid([0.0], [1e-3])
+        with pytest.raises(NonPositiveSpeedError, match="non-positive-speed"):
+            compute_delays(arr, [TransmitEvent.plane_wave(0.0)], grid, 0.0)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_delay_rejected(self):
+        # finite legs whose sum over v overflows are caught event by event
+        arr = TransducerArray.linear(4, V / 5e6 / 2, 5e6, 40e6)
+        grid = ImagingGrid([0.0], [1e4])
+        with pytest.raises(NonFiniteSampleError, match="non-finite-sample"):
+            compute_delays(arr, [TransmitEvent.plane_wave(0.0)], grid, 1e-305)
+
+    def test_peak_memory_independent_of_event_count(self):
+        # delays plus summed focusing never hold an (E, C, Rx, Rz) tensor:
+        # going from 4 to 32 events adds only the (E, Rx, Rz) transmit legs
+        c_count = 32
+        grid = ImagingGrid.regular(-2e-3, 2e-3, 24, 3e-3, 8e-3, 40)
+        arr = TransducerArray.linear(c_count, V / 5e6 / 2, 5e6, 40e6)
+        slab = c_count * grid.shape[0] * grid.shape[1] * 8   # one (C, Rx, Rz)
+        peaks = {}
+        for e_count in (4, 32):
+            events = [TransmitEvent.synthetic_aperture(i, arr)
+                      for i in range(e_count)]
+            rng = np.random.default_rng(e_count)
+            cube = RfDataCube(rng.standard_normal((e_count, c_count, 500)),
+                              40e6, V, events)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                delays = compute_delays(arr, events, grid, V)
+                focus(cube, delays, grid, per_event=False)
+                peaks[e_count] = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        tx_growth = (32 - 4) * grid.shape[0] * grid.shape[1] * 8
+        assert peaks[32] < peaks[4] + tx_growth + slab // 2, peaks
+
+
 class TestNegativeDelays:
     def test_accepted_and_contribute_zero(self):
         # a steered plane wave reaches pixels on one side of the array
@@ -244,6 +354,13 @@ class TestNegativeDelays:
         grid = ImagingGrid([-5e-3, 0.0], [0.1e-3, 5e-3])
         d = compute_delays(arr, [TransmitEvent.plane_wave(1.2)], grid, V)
         assert np.any(d.delays < 0) and np.all(np.isfinite(d.delays))
+
+    def test_full_tensor_copies_caller_array(self):
+        d = np.zeros((1, 2, 1, 1))
+        delays = DelayTensor(d)
+        assert d.flags.writeable
+        assert not np.shares_memory(delays.delays, d)
+        assert not delays.delays.flags.writeable
 
     def test_non_finite_still_rejected(self):
         from usproc.errors import NonFiniteSampleError
