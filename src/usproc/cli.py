@@ -165,13 +165,28 @@ def _resolve_config(args) -> PipelineConfig:
 
 
 def _check_ranges(cfg: PipelineConfig) -> None:
-    """Reject values that would otherwise fail as data errors mid-run."""
+    """Reject values that would otherwise fail mid-run, as data errors or raw
+    exceptions, or that would silently do nothing (a zero lambda fraction or
+    iteration cap)."""
     c = cfg.get_int("sim.num_elements")
     if c < 2:
         raise ConfigError(f"sim.num_elements must be >= 2, got {c}")
     nz = cfg.get_int("bf.grid_nz")
     if 0 < nz < 4:   # envelope detection needs 4 axial samples
         raise ConfigError(f"bf.grid_nz must be 0 (auto) or >= 4, got {nz}")
+    for key in ("sparse.lambda_frac", "sparse.tol", "ulm.lambda_frac",
+                "ulm.psf_sigma", "ulm.tol"):
+        value = cfg.get_float(key)
+        if not 0.0 < value < math.inf:
+            raise ConfigError(f"{key} must be finite and > 0, got {value}")
+    for key in ("sparse.max_iters", "ulm.factor", "ulm.window_radius",
+                "ulm.max_iters"):
+        value = cfg.get_int(key)
+        if value < 1:
+            raise ConfigError(f"{key} must be >= 1, got {value}")
+    thr = cfg.get_float("ulm.threshold")
+    if not 0.0 < thr < 1.0:
+        raise ConfigError(f"ulm.threshold must lie in (0, 1), got {thr}")
 
 
 # ---------------------------------------------------------------------------

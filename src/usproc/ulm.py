@@ -4,7 +4,9 @@ Microbubbles are point scatterers on a high-resolution (HR) grid observed
 through a Gaussian PSF and a block-averaging downsampler.  Localization is
 either classic centroid detection on the low-resolution (LR) frame or sparse
 coding: ISTA on the HR grid with forward = convolve-then-downsample, which
-is what resolves bubbles below the diffraction-limited PSF width.
+is what resolves bubbles below the diffraction-limited PSF width.  That
+forward map is applied as separable per-axis matrices, one pair per
+rank-one term of the PSF.
 
 Coordinates are (x, z) = (axis 0, axis 1) fractional HR pixel indices
 throughout.
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .sparse import Conv2Same, SparseProblem, ista, ista_step
+from .sparse import SparseProblem, ista, ista_step
 
 
 @dataclass(frozen=True)
@@ -135,24 +137,52 @@ def simulate_bubbles(hr_shape, n_frames: int, mean_bubbles_per_frame: float,
 def max_correlation(frame, psf, downsample_factor: int) -> float:
     """||A^H y||_inf of the localization model; the natural lambda scale."""
     frame = np.asarray(frame, dtype=np.float64)
-    f = int(downsample_factor)
-    hr_shape = (frame.shape[0] * f, frame.shape[1] * f)
-    op = Conv2Same(hr_shape, psf)
-    return float(np.max(np.abs(op.adjoint(block_expand(frame, f)))))
+    _, adjoint, _ = _hr_model(frame.shape, psf, int(downsample_factor))
+    return float(np.max(np.abs(adjoint(frame.ravel()))))
+
+
+def _axis_operators(taps, n: int, factor: int) -> np.ndarray:
+    """(r, n/f, n) stack: per row of ``taps`` (r, k), 'same' 1-D convolution
+    with that row (the full convolution cropped at offset (k-1)//2), then
+    the mean of each f-sample block."""
+    k = taps.shape[1]
+    lag = np.arange(n)[:, None] + (k - 1) // 2 - np.arange(n)[None, :]
+    conv = np.where((lag >= 0) & (lag < k),
+                    taps[:, np.clip(lag, 0, k - 1)], 0.0)
+    return conv.reshape(taps.shape[0], n // factor, factor, n).mean(axis=2)
 
 
 def _hr_model(lr_shape, psf, factor: int):
     """Forward (convolve, then block-average) and adjoint maps of the
-    localization model on flattened float64 vectors, and the HR shape."""
+    localization model on flattened float64 vectors, and the HR shape.
+
+    The PSF is split by SVD into its r numerically nonzero rank-one terms
+    (numpy's ``matrix_rank`` tolerance); a Gaussian has r = 1.  Term k
+    becomes one matrix per axis, A0_k (H/f, H) and A1_k (W/f, W), so
+    forward(X) = sum_k A0_k X A1_k^T and adjoint(Y) = sum_k A0_k^T Y A1_k,
+    each two batched matmuls over the r terms.
+    """
     lr_shape = tuple(lr_shape)
+    psf = np.asarray(psf, dtype=np.float64)
+    if factor < 1:
+        raise ValueError("downsample factor must be >= 1")
     hr_shape = (lr_shape[0] * factor, lr_shape[1] * factor)
-    op = Conv2Same(hr_shape, psf)
+    if 0 in hr_shape or psf.size == 0:
+        raise DimensionMismatchError(
+            "dimension-mismatch: frame and psf need at least one pixel")
+    if not np.all(np.isfinite(psf)):
+        raise ValueError("psf must be finite")
+    u, s, vh = np.linalg.svd(psf, full_matrices=False)
+    rank = int(np.sum(s > s[0] * max(psf.shape) * np.finfo(np.float64).eps))
+    a0 = _axis_operators((u[:, :rank] * s[:rank]).T, hr_shape[0], factor)
+    a1 = _axis_operators(vh[:rank], hr_shape[1], factor)
+    a0_t, a1_t = a0.transpose(0, 2, 1), a1.transpose(0, 2, 1)
 
     def forward(x):
-        return block_average(op.forward(x), factor).ravel()
+        return (a0 @ x.reshape(hr_shape) @ a1_t).sum(axis=0).ravel()
 
     def adjoint(y):
-        return op.adjoint(block_expand(y.reshape(lr_shape), factor)).ravel()
+        return (a0_t @ y.reshape(lr_shape) @ a1).sum(axis=0).ravel()
 
     return forward, adjoint, hr_shape
 
@@ -184,7 +214,8 @@ def localize_sparse(frame, psf, lam: float, downsample_factor: int,
     ``psf`` must be normalized to unit peak.  Forward model: HR image
     convolved with the PSF, then block-averaged by ``downsample_factor``.
     The frame, the PSF and the HR unknown are real, so ISTA runs in float64
-    over real FFTs.  ``step`` defaults to :func:`localization_step`.
+    over separable per-axis matrices.  ``step`` defaults to
+    :func:`localization_step`.
     """
     frame = np.asarray(frame, dtype=np.float64)
     forward, adjoint, hr_shape = _hr_model(frame.shape, _unit_peak(psf),

@@ -8,12 +8,16 @@ the production code computes piecewise, in the same floating-point order,
 so the two must agree bit for bit.  The sparse-localization reference is
 the complex128 ISTA that ULM ran before its solve moved to real arithmetic,
 kept whole (operator, power iteration, solver) so that it cannot drift with
-the production code.
+the production code.  The real ULM operator's reference is the FFT
+composition it ran before it became separable per-axis matrices.
 """
 
 import math
 
 import numpy as np
+
+from usproc.sparse import Conv2Same
+from usproc.ulm import block_average, block_expand
 
 
 def dft_direct(x, inverse=False):
@@ -202,6 +206,22 @@ def focus_per_trace(samples, fs, delays, per_event=False):
                                (1.0 - frac[e, c]) * lo + frac[e, c] * hi, 0.0)
             out[e, c] = val
     return out if per_event else out.sum(axis=0)
+
+
+def ulm_model_fft(lr_shape, psf, factor: int):
+    """Forward (convolve, then block-average) and adjoint maps of the
+    localization model on flattened float64 vectors, and the HR shape."""
+    lr_shape = tuple(lr_shape)
+    hr_shape = (lr_shape[0] * factor, lr_shape[1] * factor)
+    op = Conv2Same(hr_shape, psf)
+
+    def forward(x):
+        return block_average(op.forward(x), factor).ravel()
+
+    def adjoint(y):
+        return op.adjoint(block_expand(y.reshape(lr_shape), factor)).ravel()
+
+    return forward, adjoint, hr_shape
 
 
 def ulm_model_complex(lr_shape, psf, factor):

@@ -1,6 +1,10 @@
 """CLI pipelines: exit codes, reproducibility, config round-trips, formats."""
 
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -113,6 +117,36 @@ class TestExitCodes:
     def test_bad_simulator_value_exit_1(self, tmp_path, capsys, key, value):
         field = write_field(tmp_path / "f.txt")
         rc = run(["simulate", "--field", field, "--out", str(tmp_path / "c.urf"),
+                  "--set", key, value])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
+
+    @pytest.mark.parametrize("key,value", [
+        ("ulm.lambda_frac", "-0.05"), ("ulm.lambda_frac", "0"),
+        ("ulm.psf_sigma", "0"), ("ulm.psf_sigma", "nan"), ("ulm.tol", "0"),
+        ("ulm.window_radius", "0"), ("ulm.threshold", "1.5"),
+        ("ulm.factor", "0"), ("ulm.max_iters", "0")])
+    def test_bad_ulm_value_exit_1(self, tmp_path, capsys, key, value):
+        # the frames file does not exist: reading it would exit 2
+        rc = run(["ulm", "--frames", str(tmp_path / "frames.uim1"),
+                  "--out", str(tmp_path / "u"), "--set", key, value])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["deconvolve", "recover"])
+    @pytest.mark.parametrize("key,value", [
+        ("sparse.lambda_frac", "0"), ("sparse.lambda_frac", "-0.015"),
+        ("sparse.tol", "0"), ("sparse.tol", "-0.5"),
+        ("sparse.max_iters", "0")])
+    def test_bad_sparse_value_exit_1(self, tmp_path, capsys, command, key,
+                                     value):
+        # the inputs do not exist: reading them would exit 2
+        second = "--psf" if command == "deconvolve" else "--bins"
+        rc = run([command, "--in", str(tmp_path / "in"),
+                  second, str(tmp_path / "aux"), "--out", str(tmp_path / "o"),
                   "--set", key, value])
         assert rc == 1
         err = capsys.readouterr().err
@@ -327,6 +361,35 @@ class TestRecoverDeconvolveClutterUlm:
                                             ".config.txt")]
         assert outs["1"] == outs["3"]
         assert outs["1"][1].count(b"\r\n") > 1   # some detections written
+
+    def test_ulm_blas_threads_byte_identical(self, tmp_path):
+        # the sparse solve runs through BLAS matmul; at 256 x 256 HR its
+        # products are large enough for OpenBLAS to split them over threads
+        from usproc.ulm import simulate_bubbles
+        frames = simulate_bubbles((256, 256), 2, 20.0, 2.0, 4, 30.0, 2)
+        seq = tmp_path / "frames.uim1"
+        uio.write_uim1_seq(seq, np.stack([f.image for f in frames]))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outs = {}
+        for threads in ("1", "2"):
+            env = dict(os.environ, OMP_NUM_THREADS=threads,
+                       OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           [src] + ([os.environ["PYTHONPATH"]]
+                                    if os.environ.get("PYTHONPATH") else [])))
+            prefix = tmp_path / f"b{threads}"
+            subprocess.run([sys.executable, "-c",
+                            "from usproc.cli import main; main()", "ulm",
+                            "--frames", str(seq), "--out", str(prefix),
+                            "--method", "sparse",
+                            "--set", "ulm.max_iters", "100"],
+                           env=env, check=True, capture_output=True,
+                           timeout=300)
+            outs[threads] = [(tmp_path / f"b{threads}{suffix}").read_bytes()
+                             for suffix in ("_density.uim1", "_density.pgm",
+                                            "_detections.csv")]
+        assert outs["1"] == outs["2"]
+        assert outs["1"][2].count(b"\r\n") > 1   # some detections written
 
     def test_metrics_subcommand(self, tmp_path):
         rng = np.random.default_rng(3)

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
-from oracles import localize_sparse_complex, ulm_model_complex
+from oracles import localize_sparse_complex, ulm_model_complex, ulm_model_fft
 
 from usproc import ulm as ulm_module
+from usproc.errors import DimensionMismatchError
 from usproc.sparse import ista_step
 from usproc.ulm import (
     LocalizationSet,
@@ -81,6 +82,76 @@ class TestLocalizeSparse:
         x = localize_sparse(frames[0].image, psf, lam, 4, max_iters=500)
         assert np.all(x >= 0)
         assert np.count_nonzero(x) <= x.size
+
+
+def random_unit_peak_psf(shape, seed):
+    rng = np.random.default_rng(seed)
+    psf = rng.random(shape)
+    return psf / psf.max()
+
+
+class TestSeparableModel:
+    """The per-axis matrix operator against the FFT composition it replaced.
+
+    Both compute the same linear map in a different floating-point order,
+    so they agree to roundoff: stated tolerance 1e-12 of the reference's
+    largest magnitude, for the forward and the adjoint map.
+    """
+
+    @pytest.mark.parametrize("lr_shape,psf,factor", [
+        ((16, 16), gaussian_psf(2.0), 4),
+        ((12, 10), gaussian_psf(0.7), 3),
+        ((9, 13), gaussian_psf(5.0), 1),
+        ((10, 7), np.outer(np.hanning(8), np.hanning(10)), 3),  # even 8 x 10
+        ((3, 2), gaussian_psf(5.0), 3),                 # kernel 41 > HR 9, 6
+        ((7, 5), random_unit_peak_psf((5, 4), 1), 3),   # non-separable, r > 1
+        ((8, 11), random_unit_peak_psf((7, 7), 2), 1),
+    ])
+    def test_matches_fft_oracle(self, lr_shape, psf, factor):
+        psf = psf / psf.max()
+        forward, adjoint, hr_shape = ulm_module._hr_model(lr_shape, psf, factor)
+        ref_fwd, ref_adj, ref_shape = ulm_model_fft(lr_shape, psf, factor)
+        assert hr_shape == ref_shape
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal(hr_shape[0] * hr_shape[1])
+        y = rng.standard_normal(lr_shape[0] * lr_shape[1])
+        for new, ref in ((forward(x), ref_fwd(x)), (adjoint(y), ref_adj(y))):
+            assert new.dtype == np.float64 and new.shape == ref.shape
+            assert np.max(np.abs(new - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_cases_cover_rank_one_and_full_rank(self):
+        assert np.linalg.matrix_rank(gaussian_psf(2.0)) == 1
+        assert np.linalg.matrix_rank(random_unit_peak_psf((5, 4), 1)) == 4
+
+    @pytest.mark.parametrize("psf", [gaussian_psf(2.0),
+                                     random_unit_peak_psf((6, 3), 3)])
+    def test_adjoint_identity(self, psf):
+        forward, adjoint, hr_shape = ulm_module._hr_model((6, 9), psf, 2)
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            x = rng.standard_normal(hr_shape[0] * hr_shape[1])
+            y = rng.standard_normal(54)
+            lhs, rhs = np.dot(forward(x), y), np.dot(x, adjoint(y))
+            assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+    def test_rejects_bad_inputs(self):
+        psf = gaussian_psf(2.0)
+        with pytest.raises(ValueError, match="factor"):
+            ulm_module._hr_model((4, 4), psf, 0)
+        with pytest.raises(DimensionMismatchError):
+            ulm_module._hr_model((0, 4), psf, 2)
+        with pytest.raises(DimensionMismatchError):
+            ulm_module._hr_model((4, 4), np.zeros((0, 3)), 2)
+        with pytest.raises(ValueError, match="finite"):
+            localize_sparse(np.ones((4, 4)), np.where(psf < 1.0, np.nan, psf),
+                            0.1, 2)
+
+    def test_max_correlation_is_the_model_adjoint(self):
+        frame = simulate_bubbles((32, 24), 1, 3.0, 2.0, 4, 30.0, 4)[0].image
+        psf = gaussian_psf(2.0)
+        _, ref_adj, _ = ulm_model_fft(frame.shape, psf, 4)
+        ref = np.max(np.abs(ref_adj(frame.ravel())))
+        assert max_correlation(frame, psf, 4) == pytest.approx(ref, rel=1e-12)
 
 
 class TestRealSolveAgainstComplexOracle:
