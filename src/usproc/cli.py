@@ -172,15 +172,37 @@ def _check_ranges(cfg: PipelineConfig) -> None:
     if c < 2:
         raise ConfigError(f"sim.num_elements must be >= 2, got {c}")
     nz = cfg.get_int("bf.grid_nz")
-    if 0 < nz < 4:   # envelope detection needs 4 axial samples
+    if nz < 0 or 0 < nz < 4:   # envelope detection needs 4 axial samples
         raise ConfigError(f"bf.grid_nz must be 0 (auto) or >= 4, got {nz}")
-    for key in ("sparse.lambda_frac", "sparse.tol", "ulm.lambda_frac",
-                "ulm.psf_sigma", "ulm.tol"):
+    for key in ("sim.f0", "sim.v", "sim.pitch_factor", "sim.fs_factor",
+                "bf.dyn_range", "sparse.lambda_frac", "sparse.tol",
+                "ulm.lambda_frac", "ulm.psf_sigma", "ulm.tol"):
         value = cfg.get_float(key)
         if not 0.0 < value < math.inf:
             raise ConfigError(f"{key} must be finite and > 0, got {value}")
-    for key in ("sparse.max_iters", "ulm.factor", "ulm.window_radius",
-                "ulm.max_iters"):
+    # element coordinates get squared and delays scaled by fs: no overflow
+    f0 = cfg.get_float("sim.f0")
+    half_aperture = (cfg.get_float("sim.pitch_factor") * cfg.get_float("sim.v")
+                     / f0 * (c - 1) / 2.0)
+    if not half_aperture * half_aperture < math.inf:
+        raise ConfigError(f"sim.pitch_factor, sim.v and sim.f0 give a half "
+                          f"aperture of {half_aperture:.3g} m, too wide to "
+                          f"square")
+    if not cfg.get_float("sim.fs_factor") * f0 < math.inf:
+        raise ConfigError("sim.fs_factor * sim.f0 overflows")
+    for key in ("sim.noise_std", "bf.eps"):
+        value = cfg.get_float(key)
+        if not 0.0 <= value < math.inf:
+            raise ConfigError(f"{key} must be finite and >= 0, got {value}")
+    amplitude = cfg.get_float("sim.amplitude")
+    if not math.isfinite(amplitude):
+        raise ConfigError(f"sim.amplitude must be finite, got {amplitude}")
+    for key in ("sim.nt", "bf.sub_l", "bf.k", "bf.grid_nx"):
+        value = cfg.get_int(key)
+        if value < 0:
+            raise ConfigError(f"{key} must be >= 0, got {value}")
+    for key in ("bf.iters", "sparse.max_iters", "ulm.factor",
+                "ulm.window_radius", "ulm.max_iters"):
         value = cfg.get_int(key)
         if value < 1:
             raise ConfigError(f"{key} must be >= 1, got {value}")
@@ -295,14 +317,21 @@ def _auto_nt(array, events, field, v, pulse) -> int:
     sc = field.scatterers
     if sc.shape[0] == 0:
         return 256
-    rx = np.sqrt((elem[:, 0:1] - sc[None, :, 0]) ** 2
-                 + (elem[:, 1:2] - sc[None, :, 1]) ** 2).max(axis=0)
-    tau_max = 0.0
-    for ev in events:
-        tx = transmit_distances(ev, sc[:, 0], sc[:, 1])
-        tau_max = max(tau_max, float(np.max(tx + rx)) / v)
+    with np.errstate(over="ignore"):   # an overflow is reported below
+        rx = np.sqrt((elem[:, 0:1] - sc[None, :, 0]) ** 2
+                     + (elem[:, 1:2] - sc[None, :, 1]) ** 2).max(axis=0)
+        tau_max = 0.0
+        for ev in events:
+            tx = transmit_distances(ev, sc[:, 0], sc[:, 1])
+            tau_max = max(tau_max, float(np.max(tx + rx)) / v)
     tail = 4.0 * pulse.sigma_t
-    return int(math.ceil((tau_max + tail) * array.sampling_frequency)) + 2
+    window = (tau_max + tail) * array.sampling_frequency
+    if not math.isfinite(window):
+        raise ConfigError(
+            "sim.nt = 0 (auto): the deepest round trip is not finite; check "
+            "sim.pitch_factor, sim.v, sim.f0 and sim.fs_factor against the "
+            "field's extent, or set sim.nt")
+    return int(math.ceil(window)) + 2
 
 
 def _simulate_from(cfg: PipelineConfig, field: ScattererField, seed: int):
@@ -315,12 +344,7 @@ def _simulate_from(cfg: PipelineConfig, field: ScattererField, seed: int):
                            cfg.get_float("sim.bandwidth"),
                            cfg.get_float("sim.amplitude"))
     noise_std = cfg.get_float("sim.noise_std")
-    if not noise_std >= 0.0:
-        raise ConfigError(f"sim.noise_std must be >= 0, got {noise_std}")
-    nt = cfg.get_int("sim.nt")
-    if nt < 0:
-        raise ConfigError(f"sim.nt must be >= 0, got {nt}")
-    nt = nt or _auto_nt(array, events, field, v, pulse)
+    nt = cfg.get_int("sim.nt") or _auto_nt(array, events, field, v, pulse)
     cube = simulate(array, events, field, pulse, v, nt, noise_std, seed)
     return cube, array, pulse
 

@@ -17,6 +17,14 @@ exactly +-0.0, which leaves every nonzero partial sum unchanged, so the
 windowed sum equals the whole-trace sum bit for bit as long as the echoes
 of a scatterer chunk are still added in scatterer order and each chunk's sum
 is then added to the trace.
+
+A synthetic-aperture set is reciprocal: the echo sent from element i and
+received on element j equals the echo sent from j and received on i (Prada &
+Fink, Wave Motion 1994).  For an SA event transmitting from its own element
+the transmit leg is that element's receive leg bit for bit, since
+(x - o)^2 = (o - x)^2 exactly, and the sum of the two legs is commutative, so
+each pair's noise-free trace is computed once and copied to its mirrored
+(event, channel) slot.  A full SA set evaluates C(C+1)/2 of its C^2 traces.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ import numpy as np
 
 from .core import (
     PLANE_WAVE,
+    SYNTHETIC_APERTURE,
     RfDataCube,
     ScattererField,
     TransducerArray,
@@ -95,6 +104,16 @@ def transmit_distances(event: TransmitEvent, xs, zs) -> np.ndarray:
     return np.sqrt((xs - ox) ** 2 + (zs - oz) ** 2)
 
 
+def _own_element(event: TransmitEvent, elem: np.ndarray) -> int | None:
+    """Index i of the element an SA event transmits from when its origin is
+    exactly element i's position, else None."""
+    i = event.element_index
+    if (event.scheme == SYNTHETIC_APERTURE and 0 <= i < len(elem)
+            and event.origin == tuple(elem[i])):
+        return i
+    return None
+
+
 def simulate(array: TransducerArray, events, field: ScattererField,
              pulse: PulseModel, v: float, nt: int, noise_std: float,
              seed: int) -> RfDataCube:
@@ -105,6 +124,12 @@ def simulate(array: TransducerArray, events, field: ScattererField,
     arrival time x sin(theta) + z cos(theta) in place of a point-source
     distance).  Raises ``depth-exceeds-window`` if the deepest scatterer's
     round trip does not fit in the nt-sample window.
+
+    By reciprocity, an SA event transmitting from its own element i copies
+    trace (e', i) into channel c for every earlier such event e' sent from
+    element c, and evaluates only its other channels; the copy is bit for
+    bit what evaluating would give.  Noise is added afterwards, keyed per
+    (event, channel), so noisy traces are not mirrored.
     """
     events = tuple(events)
     if not events:
@@ -127,6 +152,8 @@ def simulate(array: TransducerArray, events, field: ScattererField,
     offsets = np.arange(width)
     row_starts = (np.arange(c_count) * nt)[:, None, None]
     samples = np.zeros((len(events), c_count, nt))
+    # sender[c]: an earlier event that transmitted from element c's position
+    sender = np.full(c_count, -1)
     for e, event in enumerate(events):
         tx_dist = transmit_distances(event, xs, zs)
         if len(field):
@@ -135,18 +162,27 @@ def simulate(array: TransducerArray, events, field: ScattererField,
                 raise DepthExceedsWindowError(
                     f"depth-exceeds-window: max delay {tau_max:.3e}s needs "
                     f"Nt > {tau_max * fs + 1:.0f} at fs={fs:.3e}")
+        rows = slice(None)
+        own = _own_element(event, elem)
+        if own is not None:
+            sent = sender >= 0
+            rows = np.flatnonzero(~sent)
         for lo in range(0, len(field), _SCATTERER_CHUNK):
             hi = min(lo + _SCATTERER_CHUNK, len(field))
-            tau = (tx_dist[None, lo:hi] + rx_dist[:, lo:hi]) / v  # (C, k)
+            tau = (tx_dist[None, lo:hi] + rx_dist[rows, lo:hi]) / v  # (R, k)
             first = np.floor(tau * fs).astype(np.int64) - half
             np.clip(first, 0, nt - width, out=first)
-            window = first[:, :, None] + offsets                  # (C, k, W)
+            window = first[:, :, None] + offsets                     # (R, k, W)
             arg = t_axis[window] - tau[:, :, None]
             echoes = gaussian_pulse(pulse, arg) * amps[None, lo:hi, None]
             # bincount adds in input order: scatterers in order per sample
             samples[e] += np.bincount(
-                (window + row_starts).ravel(), echoes.ravel(),
+                (window + row_starts[rows]).ravel(), echoes.ravel(),
                 c_count * nt).reshape(c_count, nt)
+        if own is not None:
+            # reciprocity: trace (e, c) is trace (sender[c], own)
+            samples[e, sent] = samples[sender[sent], own]
+            sender[own] = e
     if noise_std > 0.0:
         for e in range(len(events)):
             for ch in range(c_count):

@@ -136,6 +136,52 @@ class TestExitCodes:
         assert err.startswith("config error:") and key in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["simulate", "demo"])
+    @pytest.mark.parametrize("key,value", [
+        ("sim.fs_factor", "inf"), ("sim.fs_factor", "1e305"),
+        ("sim.pitch_factor", "1e300"), ("sim.v", "1e300"),
+        ("sim.f0", "1e-300"), ("sim.amplitude", "nan"),
+        ("sim.amplitude", "inf"), ("sim.noise_std", "inf"),
+        ("sim.nt", "-3")])
+    def test_bad_simulator_value_exit_1_before_reading(self, tmp_path, capsys,
+                                                       command, key, value):
+        # the field file does not exist: reading it would exit 2
+        argv = {"simulate": ["simulate", "--field", str(tmp_path / "f.txt"),
+                             "--out", str(tmp_path / "c.urf")],
+                "demo": ["demo", "--out", str(tmp_path / "d")]}[command]
+        rc = run(argv + ["--set", key, value])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_auto_window_overflow_exit_1(self, tmp_path, capsys):
+        # a scatterer so far off that its squared distance overflows
+        field = write_field(tmp_path / "f.txt", "1e200 0.008 1.0\n")
+        rc = run(["simulate", "--field", field, "--out", str(tmp_path / "c.urf")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "sim.nt" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["f.txt"]
+
+    @pytest.mark.parametrize("command", ["beamform", "demo"])
+    @pytest.mark.parametrize("key,value", [
+        ("bf.k", "-1"), ("bf.eps", "-1"), ("bf.eps", "inf"), ("bf.eps", "nan"),
+        ("bf.dyn_range", "0"), ("bf.dyn_range", "-60"),
+        ("bf.dyn_range", "inf"), ("bf.sub_l", "-1"), ("bf.iters", "0"),
+        ("bf.grid_nx", "-3"), ("bf.grid_nz", "-3")])
+    def test_bad_beamform_value_exit_1(self, tmp_path, capsys, command, key,
+                                       value):
+        # the cube does not exist: reading it would exit 2
+        argv = {"beamform": ["beamform", "--in", str(tmp_path / "c.urf"),
+                             "--out", str(tmp_path / "img")],
+                "demo": ["demo", "--out", str(tmp_path / "d")]}[command]
+        rc = run(argv + ["--set", key, value])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("command", ["deconvolve", "recover"])
     @pytest.mark.parametrize("key,value", [
         ("sparse.lambda_frac", "0"), ("sparse.lambda_frac", "-0.015"),

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from oracles import dft_direct, simulate_full_trace
-from usproc.core import ScattererField, TransducerArray, TransmitEvent
+from usproc import simulator
+from usproc.core import (
+    SYNTHETIC_APERTURE,
+    ScattererField,
+    TransducerArray,
+    TransmitEvent,
+)
 from usproc.errors import DepthExceedsWindowError, EmptyEventsError
 from usproc.simulator import PulseModel, gaussian_pulse, simulate
 
@@ -264,3 +270,110 @@ class TestWindowedEchoesMatchWholeTrace:
         ref = simulate_full_trace(arr, events, field, pulse, V, 2)
         assert np.all(ref != 0)
         assert np.array_equal(bits(cube.samples), bits(ref))
+
+
+def sa_events(arr, order):
+    return [TransmitEvent.synthetic_aperture(i, arr) for i in order]
+
+
+def assert_matches_oracle(arr, events, field, pulse=PulseModel(F0, 0.6)):
+    nt = tight_nt(arr, events, field, V)
+    cube = simulate(arr, events, field, pulse, V, nt, 0.0, 0)
+    ref = simulate_full_trace(arr, events, field, pulse, V, nt)
+    assert np.any(ref)
+    assert np.array_equal(bits(cube.samples), bits(ref))
+    return cube
+
+
+class TestReciprocity:
+    """SA traces copied to their mirrored slot equal evaluated ones bit for
+    bit, and every other event is simulated as before."""
+
+    @pytest.mark.parametrize("order", ["forward", "reversed", "shuffled"])
+    @pytest.mark.parametrize("n", [16, 75])
+    def test_full_set(self, order, n):
+        # 75 scatterers span three chunks
+        arr = make_array(7)
+        idx = {"forward": range(7), "reversed": range(6, -1, -1),
+               "shuffled": np.random.default_rng(n).permutation(7)}[order]
+        cube = assert_matches_oracle(arr, sa_events(arr, idx),
+                                     random_field(np.random.default_rng(n), n))
+        # reciprocity itself: trace (i -> j) equals trace (j -> i)
+        pos = np.argsort(list(idx))
+        full = cube.samples[pos]
+        assert np.array_equal(bits(full), bits(full.transpose(1, 0, 2)))
+
+    def test_subset_of_elements(self):
+        arr = make_array(8)
+        assert_matches_oracle(arr, sa_events(arr, [5, 1, 6, 2]),
+                              random_field(np.random.default_rng(3), 40))
+
+    def test_duplicated_events(self):
+        arr = make_array(5)
+        cube = assert_matches_oracle(arr, sa_events(arr, [2, 0, 2, 4, 0, 2]),
+                                     random_field(np.random.default_rng(4), 33))
+        assert np.array_equal(bits(cube.samples[0]), bits(cube.samples[2]))
+
+    def test_mixed_with_plane_waves(self):
+        arr = make_array(6)
+        events = [TransmitEvent.plane_wave(0.2)] + sa_events(arr, [0, 3]) \
+            + [TransmitEvent.plane_wave(-0.1)] + sa_events(arr, [5, 3, 1])
+        assert_matches_oracle(arr, events,
+                              random_field(np.random.default_rng(5), 50))
+
+    def test_events_off_their_element_are_not_mirrored(self):
+        # origins beside or on another element, and element indices outside
+        # the array: all simulated from their origin, none raises IndexError
+        arr = make_array(6)
+        elem = arr.element_positions
+        off = [TransmitEvent(SYNTHETIC_APERTURE, origin=(elem[2, 0] + 1e-4, 0.0),
+                             element_index=2),
+               TransmitEvent(SYNTHETIC_APERTURE, origin=tuple(elem[4]),
+                             element_index=1),
+               TransmitEvent(SYNTHETIC_APERTURE, origin=tuple(elem[0]),
+                             element_index=6),
+               TransmitEvent(SYNTHETIC_APERTURE, origin=tuple(elem[5]),
+                             element_index=-1)]
+        assert_matches_oracle(arr, sa_events(arr, range(6)) + off,
+                              random_field(np.random.default_rng(6), 20))
+
+    def test_noise_added_after_mirroring(self):
+        arr = make_array(5)
+        events = sa_events(arr, [0, 1, 2, 3, 4, 2])
+        field = random_field(np.random.default_rng(8), 40)
+        pulse = PulseModel(F0, 0.6)
+        nt = tight_nt(arr, events, field, V)
+        noisy = simulate(arr, events, field, pulse, V, nt, 0.05, 11).samples
+        noise = simulate(arr, events, ScattererField(np.zeros((0, 3))), pulse,
+                         V, nt, 0.05, 11).samples
+        ref = simulate_full_trace(arr, events, field, pulse, V, nt) + noise
+        assert np.array_equal(bits(noisy), bits(ref))
+        # each (event, channel) gets its own noise, so mirrored slots differ
+        assert not np.array_equal(noisy[0, 1], noisy[1, 0])
+
+    def test_full_set_evaluates_half_the_traces(self, monkeypatch):
+        evaluated = []
+
+        def counting_pulse(pulse, t):
+            evaluated.append(np.size(t))
+            return gaussian_pulse(pulse, t)
+
+        monkeypatch.setattr(simulator, "gaussian_pulse", counting_pulse)
+        c = 9
+        arr = make_array(c)
+        field = random_field(np.random.default_rng(9), 40)
+        pulse = PulseModel(F0, 0.6)
+        elem = arr.element_positions
+
+        def samples_evaluated(events):
+            evaluated.clear()
+            simulate(arr, events, field, pulse, V, 400, 0.0, 0)
+            return sum(evaluated)
+
+        one = samples_evaluated(sa_events(arr, [0]))        # all C traces
+        full = samples_evaluated(sa_events(arr, range(c)))
+        assert 2 * full == one * (c + 1)                    # C(C+1)/2 traces
+        shifted = [TransmitEvent(SYNTHETIC_APERTURE, origin=(x + 1e-9, z),
+                                 element_index=i)
+                   for i, (x, z) in enumerate(elem)]
+        assert samples_evaluated(shifted) == one * c        # C^2 traces
