@@ -2,7 +2,8 @@
 
 Subcommands: simulate, beamform, recover, deconvolve, clutter, ulm,
 metrics, demo.  Every run resolves a flat ``key = value`` configuration
-(defaults, then ``--config`` file, then flags), logs it to a sidecar
+(defaults, then ``--config`` file, then flags), checks every key against its
+domain in ``CONFIG_SCHEMA`` before any input is read, logs it to a sidecar
 ``.config.txt`` next to the primary output, and draws all randomness from
 the single ``--seed`` flag, so outputs are byte-reproducible.
 
@@ -14,8 +15,8 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from contextlib import contextmanager
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -42,73 +43,138 @@ from .simulator import PulseModel, simulate, transmit_distances
 # ---------------------------------------------------------------------------
 # Configuration
 
-#: key -> (default as string, help text); every key has a documented default.
-CONFIG_DEFAULTS: dict[str, tuple[str, str]] = {
-    "sim.num_elements": ("32", "transducer element count C"),
-    "sim.pitch_factor": ("0.5", "element pitch in wavelengths (lambda/2 default)"),
-    "sim.f0": ("5e6", "pulse center frequency [Hz]"),
-    "sim.fs_factor": ("8.0", "sampling rate as a multiple of f0"),
-    "sim.bandwidth": ("0.6", "pulse fractional bandwidth"),
-    "sim.amplitude": ("1.0", "pulse amplitude"),
-    "sim.v": ("1540.0", "speed of sound [m/s]"),
-    "sim.nt": ("0", "samples per trace; 0 = auto from deepest scatterer"),
-    "sim.noise_std": ("0.0", "channel noise standard deviation"),
-    "sim.scheme": ("pw", "transmit scheme: pw (plane waves) or sa"),
-    "sim.pw_angles": ("0.0", "comma-separated plane-wave angles [rad]"),
-    "bf.method": ("das", "beamformer: das, mv, wiener, cf, imap"),
-    "bf.apod": ("rect", "apodization: rect, hanning, hamming"),
-    "bf.iters": ("2", "iMAP iterations"),
-    "bf.sub_l": ("0", "MV subaperture length L; 0 = C/2"),
-    "bf.k": ("2", "MV axial half-window K"),
-    "bf.eps": ("0.01", "MV diagonal loading fraction"),
-    "bf.dyn_range": ("60.0", "display dynamic range [dB]"),
-    "bf.compound": ("channel", "multi-event handling: channel, mean, mv"),
-    "bf.grid_lat_min": ("nan", "grid lateral min [m]; nan = aperture edge"),
-    "bf.grid_lat_max": ("nan", "grid lateral max [m]; nan = aperture edge"),
-    "bf.grid_ax_min": ("nan", "grid axial min [m]; nan = one wavelength"),
-    "bf.grid_ax_max": ("nan", "grid axial max [m]; nan = recording depth"),
-    "bf.grid_nx": ("0", "grid lateral pixel count; 0 = one per half wavelength"),
-    "bf.grid_nz": ("0", "grid axial pixel count; 0 = one per quarter wavelength"),
-    "sparse.lambda": ("0.0", "absolute l1 weight; 0 = use lambda_frac"),
-    "sparse.lambda_frac": ("0.015", "l1 weight as a fraction of ||A^H y||_inf"),
-    "sparse.max_iters": ("5000", "ISTA iteration cap"),
-    "sparse.tol": ("1e-8", "ISTA relative-change stopping tolerance"),
-    "clutter.lambda1": ("0.0", "nuclear-norm weight; 0 = s1/sqrt(max(NM,T))"),
-    "clutter.lambda2": ("0.0", "mixed-norm weight; 0 = 0.5*lambda1"),
-    "clutter.mu1": ("0.5", "RPCA tissue gradient step"),
-    "clutter.mu2": ("0.5", "RPCA blood gradient step"),
-    "clutter.iters": ("500", "RPCA iteration cap"),
-    "clutter.tol": ("1e-6", "RPCA relative-change stopping tolerance"),
-    "ulm.factor": ("4", "super-resolution factor (HR pixels per LR pixel)"),
-    "ulm.psf_sigma": ("2.0", "Gaussian PSF sigma [HR px]"),
-    "ulm.lambda_frac": ("0.05", "l1 weight as a fraction of ||A^H y||_inf"),
-    "ulm.threshold": ("0.10", "centroid detection threshold fraction"),
-    "ulm.window_radius": ("1", "centroid merge/refine radius [px]"),
-    "ulm.method": ("sparse", "localization method: sparse or centroid"),
-    "ulm.max_iters": ("700", "ISTA iteration cap for localization"),
-    "ulm.tol": ("1e-5", "ISTA stopping tolerance for localization"),
-    "metrics.region_a": ("", "rectangle x0,z0,x1,z1 [m] (region A)"),
-    "metrics.region_b": ("", "rectangle x0,z0,x1,z1 [m] (region B)"),
-    "demo.num_scatterers": ("300", "speckle scatterers in the demo phantom"),
-    "demo.cyst_radius": ("2e-3", "anechoic cyst radius [m]"),
-    "demo.cyst_cx": ("0.0", "cyst lateral center [m]"),
-    "demo.cyst_cz": ("0.02", "cyst axial center [m]"),
+#: Cap, in elements (2 GiB of float64), on any array whose size config values
+#: set; a larger one is a config error before anything is allocated.
+MAX_ELEMENTS = 2 ** 28
+
+
+class Domain(NamedTuple):
+    """The values a key accepts: how its raw string parses, what the parsed
+    value must satisfy, and the text that errors and the README quote."""
+
+    text: str
+    parse: Callable[[str], Any]
+    holds: Callable[[Any], bool]
+
+
+def _ints(least: int) -> Domain:
+    return Domain(f"int >= {least}", int, lambda n: n >= least)
+
+
+def _choice(*names: str) -> Domain:
+    return Domain("one of " + ", ".join(names), str, lambda s: s in names)
+
+
+def _float_list(raw: str) -> list[float]:
+    return [float(p) for p in raw.split(",")] if raw.strip() else []
+
+
+_POSITIVE = Domain("finite float > 0", float, lambda x: 0 < x < math.inf)
+_NON_NEGATIVE = Domain("finite float >= 0", float, lambda x: 0 <= x < math.inf)
+_LATERAL = Domain("nan (auto) or finite float", float, lambda x: not math.isinf(x))
+_AXIAL = Domain("nan (auto) or finite float > 0", float,
+                lambda x: math.isnan(x) or 0 < x < math.inf)
+_UNIT = Domain("float in (0, 1)", float, lambda x: 0 < x < 1)
+_STEP = Domain("float in (0, 1]", float, lambda x: 0 < x <= 1)
+_METERS = Domain("float in [-1, 1]", float, lambda x: -1 <= x <= 1)
+_ANGLES = Domain("non-empty list of floats in (-pi/2, pi/2)", _float_list,
+                 lambda a: bool(a) and all(-math.pi / 2 < x < math.pi / 2 for x in a))
+_REGION = Domain("empty, or four finite floats x0,z0,x1,z1", _float_list,
+                 lambda r: not r or (len(r) == 4 and all(map(math.isfinite, r))))
+
+_GRID_KEYS = ("bf.grid_lat_min", "bf.grid_lat_max", "bf.grid_ax_min", "bf.grid_ax_max")
+
+#: key -> (default as string, domain, help text).
+CONFIG_SCHEMA: dict[str, tuple[str, Domain, str]] = {
+    "sim.num_elements": ("32", _ints(2), "transducer element count C"),
+    "sim.pitch_factor": ("0.5", _POSITIVE, "element pitch in wavelengths (lambda/2 default)"),
+    "sim.f0": ("5e6", _POSITIVE, "pulse center frequency [Hz]"),
+    "sim.fs_factor": ("8.0", Domain("finite float > 2", float, lambda x: 2 < x < math.inf),
+                      "sampling rate as a multiple of f0"),
+    "sim.bandwidth": ("0.6", Domain("float in (0, 2)", float, lambda x: 0 < x < 2),
+                      "pulse fractional bandwidth"),
+    "sim.amplitude": ("1.0", Domain("finite float", float, math.isfinite), "pulse amplitude"),
+    "sim.v": ("1540.0", _POSITIVE, "speed of sound [m/s]"),
+    "sim.nt": ("0", _ints(0), "samples per trace; 0 = auto from deepest scatterer"),
+    "sim.noise_std": ("0.0", _NON_NEGATIVE, "channel noise standard deviation"),
+    "sim.scheme": ("pw", _choice("pw", "sa"), "transmit scheme: plane waves or SA"),
+    "sim.pw_angles": ("0.0", _ANGLES, "comma-separated plane-wave angles [rad]"),
+    "bf.method": ("das", _choice("das", "mv", "wiener", "cf", "imap"), "beamformer"),
+    "bf.apod": ("rect", _choice("rect", "hanning", "hamming"), "apodization"),
+    "bf.iters": ("2", _ints(1), "iMAP iterations"),
+    "bf.sub_l": ("0", _ints(0), "MV subaperture length L <= C; 0 = C/2"),
+    "bf.k": ("2", _ints(0), "MV axial half-window K"),
+    "bf.eps": ("0.01", _NON_NEGATIVE, "MV diagonal loading fraction"),
+    "bf.dyn_range": ("60.0", _POSITIVE, "display dynamic range [dB]"),
+    "bf.compound": ("channel", _choice("channel", "mean", "mv"), "multi-event handling"),
+    "bf.grid_lat_min": ("nan", _LATERAL, "grid lateral min [m]; nan = aperture edge"),
+    "bf.grid_lat_max": ("nan", _LATERAL, "grid lateral max [m]; nan = aperture edge"),
+    "bf.grid_ax_min": ("nan", _AXIAL, "grid axial min [m]; nan = one wavelength"),
+    "bf.grid_ax_max": ("nan", _AXIAL, "grid axial max [m]; nan = recording depth"),
+    "bf.grid_nx": ("0", _ints(0), "grid lateral pixel count; 0 = one per half wavelength"),
+    "bf.grid_nz": ("0", Domain("0 (auto) or int >= 4", int, lambda n: n == 0 or n >= 4),
+                   "grid axial pixel count (envelope detection needs 4); "
+                   "0 = one per quarter wavelength"),
+    "sparse.lambda": ("0.0", _NON_NEGATIVE, "absolute l1 weight; 0 = use lambda_frac"),
+    "sparse.lambda_frac": ("0.015", _POSITIVE, "l1 weight as a fraction of ||A^H y||_inf"),
+    "sparse.max_iters": ("5000", _ints(1), "ISTA iteration cap"),
+    "sparse.tol": ("1e-8", _POSITIVE, "ISTA relative-change stopping tolerance"),
+    "clutter.lambda1": ("0.0", _NON_NEGATIVE, "nuclear-norm weight; 0 = s1/sqrt(max(NM,T))"),
+    "clutter.lambda2": ("0.0", _NON_NEGATIVE, "mixed-norm weight; 0 = 0.5*lambda1"),
+    "clutter.mu1": ("0.5", _STEP, "RPCA tissue gradient step"),
+    "clutter.mu2": ("0.5", _STEP, "RPCA blood gradient step"),
+    "clutter.iters": ("500", _ints(1), "RPCA iteration cap"),
+    "clutter.tol": ("1e-6", _POSITIVE, "RPCA relative-change stopping tolerance"),
+    "ulm.factor": ("4", _ints(1), "super-resolution factor (HR pixels per LR pixel)"),
+    "ulm.psf_sigma": ("2.0", _POSITIVE, "Gaussian PSF sigma [HR px]"),
+    "ulm.lambda_frac": ("0.05", _POSITIVE, "l1 weight as a fraction of ||A^H y||_inf"),
+    "ulm.threshold": ("0.10", _UNIT, "centroid detection threshold fraction"),
+    "ulm.window_radius": ("1", _ints(1), "centroid merge/refine radius [px]"),
+    "ulm.method": ("sparse", _choice("sparse", "centroid"), "localization method"),
+    "ulm.max_iters": ("700", _ints(1), "ISTA iteration cap for localization"),
+    "ulm.tol": ("1e-5", _POSITIVE, "ISTA stopping tolerance for localization"),
+    "metrics.region_a": ("", _REGION, "rectangle [m] (region A)"),
+    "metrics.region_b": ("", _REGION, "rectangle [m] (region B)"),
+    "demo.num_scatterers": ("300", _ints(1), "speckle scatterers in the demo phantom"),
+    "demo.cyst_radius": ("2e-3", _STEP, "anechoic cyst radius [m]"),
+    "demo.cyst_cx": ("0.0", _METERS, "cyst lateral center [m]"),
+    "demo.cyst_cz": ("0.02", _METERS, "cyst axial center [m]"),
 }
 
 
+def _parse(key: str, raw: str):
+    """``raw`` as a value in ``key``'s domain; ConfigError names the key."""
+    domain = CONFIG_SCHEMA[key][1]
+    try:
+        value = domain.parse(raw)
+    except ValueError:
+        pass
+    else:
+        if raw.isascii() and domain.holds(value):   # the dump is ASCII
+            return value
+    raise ConfigError(f"{key}: expected {domain.text}, got {raw!r}")
+
+
 class PipelineConfig:
-    """Flat, namespaced key=value map with documented defaults."""
+    """Flat, namespaced key = value map over ``CONFIG_SCHEMA``.
+
+    ``values`` keeps every raw string as given, so the dump is a ``--config``
+    file that reproduces the run; :meth:`parse` checks each key against its
+    domain once, and ``cfg[key]`` then returns the typed value.
+    """
 
     def __init__(self):
-        self.values = {k: d for k, (d, _) in CONFIG_DEFAULTS.items()}
+        self.values = {k: default for k, (default, _, _) in CONFIG_SCHEMA.items()}
+        self.typed: dict[str, Any] = {}
 
     def set(self, key: str, value: str) -> None:
-        if key not in CONFIG_DEFAULTS:
+        if key not in CONFIG_SCHEMA:
             raise ConfigError(f"unknown config key '{key}'")
         self.values[key] = str(value)
 
     def load_file(self, path) -> None:
-        with open(path, "r", encoding="ascii") as fh:
+        # a non-ASCII byte decodes to U+FFFD, which no key or domain accepts
+        with open(path, "r", encoding="ascii", errors="replace") as fh:
             for lineno, line in enumerate(fh, 1):
                 body = line.split("#", 1)[0].strip()
                 if not body:
@@ -118,29 +184,11 @@ class PipelineConfig:
                 key, value = (part.strip() for part in body.split("=", 1))
                 self.set(key, value)
 
-    def get_str(self, key: str) -> str:
-        return self.values[key]
+    def parse(self) -> None:
+        self.typed = {key: _parse(key, raw) for key, raw in self.values.items()}
 
-    def get_float(self, key: str) -> float:
-        try:
-            return float(self.values[key])
-        except ValueError as exc:
-            raise ConfigError(f"config key '{key}': {exc}") from None
-
-    def get_int(self, key: str) -> int:
-        try:
-            return int(self.values[key])
-        except ValueError as exc:
-            raise ConfigError(f"config key '{key}': {exc}") from None
-
-    def get_floats(self, key: str) -> list[float]:
-        raw = self.values[key].strip()
-        if not raw:
-            return []
-        try:
-            return [float(p) for p in raw.split(",")]
-        except ValueError as exc:
-            raise ConfigError(f"config key '{key}': {exc}") from None
+    def __getitem__(self, key: str):
+        return self.typed[key]
 
     def dump(self, path, seed: int) -> None:
         with open(path, "w", encoding="ascii") as fh:
@@ -150,7 +198,10 @@ class PipelineConfig:
                 fh.write(f"{key} = {self.values[key]}\n")
 
 
-def _resolve_config(args) -> PipelineConfig:
+def _resolve_config(args, fill=None) -> PipelineConfig:
+    """Defaults, then ``--config``, then ``--set`` pairs and flags; every key
+    parsed in its domain and the cross-key rules checked before any input is
+    read.  ``fill`` sets keys still at nan (auto) to the caller's values."""
     cfg = PipelineConfig()
     if getattr(args, "config", None):
         cfg.load_file(args.config)
@@ -160,122 +211,107 @@ def _resolve_config(args) -> PipelineConfig:
         value = getattr(args, flag, None)
         if value is not None:
             cfg.set(key, str(value))
-    _check_ranges(cfg)
+    cfg.parse()
+    for key, value in (fill or {}).items():
+        if math.isnan(cfg[key]):
+            cfg.values[key], cfg.typed[key] = repr(value), value
+    _check_relations(cfg)
     return cfg
 
 
-def _check_ranges(cfg: PipelineConfig) -> None:
-    """Reject values that would otherwise fail mid-run, as data errors or raw
-    exceptions, or that would silently do nothing (a zero lambda fraction or
-    iteration cap)."""
-    c = cfg.get_int("sim.num_elements")
-    if c < 2:
-        raise ConfigError(f"sim.num_elements must be >= 2, got {c}")
-    nz = cfg.get_int("bf.grid_nz")
-    if nz < 0 or 0 < nz < 4:   # envelope detection needs 4 axial samples
-        raise ConfigError(f"bf.grid_nz must be 0 (auto) or >= 4, got {nz}")
-    for key in ("sim.f0", "sim.v", "sim.pitch_factor", "sim.fs_factor",
-                "bf.dyn_range", "sparse.lambda_frac", "sparse.tol",
-                "ulm.lambda_frac", "ulm.psf_sigma", "ulm.tol"):
-        value = cfg.get_float(key)
-        if not 0.0 < value < math.inf:
-            raise ConfigError(f"{key} must be finite and > 0, got {value}")
-    # element coordinates get squared and delays scaled by fs: no overflow
-    f0 = cfg.get_float("sim.f0")
-    half_aperture = (cfg.get_float("sim.pitch_factor") * cfg.get_float("sim.v")
-                     / f0 * (c - 1) / 2.0)
-    if not half_aperture * half_aperture < math.inf:
-        raise ConfigError(f"sim.pitch_factor, sim.v and sim.f0 give a half "
-                          f"aperture of {half_aperture:.3g} m, too wide to "
-                          f"square")
-    if not cfg.get_float("sim.fs_factor") * f0 < math.inf:
-        raise ConfigError("sim.fs_factor * sim.f0 overflows")
-    for key in ("sim.noise_std", "bf.eps"):
-        value = cfg.get_float(key)
-        if not 0.0 <= value < math.inf:
-            raise ConfigError(f"{key} must be finite and >= 0, got {value}")
-    amplitude = cfg.get_float("sim.amplitude")
-    if not math.isfinite(amplitude):
-        raise ConfigError(f"sim.amplitude must be finite, got {amplitude}")
-    for key in ("sim.nt", "bf.sub_l", "bf.k", "bf.grid_nx"):
-        value = cfg.get_int(key)
-        if value < 0:
-            raise ConfigError(f"{key} must be >= 0, got {value}")
-    for key in ("bf.iters", "sparse.max_iters", "ulm.factor",
-                "ulm.window_radius", "ulm.max_iters"):
-        value = cfg.get_int(key)
-        if value < 1:
-            raise ConfigError(f"{key} must be >= 1, got {value}")
-    thr = cfg.get_float("ulm.threshold")
-    if not 0.0 < thr < 1.0:
-        raise ConfigError(f"ulm.threshold must lie in (0, 1), got {thr}")
+def _check_size(what: str, *dims) -> None:
+    """Reject an array of prod(dims) elements above MAX_ELEMENTS."""
+    if not math.prod(dims) <= MAX_ELEMENTS:
+        raise ConfigError(f"{what} exceeds {MAX_ELEMENTS} (2**28) elements")
+
+
+def _check_aperture(c: int, pitch_factor: float, v: float, f0: float) -> None:
+    """The pitch must be a normal float, so element positions strictly
+    increase, and the half aperture must square finitely."""
+    pitch = pitch_factor * v / f0
+    half = pitch * (c - 1) / 2.0
+    if not (sys.float_info.min <= pitch and half * half < math.inf):
+        raise ConfigError(
+            f"sim.pitch_factor, sim.v, sim.f0 and sim.num_elements give a "
+            f"pitch of {pitch:.3g} m and a half aperture of {half:.3g} m")
+
+
+def _check_relations(cfg: PipelineConfig) -> None:
+    """The rules that tie keys together, each checked once, by name."""
+    c, f0 = cfg["sim.num_elements"], cfg["sim.f0"]
+    events = c if cfg["sim.scheme"] == "sa" else len(cfg["sim.pw_angles"])
+    _check_size("simulated cube E x C x Nt (sim.scheme, sim.pw_angles, "
+                "sim.num_elements, sim.nt)", events, c, max(cfg["sim.nt"], 1))
+    _check_aperture(c, cfg["sim.pitch_factor"], cfg["sim.v"], f0)
+    fs = cfg["sim.fs_factor"] * f0
+    if not 2.0 * f0 < fs < math.inf:
+        raise ConfigError(f"sim.fs_factor * sim.f0 = {fs:.3g} Hz must be "
+                          f"finite and exceed 2 * sim.f0")
+    bw = cfg["sim.bandwidth"]
+    _check_size("pulse envelope sigma_t * fs (sim.f0, sim.bandwidth, "
+                "sim.fs_factor)",
+                PulseModel(f0, bw).sigma_t * fs if f0 * bw > 0 else math.inf)
+    for lo, hi in (_GRID_KEYS[:2], _GRID_KEYS[2:]):
+        if cfg[lo] >= cfg[hi]:   # False while either is nan (auto)
+            raise ConfigError(f"{lo} = {cfg[lo]} must be below {hi} = {cfg[hi]}")
+    r = math.ceil(4.0 * cfg["ulm.psf_sigma"])   # ulm.gaussian_psf's radius
+    _check_size("ULM PSF (ulm.psf_sigma)", 2 * r + 1, 2 * r + 1)
 
 
 # ---------------------------------------------------------------------------
 # Shared pipeline pieces
 
 
-@contextmanager
-def _configured(what: str):
-    """Report a rejection of configured values while building ``what`` as a
-    ConfigError (exit 1) rather than letting the raw exception escape."""
-    try:
-        yield
-    except (ValueError, ArithmeticError) as exc:
-        raise ConfigError(f"{what}: {exc}") from None
-
-
-def _array_from(cfg: PipelineConfig, num_elements: int | None = None,
-                f0: float | None = None, v: float | None = None,
-                fs: float | None = None) -> TransducerArray:
-    c = num_elements if num_elements is not None else cfg.get_int("sim.num_elements")
-    f0 = f0 if f0 is not None else cfg.get_float("sim.f0")
-    v = v if v is not None else cfg.get_float("sim.v")
-    fs = fs if fs is not None else cfg.get_float("sim.fs_factor") * f0
-    pitch_factor = cfg.get_float("sim.pitch_factor")
-    with _configured("transducer array (sim.f0, sim.v, sim.pitch_factor, "
-                     "sim.fs_factor)"):
-        return TransducerArray.linear(c, pitch_factor * v / f0, f0, fs)
+def _array_from(cfg: PipelineConfig, c: int, f0: float, v: float,
+                fs: float) -> TransducerArray:
+    """A linear array of ``c`` elements, ``sim.pitch_factor`` wavelengths apart."""
+    _check_aperture(c, cfg["sim.pitch_factor"], v, f0)
+    return TransducerArray.linear(c, cfg["sim.pitch_factor"] * v / f0, f0, fs)
 
 
 def _events_from(cfg: PipelineConfig, array: TransducerArray):
-    scheme = cfg.get_str("sim.scheme")
-    if scheme == "pw":
-        angles = cfg.get_floats("sim.pw_angles")
-        if not angles:
-            raise ConfigError("sim.pw_angles must list at least one angle")
-        with _configured("sim.pw_angles"):
-            return [TransmitEvent.plane_wave(a) for a in angles]
-    if scheme == "sa":
+    if cfg["sim.scheme"] == "sa":
         return [TransmitEvent.synthetic_aperture(i, array)
                 for i in range(array.num_elements)]
-    raise ConfigError(f"sim.scheme must be 'pw' or 'sa', got '{scheme}'")
+    return [TransmitEvent.plane_wave(a) for a in cfg["sim.pw_angles"]]
+
+
+def _auto_count(span: float, step: float, least: int) -> int:
+    # a span past the cap is clamped to it, and the size check reports it
+    return max(round(min(span / step, MAX_ELEMENTS)) + 1, least)
 
 
 def _grid_from(cfg: PipelineConfig, array: TransducerArray, nt: int,
-               v: float) -> ImagingGrid:
+               v: float, events: int = 1) -> ImagingGrid:
+    """The configured grid, nan bounds and 0 counts filled from the array and
+    the recording depth, after its focused tensor (C x Rx x Rz, times
+    ``events`` when focused per event) passes the size cap."""
     lam = v / array.center_frequency
     half_aperture = (array.num_elements - 1) * array.pitch / 2.0
-    lat_min = cfg.get_float("bf.grid_lat_min")
-    lat_max = cfg.get_float("bf.grid_lat_max")
-    ax_min = cfg.get_float("bf.grid_ax_min")
-    ax_max = cfg.get_float("bf.grid_ax_max")
-    if math.isnan(lat_min):
-        lat_min = -half_aperture
-    if math.isnan(lat_max):
-        lat_max = half_aperture
-    if math.isnan(ax_min):
-        ax_min = lam
-    if math.isnan(ax_max):
-        ax_max = (nt - 1) / array.sampling_frequency * v / 2.0
-    nx = cfg.get_int("bf.grid_nx")
-    nz = cfg.get_int("bf.grid_nz")
-    with _configured("imaging grid (bf.grid_*)"):
-        if nx <= 0:
-            nx = max(int(round((lat_max - lat_min) / (lam / 2.0))) + 1, 2)
-        if nz <= 0:
-            nz = max(int(round((ax_max - ax_min) / (lam / 4.0))) + 1, 4)
-        return ImagingGrid.regular(lat_min, lat_max, nx, ax_min, ax_max, nz)
+    auto = {"bf.grid_lat_min": -half_aperture, "bf.grid_lat_max": half_aperture,
+            "bf.grid_ax_min": lam,
+            "bf.grid_ax_max": (nt - 1) / array.sampling_frequency * v / 2.0}
+    lat_min, lat_max, ax_min, ax_max = (
+        auto[key] if math.isnan(cfg[key]) else cfg[key] for key in auto)
+    nx = cfg["bf.grid_nx"] or _auto_count(lat_max - lat_min, lam / 2.0, 2)
+    nz = cfg["bf.grid_nz"] or _auto_count(ax_max - ax_min, lam / 4.0, 4)
+    what = ("focused tensor E x C x Rx x Rz (bf.compound, " if events > 1
+            else "focused tensor C x Rx x Rz (") + "bf.grid_nx, bf.grid_nz)"
+    _check_size(what, events, array.num_elements, nx, nz)
+    return _regular_grid(lat_min, lat_max, nx, ax_min, ax_max, nz)
+
+
+def _regular_grid(lat_min, lat_max, nx, ax_min, ax_max, nz) -> ImagingGrid:
+    """``ImagingGrid.regular``, with coordinates that do not strictly
+    increase in front of the array reported as a config error."""
+    lat = np.linspace(lat_min, lat_max, nx)
+    ax = np.linspace(ax_min, ax_max, nz)
+    if not (np.all(np.diff(lat) > 0) and np.all(np.diff(ax) > 0)
+            and np.all(ax > 0)):
+        raise ConfigError(f"bf.grid_*: {nx} x {nz} pixels over [{lat_min:.3g}, {lat_max:.3g}]"
+                          f" x [{ax_min:.3g}, {ax_max:.3g}] m are not strictly increasing"
+                          f" in front of the array")
+    return ImagingGrid(lat, ax)
 
 
 _APOD = {"rect": RECTANGULAR, "hanning": HANNING, "hamming": HAMMING}
@@ -283,20 +319,18 @@ _APOD = {"rect": RECTANGULAR, "hanning": HANNING, "hamming": HAMMING}
 
 def _beamform_image(cfg: PipelineConfig, focused, method: str):
     c = focused.num_channels
-    apod = ApodizationWindow(_APOD[cfg.get_str("bf.apod")], c)
-    sub_l = cfg.get_int("bf.sub_l") or max(c // 2, 1)
-    cov = bf.CovarianceConfig(sub_l, cfg.get_int("bf.k"), cfg.get_float("bf.eps"))
-    if method == "das":
-        return bf.das(focused, apod)
-    if method == "mv":
-        return bf.mv(focused, cov)
-    if method == "wiener":
-        return bf.wiener(focused, cov)
-    if method == "cf":
-        return bf.cf_weighted_das(focused, apod)
+    if method in ("mv", "wiener"):
+        cov = bf.CovarianceConfig(cfg["bf.sub_l"] or max(c // 2, 1), cfg["bf.k"],
+                                  cfg["bf.eps"])
+        # each column's covariances are padded by K on both ends of the axis
+        _check_size("MV covariance window (Rz + 2K) x L x L (bf.k, bf.sub_l)",
+                    focused.values.shape[-1] + 2 * cov.temporal_half_window,
+                    cov.subaperture_length, cov.subaperture_length)
+        return bf.mv(focused, cov) if method == "mv" else bf.wiener(focused, cov)
     if method == "imap":
-        return bf.imap(focused, cfg.get_int("bf.iters"))
-    raise ConfigError(f"bf.method must be one of das/mv/wiener/cf/imap, got '{method}'")
+        return bf.imap(focused, cfg["bf.iters"])
+    apod = ApodizationWindow(_APOD[cfg["bf.apod"]], c)
+    return bf.das(focused, apod) if method == "das" else bf.cf_weighted_das(focused, apod)
 
 
 def _write_image_outputs(prefix: Path, image, dyn_range: float) -> None:
@@ -326,26 +360,21 @@ def _auto_nt(array, events, field, v, pulse) -> int:
             tau_max = max(tau_max, float(np.max(tx + rx)) / v)
     tail = 4.0 * pulse.sigma_t
     window = (tau_max + tail) * array.sampling_frequency
-    if not math.isfinite(window):
-        raise ConfigError(
-            "sim.nt = 0 (auto): the deepest round trip is not finite; check "
-            "sim.pitch_factor, sim.v, sim.f0 and sim.fs_factor against the "
-            "field's extent, or set sim.nt")
+    # the cube holds at most window + 3 samples per trace; nan or inf fails
+    _check_size("simulated cube E x C x Nt, Nt auto from the deepest scatterer "
+                "(sim.nt = 0; sim.fs_factor, sim.v and the field's extent)",
+                len(events), array.num_elements, window + 3)
     return int(math.ceil(window)) + 2
 
 
 def _simulate_from(cfg: PipelineConfig, field: ScattererField, seed: int):
     """Simulate ``field`` with the configured array, transmits, pulse, noise."""
-    array = _array_from(cfg)
+    f0, v = cfg["sim.f0"], cfg["sim.v"]
+    array = _array_from(cfg, cfg["sim.num_elements"], f0, v, cfg["sim.fs_factor"] * f0)
     events = _events_from(cfg, array)
-    v = cfg.get_float("sim.v")
-    with _configured("pulse (sim.f0, sim.bandwidth)"):
-        pulse = PulseModel(cfg.get_float("sim.f0"),
-                           cfg.get_float("sim.bandwidth"),
-                           cfg.get_float("sim.amplitude"))
-    noise_std = cfg.get_float("sim.noise_std")
-    nt = cfg.get_int("sim.nt") or _auto_nt(array, events, field, v, pulse)
-    cube = simulate(array, events, field, pulse, v, nt, noise_std, seed)
+    pulse = PulseModel(f0, cfg["sim.bandwidth"], cfg["sim.amplitude"])
+    nt = cfg["sim.nt"] or _auto_nt(array, events, field, v, pulse)
+    cube = simulate(array, events, field, pulse, v, nt, cfg["sim.noise_std"], seed)
     return cube, array, pulse
 
 
@@ -364,81 +393,70 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _load_cube(args, cfg: PipelineConfig):
-    """Read URF1 and attach events/array reconstructed from the config.
-
-    The format stores no event metadata, so the transmit scheme comes from
-    the config (typically the sidecar written by ``simulate``); the array is
-    rebuilt from the header's C, fs, v, f0 plus the configured pitch factor.
-    """
-    e_count, c_count, _, fs, v, f0 = uio.read_urf1_header(args.infile)
-    array = _array_from(cfg, num_elements=c_count, f0=f0, v=v, fs=fs)
+def _open_cube(args, cfg: PipelineConfig):
+    """(array, events, Nt, v) from the URF1 header: the format stores no
+    events, so the scheme comes from the config (typically ``simulate``'s
+    sidecar) and the array from the header plus ``sim.pitch_factor``."""
+    e_count, c_count, nt, fs, v, f0 = uio.read_urf1_header(args.infile)
+    array = _array_from(cfg, c_count, f0, v, fs)
     events = _events_from(cfg, array)
     if len(events) != e_count:
         raise ConfigError(
             f"config describes {len(events)} events but file has {e_count}")
-    cube, _ = uio.read_urf1(args.infile, events)
-    return cube, array, f0
+    return array, events, nt, v
 
 
 def _cmd_beamform(args) -> int:
     cfg = _resolve_config(args)
-    cube, array, _ = _load_cube(args, cfg)
-    v = cube.speed_of_sound
-    grid = _grid_from(cfg, array, cube.num_samples, v)
+    array, events, nt, v = _open_cube(args, cfg)
+    method, mode = cfg["bf.method"], cfg["bf.compound"]
+    if method in ("mv", "wiener") and cfg["bf.sub_l"] > array.num_elements:
+        raise ConfigError(f"bf.sub_l = {cfg['bf.sub_l']} exceeds the cube's "
+                          f"C = {array.num_elements} channels")
+    per_event = mode != "channel" and len(events) > 1
+    grid = _grid_from(cfg, array, nt, v, len(events) if per_event else 1)
+    cube, _ = uio.read_urf1(args.infile, events)
     delays = tof.compute_delays(array, cube.events, grid, v)
-    method = cfg.get_str("bf.method")
-    mode = cfg.get_str("bf.compound")
-    if mode == "channel" or cube.num_events == 1:
+    if per_event:
+        focused = tof.focus(cube, delays, grid, per_event=True)
+        apod = ApodizationWindow(_APOD[cfg["bf.apod"]], array.num_elements)
+        image = bf.compound([bf.das(focused.event(e), apod)
+                             for e in range(cube.num_events)], mode)
+    else:
         focused = tof.focus(cube, delays, grid, per_event=False)
         image = _beamform_image(cfg, focused, method)
-    elif mode in (bf.MEAN, bf.MV):
-        per_event = tof.focus(cube, delays, grid, per_event=True)
-        apod = ApodizationWindow(_APOD[cfg.get_str("bf.apod")],
-                                 array.num_elements)
-        images = [bf.das(per_event.event(e), apod)
-                  for e in range(cube.num_events)]
-        image = bf.compound(images, mode)
-    else:
-        raise ConfigError(f"bf.compound must be channel/mean/mv, got '{mode}'")
-    _write_image_outputs(Path(args.out), image, cfg.get_float("bf.dyn_range"))
+    _write_image_outputs(Path(args.out), image, cfg["bf.dyn_range"])
     cfg.dump(args.out + ".config.txt", args.seed)
     print(f"wrote {args.out}.uim1 and {args.out}.pgm ({method})")
     return 0
 
 
 def _read_bins(path) -> np.ndarray:
-    bins = []
     with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            body = line.split("#", 1)[0].strip()
-            if body:
-                bins.extend(int(p) for p in body.split())
-    return np.asarray(bins, dtype=np.int64)
+        return np.asarray([int(p) for line in fh for p in line.split("#", 1)[0].split()],
+                          dtype=np.int64)
 
 
 def _sparse_lambda(cfg, adjoint_y) -> float | None:
-    """``sparse.lambda``, or when that is <= 0 ``sparse.lambda_frac`` times
+    """``sparse.lambda``, or when that is 0 ``sparse.lambda_frac`` times
     ||A^H y||_inf, with ``adjoint_y()`` giving A^H y.
 
     None when the weight is automatic and A^H y = 0: x = 0 then solves the
     problem for every weight, so the caller writes it without a solve.
     """
-    lam = cfg.get_float("sparse.lambda")
-    if lam > 0:
-        return lam
+    if cfg["sparse.lambda"] > 0:
+        return cfg["sparse.lambda"]
     peak = float(np.max(np.abs(adjoint_y())))
-    return None if peak == 0.0 else cfg.get_float("sparse.lambda_frac") * peak
+    return None if peak == 0.0 else cfg["sparse.lambda_frac"] * peak
 
 
 def _cmd_recover(args) -> int:
     cfg = _resolve_config(args)
-    cube, _, _ = _load_cube(args, cfg)
-    if not (0 <= args.event < cube.num_events
-            and 0 <= args.channel < cube.num_channels):
-        raise ConfigError(
-            f"--event/--channel out of range for cube "
-            f"(E={cube.num_events}, C={cube.num_channels})")
+    array, events, _, _ = _open_cube(args, cfg)
+    if not (0 <= args.event < len(events) and 0 <= args.channel < array.num_elements):
+        raise ConfigError(f"--event/--channel out of range for cube "
+                          f"(E={len(events)}, C={array.num_elements})")
+    cube, _ = uio.read_urf1(args.infile, events)
     trace = cube.samples[args.event, args.channel]
     bins = _read_bins(args.bins)
     model = sp.ScanlineModel(np.ones(bins.size, dtype=np.complex128), bins,
@@ -450,8 +468,8 @@ def _cmd_recover(args) -> int:
         x = np.zeros(trace.size)
     else:
         x = sp.recover_scanline(model, y_tilde, lam,
-                                max_iters=cfg.get_int("sparse.max_iters"),
-                                tol=cfg.get_float("sparse.tol"))
+                                max_iters=cfg["sparse.max_iters"],
+                                tol=cfg["sparse.tol"])
     uio.write_uim1(args.out + ".uim1", x[:, None])
     cfg.dump(args.out + ".config.txt", args.seed)
     print(f"wrote {args.out}.uim1 (N={x.size}, M={bins.size}, "
@@ -467,9 +485,8 @@ def _cmd_deconvolve(args) -> int:
     if lam is None:   # A^H y = 0, so x = 0 solves: nothing to deblur
         out = np.zeros(image.shape)
     else:
-        out = sp.deconvolve(image, psf, lam,
-                            max_iters=cfg.get_int("sparse.max_iters"),
-                            tol=cfg.get_float("sparse.tol"))
+        out = sp.deconvolve(image, psf, lam, max_iters=cfg["sparse.max_iters"],
+                            tol=cfg["sparse.tol"])
     uio.write_uim1(args.out + ".uim1", out)
     cfg.dump(args.out + ".config.txt", args.seed)
     print(f"wrote {args.out}.uim1 (lambda={lam or 0.0:g})")
@@ -480,23 +497,20 @@ def _cmd_clutter(args) -> int:
     cfg = _resolve_config(args)
     frames = uio.read_uim1_seq(args.infile)
     cas = cl.build_casorati(list(frames))
-    lam1 = cfg.get_float("clutter.lambda1") or cl.default_lambda1(cas.data)
-    lam2 = cfg.get_float("clutter.lambda2") or 0.5 * lam1
+    lam1 = cfg["clutter.lambda1"] or cl.default_lambda1(cas.data)
+    lam2 = cfg["clutter.lambda2"] or 0.5 * lam1
     if args.method == "svt":
         tissue = cl.svt(cas.data, lam1)
         blood = cas.data - tissue
         iters = 1
     else:
         tissue, blood, iters = cl.rpca(
-            cas, lam1, lam2, cfg.get_float("clutter.mu1"),
-            cfg.get_float("clutter.mu2"), cfg.get_int("clutter.iters"),
-            cfg.get_float("clutter.tol"))
+            cas, lam1, lam2, cfg["clutter.mu1"], cfg["clutter.mu2"],
+            cfg["clutter.iters"], cfg["clutter.tol"])
     shape = cas.spatial_shape
-    t = cas.num_frames
-    tis_seq = np.stack([tissue[:, i].real.reshape(shape, order="F")
-                        for i in range(t)])
-    bld_seq = np.stack([blood[:, i].real.reshape(shape, order="F")
-                        for i in range(t)])
+    tis_seq, bld_seq = (np.stack([x[:, i].real.reshape(shape, order="F")
+                                  for i in range(cas.num_frames)])
+                        for x in (tissue, blood))
     uio.write_uim1_seq(args.out + "_tissue.uim1", tis_seq)
     uio.write_uim1_seq(args.out + "_blood.uim1", bld_seq)
     power = cl.power_doppler(blood, shape)
@@ -509,29 +523,24 @@ def _cmd_clutter(args) -> int:
 
 def _cmd_ulm(args) -> int:
     cfg = _resolve_config(args)
-    method = cfg.get_str("ulm.method")
-    if method not in ("sparse", "centroid"):
-        raise ConfigError(f"ulm.method must be sparse or centroid, got '{method}'")
+    method, factor = cfg["ulm.method"], cfg["ulm.factor"]
     frames = uio.read_uim1_seq(args.frames)
-    factor = cfg.get_int("ulm.factor")
-    sigma = cfg.get_float("ulm.psf_sigma")
-    thr = cfg.get_float("ulm.threshold")
-    radius = cfg.get_int("ulm.window_radius")
-    psf = ulm.gaussian_psf(sigma)
     hr_shape = (frames.shape[1] * factor, frames.shape[2] * factor)
+    _check_size("ULM HR grid (ulm.factor)", *hr_shape)
+    thr, radius = cfg["ulm.threshold"], cfg["ulm.window_radius"]
+    psf = ulm.gaussian_psf(cfg["ulm.psf_sigma"])
     # every frame shares the operator, so one step serves the whole run
     step = ulm.localization_step(frames.shape[1:], psf, factor) \
         if method == "sparse" and len(frames) else None
 
     def localize(frame):
         if method == "sparse":
-            lam = cfg.get_float("ulm.lambda_frac") \
-                * ulm.max_correlation(frame, psf, factor)
+            lam = cfg["ulm.lambda_frac"] * ulm.max_correlation(frame, psf, factor)
             if lam == 0.0:   # A^T y = 0, so x = 0 solves: nothing to localize
                 return ulm.LocalizationSet(np.empty((0, 3)))
             hr = ulm.localize_sparse(frame, psf, lam, factor, step=step,
-                                     max_iters=cfg.get_int("ulm.max_iters"),
-                                     tol=cfg.get_float("ulm.tol"))
+                                     max_iters=cfg["ulm.max_iters"],
+                                     tol=cfg["ulm.tol"])
             return ulm.detect_centroids(hr, thr, radius)
         det = ulm.detect_centroids(frame, thr, radius).detections.copy()
         det[:, :2] = det[:, :2] * factor + (factor - 1) / 2.0
@@ -552,31 +561,20 @@ def _cmd_ulm(args) -> int:
     return 0
 
 
-def _parse_region(raw: str, what: str) -> mx.RegionSpec:
-    parts = [p for p in raw.split(",") if p.strip()]
-    if len(parts) != 4:
-        raise ConfigError(f"{what} must be 'x0,z0,x1,z1' in meters")
-    return mx.RegionSpec(*(float(p) for p in parts))
-
-
 def _cmd_metrics(args) -> int:
     cfg = _resolve_config(args)
-    image = uio.read_uim1(args.infile)
-    for key in ("bf.grid_lat_min", "bf.grid_lat_max", "bf.grid_ax_min",
-                "bf.grid_ax_max"):
-        if math.isnan(cfg.get_float(key)):
+    for key in _GRID_KEYS:
+        if math.isnan(cfg[key]):
             raise ConfigError(f"metrics needs an explicit grid ({key} unset)")
-    grid = ImagingGrid.regular(
-        cfg.get_float("bf.grid_lat_min"), cfg.get_float("bf.grid_lat_max"),
-        image.shape[0], cfg.get_float("bf.grid_ax_min"),
-        cfg.get_float("bf.grid_ax_max"), image.shape[1])
+    lat_min, lat_max, ax_min, ax_max = (cfg[key] for key in _GRID_KEYS)
+    image = uio.read_uim1(args.infile)
+    grid = _regular_grid(lat_min, lat_max, image.shape[0],
+                         ax_min, ax_max, image.shape[1])
     env = tof.envelope(image, axis=-1)
     rows = []
-    ra = cfg.get_str("metrics.region_a")
-    rb = cfg.get_str("metrics.region_b")
+    ra, rb = cfg["metrics.region_a"], cfg["metrics.region_b"]
     if ra and rb:
-        region_a = _parse_region(ra, "metrics.region_a")
-        region_b = _parse_region(rb, "metrics.region_b")
+        region_a, region_b = mx.RegionSpec(*ra), mx.RegionSpec(*rb)
         rows.append(("contrast_db", "a_vs_b",
                      mx.contrast_db(env, grid, region_a, region_b)))
         rows.append(("cnr", "a_vs_b", mx.cnr(env, grid, region_a, region_b)))
@@ -590,46 +588,50 @@ def _cmd_metrics(args) -> int:
     return 0
 
 
+#: The demo phantom draws scatterers uniformly from this (x, z) box [m] ...
+_DEMO_BOX = ((-6e-3, 6e-3), (14e-3, 26e-3))
+#: ... and images this grid unless the config sets one.
+_DEMO_GRID = dict(zip(_GRID_KEYS, (-5e-3, 5e-3, 15e-3, 25e-3)))
+
+
 def _demo_phantom(cfg: PipelineConfig, seed: int) -> ScattererField:
+    """Speckle drawn from ``_DEMO_BOX`` outside the cyst, by rejection: a
+    cyst over the whole box would never let it end, so it is a config error."""
+    (x0, x1), (z0, z1) = _DEMO_BOX
+    cx, cz, radius = cfg["demo.cyst_cx"], cfg["demo.cyst_cz"], cfg["demo.cyst_radius"]
+    if all((x - cx) ** 2 + (z - cz) ** 2 <= radius ** 2 for x in (x0, x1) for z in (z0, z1)):
+        raise ConfigError("demo.cyst_radius, demo.cyst_cx and demo.cyst_cz: "
+                          "the cyst covers the whole phantom box")
+    _check_size("demo phantom (demo.num_scatterers)", cfg["demo.num_scatterers"], 3)
     rng = np.random.Generator(np.random.Philox(
         key=((seed & 0xFFFFFFFFFFFFFFFF) << 64) | 0xDE30))
-    n = cfg.get_int("demo.num_scatterers")
-    cx = cfg.get_float("demo.cyst_cx")
-    cz = cfg.get_float("demo.cyst_cz")
-    radius = cfg.get_float("demo.cyst_radius")
-    rows = []
-    while len(rows) < n:
-        x = rng.uniform(-6e-3, 6e-3)
-        z = rng.uniform(14e-3, 26e-3)
-        if (x - cx) ** 2 + (z - cz) ** 2 <= radius ** 2:
-            continue
-        rows.append([x, z, rng.standard_normal()])
-    return ScattererField(np.asarray(rows))
+    rows = np.empty((cfg["demo.num_scatterers"], 3))
+    for row in rows:
+        x, z = rng.uniform(x0, x1), rng.uniform(z0, z1)
+        while (x - cx) ** 2 + (z - cz) ** 2 <= radius ** 2:
+            x, z = rng.uniform(x0, x1), rng.uniform(z0, z1)
+        row[:] = x, z, rng.standard_normal()
+    return ScattererField(rows)
 
 
 def _cmd_demo(args) -> int:
-    cfg = _resolve_config(args)
+    cfg = _resolve_config(args, fill=_DEMO_GRID)
+    if cfg["bf.sub_l"] > cfg["sim.num_elements"]:
+        raise ConfigError(f"bf.sub_l = {cfg['bf.sub_l']} exceeds "
+                          f"sim.num_elements = {cfg['sim.num_elements']}")
+    field = _demo_phantom(cfg, args.seed)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    field = _demo_phantom(cfg, args.seed)
     uio.write_scatterer_field(outdir / "phantom.txt", field)
     cube, array, pulse = _simulate_from(cfg, field, args.seed)
     uio.write_urf1(outdir / "cube.urf", cube, pulse.f0)
     v = cube.speed_of_sound
-
-    cz = cfg.get_float("demo.cyst_cz")
-    cx = cfg.get_float("demo.cyst_cx")
-    radius = cfg.get_float("demo.cyst_radius")
-    demo_grid = {"bf.grid_lat_min": -5e-3, "bf.grid_lat_max": 5e-3,
-                 "bf.grid_ax_min": 15e-3, "bf.grid_ax_max": 25e-3}
-    for key, value in demo_grid.items():
-        if math.isnan(cfg.get_float(key)):
-            cfg.set(key, repr(value))
     grid = _grid_from(cfg, array, cube.num_samples, v)
     delays = tof.compute_delays(array, cube.events, grid, v)
     focused = tof.focus(cube, delays, grid, per_event=False)
-    dyn = cfg.get_float("bf.dyn_range")
+    dyn = cfg["bf.dyn_range"]
 
+    cx, cz, radius = cfg["demo.cyst_cx"], cfg["demo.cyst_cz"], cfg["demo.cyst_radius"]
     half = radius / math.sqrt(2.0) * 0.9
     cyst = mx.RegionSpec(cx - half, cz - half, cx + half, cz + half)
     bg = mx.RegionSpec(cx + radius + 1e-3, cz - half,
@@ -660,7 +662,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_common(sp_parser, flag_map):
+def _add_common(sp_parser, func, flag_map):
     sp_parser.add_argument("--seed", type=int, default=0,
                            help="seed for all randomness")
     sp_parser.add_argument("--threads", type=int, default=1,
@@ -670,7 +672,7 @@ def _add_common(sp_parser, flag_map):
     sp_parser.add_argument("--set", nargs=2, action="append",
                            metavar=("KEY", "VALUE"),
                            help="override one config key")
-    sp_parser.set_defaults(_flag_map=flag_map)
+    sp_parser.set_defaults(func=func, _flag_map=flag_map)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -685,9 +687,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pw-angles", dest="pw_angles")
     p.add_argument("--num-elements", dest="num_elements", type=int)
     p.add_argument("--nt", type=int)
-    _add_common(p, {"noise_std": "sim.noise_std", "pw_angles": "sim.pw_angles",
-                    "num_elements": "sim.num_elements", "nt": "sim.nt"})
-    p.set_defaults(func=_cmd_simulate)
+    _add_common(p, _cmd_simulate, {
+        "noise_std": "sim.noise_std", "pw_angles": "sim.pw_angles",
+        "num_elements": "sim.num_elements", "nt": "sim.nt"})
 
     p = sub.add_parser("beamform", help="reconstruct an image from URF1")
     p.add_argument("--in", dest="infile", required=True)
@@ -699,10 +701,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float)
     p.add_argument("--dyn-range", dest="dyn_range", type=float)
     p.add_argument("--pw-angles", dest="pw_angles")
-    _add_common(p, {"method": "bf.method", "apod": "bf.apod",
-                    "iters": "bf.iters", "sub_l": "bf.sub_l", "eps": "bf.eps",
-                    "dyn_range": "bf.dyn_range", "pw_angles": "sim.pw_angles"})
-    p.set_defaults(func=_cmd_beamform)
+    _add_common(p, _cmd_beamform, {
+        "method": "bf.method", "apod": "bf.apod", "iters": "bf.iters",
+        "sub_l": "bf.sub_l", "eps": "bf.eps", "dyn_range": "bf.dyn_range",
+        "pw_angles": "sim.pw_angles"})
 
     p = sub.add_parser("recover", help="sub-Nyquist scanline recovery")
     p.add_argument("--in", dest="infile", required=True)
@@ -711,16 +713,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--event", type=int, default=0)
     p.add_argument("--channel", type=int, default=0)
     p.add_argument("--out", required=True)
-    _add_common(p, {"lam": "sparse.lambda"})
-    p.set_defaults(func=_cmd_recover)
+    _add_common(p, _cmd_recover, {"lam": "sparse.lambda"})
 
     p = sub.add_parser("deconvolve", help="l1 deblurring of a UIM1 image")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--psf", required=True, help="PSF kernel as UIM1")
     p.add_argument("--lambda", dest="lam", type=float)
     p.add_argument("--out", required=True)
-    _add_common(p, {"lam": "sparse.lambda"})
-    p.set_defaults(func=_cmd_deconvolve)
+    _add_common(p, _cmd_deconvolve, {"lam": "sparse.lambda"})
 
     p = sub.add_parser("clutter", help="tissue/flow separation of a sequence")
     p.add_argument("--in", dest="infile", required=True)
@@ -729,9 +729,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda2", dest="lambda2", type=float)
     p.add_argument("--iters", type=int)
     p.add_argument("--out", required=True)
-    _add_common(p, {"lambda1": "clutter.lambda1", "lambda2": "clutter.lambda2",
-                    "iters": "clutter.iters"})
-    p.set_defaults(func=_cmd_clutter)
+    _add_common(p, _cmd_clutter, {"lambda1": "clutter.lambda1",
+                                  "lambda2": "clutter.lambda2",
+                                  "iters": "clutter.iters"})
 
     p = sub.add_parser("ulm", help="localization microscopy over a sequence")
     p.add_argument("--frames", required=True, help="multi-frame UIM1")
@@ -739,9 +739,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--factor", type=int)
     p.add_argument("--method", choices=["sparse", "centroid"])
     p.add_argument("--out", required=True)
-    _add_common(p, {"lambda_frac": "ulm.lambda_frac", "factor": "ulm.factor",
-                    "method": "ulm.method"})
-    p.set_defaults(func=_cmd_ulm)
+    _add_common(p, _cmd_ulm, {"lambda_frac": "ulm.lambda_frac",
+                              "factor": "ulm.factor", "method": "ulm.method"})
 
     p = sub.add_parser("metrics", help="contrast/CNR/NMSE of a UIM1 image")
     p.add_argument("--in", dest="infile", required=True)
@@ -749,13 +748,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--region-b", dest="region_b")
     p.add_argument("--ref", help="reference UIM1 for NMSE")
     p.add_argument("--out", required=True, help="output CSV path")
-    _add_common(p, {"region_a": "metrics.region_a", "region_b": "metrics.region_b"})
-    p.set_defaults(func=_cmd_metrics)
+    _add_common(p, _cmd_metrics, {"region_a": "metrics.region_a",
+                                  "region_b": "metrics.region_b"})
 
     p = sub.add_parser("demo", help="cyst phantom end-to-end pipeline")
     p.add_argument("--out", required=True, help="output directory")
-    _add_common(p, {})
-    p.set_defaults(func=_cmd_demo)
+    _add_common(p, _cmd_demo, {})
 
     return parser
 
@@ -771,10 +769,7 @@ def run(argv) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except UsprocError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (UsprocError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

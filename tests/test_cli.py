@@ -4,10 +4,13 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from usproc import beamform as bf
 from usproc import cli
@@ -27,6 +30,45 @@ def file_map(directory):
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
 
 
+def assert_config_error(rc, capsys, key):
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err, err
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def src_env(**extra):
+    """The environment for a subprocess that imports this checkout's usproc."""
+    path = os.pathsep.join([SRC] + ([os.environ["PYTHONPATH"]]
+                                    if os.environ.get("PYTHONPATH") else []))
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
+#: ``simulate``'s sidecar with every key at its default (seed 0); the
+#: benchmark hashes these dumps, so their bytes stay fixed.
+DEFAULT_SIDECAR = "".join(f"{line}\n" for line in [
+    "# resolved usproc configuration", "# seed = 0",
+    "bf.apod = rect", "bf.compound = channel", "bf.dyn_range = 60.0",
+    "bf.eps = 0.01", "bf.grid_ax_max = nan", "bf.grid_ax_min = nan",
+    "bf.grid_lat_max = nan", "bf.grid_lat_min = nan", "bf.grid_nx = 0",
+    "bf.grid_nz = 0", "bf.iters = 2", "bf.k = 2", "bf.method = das",
+    "bf.sub_l = 0", "clutter.iters = 500", "clutter.lambda1 = 0.0",
+    "clutter.lambda2 = 0.0", "clutter.mu1 = 0.5", "clutter.mu2 = 0.5",
+    "clutter.tol = 1e-6", "demo.cyst_cx = 0.0", "demo.cyst_cz = 0.02",
+    "demo.cyst_radius = 2e-3", "demo.num_scatterers = 300",
+    "metrics.region_a = ", "metrics.region_b = ", "sim.amplitude = 1.0",
+    "sim.bandwidth = 0.6", "sim.f0 = 5e6", "sim.fs_factor = 8.0",
+    "sim.noise_std = 0.0", "sim.nt = 0", "sim.num_elements = 32",
+    "sim.pitch_factor = 0.5", "sim.pw_angles = 0.0", "sim.scheme = pw",
+    "sim.v = 1540.0", "sparse.lambda = 0.0", "sparse.lambda_frac = 0.015",
+    "sparse.max_iters = 5000", "sparse.tol = 1e-8", "ulm.factor = 4",
+    "ulm.lambda_frac = 0.05", "ulm.max_iters = 700", "ulm.method = sparse",
+    "ulm.psf_sigma = 2.0", "ulm.threshold = 0.10", "ulm.tol = 1e-5",
+    "ulm.window_radius = 1"]).encode("ascii")
+
+
 class TestConfig:
     def test_unknown_key_rejected(self):
         cfg = PipelineConfig()
@@ -38,14 +80,40 @@ class TestConfig:
         p.write_text("# comment\nsim.f0 = 6e6  # inline\n\nbf.method = mv\n")
         cfg = PipelineConfig()
         cfg.load_file(p)
-        assert cfg.get_float("sim.f0") == 6e6
-        assert cfg.get_str("bf.method") == "mv"
+        cfg.parse()
+        assert cfg["sim.f0"] == 6e6
+        assert cfg["bf.method"] == "mv"
 
     def test_every_key_has_default_and_help(self):
-        from usproc.cli import CONFIG_DEFAULTS
-        for key, (default, help_text) in CONFIG_DEFAULTS.items():
+        for key, (default, domain, help_text) in cli.CONFIG_SCHEMA.items():
             assert isinstance(default, str)
-            assert help_text
+            assert domain.text and help_text
+
+    def test_every_default_in_its_domain(self):
+        for key, (default, domain, _) in cli.CONFIG_SCHEMA.items():
+            assert domain.holds(domain.parse(default)), key
+
+    def test_readme_table_follows_schema(self):
+        readme = (Path(SRC).parent / "README.md").read_text(encoding="utf-8")
+        rows = {line.split(" | ")[0]: line for line in readme.splitlines()
+                if line.startswith("| `")}
+        for key, (default, domain, help_text) in cli.CONFIG_SCHEMA.items():
+            cells = [f"`{default}`" if default else "(empty)", domain.text,
+                     help_text]
+            assert rows[f"| `{key}`"] == " | ".join(
+                [f"| `{key}`"] + [c.replace("|", "\\|") for c in cells]) + " |"
+
+    def test_default_simulate_sidecar_bytes(self, tmp_path):
+        field = write_field(tmp_path / "f.txt")
+        assert run(["simulate", "--field", field, "--out", str(tmp_path / "c.urf")]) == 0
+        assert (tmp_path / "c.urf.config.txt").read_bytes() == DEFAULT_SIDECAR
+
+    def test_non_ascii_config_file_names_key(self, tmp_path, capsys):
+        conf = tmp_path / "c.txt"
+        conf.write_bytes("sim.f0 = 5e6\u00b5\n".encode("utf-8"))
+        rc = run(["simulate", "--field", str(tmp_path / "f.txt"),
+                  "--out", str(tmp_path / "c.urf"), "--config", str(conf)])
+        assert_config_error(rc, capsys, "sim.f0")
 
 
 class TestExitCodes:
@@ -126,7 +194,8 @@ class TestExitCodes:
         ("ulm.lambda_frac", "-0.05"), ("ulm.lambda_frac", "0"),
         ("ulm.psf_sigma", "0"), ("ulm.psf_sigma", "nan"), ("ulm.tol", "0"),
         ("ulm.window_radius", "0"), ("ulm.threshold", "1.5"),
-        ("ulm.factor", "0"), ("ulm.max_iters", "0")])
+        ("ulm.factor", "0"), ("ulm.max_iters", "0"), ("ulm.method", "xx"),
+        ("ulm.psf_sigma", "1e6")])
     def test_bad_ulm_value_exit_1(self, tmp_path, capsys, key, value):
         # the frames file does not exist: reading it would exit 2
         rc = run(["ulm", "--frames", str(tmp_path / "frames.uim1"),
@@ -142,7 +211,10 @@ class TestExitCodes:
         ("sim.pitch_factor", "1e300"), ("sim.v", "1e300"),
         ("sim.f0", "1e-300"), ("sim.amplitude", "nan"),
         ("sim.amplitude", "inf"), ("sim.noise_std", "inf"),
-        ("sim.nt", "-3")])
+        ("sim.nt", "-3"), ("sim.scheme", "xx"), ("sim.pw_angles", ""),
+        ("sim.f0", "\uff15e6"), ("sim.bandwidth", "1e-310"),
+        ("sim.nt", "100000000000"), ("sim.num_elements", "100000000000000"),
+        ("sim.fs_factor", "1e9"), ("sim.fs_factor", "1e300")])
     def test_bad_simulator_value_exit_1_before_reading(self, tmp_path, capsys,
                                                        command, key, value):
         # the field file does not exist: reading it would exit 2
@@ -169,7 +241,9 @@ class TestExitCodes:
         ("bf.k", "-1"), ("bf.eps", "-1"), ("bf.eps", "inf"), ("bf.eps", "nan"),
         ("bf.dyn_range", "0"), ("bf.dyn_range", "-60"),
         ("bf.dyn_range", "inf"), ("bf.sub_l", "-1"), ("bf.iters", "0"),
-        ("bf.grid_nx", "-3"), ("bf.grid_nz", "-3")])
+        ("bf.grid_nx", "-3"), ("bf.grid_nz", "-3"), ("bf.method", "xx"),
+        ("bf.apod", "xx"), ("bf.compound", "xx"), ("bf.grid_ax_min", "0"),
+        ("bf.grid_lat_max", "inf")])
     def test_bad_beamform_value_exit_1(self, tmp_path, capsys, command, key,
                                        value):
         # the cube does not exist: reading it would exit 2
@@ -197,6 +271,111 @@ class TestExitCodes:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and key in err
+
+    @pytest.mark.parametrize("key,value", [
+        ("clutter.mu1", "nan"), ("clutter.mu1", "-1"), ("clutter.mu2", "2"),
+        ("clutter.lambda1", "-1"), ("clutter.lambda1", "nan"),
+        ("clutter.lambda2", "-1"), ("clutter.iters", "0"),
+        ("clutter.iters", "-5"), ("clutter.tol", "-1"), ("clutter.tol", "0")])
+    def test_bad_clutter_value_exit_1(self, tmp_path, capsys, key, value):
+        # the sequence does not exist: reading it would exit 2
+        rc = run(["clutter", "--in", str(tmp_path / "seq.uim1"),
+                  "--out", str(tmp_path / "cl"), "--set", key, value])
+        assert_config_error(rc, capsys, key)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("key,value", [
+        ("metrics.region_a", "a,b,c,d"), ("metrics.region_b", "0,0,1"),
+        ("metrics.region_a", "0,nan,1,1"), ("bf.grid_ax_min", "0"),
+        ("bf.grid_lat_min", "0.006"), ("bf.grid_lat_max", "nan")])
+    def test_bad_metrics_value_exit_1(self, tmp_path, capsys, key, value):
+        # the image does not exist: reading it would exit 2
+        grid = {"bf.grid_lat_min": "-0.005", "bf.grid_lat_max": "0.005",
+                "bf.grid_ax_min": "0.001", "bf.grid_ax_max": "0.01",
+                "metrics.region_a": "-0.004,0.001,0.0,0.005",
+                "metrics.region_b": "0.0,0.001,0.004,0.005"}
+        grid[key] = value
+        conf = tmp_path / "m.conf"
+        conf.write_text("".join(f"{k} = {v}\n" for k, v in grid.items()))
+        rc = run(["metrics", "--in", str(tmp_path / "img.uim1"),
+                  "--out", str(tmp_path / "m.csv"), "--config", str(conf)])
+        assert_config_error(rc, capsys, key)
+        assert [p.name for p in tmp_path.iterdir()] == ["m.conf"]
+
+    @pytest.mark.parametrize("key,value", [
+        ("demo.num_scatterers", "-1"), ("demo.num_scatterers", "0"),
+        ("demo.num_scatterers", str(10 ** 15)), ("demo.cyst_radius", "nan"),
+        ("demo.cyst_radius", "0"), ("demo.cyst_cx", "1e200"),
+        ("demo.cyst_cz", "inf"),
+        ("bf.sub_l", "33")])
+    def test_bad_demo_value_exit_1(self, tmp_path, capsys, key, value):
+        rc = run(["demo", "--out", str(tmp_path / "d"), "--set", key, value])
+        assert_config_error(rc, capsys, key)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_cyst_over_phantom_box_exit_1_without_hanging(self, tmp_path):
+        # rejection sampling used to spin forever on this cyst
+        out = subprocess.run(
+            [sys.executable, "-c", "from usproc.cli import main; main()", "demo",
+             "--out", str(tmp_path / "d"), "--set", "demo.cyst_radius", "1.0"],
+            env=src_env(), capture_output=True, text=True, timeout=60)
+        assert out.returncode == 1
+        assert out.stderr.startswith("config error:")
+        assert "demo.cyst_radius" in out.stderr
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("bf.compound", "xx"), ("bf.sub_l", "9"), ("bf.k", "1000000000")])
+    def test_bad_value_on_real_cube_exit_1(self, tmp_path, capsys, key, value):
+        # an unknown compounding mode used to run as 'channel' on a one-angle
+        # cube, L > C used to focus every pixel and then exit 2, and a huge K
+        # to raise MemoryError padding the covariances
+        field = write_field(tmp_path / "f.txt")
+        cube = str(tmp_path / "c.urf")
+        assert run(["simulate", "--field", field, "--out", cube,
+                    "--set", "sim.num_elements", "8"]) == 0
+        capsys.readouterr()
+        rc = run(["beamform", "--in", cube, "--out", str(tmp_path / "img"),
+                  "--method", "mv", "--config", cube + ".config.txt",
+                  "--set", key, value])
+        assert_config_error(rc, capsys, key)
+        assert list(tmp_path.glob("img*")) == []
+
+    @pytest.mark.parametrize("command,key,value", [
+        ("simulate", "sim.fs_factor", "1e8"),     # auto sim.nt
+        ("simulate", "sim.fs_factor", "1e9"),
+        ("simulate", "sim.fs_factor", "1e300"),
+        ("simulate", "sim.nt", "100000000000"),
+        ("beamform", "bf.grid_nx", "100000000"),
+        ("beamform", "bf.compound", "mean"),       # E x C x Rx x Rz
+        ("ulm", "ulm.factor", "100000")])
+    def test_config_sized_allocation_capped(self, tmp_path, capsys, command,
+                                            key, value):
+        # each exits 1 before allocating: numpy used to raise MemoryError or
+        # "Maximum allowed size exceeded"
+        field = write_field(tmp_path / "f.txt")
+        cube = str(tmp_path / "c.urf")
+        assert run(["simulate", "--field", field, "--out", cube,
+                    "--set", "sim.num_elements", "8", "--pw-angles=-0.1,0,0.1"]) == 0
+        frames = tmp_path / "frames.uim1"
+        uio.write_uim1_seq(frames, np.ones((2, 8, 8)))
+        argv = {"simulate": ["simulate", "--field", field],
+                # 8 x 200000 x 100 focused values fit the cap, 3 x that not
+                "beamform": ["beamform", "--in", cube, "--config",
+                             cube + ".config.txt", "--set", "bf.grid_nx",
+                             "200000", "--set", "bf.grid_nz", "100"],
+                "ulm": ["ulm", "--frames", str(frames)]}[command]
+        before = {p.name for p in tmp_path.iterdir()}
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            rc = run(argv + ["--out", str(tmp_path / "o"), "--set", key, value])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert_config_error(rc, capsys, key)
+        assert {p.name for p in tmp_path.iterdir()} == before
+        assert peak < 2 ** 25
 
     def test_single_element_array_exit_1(self, tmp_path, capsys):
         field = write_field(tmp_path / "f.txt")
@@ -281,6 +460,48 @@ class TestExitCodes:
         assert rc == 2
 
 
+#: Values outside most domains: non-finite, zero, negative, huge, any text.
+ODD_VALUES = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "0", "-1", "-0.5", "1e300",
+                     "-1e300", str(10 ** 30), ""]),
+    st.text(st.characters(min_codepoint=32, max_codepoint=126,
+                          blacklist_characters="#"), max_size=12))
+
+
+def cheapest_argv(key, tmp_path):
+    """The cheapest subcommand that reads ``key``, on an input that does not
+    exist; demo's output directory would go under a regular file instead."""
+    missing, out = str(tmp_path / "missing"), str(tmp_path / "o")
+    return {"sim": ["simulate", "--field", missing],
+            "bf": ["beamform", "--in", missing],
+            "sparse": ["deconvolve", "--in", missing, "--psf", missing],
+            "clutter": ["clutter", "--in", missing],
+            "ulm": ["ulm", "--frames", missing],
+            "metrics": ["metrics", "--in", missing],
+            }.get(key.split(".")[0], ["demo"]) + ["--out", out]
+
+
+class TestConfigDomains:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(key=st.sampled_from(sorted(cli.CONFIG_SCHEMA)), value=ODD_VALUES)
+    def test_any_value_is_config_error_or_reaches_input(self, tmp_path, capsys,
+                                                        key, value):
+        blocker = tmp_path / "o"   # demo cannot make its directory here
+        blocker.write_text("")
+        conf = tmp_path / "c.conf"
+        grid = "" if key.startswith("bf.") else (
+            "bf.grid_lat_min = -0.005\nbf.grid_lat_max = 0.005\n"
+            "bf.grid_ax_min = 0.001\nbf.grid_ax_max = 0.01\n")
+        conf.write_text(f"{grid}{key} = {value}\n")
+        rc = run(cheapest_argv(key, tmp_path) + ["--config", str(conf)])
+        err = capsys.readouterr().err
+        assert rc in (1, 2), (key, value)
+        if rc == 1:
+            assert err.startswith("config error:") and key in err, (key, value, err)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.conf", "o"]
+
+
 class TestSimulateBeamform:
     def test_chain_and_sidecar_round_trip(self, tmp_path):
         field = write_field(tmp_path / "f.txt")
@@ -324,6 +545,7 @@ class TestNegativePlaneWaveDelays:
         assert run(["demo", "--out", str(out)] + conf) == 0
         cfg = PipelineConfig()
         cfg.load_file(out / "demo.config.txt")
+        cfg.parse()
         e_count, c_count, nt, fs, v, f0 = uio.read_urf1_header(out / "cube.urf")
         array = cli._array_from(cfg, c_count, f0, v, fs)
         cube, _ = uio.read_urf1(out / "cube.urf", cli._events_from(cfg, array))
@@ -415,14 +637,9 @@ class TestRecoverDeconvolveClutterUlm:
         frames = simulate_bubbles((256, 256), 2, 20.0, 2.0, 4, 30.0, 2)
         seq = tmp_path / "frames.uim1"
         uio.write_uim1_seq(seq, np.stack([f.image for f in frames]))
-        src = str(Path(__file__).resolve().parents[1] / "src")
         outs = {}
         for threads in ("1", "2"):
-            env = dict(os.environ, OMP_NUM_THREADS=threads,
-                       OPENBLAS_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join(
-                           [src] + ([os.environ["PYTHONPATH"]]
-                                    if os.environ.get("PYTHONPATH") else [])))
+            env = src_env(OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
             prefix = tmp_path / f"b{threads}"
             subprocess.run([sys.executable, "-c",
                             "from usproc.cli import main; main()", "ulm",
