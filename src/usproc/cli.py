@@ -37,7 +37,7 @@ from .core import (
     TransducerArray,
     TransmitEvent,
 )
-from .errors import ConfigError, UsprocError
+from .errors import ConfigError, FileFormatError, UsprocError
 from .simulator import PulseModel, simulate, transmit_distances
 
 # ---------------------------------------------------------------------------
@@ -207,10 +207,9 @@ def _resolve_config(args, fill=None) -> PipelineConfig:
         cfg.load_file(args.config)
     for key, value in getattr(args, "set", None) or []:
         cfg.set(key, value)
-    for flag, key in getattr(args, "_flag_map", {}).items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            cfg.set(key, str(value))
+    for key, value in vars(args).items():   # a flag's dest is its key
+        if key in CONFIG_SCHEMA and value is not None:
+            cfg.set(key, value)
     cfg.parse()
     for key, value in (fill or {}).items():
         if math.isnan(cfg[key]):
@@ -367,15 +366,22 @@ def _auto_nt(array, events, field, v, pulse) -> int:
     return int(math.ceil(window)) + 2
 
 
-def _simulate_from(cfg: PipelineConfig, field: ScattererField, seed: int):
-    """Simulate ``field`` with the configured array, transmits, pulse, noise."""
-    f0, v = cfg["sim.f0"], cfg["sim.v"]
-    array = _array_from(cfg, cfg["sim.num_elements"], f0, v, cfg["sim.fs_factor"] * f0)
+def _sim_array(cfg: PipelineConfig) -> TransducerArray:
+    """The array that ``simulate`` and ``demo`` record with."""
+    f0 = cfg["sim.f0"]
+    return _array_from(cfg, cfg["sim.num_elements"], f0, cfg["sim.v"],
+                       cfg["sim.fs_factor"] * f0)
+
+
+def _simulate_from(cfg: PipelineConfig, array: TransducerArray,
+                   field: ScattererField, seed: int):
+    """Simulate ``field`` with ``array`` and the configured transmits, pulse, noise."""
+    v = cfg["sim.v"]
     events = _events_from(cfg, array)
-    pulse = PulseModel(f0, cfg["sim.bandwidth"], cfg["sim.amplitude"])
+    pulse = PulseModel(cfg["sim.f0"], cfg["sim.bandwidth"], cfg["sim.amplitude"])
     nt = cfg["sim.nt"] or _auto_nt(array, events, field, v, pulse)
     cube = simulate(array, events, field, pulse, v, nt, cfg["sim.noise_std"], seed)
-    return cube, array, pulse
+    return cube, pulse
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +391,7 @@ def _simulate_from(cfg: PipelineConfig, field: ScattererField, seed: int):
 def _cmd_simulate(args) -> int:
     cfg = _resolve_config(args)
     field = uio.read_scatterer_field(args.field)
-    cube, _, pulse = _simulate_from(cfg, field, args.seed)
+    cube, pulse = _simulate_from(cfg, _sim_array(cfg), field, args.seed)
     uio.write_urf1(args.out, cube, pulse.f0)
     cfg.dump(args.out + ".config.txt", args.seed)
     print(f"wrote {args.out} (E={cube.num_events} C={cube.num_channels} "
@@ -431,23 +437,27 @@ def _cmd_beamform(args) -> int:
     return 0
 
 
-def _read_bins(path) -> np.ndarray:
-    with open(path, "r", encoding="ascii") as fh:
-        return np.asarray([int(p) for line in fh for p in line.split("#", 1)[0].split()],
-                          dtype=np.int64)
+def _read_bins(path, n: int) -> np.ndarray:
+    """The DFT bins listed in ``path``: unique integers in [0, n)."""
+    # a non-ASCII byte decodes to U+FFFD, which no integer accepts
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
+        tokens = [p for line in fh for p in line.split("#", 1)[0].split()]
+    try:
+        bins = np.asarray([int(p) for p in tokens], dtype=np.int64)
+        ok = np.unique(bins).size == bins.size and np.all((0 <= bins) & (bins < n))
+    except (ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise FileFormatError(f"{path}: bins must be unique integers in [0, {n})")
+    return bins
 
 
-def _sparse_lambda(cfg, adjoint_y) -> float | None:
+def _sparse_lambda(cfg, adjoint_y) -> float:
     """``sparse.lambda``, or when that is 0 ``sparse.lambda_frac`` times
-    ||A^H y||_inf, with ``adjoint_y()`` giving A^H y.
-
-    None when the weight is automatic and A^H y = 0: x = 0 then solves the
-    problem for every weight, so the caller writes it without a solve.
-    """
+    ||A^H y||_inf, with ``adjoint_y()`` giving A^H y."""
     if cfg["sparse.lambda"] > 0:
         return cfg["sparse.lambda"]
-    peak = float(np.max(np.abs(adjoint_y())))
-    return None if peak == 0.0 else cfg["sparse.lambda_frac"] * peak
+    return cfg["sparse.lambda_frac"] * float(np.max(np.abs(adjoint_y())))
 
 
 def _cmd_recover(args) -> int:
@@ -458,22 +468,17 @@ def _cmd_recover(args) -> int:
                           f"(E={len(events)}, C={array.num_elements})")
     cube, _ = uio.read_urf1(args.infile, events)
     trace = cube.samples[args.event, args.channel]
-    bins = _read_bins(args.bins)
+    bins = _read_bins(args.bins, trace.size)
     model = sp.ScanlineModel(np.ones(bins.size, dtype=np.complex128), bins,
                              trace.size)
     from .numerics import fft
     y_tilde = fft(trace)[bins]
     lam = _sparse_lambda(cfg, lambda: model.adjoint(y_tilde))
-    if lam is None:   # A^H y = 0, so x = 0 solves: nothing to recover
-        x = np.zeros(trace.size)
-    else:
-        x = sp.recover_scanline(model, y_tilde, lam,
-                                max_iters=cfg["sparse.max_iters"],
-                                tol=cfg["sparse.tol"])
+    x = sp.recover_scanline(model, y_tilde, lam, max_iters=cfg["sparse.max_iters"],
+                            tol=cfg["sparse.tol"])
     uio.write_uim1(args.out + ".uim1", x[:, None])
     cfg.dump(args.out + ".config.txt", args.seed)
-    print(f"wrote {args.out}.uim1 (N={x.size}, M={bins.size}, "
-          f"lambda={lam or 0.0:g})")
+    print(f"wrote {args.out}.uim1 (N={x.size}, M={bins.size}, lambda={lam:g})")
     return 0
 
 
@@ -482,14 +487,11 @@ def _cmd_deconvolve(args) -> int:
     image = uio.read_uim1(args.infile)
     psf = uio.read_uim1(args.psf)
     lam = _sparse_lambda(cfg, lambda: sp.corr2_same_adjoint(image, psf))
-    if lam is None:   # A^H y = 0, so x = 0 solves: nothing to deblur
-        out = np.zeros(image.shape)
-    else:
-        out = sp.deconvolve(image, psf, lam, max_iters=cfg["sparse.max_iters"],
-                            tol=cfg["sparse.tol"])
+    out = sp.deconvolve(image, psf, lam, max_iters=cfg["sparse.max_iters"],
+                        tol=cfg["sparse.tol"])
     uio.write_uim1(args.out + ".uim1", out)
     cfg.dump(args.out + ".config.txt", args.seed)
-    print(f"wrote {args.out}.uim1 (lambda={lam or 0.0:g})")
+    print(f"wrote {args.out}.uim1 (lambda={lam:g})")
     return 0
 
 
@@ -536,8 +538,6 @@ def _cmd_ulm(args) -> int:
     def localize(frame):
         if method == "sparse":
             lam = cfg["ulm.lambda_frac"] * ulm.max_correlation(frame, psf, factor)
-            if lam == 0.0:   # A^T y = 0, so x = 0 solves: nothing to localize
-                return ulm.LocalizationSet(np.empty((0, 3)))
             hr = ulm.localize_sparse(frame, psf, lam, factor, step=step,
                                      max_iters=cfg["ulm.max_iters"],
                                      tol=cfg["ulm.tol"])
@@ -619,23 +619,25 @@ def _cmd_demo(args) -> int:
     if cfg["bf.sub_l"] > cfg["sim.num_elements"]:
         raise ConfigError(f"bf.sub_l = {cfg['bf.sub_l']} exceeds "
                           f"sim.num_elements = {cfg['sim.num_elements']}")
-    field = _demo_phantom(cfg, args.seed)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    uio.write_scatterer_field(outdir / "phantom.txt", field)
-    cube, array, pulse = _simulate_from(cfg, field, args.seed)
-    uio.write_urf1(outdir / "cube.urf", cube, pulse.f0)
-    v = cube.speed_of_sound
-    grid = _grid_from(cfg, array, cube.num_samples, v)
-    delays = tof.compute_delays(array, cube.events, grid, v)
-    focused = tof.focus(cube, delays, grid, per_event=False)
-    dyn = cfg["bf.dyn_range"]
-
+    array, v = _sim_array(cfg), cfg["sim.v"]
+    grid = _grid_from(cfg, array, 0, v)   # ``fill`` set every bound: no depth needed
     cx, cz, radius = cfg["demo.cyst_cx"], cfg["demo.cyst_cz"], cfg["demo.cyst_radius"]
     half = radius / math.sqrt(2.0) * 0.9
     cyst = mx.RegionSpec(cx - half, cz - half, cx + half, cz + half)
     bg = mx.RegionSpec(cx + radius + 1e-3, cz - half,
                        cx + radius + 1e-3 + 2 * half, cz + half)
+    if not (np.any(cyst.mask(grid)) and np.any(bg.mask(grid))):
+        raise ConfigError("demo.cyst_radius, demo.cyst_cx and demo.cyst_cz: the cyst "
+                          "or background rectangle selects no pixel of the grid")
+    field = _demo_phantom(cfg, args.seed)
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    uio.write_scatterer_field(outdir / "phantom.txt", field)
+    cube, pulse = _simulate_from(cfg, array, field, args.seed)
+    uio.write_urf1(outdir / "cube.urf", cube, pulse.f0)
+    delays = tof.compute_delays(array, cube.events, grid, v)
+    focused = tof.focus(cube, delays, grid, per_event=False)
+    dyn = cfg["bf.dyn_range"]
     rows = []
     for method in ("das", "mv", "cf", "imap"):
         image = _beamform_image(cfg, focused, method)
@@ -662,7 +664,28 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_common(sp_parser, func, flag_map):
+#: Per subcommand, its config-key flags: each is shorthand for ``--set KEY``.
+FLAGS: dict[str, dict[str, str]] = {
+    "simulate": {"--noise-std": "sim.noise_std", "--pw-angles": "sim.pw_angles",
+                 "--num-elements": "sim.num_elements", "--nt": "sim.nt"},
+    "beamform": {"--method": "bf.method", "--apod": "bf.apod", "--iters": "bf.iters",
+                 "--sub-L": "bf.sub_l", "--eps": "bf.eps", "--dyn-range": "bf.dyn_range",
+                 "--pw-angles": "sim.pw_angles"},
+    "recover": {"--lambda": "sparse.lambda"},
+    "deconvolve": {"--lambda": "sparse.lambda"},
+    "clutter": {"--lambda1": "clutter.lambda1", "--lambda2": "clutter.lambda2",
+                "--iters": "clutter.iters"},
+    "ulm": {"--lambda-frac": "ulm.lambda_frac", "--factor": "ulm.factor",
+            "--method": "ulm.method"},
+    "metrics": {"--region-a": "metrics.region_a", "--region-b": "metrics.region_b"},
+    "demo": {},
+}
+
+
+def _add_common(sp_parser, flags: dict[str, str]):
+    for flag, key in flags.items():
+        sp_parser.add_argument(flag, dest=key, metavar="VALUE",
+                               help=f"{CONFIG_SCHEMA[key][2]} ({key})")
     sp_parser.add_argument("--seed", type=int, default=0,
                            help="seed for all randomness")
     sp_parser.add_argument("--threads", type=int, default=1,
@@ -672,7 +695,6 @@ def _add_common(sp_parser, func, flag_map):
     sp_parser.add_argument("--set", nargs=2, action="append",
                            metavar=("KEY", "VALUE"),
                            help="override one config key")
-    sp_parser.set_defaults(func=func, _flag_map=flag_map)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -683,78 +705,50 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="synthesize an RF data cube")
     p.add_argument("--field", required=True, help="scatterer text file")
     p.add_argument("--out", required=True, help="output URF1 path")
-    p.add_argument("--noise-std", dest="noise_std", type=float)
-    p.add_argument("--pw-angles", dest="pw_angles")
-    p.add_argument("--num-elements", dest="num_elements", type=int)
-    p.add_argument("--nt", type=int)
-    _add_common(p, _cmd_simulate, {
-        "noise_std": "sim.noise_std", "pw_angles": "sim.pw_angles",
-        "num_elements": "sim.num_elements", "nt": "sim.nt"})
+    p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("beamform", help="reconstruct an image from URF1")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True, help="output prefix")
-    p.add_argument("--method", choices=["das", "mv", "wiener", "cf", "imap"])
-    p.add_argument("--apod", choices=["rect", "hanning", "hamming"])
-    p.add_argument("--iters", type=int)
-    p.add_argument("--sub-L", dest="sub_l", type=int)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--dyn-range", dest="dyn_range", type=float)
-    p.add_argument("--pw-angles", dest="pw_angles")
-    _add_common(p, _cmd_beamform, {
-        "method": "bf.method", "apod": "bf.apod", "iters": "bf.iters",
-        "sub_l": "bf.sub_l", "eps": "bf.eps", "dyn_range": "bf.dyn_range",
-        "pw_angles": "sim.pw_angles"})
+    p.set_defaults(func=_cmd_beamform)
 
     p = sub.add_parser("recover", help="sub-Nyquist scanline recovery")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--bins", required=True, help="text file of DFT bin indices")
-    p.add_argument("--lambda", dest="lam", type=float)
     p.add_argument("--event", type=int, default=0)
     p.add_argument("--channel", type=int, default=0)
     p.add_argument("--out", required=True)
-    _add_common(p, _cmd_recover, {"lam": "sparse.lambda"})
+    p.set_defaults(func=_cmd_recover)
 
     p = sub.add_parser("deconvolve", help="l1 deblurring of a UIM1 image")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--psf", required=True, help="PSF kernel as UIM1")
-    p.add_argument("--lambda", dest="lam", type=float)
     p.add_argument("--out", required=True)
-    _add_common(p, _cmd_deconvolve, {"lam": "sparse.lambda"})
+    p.set_defaults(func=_cmd_deconvolve)
 
     p = sub.add_parser("clutter", help="tissue/flow separation of a sequence")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--method", choices=["svt", "rpca"], default="rpca")
-    p.add_argument("--lambda1", dest="lambda1", type=float)
-    p.add_argument("--lambda2", dest="lambda2", type=float)
-    p.add_argument("--iters", type=int)
     p.add_argument("--out", required=True)
-    _add_common(p, _cmd_clutter, {"lambda1": "clutter.lambda1",
-                                  "lambda2": "clutter.lambda2",
-                                  "iters": "clutter.iters"})
+    p.set_defaults(func=_cmd_clutter)
 
     p = sub.add_parser("ulm", help="localization microscopy over a sequence")
     p.add_argument("--frames", required=True, help="multi-frame UIM1")
-    p.add_argument("--lambda-frac", dest="lambda_frac", type=float)
-    p.add_argument("--factor", type=int)
-    p.add_argument("--method", choices=["sparse", "centroid"])
     p.add_argument("--out", required=True)
-    _add_common(p, _cmd_ulm, {"lambda_frac": "ulm.lambda_frac",
-                              "factor": "ulm.factor", "method": "ulm.method"})
+    p.set_defaults(func=_cmd_ulm)
 
     p = sub.add_parser("metrics", help="contrast/CNR/NMSE of a UIM1 image")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--region-a", dest="region_a")
-    p.add_argument("--region-b", dest="region_b")
     p.add_argument("--ref", help="reference UIM1 for NMSE")
     p.add_argument("--out", required=True, help="output CSV path")
-    _add_common(p, _cmd_metrics, {"region_a": "metrics.region_a",
-                                  "region_b": "metrics.region_b"})
+    p.set_defaults(func=_cmd_metrics)
 
     p = sub.add_parser("demo", help="cyst phantom end-to-end pipeline")
     p.add_argument("--out", required=True, help="output directory")
-    _add_common(p, _cmd_demo, {})
+    p.set_defaults(func=_cmd_demo)
 
+    for name, p in sub.choices.items():
+        _add_common(p, FLAGS[name])
     return parser
 
 

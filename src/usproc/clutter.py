@@ -108,10 +108,11 @@ def rpca(cas: CasoratiMatrix, lam1: float, lam2: float, mu1: float = 0.5,
     with mu_i * lam_i so the iteration is a proximal-gradient step on the
     joint objective, whose monotone descent is asserted every iteration
     (``step-too-large`` otherwise; mu1 = mu2 = 0.5 matches the Lipschitz
-    bound of the coupled quadratic and always descends).
+    bound of the coupled quadratic and always descends).  Zero weights are
+    allowed: on Y = 0 every iterate is zero and the solve stops after one.
     """
-    if lam1 <= 0 or lam2 <= 0:
-        raise ValueError("lam1 and lam2 must be > 0")
+    if not (lam1 >= 0 and lam2 >= 0):
+        raise ValueError("lam1 and lam2 must be >= 0")
     if not (0 < mu1 <= 1 and 0 < mu2 <= 1):
         raise ValueError("mu1 and mu2 must lie in (0, 1]")
     y = cas.data

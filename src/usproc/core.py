@@ -23,7 +23,6 @@ from .errors import (
 
 PLANE_WAVE = "plane_wave"
 SYNTHETIC_APERTURE = "synthetic_aperture"
-FOCUSED_LINE = "focused_line"
 
 RECTANGULAR = "rectangular"
 HANNING = "hanning"
@@ -91,38 +90,31 @@ class TransducerArray:
 class TransmitEvent:
     """One transmit event: a scheme plus its spatial origin.
 
-    ``origin`` is the point used for the transmit leg of the time-of-flight
-    computation in the synthetic-aperture and focused schemes; plane waves
-    use the steering ``angle`` instead (referenced so that the wavefront
-    crosses the array origin at t0).
+    ``origin`` is the point source of the transmit leg of the time-of-flight
+    computation in the synthetic-aperture scheme; plane waves use the
+    steering ``angle`` instead (referenced so that the wavefront crosses the
+    array origin at t = 0).
     """
 
-    scheme: str                      # PLANE_WAVE | SYNTHETIC_APERTURE | FOCUSED_LINE
+    scheme: str                      # PLANE_WAVE | SYNTHETIC_APERTURE
     origin: tuple[float, float] = (0.0, 0.0)   # r_e [m]
-    t0: float = 0.0                  # pulse emission reference time [s]
     angle: float = 0.0               # [rad], plane wave only
     element_index: int = 0           # synthetic aperture only
-    focus: tuple[float, float] = (0.0, 0.0)    # focused line only
 
     def __post_init__(self):
-        if self.scheme not in (PLANE_WAVE, SYNTHETIC_APERTURE, FOCUSED_LINE):
+        if self.scheme not in (PLANE_WAVE, SYNTHETIC_APERTURE):
             raise ValueError(f"unknown transmit scheme {self.scheme!r}")
         if self.scheme == PLANE_WAVE and not -math.pi / 2 < self.angle < math.pi / 2:
             raise ValueError("plane-wave angle must lie in (-pi/2, pi/2)")
 
     @classmethod
-    def plane_wave(cls, angle, t0=0.0):
-        return cls(PLANE_WAVE, origin=(0.0, 0.0), t0=t0, angle=float(angle))
+    def plane_wave(cls, angle):
+        return cls(PLANE_WAVE, origin=(0.0, 0.0), angle=float(angle))
 
     @classmethod
-    def synthetic_aperture(cls, element_index, array: TransducerArray, t0=0.0):
+    def synthetic_aperture(cls, element_index, array: TransducerArray):
         pos = tuple(array.element_positions[element_index])
-        return cls(SYNTHETIC_APERTURE, origin=pos, t0=t0,
-                   element_index=int(element_index))
-
-    @classmethod
-    def focused_line(cls, focus, t0=0.0):
-        return cls(FOCUSED_LINE, origin=tuple(focus), t0=t0, focus=tuple(focus))
+        return cls(SYNTHETIC_APERTURE, origin=pos, element_index=int(element_index))
 
 
 @dataclass(frozen=True)

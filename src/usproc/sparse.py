@@ -64,8 +64,8 @@ class SparseProblem:
             raise ValueError("a real problem needs real measurements y")
         dtype = np.float64 if self.real else np.complex128
         self.y = np.asarray(self.y, dtype=dtype).ravel()
-        if self.lam <= 0:
-            raise ValueError("lambda must be > 0")
+        if not self.lam >= 0:   # 0 is least squares; on A^H y = 0 it stops at x = 0
+            raise ValueError("lambda must be >= 0")
         if self.step is not None and not 0 < self.step < math.inf:
             raise ValueError("step must be finite and > 0")
         if self.tol <= 0:

@@ -75,11 +75,6 @@ def block_average(x: np.ndarray, factor: int) -> np.ndarray:
     return x.reshape(h0 // factor, factor, h1 // factor, factor).mean(axis=(1, 3))
 
 
-def block_expand(y: np.ndarray, factor: int) -> np.ndarray:
-    """Exact adjoint of :func:`block_average`: upsample and divide by f^2."""
-    return np.repeat(np.repeat(y, factor, axis=0), factor, axis=1) / (factor * factor)
-
-
 def render_frame(hr_shape, positions, sigma) -> np.ndarray:
     """Ground-truth HR frame: unit Gaussians at sub-pixel positions."""
     frame = np.zeros(hr_shape)

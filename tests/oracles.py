@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from usproc.sparse import Conv2Same
-from usproc.ulm import block_average, block_expand
+from usproc.ulm import block_average
 
 
 def dft_direct(x, inverse=False):
@@ -206,6 +206,12 @@ def focus_per_trace(samples, fs, delays, per_event=False):
                                (1.0 - frac[e, c]) * lo + frac[e, c] * hi, 0.0)
             out[e, c] = val
     return out if per_event else out.sum(axis=0)
+
+
+def block_expand(y: np.ndarray, factor: int) -> np.ndarray:
+    """Exact adjoint of :func:`usproc.ulm.block_average`: upsample and
+    divide by f^2."""
+    return np.repeat(np.repeat(y, factor, axis=0), factor, axis=1) / (factor * factor)
 
 
 def ulm_model_fft(lr_shape, psf, factor: int):

@@ -108,6 +108,14 @@ class TestConfig:
         assert run(["simulate", "--field", field, "--out", str(tmp_path / "c.urf")]) == 0
         assert (tmp_path / "c.urf.config.txt").read_bytes() == DEFAULT_SIDECAR
 
+    def test_flag_value_logged_as_typed(self, tmp_path):
+        field = write_field(tmp_path / "f.txt")
+        out = tmp_path / "c.urf"
+        assert run(["simulate", "--field", field, "--out", str(out),
+                    "--noise-std", ".5", "--num-elements", "08"]) == 0
+        lines = (tmp_path / "c.urf.config.txt").read_text().splitlines()
+        assert "sim.noise_std = .5" in lines and "sim.num_elements = 08" in lines
+
     def test_non_ascii_config_file_names_key(self, tmp_path, capsys):
         conf = tmp_path / "c.txt"
         conf.write_bytes("sim.f0 = 5e6\u00b5\n".encode("utf-8"))
@@ -121,6 +129,27 @@ class TestExitCodes:
         rc = run(["simulate", "--field", "x", "--out", "y", "--bogus-flag"])
         assert rc == 1
         assert "--bogus-flag" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,flag,key", [
+        (command, flag, key) for command, flags in cli.FLAGS.items()
+        for flag, key in flags.items()])
+    @pytest.mark.parametrize("value", ["xx", "nan"])
+    def test_flag_is_set_shorthand(self, tmp_path, capsys, command, flag, key,
+                                   value):
+        # the inputs do not exist: reading them would exit 2
+        missing = str(tmp_path / "missing")
+        inputs = {"simulate": ["--field"], "beamform": ["--in"],
+                  "recover": ["--in", "--bins"], "deconvolve": ["--in", "--psf"],
+                  "clutter": ["--in"], "ulm": ["--frames"], "metrics": ["--in"]}
+        argv = [command, "--out", str(tmp_path / "o")] + [
+            arg for opt in inputs[command] for arg in (opt, missing)]
+        errors = []
+        for given in ([flag, value], ["--set", key, value]):
+            assert run(argv + given) == 1
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith(f"config error: {key}: expected "), errors[0]
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_config_key_exit_1(self, tmp_path, capsys):
         field = write_field(tmp_path / "f.txt")
@@ -162,6 +191,22 @@ class TestExitCodes:
         rc = run(["clutter", "--in", str(path), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "truncated payload" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["1 2 x\n", "1 2.5\n", "1 \u00b2\n",
+                                      f"{2 ** 64}\n", "1 1\n", "512\n", "-1\n"])
+    def test_non_integer_bins_exit_2(self, tmp_path, capsys, text):
+        field = write_field(tmp_path / "f.txt")
+        cube = str(tmp_path / "c.urf")
+        assert run(["simulate", "--field", field, "--out", cube,
+                    "--num-elements", "4", "--nt", "512"]) == 0
+        bins = tmp_path / "bins.txt"
+        bins.write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        rc = run(["recover", "--in", cube, "--bins", str(bins),
+                  "--out", str(tmp_path / "rec")])
+        assert rc == 2
+        assert "bins must be unique integers in [0, 512)" in capsys.readouterr().err
+        assert not (tmp_path / "rec.uim1").exists()
 
     @pytest.mark.parametrize("empty", ["image", "psf"])
     @pytest.mark.parametrize("lam", [[], ["--lambda", "0.1"]])
@@ -307,6 +352,8 @@ class TestExitCodes:
         ("demo.num_scatterers", str(10 ** 15)), ("demo.cyst_radius", "nan"),
         ("demo.cyst_radius", "0"), ("demo.cyst_cx", "1e200"),
         ("demo.cyst_cz", "inf"),
+        # the cyst or the background beside it holds no grid pixel
+        ("demo.cyst_cx", "0.9"), ("demo.cyst_radius", "1e-6"),
         ("bf.sub_l", "33")])
     def test_bad_demo_value_exit_1(self, tmp_path, capsys, key, value):
         rc = run(["demo", "--out", str(tmp_path / "d"), "--set", key, value])
@@ -431,6 +478,16 @@ class TestExitCodes:
                     "--out", str(tmp_path / "dec")]) == 0
         out = uio.read_uim1(tmp_path / "dec.uim1")
         assert out.shape == (8, 8) and not np.any(out)
+
+    def test_all_zero_clutter_input_writes_zero(self, tmp_path):
+        # the automatic RPCA weights are 0, and a zero-weight solve stops at zero
+        seq = tmp_path / "seq.uim1"
+        uio.write_uim1_seq(seq, np.zeros((4, 3, 5)))
+        assert run(["clutter", "--in", str(seq), "--method", "rpca",
+                    "--out", str(tmp_path / "cl")]) == 0
+        for part in ("tissue", "blood"):
+            out = uio.read_uim1_seq(tmp_path / f"cl_{part}.uim1")
+            assert out.shape == (4, 3, 5) and not np.any(out)
 
     def test_all_zero_recover_input_writes_zero(self, tmp_path):
         field = write_field(tmp_path / "f.txt", rows="0.0 0.008 0.0\n")

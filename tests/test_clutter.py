@@ -114,6 +114,17 @@ class TestRpca:
         assert not np.any(xt) and not np.any(xb)
         assert iters == 1
 
+    def test_zero_weights_on_zero_input_one_iteration(self):
+        xt, xb, iters = rpca(casoratify(np.zeros((8, 4))), 0.0, 0.0)
+        assert not np.any(xt) and not np.any(xb)
+        assert iters == 1
+
+    @pytest.mark.parametrize("lam1,lam2", [(-1.0, 0.1), (0.1, -1e-300),
+                                           (np.nan, 0.1)])
+    def test_negative_weight_rejected(self, lam1, lam2):
+        with pytest.raises(ValueError, match="lam1 and lam2 must be >= 0"):
+            rpca(casoratify(np.ones((6, 4))), lam1, lam2)
+
     def test_rank_one_fixed_point(self):
         rng = np.random.default_rng(6)
         u = rng.standard_normal(30)

@@ -1,10 +1,13 @@
 """Domain-type invariants, validation, and the URF1 binary format."""
 
+import math
 import struct
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from usproc import io as uio
 from usproc.core import (
@@ -26,6 +29,7 @@ from usproc.errors import (
     FileFormatError,
     NonFiniteSampleError,
     NonPositiveSpeedError,
+    UsprocError,
 )
 
 HUGE = 2 ** 31  # E=1, C=Nt=2**31 declares 2**64 payload bytes
@@ -269,6 +273,45 @@ class TestUim1:
         seq.write_bytes(b"UIM1" + struct.pack("<III", 1, HUGE, HUGE))
         with pytest.raises(FileFormatError, match="truncated payload"):
             uio.read_uim1_seq(seq)
+
+
+#: A header field: small, so that some declared payloads fit the file, or any u32.
+DIMS = st.one_of(st.integers(0, 4), st.integers(0, 2 ** 32 - 1))
+
+
+def forged(magic, dims, floats, exact, tail):
+    """``magic``, u32 ``dims``, f64 ``floats``, then ``tail`` repeated to the
+    exact declared payload when ``exact`` and it is small, else ``tail``."""
+    count = 4 * math.prod(dims)
+    body = (tail * count)[:count] if exact and count <= 1024 else tail
+    return (magic + struct.pack(f"<{len(dims)}I", *dims)
+            + struct.pack(f"<{len(floats)}d", *floats) + body)
+
+
+#: Random bytes, or a URF1, UIM1 or wrong magic with forged dimensions,
+#: header floats (URF1 has three, UIM1 none) and payload.
+FILES = st.one_of(
+    st.binary(max_size=96),
+    st.builds(forged, st.sampled_from([b"URF1", b"UIM1", b"URF0"]),
+              st.lists(DIMS, min_size=2, max_size=3),
+              st.one_of(st.just(()), st.tuples(*[st.floats()] * 3)),
+              st.booleans(), st.binary(min_size=1, max_size=32)))
+
+
+class TestReaderFuzz:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=FILES, events=st.integers(0, 3))
+    def test_readers_raise_only_usproc_errors(self, tmp_path, data, events):
+        path = tmp_path / "f.bin"
+        path.write_bytes(data)
+        plane = [TransmitEvent.plane_wave(0.0)] * events
+        for read in (uio.read_urf1_header, lambda p: uio.read_urf1(p, plane),
+                     uio.read_uim1, uio.read_uim1_seq):
+            try:
+                read(path)
+            except UsprocError:
+                pass
 
 
 def test_scatterer_field_text_round_trip(tmp_path):

@@ -118,6 +118,24 @@ class TestIsta:
         x, _, _ = ista(matrix_problem(a, np.zeros(4), 0.5))
         assert not np.any(x)
 
+    def test_zero_lambda_on_zero_data_stops_at_zero(self):
+        # one iteration ends at +0.0 exactly
+        x, iters, obj = ista(matrix_problem(np.eye(4) + 0.5, np.zeros(4), 0.0))
+        assert iters == 1 and obj == 0.0
+        assert np.array_equal(x.view(np.uint64), np.zeros(8, np.uint64))
+
+    def test_zero_lambda_is_least_squares(self):
+        rng = np.random.default_rng(22)
+        a = 2.0 * np.eye(5) + 0.1 * rng.standard_normal((5, 5))
+        y = rng.standard_normal(5)
+        x, _, _ = ista(matrix_problem(a, y, 0.0, max_iters=5000, tol=1e-14))
+        assert np.allclose(x, np.linalg.solve(a, y), atol=1e-10)
+
+    @pytest.mark.parametrize("lam", [-1e-300, -1.0, np.nan])
+    def test_negative_lambda_rejected(self, lam):
+        with pytest.raises(ValueError, match="lambda must be >= 0"):
+            matrix_problem(np.eye(2), np.ones(2), lam)
+
 
 class TestRealIsta:
     def real_problem(self, a, y, lam, **kw):
@@ -180,6 +198,25 @@ class TestScanline:
         lhs = np.vdot(model.forward(x), y)
         rhs = np.vdot(x, model.adjoint(y))
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
+
+    @given(st.integers(1, 96), st.data(), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_adjoint_identity_any_model(self, n, data, seed):
+        # any N, any unique bins and any pulse spectrum, zeros included
+        bins = data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                  max_size=n, unique=True))
+        rng = np.random.default_rng(seed)
+        m = len(bins)
+        h = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) \
+            * (rng.random(m) > 0.1)
+        model = ScanlineModel(h, np.asarray(bins), n)
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        y = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        lhs = np.vdot(model.forward(x), y)
+        rhs = np.vdot(x, model.adjoint(y))
+        # ||A|| <= max|h| sqrt(N) bounds both sides
+        scale = np.max(np.abs(h)) * np.sqrt(n) * np.linalg.norm(x) * np.linalg.norm(y)
+        assert abs(lhs - rhs) <= 1e-12 * max(scale, 1e-300)
 
     def test_zero_measurement_recovers_zero(self):
         rng = np.random.default_rng(5)

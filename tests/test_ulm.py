@@ -2,7 +2,12 @@
 
 import numpy as np
 import pytest
-from oracles import localize_sparse_complex, ulm_model_complex, ulm_model_fft
+from oracles import (
+    block_expand,
+    localize_sparse_complex,
+    ulm_model_complex,
+    ulm_model_fft,
+)
 
 from usproc import ulm as ulm_module
 from usproc.errors import DimensionMismatchError
@@ -11,7 +16,6 @@ from usproc.ulm import (
     LocalizationSet,
     accumulate,
     block_average,
-    block_expand,
     detect_centroids,
     gaussian_psf,
     localization_step,
