@@ -164,18 +164,29 @@ def write_pgm_linear(path, image: np.ndarray) -> None:
 
 
 def read_scatterer_field(path) -> ScattererField:
-    """Text scatterer table: one ``x_m z_m amplitude`` triple per line."""
+    """Text scatterer table: one ``x_m z_m amplitude`` triple per line.
+
+    The file is ASCII and every triple is finite with depth z_m > 0; a line
+    that breaks a rule raises FileFormatError naming it.
+    """
     rows = []
-    with open(path, "r", encoding="ascii") as fh:
+    # a non-ASCII byte decodes to U+FFFD, which marks its line as bad
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
         for lineno, line in enumerate(fh, 1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
+            parts = line.split("#", 1)[0].split()
+            if not parts and "\ufffd" not in line:
                 continue
-            parts = body.split()
-            if len(parts) != 3:
+            try:
+                x, z, amp = map(float, parts)   # ValueError unless 3 numbers
+                ok = ("\ufffd" not in line and z > 0
+                      and all(map(math.isfinite, (x, z, amp))))
+            except ValueError:
+                ok = False
+            if not ok:
                 raise FileFormatError(
-                    f"scatterer file line {lineno}: expected 3 values, got {len(parts)}")
-            rows.append([float(p) for p in parts])
+                    f"scatterer file line {lineno}: expected ASCII x_m z_m "
+                    f"amplitude, finite with z_m > 0, got {line.strip()[:60]!r}")
+            rows.append((x, z, amp))
     return ScattererField(np.asarray(rows, dtype=np.float64).reshape(-1, 3))
 
 

@@ -7,6 +7,18 @@ recording window are zero, not an error).  Delays are kept factored into a
 receive leg per channel and a transmit leg per event; focusing forms one
 event's (C, Rx, Rz) delays at a time, so no (E, C, Rx, Rz) array is built
 unless a caller asks for :attr:`DelayTensor.delays`.
+
+Reciprocal synthetic aperture: in a full SA set recorded without noise,
+trace (e, c) equals trace (c, e) and so do their delays, because the
+transmit leg of event e is element e's receive leg.  The summed focus then
+gathers each element pair once (C(C+1)/2 of C^2 slab rows) and adds the
+slab to both channels, each channel still summing its events in the order
+0..E-1, so the output keeps the event-by-event loop's bits.  The path is
+taken only when the input proves it exact (E == C, factored delays, legs
+equal by ``array_equal``, cube symmetric by exact comparison); any other
+input, such as plane waves, noise, a shuffled or partial SA set, takes the
+loop (Jensen et al., "Synthetic aperture ultrasound imaging", Ultrasonics
+44, 2006).
 """
 
 from __future__ import annotations
@@ -153,7 +165,10 @@ def focus(cube: RfDataCube, delays: DelayTensor, grid: ImagingGrid,
     ``per_event`` is set, in which case they are stacked.  Events are
     focused one at a time from :meth:`DelayTensor.event`, so the summed form
     never holds more than one event's (C, Rx, Rz) slabs besides the running
-    sum.
+    sum.  When :func:`_reciprocal` shows slab (e, c) equals slab (c, e),
+    the summed form gathers event i for channels i..C-1 only and adds row
+    k both to channel i + k and, in event order, to channel i: half the
+    gathers, the same bits.
     """
     e_count, c_count, nt = cube.samples.shape
     if delays.shape[:2] != (e_count, c_count) or delays.shape[2:] != grid.shape:
@@ -167,9 +182,39 @@ def focus(cube: RfDataCube, delays: DelayTensor, grid: ImagingGrid,
         return FocusedTensor(_Handover(out), grid, per_event=True)
     # a zero start and event-by-event adds give np.sum(axis=0)'s bits
     total = np.zeros((c_count,) + grid.shape)
-    for e in range(e_count):
-        total += _focus_event(cube.samples[e], delays.event(e) * cube.fs)
+    if _reciprocal(cube.samples, delays):
+        legs = delays._rx_leg
+        for i in range(c_count):
+            # slab row k is pair (i, i + k): term i of channel i + k, and
+            # by symmetry term i + k of channel i, added in event order; the
+            # index array goes straight in so that _focus_event can free it
+            slab = _focus_event(cube.samples[i, i:],
+                                (legs[i] + legs[i:]) / delays._v * cube.fs)
+            total[i:] += slab
+            for k in range(1, c_count - i):
+                total[i] += slab[k]
+            del slab    # before the next event's indices are built
+    else:
+        for e in range(e_count):
+            total += _focus_event(cube.samples[e], delays.event(e) * cube.fs)
     return FocusedTensor(total, grid, per_event=False)
+
+
+def _reciprocal(samples: np.ndarray, delays: DelayTensor) -> bool:
+    """Whether slab (e, c) of a summed focus equals slab (c, e) bit for bit.
+
+    True for a full synthetic-aperture set recorded without noise: factored
+    delays whose (E, Rx, Rz) transmit legs equal the (C, Rx, Rz) receive leg,
+    so E == C, and ``samples[e, c] == samples[c, e]``.  Exact comparisons
+    only, so any other input takes the event-by-event loop.  A zero's sign,
+    which ``==`` ignores, cannot reach the sum: it starts at +0.0 and so is
+    never -0.0, and a zero of either sign added to any other value leaves it
+    as it is.
+    """
+    return (delays._full is None
+            and np.array_equal(delays._tx_legs, delays._rx_leg)
+            and all(np.array_equal(samples[i, i + 1:], samples[i + 1:, i])
+                    for i in range(samples.shape[1] - 1)))
 
 
 def _focus_event(traces: np.ndarray, idx: np.ndarray) -> np.ndarray:

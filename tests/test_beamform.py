@@ -24,6 +24,7 @@ from usproc.core import (
     ApodizationWindow,
     BeamformedImage,
     FocusedTensor,
+    HAMMING,
     HANNING,
     ImagingGrid,
 )
@@ -79,6 +80,28 @@ class TestDas:
         lhs = das(tensor_from(2.0 * a.values + 3.0 * b.values), apod).rf
         rhs = 2.0 * das(a, apod).rf + 3.0 * das(b, apod).rf
         assert np.allclose(lhs, rhs, atol=1e-14)
+
+    @given(st.integers(2, 12), st.integers(1, 6), st.integers(1, 6),
+           st.sampled_from([RECTANGULAR, HANNING, HAMMING, "random"]),
+           st.floats(-1e3, 1e3), st.floats(-1e3, 1e3),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_linearity_property(self, c, nx, nz, kind, a, b, seed):
+        # das(aX + bY) = a das(X) + b das(Y) up to rounding: per pixel, the
+        # gap is at most 8 (C + 2) eps times (1/C) sum |w| (|a||X| + |b||Y|),
+        # plus 1e-300 for products that underflow
+        rng = np.random.default_rng(seed)
+        x, y = rand_tensor(rng, c, nx, nz), rand_tensor(rng, c, nx, nz)
+        apod = ApodizationWindow(RECTANGULAR if kind == "random" else kind, c)
+        if kind == "random":
+            object.__setattr__(apod, "weights", rng.uniform(-2.0, 2.0, c))
+        lhs = das(tensor_from(a * x.values + b * y.values), apod).rf
+        rhs = a * das(x, apod).rf + b * das(y, apod).rf
+        w = np.abs(apod.weights)[:, None, None]
+        scale = np.sum(w * (abs(a) * np.abs(x.values)
+                            + abs(b) * np.abs(y.values)), axis=0) / c
+        eps = np.finfo(np.float64).eps
+        assert np.all(np.abs(lhs - rhs) <= 8 * (c + 2) * eps * scale + 1e-300)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError, match="shape-mismatch"):

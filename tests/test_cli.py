@@ -158,6 +158,20 @@ class TestExitCodes:
         assert rc == 1
         assert "sim.bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("row", [
+        b"0.0 abc 1.0\n", b"0.0 0.01 1.0 # \xb5s\n", b"\xb5\n",
+        b"0.0 -0.01 1.0\n", b"0.0 0.0 1.0\n", b"0.0 nan 1.0\n",
+        b"0.0 0.01 1e400\n", b"0.0 0.01\n", b"0.0 0.01 1.0 2.0\n"])
+    def test_bad_scatterer_file_exit_2(self, tmp_path, capsys, row):
+        field = tmp_path / "f.txt"
+        field.write_bytes(b"# x z amp\n0.0 0.008 1.0\n" + row)
+        rc = run(["simulate", "--field", str(field),
+                  "--out", str(tmp_path / "c.urf")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: scatterer file line 3: expected "), err
+        assert [p.name for p in tmp_path.iterdir()] == ["f.txt"]
+
     def test_truncated_urf_exit_2(self, tmp_path, capsys):
         field = write_field(tmp_path / "f.txt")
         out = tmp_path / "cube.urf"
@@ -547,7 +561,8 @@ class TestConfigDomains:
         blocker = tmp_path / "o"   # demo cannot make its directory here
         blocker.write_text("")
         conf = tmp_path / "c.conf"
-        grid = "" if key.startswith("bf.") else (
+        # demo fills its own grid, the only one that holds its default cyst
+        grid = "" if key.startswith(("bf.", "demo.")) else (
             "bf.grid_lat_min = -0.005\nbf.grid_lat_max = 0.005\n"
             "bf.grid_ax_min = 0.001\nbf.grid_ax_max = 0.01\n")
         conf.write_text(f"{grid}{key} = {value}\n")
@@ -576,6 +591,29 @@ class TestSimulateBeamform:
                     "--method", "das"]) == 0
         assert (tmp_path / "img.uim1").exists()
         assert (tmp_path / "img.pgm").read_bytes().startswith(b"P5\n")
+
+    def test_sa_das_reciprocal_focus_keeps_bytes(self, tmp_path, monkeypatch):
+        # an SA cube survives the float32 URF1 round trip symmetric, so DAS
+        # takes the reciprocal focus; its files match the event loop's
+        field = write_field(tmp_path / "f.txt",
+                            "-0.001 0.008 1.0\n0.0005 0.009 -0.6\n")
+        cube = str(tmp_path / "c.urf")
+        assert run(["simulate", "--field", field, "--out", cube,
+                    "--num-elements", "8", "--set", "sim.scheme", "sa"]) == 0
+        real, taken = tof._reciprocal, []
+        monkeypatch.setattr(tof, "_reciprocal",
+                            lambda *a: taken.append(real(*a)) or taken[-1])
+        outputs = {}
+        for path in ("reciprocal", "loop"):
+            (tmp_path / path).mkdir()
+            assert run(["beamform", "--in", cube, "--method", "das",
+                        "--out", str(tmp_path / path / "img"),
+                        "--config", cube + ".config.txt",
+                        "--set", "bf.grid_nx", "9"]) == 0
+            outputs[path] = file_map(tmp_path / path)
+            monkeypatch.setattr(tof, "_reciprocal", lambda *a: False)
+        assert taken == [True]
+        assert outputs["reciprocal"] == outputs["loop"]
 
     def test_beamform_all_methods(self, tmp_path):
         field = write_field(tmp_path / "f.txt")

@@ -307,7 +307,8 @@ class TestReaderFuzz:
         path.write_bytes(data)
         plane = [TransmitEvent.plane_wave(0.0)] * events
         for read in (uio.read_urf1_header, lambda p: uio.read_urf1(p, plane),
-                     uio.read_uim1, uio.read_uim1_seq):
+                     uio.read_uim1, uio.read_uim1_seq,
+                     uio.read_scatterer_field):
             try:
                 read(path)
             except UsprocError:

@@ -11,6 +11,7 @@ from oracles import (
     delays_whole_array,
     focus_per_trace,
 )
+from usproc import tof
 from usproc.core import (
     ImagingGrid,
     RfDataCube,
@@ -27,6 +28,7 @@ from usproc.errors import (
 from usproc.simulator import PulseModel, simulate
 from usproc.tof import (
     DelayTensor,
+    _reciprocal,
     compute_delays,
     detect_envelope,
     envelope,
@@ -206,6 +208,38 @@ class TestFocusMatchesPerTrace:
         assert out.values.shape == (c_count,) + grid.shape
         assert peak < 4 * c_count * grid.shape[0] * grid.shape[1] * 16
 
+    def test_sum_of_events_peak_memory_reciprocal(self, monkeypatch):
+        # the same bound when a symmetric SA cube takes the reciprocal path,
+        # whose peak is also no higher than the event loop's on that cube
+        c_count = 16
+        grid = ImagingGrid.regular(-2e-3, 2e-3, 24, 3e-3, 8e-3, 40)
+        arr = TransducerArray.linear(c_count, V / 5e6 / 2, 5e6, 40e6)
+        events = [TransmitEvent.synthetic_aperture(i, arr)
+                  for i in range(c_count)]
+        rng = np.random.default_rng(8)
+        half = rng.standard_normal((c_count, c_count, 500))
+        cube = RfDataCube(half + half.transpose(1, 0, 2), 40e6, V, events)
+        delays = compute_delays(arr, events, grid, V)
+        assert _reciprocal(cube.samples, delays)
+        peaks = []
+        for _ in range(2):
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                out = focus(cube, delays, grid, per_event=False)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+            del out
+            monkeypatch.setattr(tof, "_reciprocal", lambda *a: False)
+        # a slab or an index array kept alive one event too long would add
+        # a whole (C, Rx, Rz) float64 array; a quarter of one allows for the
+        # interpreter's own small allocations
+        slab = c_count * grid.shape[0] * grid.shape[1] * 8
+        assert peaks[0] < 4 * c_count * grid.shape[0] * grid.shape[1] * 16
+        assert peaks[0] < peaks[1] + slab // 4, peaks
+
     def test_per_event_holds_one_stacked_tensor(self):
         # the (E, C, Rx, Rz) complex result is built once and not copied:
         # 16 E = 256 bytes per (C, Rx, Rz) element at E = 16, plus one
@@ -332,6 +366,57 @@ class TestFactoredDelays:
                 tracemalloc.stop()
         tx_growth = (32 - 4) * grid.shape[0] * grid.shape[1] * 8
         assert peaks[32] < peaks[4] + tx_growth + slab // 2, peaks
+
+
+class TestReciprocalFocus:
+    """A symmetric full SA set is focused pair by pair, bit-identically to
+    the per-trace loop; any other input takes the event-by-event loop."""
+
+    GRID = ImagingGrid.regular(-2e-3, 2e-3, 9, 2e-3, 7e-3, 13)
+
+    @classmethod
+    def setup(cls, variant):
+        arr = TransducerArray.linear(8, V / 5e6 / 2, 5e6, 40e6)
+        order = list(range(8))
+        if variant == "shuffled":
+            np.random.default_rng(3).shuffle(order)
+        elif variant == "subset":
+            order = [0, 2, 5]
+        events = [TransmitEvent.synthetic_aperture(i, arr) for i in order]
+        field = ScattererField([[-1e-3, 3e-3, 1.0], [0.5e-3, 4.5e-3, -0.7],
+                                [1.5e-3, 6e-3, 0.4]])
+        noise = 0.01 if variant == "noise" else 0.0
+        cube = simulate(arr, events, field, PulseModel(5e6, 0.6), V, 400,
+                        noise, 5)
+        samples = cube.samples.copy()
+        if variant == "one_sample":
+            k = np.argmax(np.abs(samples[2, 5]))
+            samples[2, 5, k] = np.nextafter(samples[2, 5, k], np.inf)
+        elif variant == "signed_zero":
+            # -0.0 == 0.0, so this cube passes the check; a zero's sign
+            # never reaches the sum, which starts at +0.0
+            samples[1, 4][samples[4, 1] == 0.0] = -0.0
+        if variant == "plane_waves":
+            # a symmetric cube, but transmit legs unlike the receive leg
+            events = [TransmitEvent.plane_wave(a)
+                      for a in np.linspace(-0.3, 0.3, 8)]
+        cube = RfDataCube(samples, cube.fs, V, events)
+        delays = compute_delays(arr, events, cls.GRID, V)
+        if variant == "unfactored":
+            delays = DelayTensor(delays.delays)
+        return cube, delays
+
+    @pytest.mark.parametrize("variant,reciprocal", [
+        ("symmetric", True), ("signed_zero", True), ("one_sample", False),
+        ("noise", False), ("shuffled", False), ("subset", False),
+        ("unfactored", False), ("plane_waves", False)])
+    def test_matches_per_trace_oracle(self, variant, reciprocal):
+        cube, delays = self.setup(variant)
+        assert _reciprocal(cube.samples, delays) is reciprocal
+        out = focus(cube, delays, self.GRID).values
+        ref = focus_per_trace(cube.samples, cube.fs, delays.delays)
+        assert np.any(ref)
+        assert np.array_equal(bits(out), bits(ref))
 
 
 class TestNegativeDelays:
