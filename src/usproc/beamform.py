@@ -9,7 +9,9 @@ yield 0 (avoids 0/0 in the adaptive weights at empty corners), and so do the
 adaptive estimators' pixels whose covariance trace is below
 ``_TINY_TRACE``: their data are so faint (|y| below about 1e-90) that the
 diagonal loading eps * trace / L and the weights ~ 1 / trace would reach the
-subnormal or the overflow range.
+subnormal or the overflow range.  Real focused data (channel data from an
+:class:`~usproc.core.RfDataCube`) is beamformed in float64, covariances and
+solves included; complex (IQ) data in complex128.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import ApodizationWindow, BeamformedImage, FocusedTensor
 from .errors import GridMismatchError, ShapeMismatchError
-from .numerics import solve_hermitian
+from .numerics import solve_hermitian, working_dtype
 
 MEAN = "mean"
 MV = "mv"
@@ -69,7 +71,7 @@ def estimate_covariance(neighborhood, cfg: CovarianceConfig) -> np.ndarray:
     clamped 2K+1 axial neighbors as columns.  Diagonal loading adds
     eps * trace / L to every diagonal entry.
     """
-    nb = np.asarray(neighborhood, dtype=np.complex128)
+    nb = np.asarray(neighborhood, dtype=working_dtype(neighborhood))
     if nb.ndim == 1:
         nb = nb[:, None]
     c = nb.shape[0]
@@ -128,7 +130,7 @@ def _column_weights(rows, block, live, cfg, covariance_fn):
     live = live.copy()
     live[live] = solvable
     gamma = gamma[solvable]
-    w = solve_hermitian(gamma, np.ones(gamma.shape[:-1], dtype=np.complex128), 0.0)
+    w = solve_hermitian(gamma, np.ones(gamma.shape[:-1], dtype=gamma.dtype), 0.0)
     return live, gamma, w / np.sum(w, axis=-1, keepdims=True)
 
 
@@ -139,7 +141,7 @@ def _capon(focused: FocusedTensor, cfg, covariance_fn, postfilter: bool):
     ell, c = cfg.subaperture_length, focused.num_channels
     if ell > c:
         raise ShapeMismatchError(f"shape-mismatch: L={ell} exceeds C={c}")
-    rf = np.zeros(focused.grid.shape, dtype=np.complex128)
+    rf = np.zeros(focused.grid.shape, dtype=focused.values.dtype)
     for ix in range(rf.shape[0]):
         col = focused.values[:, ix, :]
         live = np.any(col, axis=0)
@@ -154,6 +156,8 @@ def _capon(focused: FocusedTensor, cfg, covariance_fn, postfilter: bool):
             sig = np.abs(est) ** 2
             noise = np.einsum("ni,nij,nj->n", np.conj(w), gamma, w).real
             est = sig / (sig + noise) * est
+        # a complex custom covariance gives real data complex weights
+        rf = rf.astype(np.result_type(rf, est), copy=False)
         rf[ix, live] = est
     return BeamformedImage(rf, focused.grid)
 
@@ -247,7 +251,7 @@ def compound(images, mode: str = MEAN, cfg: CovarianceConfig | None = None,
     if cfg is None:
         cfg = CovarianceConfig(stack.shape[0], 2, 0.01)
     k = cfg.temporal_half_window
-    rf = np.zeros(grid.shape, dtype=np.complex128)
+    rf = np.zeros(grid.shape, dtype=stack.dtype)
     for ix in range(rf.shape[0]):
         center = stack[:, ix, :]
         live = np.any(center, axis=0)
@@ -256,5 +260,7 @@ def compound(images, mode: str = MEAN, cfg: CovarianceConfig | None = None,
         block = stack[:, max(ix - k, 0):ix + k + 1, :]   # (E, lateral, Rz)
         live, _, w = _column_weights(block.transpose(2, 1, 0), block, live,
                                      cfg, covariance_fn)
-        rf[ix, live] = np.sum(np.conj(w) * center[:, live].T, axis=-1)
+        est = np.sum(np.conj(w) * center[:, live].T, axis=-1)
+        rf = rf.astype(np.result_type(rf, est), copy=False)
+        rf[ix, live] = est
     return BeamformedImage(rf, grid)

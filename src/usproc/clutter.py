@@ -10,6 +10,8 @@ plus a row-sparse flow component by alternating proximal-gradient steps
 minimizing 0.5||Y - X_t - X_b||_F^2 + lam1 ||X_t||_* + lam2 ||X_b||_{1,2}.
 The mixed norm groups each spatial pixel's time series (l2 along time, l1
 across pixels): a sparse set of flowing pixels, each temporally coherent.
+Real frames (B-mode or RF sequences) stay float64 through every step, SVDs
+included; complex (IQ) frames run in complex128.
 """
 
 from __future__ import annotations
@@ -19,19 +21,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, ShapeMismatchError, StepTooLargeError
-from .numerics import svd
+from .numerics import svd, working_dtype
 
 
 @dataclass(frozen=True)
 class CasoratiMatrix:
-    """Frames vectorized as columns of an (N*M, T) space-time matrix."""
+    """Frames vectorized as columns of an (N*M, T) space-time matrix.
+
+    ``data`` is float64 for real frames and complex128 for complex ones.
+    """
 
     data: np.ndarray
     spatial_shape: tuple[int, int]
     num_frames: int
 
     def __post_init__(self):
-        d = np.asarray(self.data, dtype=np.complex128)
+        d = np.asarray(self.data, dtype=working_dtype(self.data))
         n, m = self.spatial_shape
         if d.ndim != 2 or d.shape != (n * m, self.num_frames):
             raise DimensionMismatchError(
@@ -74,14 +79,14 @@ def svt(y, lam: float) -> np.ndarray:
     """Singular value thresholding, the proximal operator of the nuclear norm."""
     if lam < 0:
         raise ValueError("threshold must be >= 0")
-    return _svt_with_nuclear(np.asarray(y, dtype=np.complex128), lam)[0]
+    return _svt_with_nuclear(np.asarray(y, dtype=working_dtype(y)), lam)[0]
 
 
 def mixed_l12_threshold(x, lam: float) -> np.ndarray:
     """Group soft threshold with one group per spatial row (time series)."""
     if lam < 0:
         raise ValueError("threshold must be >= 0")
-    x = np.asarray(x, dtype=np.complex128)
+    x = np.asarray(x, dtype=working_dtype(x))
     norms = np.sqrt(np.sum(np.abs(x) ** 2, axis=1))
     with np.errstate(invalid="ignore", divide="ignore"):
         scale = np.where(norms > 0.0,
@@ -95,7 +100,7 @@ def mixed_l12_norm(x) -> float:
 
 def default_lambda1(y) -> float:
     """Scale-aware default: s_1(Y) / sqrt(max(NM, T))."""
-    y = np.asarray(y, dtype=np.complex128)
+    y = np.asarray(y, dtype=working_dtype(y))
     s1 = svd(y).singular_values[0]
     return float(s1 / np.sqrt(max(y.shape)))
 
@@ -104,7 +109,9 @@ def rpca(cas: CasoratiMatrix, lam1: float, lam2: float, mu1: float = 0.5,
          mu2: float = 0.5, max_iters: int = 500, tol: float = 1e-6):
     """Low-rank plus row-sparse separation of a Casorati matrix.
 
-    Returns (x_tissue, x_blood, iterations).  Both proximal steps threshold
+    Returns (x_tissue, x_blood, iterations), both of the Casorati data's
+    dtype: a real Casorati matrix is separated in float64 throughout, its
+    SVDs included, a complex one in complex128.  Both proximal steps threshold
     with mu_i * lam_i so the iteration is a proximal-gradient step on the
     joint objective, whose monotone descent is asserted every iteration
     (``step-too-large`` otherwise; mu1 = mu2 = 0.5 matches the Lipschitz

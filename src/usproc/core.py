@@ -2,9 +2,10 @@
 
 Geometry convention: coordinates are 2-D ``(lateral x, axial z)`` in meters,
 origin at the array's lateral center, ``z = 0`` at the array face, ``z``
-increasing into the medium.  Complex samples are ``complex128`` (an explicit
-pair of 64-bit floats).  All types are immutable after construction and safe
-to share across threads.
+increasing into the medium.  Samples are ``float64`` for real data and
+``complex128`` (an explicit pair of 64-bit floats) for complex data: focused
+channel vectors and images keep the dtype of what they were made from.  All
+types are immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .errors import (
     NonFiniteSampleError,
     NonPositiveSpeedError,
 )
+from .numerics import working_dtype
 
 PLANE_WAVE = "plane_wave"
 SYNTHETIC_APERTURE = "synthetic_aperture"
@@ -48,6 +50,11 @@ def _frozen(a, dtype=None):
         else np.array(a, dtype=dtype)
     out.flags.writeable = False
     return out
+
+
+def _frozen_samples(a):
+    """:func:`_frozen` as float64 for real data, complex128 for complex."""
+    return _frozen(a, dtype=working_dtype(a.array if isinstance(a, _Handover) else a))
 
 
 @dataclass(frozen=True)
@@ -205,7 +212,10 @@ class FocusedTensor:
     """TOF-corrected per-pixel channel vectors y_r over an imaging grid.
 
     ``values`` has shape (C, Rx, Rz) when ``per_event`` is False (events
-    coherently summed during focusing) and (E, C, Rx, Rz) otherwise.
+    coherently summed during focusing) and (E, C, Rx, Rz) otherwise.  It is
+    float64 for real channel data, as focused from an :class:`RfDataCube`,
+    and complex128 for complex (IQ) data; a ``_Handover`` array already of
+    that dtype is frozen in place, without a copy.
     """
 
     values: np.ndarray
@@ -213,7 +223,7 @@ class FocusedTensor:
     per_event: bool = False
 
     def __post_init__(self):
-        v = _frozen(self.values, dtype=np.complex128)
+        v = _frozen_samples(self.values)
         want = 4 if self.per_event else 3
         if v.ndim != want or v.shape[-2:] != self.grid.shape:
             raise DimensionMismatchError(
@@ -243,16 +253,17 @@ class BeamformedImage:
     with :func:`usproc.tof.detect_envelope`, which replaces ``rf`` by the
     per-line analytic signal so that this invariant carries the B-mode
     meaning.  ``log_db`` when present is normalized: max exactly 0, all
-    values in [-dynamic_range, 0].
+    values in [-dynamic_range, 0].  ``rf`` is float64 when the estimate is
+    real (a beamformer fed real channel data) and complex128 otherwise.
     """
 
-    rf: np.ndarray              # (Rx, Rz) complex128
+    rf: np.ndarray              # (Rx, Rz) float64 or complex128
     grid: ImagingGrid
     envelope: np.ndarray | None = None
     log_db: np.ndarray | None = None
 
     def __post_init__(self):
-        rf = _frozen(self.rf, dtype=np.complex128)
+        rf = _frozen_samples(self.rf)
         if rf.shape != self.grid.shape:
             raise DimensionMismatchError(
                 f"dimension-mismatch: rf shape {rf.shape} != grid {self.grid.shape}")

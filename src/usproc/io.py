@@ -12,7 +12,8 @@ events supplied by the caller (the CLI reconstructs them from its config).
 
 UIM1 images: ASCII "UIM1", u32 Rx, u32 Rz, then Rx*Rz f32 values in
 lateral-major order.  Multi-frame sequences extend the header with u32 T
-before the payload (T frames back to back).
+before the payload (T frames back to back).  Readers reject a NaN or Inf
+value as ``non-finite-sample``, as :func:`read_urf1` does.
 
 PGM output is binary P5 with maxval 255.
 """
@@ -26,7 +27,7 @@ import struct
 import numpy as np
 
 from .core import RfDataCube, ScattererField, TransmitEvent, _Handover, validate
-from .errors import DimensionMismatchError, FileFormatError
+from .errors import DimensionMismatchError, FileFormatError, NonFiniteSampleError
 
 _URF1_MAGIC = b"URF1"
 _UIM1_MAGIC = b"UIM1"
@@ -117,9 +118,16 @@ def write_uim1(path, image: np.ndarray) -> None:
         fh.write(img.astype("<f4").tobytes(order="C"))
 
 
+def _read_pixels(fh, shape: tuple[int, ...]) -> np.ndarray:
+    pixels = _read_f32(fh, shape, "pixels")
+    if not np.all(np.isfinite(pixels)):
+        raise NonFiniteSampleError("non-finite-sample: pixels")
+    return pixels
+
+
 def read_uim1(path) -> np.ndarray:
     with open(path, "rb") as fh:
-        return _read_f32(fh, _read_dims(fh, _UIM1_MAGIC, "<II"), "pixels")
+        return _read_pixels(fh, _read_dims(fh, _UIM1_MAGIC, "<II"))
 
 
 def write_uim1_seq(path, frames: np.ndarray) -> None:
@@ -137,7 +145,7 @@ def read_uim1_seq(path) -> np.ndarray:
     """Read a multi-frame UIM1 file; returns frames of shape (T, Rx, Rz)."""
     with open(path, "rb") as fh:
         rx, rz, t = _read_dims(fh, _UIM1_MAGIC, "<III")
-        return _read_f32(fh, (t, rx, rz), "pixels")
+        return _read_pixels(fh, (t, rx, rz))
 
 
 def write_pgm(path, log_db: np.ndarray, dynamic_range_db: float) -> None:

@@ -4,7 +4,10 @@ All kernels are pure functions with no global state.  The FFT, the Cholesky
 factorization and the SVD are numpy's own (``numpy.fft`` and
 ``numpy.linalg``, backed by pocketfft and LAPACK); this module keeps the
 toolkit's input checks and maps LAPACK failures onto the toolkit's named
-errors.  The operator norm is a power iteration over caller-supplied maps.
+errors.  The solve and the SVD work in float64 on real operands and in
+complex128 as soon as one operand is complex (:func:`working_dtype`), so
+real data never pays for complex arithmetic.  The operator norm is a power
+iteration over caller-supplied maps.
 """
 
 from __future__ import annotations
@@ -19,6 +22,11 @@ from .errors import (
     NoConvergenceError,
     SingularMatrixError,
 )
+
+
+def working_dtype(*arrays) -> type:
+    """complex128 if any operand is complex, float64 otherwise."""
+    return np.complex128 if any(map(np.iscomplexobj, arrays)) else np.float64
 
 
 # ---------------------------------------------------------------------------
@@ -48,10 +56,12 @@ def solve_hermitian(a, b, loading: float = 0.0) -> np.ndarray:
     each matrix of a stack is checked for symmetry against its own scale.
     Raises ``singular-matrix`` when the Cholesky factorization of any matrix
     fails after loading, which for a Hermitian matrix signals that it is not
-    positive definite.
+    positive definite.  Real ``a`` and ``b`` (a symmetric system) are solved
+    in float64 and give a float64 ``x``; a complex operand makes it complex128.
     """
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
+    dtype = working_dtype(a, b)
+    a = np.asarray(a, dtype=dtype)
+    b = np.asarray(b, dtype=dtype)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or b.shape != a.shape[:-1]:
         raise DimensionMismatchError("dimension-mismatch: need square A and matching b")
     if loading < 0:
@@ -97,10 +107,11 @@ class SvdResult:
 def svd(a) -> SvdResult:
     """Thin singular value decomposition of a finite 2-D matrix.
 
-    Raises ``no-convergence`` when LAPACK's SVD does not converge, which
-    signals pathological input.
+    A real matrix is decomposed in float64 with real factors, a complex one
+    in complex128.  Raises ``no-convergence`` when LAPACK's SVD does not
+    converge, which signals pathological input.
     """
-    a = np.asarray(a, dtype=np.complex128)
+    a = np.asarray(a, dtype=working_dtype(a))
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise DimensionMismatchError("dimension-mismatch: svd expects a 2-D matrix")
     if not np.all(np.isfinite(a)):

@@ -161,7 +161,8 @@ def focus(cube: RfDataCube, delays: DelayTensor, grid: ImagingGrid,
           per_event: bool = False) -> FocusedTensor:
     """Delay-and-interpolate the cube onto the grid (time-to-space migration).
 
-    Returns per-pixel channel vectors; events are coherently summed unless
+    Returns per-pixel channel vectors, float64 like the cube's samples and
+    handed to the tensor without a copy; events are coherently summed unless
     ``per_event`` is set, in which case they are stacked.  Events are
     focused one at a time from :meth:`DelayTensor.event`, so the summed form
     never holds more than one event's (C, Rx, Rz) slabs besides the running
@@ -176,7 +177,7 @@ def focus(cube: RfDataCube, delays: DelayTensor, grid: ImagingGrid,
             f"shape-mismatch: delays {delays.shape} vs cube "
             f"(E={e_count}, C={c_count}) and grid {grid.shape}")
     if per_event:
-        out = np.empty((e_count, c_count) + grid.shape, dtype=np.complex128)
+        out = np.empty((e_count, c_count) + grid.shape)
         for e in range(e_count):
             out[e] = _focus_event(cube.samples[e], delays.event(e) * cube.fs)
         return FocusedTensor(_Handover(out), grid, per_event=True)
@@ -197,7 +198,7 @@ def focus(cube: RfDataCube, delays: DelayTensor, grid: ImagingGrid,
     else:
         for e in range(e_count):
             total += _focus_event(cube.samples[e], delays.event(e) * cube.fs)
-    return FocusedTensor(total, grid, per_event=False)
+    return FocusedTensor(_Handover(total), grid, per_event=False)
 
 
 def _reciprocal(samples: np.ndarray, delays: DelayTensor) -> bool:

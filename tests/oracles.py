@@ -186,14 +186,16 @@ def focus_per_trace(samples, fs, delays, per_event=False):
     """Linear-interpolation focusing, one (event, channel) trace at a time.
 
     ``delays`` is (E, C, Rx, Rz) in seconds; a delay outside the recording
-    window gives 0.  Returns (E, C, Rx, Rz) or its sum over events.
+    window gives 0.  Returns (E, C, Rx, Rz) or its sum over events, float64
+    for real samples and complex128 for complex ones.
     """
     e_count, c_count, nt = samples.shape
     idx = delays * fs
     inside = (idx >= 0.0) & (idx <= nt - 1)
     i0 = np.clip(np.floor(idx).astype(np.int64), 0, max(nt - 2, 0))
     frac = idx - i0
-    out = np.zeros(delays.shape, dtype=np.complex128)
+    out = np.zeros(delays.shape, dtype=np.complex128
+                   if np.iscomplexobj(samples) else np.float64)
     for e in range(e_count):
         for c in range(c_count):
             trace = samples[e, c]

@@ -490,3 +490,55 @@ class TestCompound:
         b = BeamformedImage(np.zeros((2, 2), complex), other)
         with pytest.raises(GridMismatchError, match="grid-mismatch"):
             compound([a, b], MEAN)
+
+
+class TestRealData:
+    """Real focused data is beamformed in float64, covariances and solves
+    included; the oracle is the same beamformer on the same data cast to
+    complex128, and complex data still gives complex128."""
+
+    def test_covariance_keeps_dtype(self):
+        rng = np.random.default_rng(30)
+        nb = rng.standard_normal((6, 3))
+        cfg = CovarianceConfig(4, 1, 0.1)
+        gamma = estimate_covariance(nb, cfg)
+        assert gamma.dtype == np.float64
+        ref = estimate_covariance(nb + 0j, cfg)
+        assert np.max(np.abs(gamma - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert estimate_covariance(1j * nb, cfg).dtype == np.complex128
+
+    @pytest.mark.parametrize("beamformer", [mv, wiener])
+    @pytest.mark.parametrize("c,ell,k", [(8, 4, 2), (6, 6, 1)])
+    def test_capon_matches_complex_oracle(self, beamformer, c, ell, k):
+        rng = np.random.default_rng(c + ell + k)
+        vals = zeroed_tensor(rng, c, 5, 6).real
+        cfg = CovarianceConfig(ell, k, 0.05)
+        got = beamformer(FocusedTensor(vals, grid_for(5, 6)), cfg).rf
+        want = beamformer(tensor_from(vals), cfg).rf
+        assert got.dtype == np.float64 and want.dtype == np.complex128
+        assert np.max(np.abs(want.imag)) <= 1e-12 * np.max(np.abs(want))
+        assert_matches_reference(got, want)
+
+    def test_complex_custom_covariance_gives_complex_image(self):
+        # a complex covariance makes the weights complex, even on real data
+        vals = np.random.default_rng(31).standard_normal((6, 3, 4))
+        cov = np.eye(3) + 0.2j * (np.eye(3, k=1) - np.eye(3, k=-1))
+        cfg = CovarianceConfig(3, 1, 0.0)
+        out = mv(FocusedTensor(vals, grid_for(3, 4)), cfg,
+                 covariance_fn=lambda nb, cfg: cov).rf
+        ref = mv(tensor_from(vals), cfg, covariance_fn=lambda nb, cfg: cov).rf
+        assert out.dtype == np.complex128 and np.any(out.imag)
+        assert np.array_equal(out, ref)
+
+    @pytest.mark.parametrize("e,k,eps", [(4, 2, 0.01), (3, 0, 0.05)])
+    def test_mv_compound_matches_complex_oracle(self, e, k, eps):
+        rng = np.random.default_rng(e * 10 + k)
+        stack = zeroed_tensor(rng, e, 6, 5).real
+        grid = grid_for(6, 5)
+        cfg = CovarianceConfig(e, k, eps)
+        got = compound([BeamformedImage(s, grid) for s in stack], MV, cfg).rf
+        want = compound([BeamformedImage(s.astype(complex), grid)
+                         for s in stack], MV, cfg).rf
+        assert got.dtype == np.float64 and want.dtype == np.complex128
+        assert np.max(np.abs(want.imag)) <= 1e-12 * np.max(np.abs(want))
+        assert_matches_reference(got, want)

@@ -206,6 +206,31 @@ class TestExitCodes:
         assert rc == 2
         assert "truncated payload" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("argv", [
+        ["clutter", "--in", "{seq}", "--method", "rpca"],
+        ["clutter", "--in", "{seq}", "--method", "svt"],
+        ["ulm", "--frames", "{seq}", "--method", "sparse"],
+        ["ulm", "--frames", "{seq}", "--method", "centroid"],
+        ["metrics", "--in", "{good}", "--ref", "{img}",
+         "--set", "bf.grid_lat_min", "-0.005", "--set", "bf.grid_lat_max", "0.005",
+         "--set", "bf.grid_ax_min", "0.001", "--set", "bf.grid_ax_max", "0.01"]])
+    def test_non_finite_uim1_exit_2(self, tmp_path, capsys, argv, bad):
+        # one NaN or Inf pixel is a data error, named before anything is written
+        frames = np.ones((3, 8, 8))
+        frames[1, 4, 5] = bad
+        paths = {"seq": tmp_path / "s.uim1", "img": tmp_path / "i.uim1",
+                 "good": tmp_path / "g.uim1"}
+        uio.write_uim1_seq(paths["seq"], frames)
+        uio.write_uim1(paths["img"], frames[1])
+        uio.write_uim1(paths["good"], frames[0])
+        before = sorted(tmp_path.iterdir())
+        rc = run([arg.format(**paths) for arg in argv]
+                 + ["--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "non-finite-sample: pixels" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
+
     @pytest.mark.parametrize("text", ["1 2 x\n", "1 2.5\n", "1 \u00b2\n",
                                       f"{2 ** 64}\n", "1 1\n", "512\n", "-1\n"])
     def test_non_integer_bins_exit_2(self, tmp_path, capsys, text):
@@ -764,6 +789,34 @@ class TestRecoverDeconvolveClutterUlm:
         lines = (tmp_path / "m.csv").read_text().splitlines()
         assert lines[0] == "metric,name,value"
         assert lines[1].startswith("contrast_db,")
+
+
+def test_real_pipelines_factor_in_float64(tmp_path, monkeypatch):
+    # RPCA's SVDs and the Capon Cholesky solves of real data must run in
+    # float64: a single missed cast silently makes every later call complex
+    # while the rounded outputs keep their bytes, so only the calls show it
+    seen = {"svd": [], "cholesky": []}
+
+    def spy(real, calls):
+        def call(a, *args, **kwargs):
+            calls.append(np.asarray(a).dtype)
+            return real(a, *args, **kwargs)
+        return call
+
+    for name, calls in seen.items():
+        monkeypatch.setattr(np.linalg, name, spy(getattr(np.linalg, name), calls))
+    rng = np.random.default_rng(4)
+    frames = np.outer(rng.random(24), np.ones(6)).T.reshape(6, 4, 6) \
+        + 0.1 * rng.random((6, 4, 6))
+    uio.write_uim1_seq(tmp_path / "s.uim1", frames)
+    assert run(["clutter", "--in", str(tmp_path / "s.uim1"), "--method", "rpca",
+                "--out", str(tmp_path / "cl")]) == 0
+    assert run(["demo", "--out", str(tmp_path / "demo"),
+                "--set", "demo.num_scatterers", "20",
+                "--set", "sim.num_elements", "8",
+                "--set", "bf.grid_nx", "8", "--set", "bf.grid_nz", "24"]) == 0
+    assert len(seen["svd"]) > 2 and len(seen["cholesky"]) > 2, seen
+    assert set(seen["svd"]) == set(seen["cholesky"]) == {np.dtype(np.float64)}
 
 
 @pytest.mark.slow

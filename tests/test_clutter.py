@@ -7,6 +7,7 @@ from oracles import nuclear_norm_direct
 from usproc.clutter import (
     CasoratiMatrix,
     build_casorati,
+    default_lambda1,
     mixed_l12_norm,
     mixed_l12_threshold,
     power_doppler,
@@ -108,6 +109,67 @@ def casoratify(y):
     return CasoratiMatrix(y.astype(complex), (nm, 1), t)
 
 
+def flow_scene(seed=7, nm=60, t=24):
+    """Rank-2 slow tissue plus four fast flow rows and a little noise."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((nm, 2)))
+    tt = np.arange(t)
+    v, _ = np.linalg.qr(np.column_stack([
+        np.ones(t) + 0.1 * np.sin(2 * np.pi * tt / t),
+        np.linspace(-1.0, 1.0, t)]))
+    tissue = (u * np.array([12.0, 6.0])) @ v.T
+    blood = np.zeros((nm, t))
+    rows = rng.choice(nm, 4, replace=False)
+    for n_row, i in enumerate(rows):
+        blood[i] = rng.uniform(0.5, 1.0) * np.sin(
+            2 * np.pi * (5 + n_row) * tt / t + rng.uniform(0, 2 * np.pi))
+    y = tissue + blood + 1e-3 * rng.standard_normal((nm, t))
+    return y, tissue, blood, rows
+
+
+class TestRealData:
+    """Real data runs in float64, complex data in complex128; the oracle for
+    the real path is the same function on the same data cast to complex."""
+
+    def test_casorati_keeps_dtype(self):
+        rng = np.random.default_rng(20)
+        frames = rng.standard_normal((3, 4, 5))
+        assert build_casorati(list(frames)).data.dtype == np.float64
+        iq = frames + 1j * rng.standard_normal(frames.shape)
+        assert build_casorati(list(iq)).data.dtype == np.complex128
+
+    def test_rpca_matches_complex_oracle(self):
+        y = flow_scene()[0]
+        lam1 = default_lambda1(y)
+        real = rpca(CasoratiMatrix(y, (60, 1), 24), lam1, 0.5 * lam1,
+                    0.5, 0.5, 500, 1e-5)
+        oracle = rpca(casoratify(y), lam1, 0.5 * lam1, 0.5, 0.5, 500, 1e-5)
+        assert real[2] == oracle[2] < 500
+        for got, want in zip(real[:2], oracle[:2]):
+            peak = np.max(np.abs(want))
+            assert got.dtype == np.float64 and want.dtype == np.complex128
+            assert np.max(np.abs(want.imag)) <= 1e-12 * peak
+            assert np.max(np.abs(got - want)) <= 1e-12 * peak
+
+    def test_svt_and_lambda_match_complex_oracle(self):
+        rng = np.random.default_rng(21)
+        y = rng.standard_normal((30, 8))
+        lam = default_lambda1(y)
+        assert lam == pytest.approx(default_lambda1(y.astype(complex)), rel=1e-13)
+        got, want = svt(y, 0.5 * lam), svt(y.astype(complex), 0.5 * lam)
+        assert got.dtype == np.float64 and want.dtype == np.complex128
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert svt(y + 1j * y, lam).dtype == np.complex128
+
+    def test_mixed_threshold_keeps_dtype(self):
+        rng = np.random.default_rng(22)
+        x = rng.standard_normal((6, 4))
+        got = mixed_l12_threshold(x, 1.0)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, mixed_l12_threshold(x.astype(complex), 1.0).real)
+        assert mixed_l12_threshold(1j * x, 1.0).dtype == np.complex128
+
+
 class TestRpca:
     def test_zero_input_one_iteration(self):
         xt, xb, iters = rpca(casoratify(np.zeros((8, 4))), 1.0, 1.0)
@@ -140,20 +202,7 @@ class TestRpca:
     def test_synthetic_separation_small(self):
         # slow (DC + drift) tissue modes vs fast orthogonal-harmonic blood
         # rows: the separable regime the mixed-norm grouping encodes
-        rng = np.random.default_rng(7)
-        nm, t = 60, 24
-        u, _ = np.linalg.qr(rng.standard_normal((nm, 2)))
-        tt = np.arange(t)
-        v, _ = np.linalg.qr(np.column_stack([
-            np.ones(t) + 0.1 * np.sin(2 * np.pi * tt / t),
-            np.linspace(-1.0, 1.0, t)]))
-        tissue = (u * np.array([12.0, 6.0])) @ v.T
-        blood = np.zeros((nm, t))
-        rows = rng.choice(nm, 4, replace=False)
-        for n_row, i in enumerate(rows):
-            blood[i] = rng.uniform(0.5, 1.0) * np.sin(
-                2 * np.pi * (5 + n_row) * tt / t + rng.uniform(0, 2 * np.pi))
-        y = tissue + blood + 1e-3 * rng.standard_normal((nm, t))
+        y, tissue, blood, rows = flow_scene()
         xt, xb, iters = rpca(casoratify(y), 0.12, 0.1, 0.5, 0.5, 500, 1e-7)
         # structure: exactly the active rows carry flow, tissue stays rank 2
         found = np.any(np.abs(xb) > 1e-9, axis=1)

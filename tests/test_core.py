@@ -22,6 +22,7 @@ from usproc.core import (
     ScattererField,
     TransducerArray,
     TransmitEvent,
+    _Handover,
     validate,
 )
 from usproc.errors import (
@@ -110,6 +111,20 @@ class TestTypes:
         assert not np.shares_memory(tensor.values, values)
         values[0, 0, 0] = 5.0
         assert tensor.values[0, 0, 0] == 1.0
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_samples_keep_their_dtype(self, dtype):
+        # real data stays float64, complex data complex128; a handed-over
+        # array of that dtype is frozen in place, not copied
+        grid = ImagingGrid([0.0, 1e-3], [1e-3, 2e-3])
+        values = np.ones((2, 2, 2), dtype=dtype)
+        tensor = FocusedTensor(_Handover(values), grid)
+        assert tensor.values is values and not values.flags.writeable
+        assert FocusedTensor(values.tolist(), grid).values.dtype == dtype
+        image = BeamformedImage(values[0], grid)
+        assert image.rf.dtype == dtype and not image.rf.flags.writeable
+        single = np.float32 if dtype is np.float64 else np.complex64
+        assert BeamformedImage(values[0].astype(single), grid).rf.dtype == dtype
 
     def test_beamformed_image_envelope_invariant(self):
         grid = ImagingGrid([0.0], [1e-3])
@@ -273,6 +288,18 @@ class TestUim1:
         seq.write_bytes(b"UIM1" + struct.pack("<III", 1, HUGE, HUGE))
         with pytest.raises(FileFormatError, match="truncated payload"):
             uio.read_uim1_seq(seq)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pixel_rejected(self, tmp_path, bad):
+        img = np.ones((3, 4))
+        img[2, 1] = bad
+        path = tmp_path / "i.uim1"
+        uio.write_uim1(path, img)
+        with pytest.raises(NonFiniteSampleError, match="non-finite-sample: pixels"):
+            uio.read_uim1(path)
+        uio.write_uim1_seq(path, np.stack([np.ones((3, 4)), img]))
+        with pytest.raises(NonFiniteSampleError, match="non-finite-sample: pixels"):
+            uio.read_uim1_seq(path)
 
 
 #: A header field: small, so that some declared payloads fit the file, or any u32.

@@ -173,6 +173,22 @@ class TestSolveHermitian:
         with pytest.raises(DimensionMismatchError, match="dimension-mismatch"):
             solve_hermitian(np.stack([np.eye(2)] * 3), np.ones((2, 2)), 0.0)
 
+    def test_real_system_solved_in_float64(self):
+        # the oracle is the same solve on the same data cast to complex128
+        rng = np.random.default_rng(15)
+        m = rng.standard_normal((4, 5, 5))
+        a = m @ np.swapaxes(m, 1, 2) + 0.1 * np.eye(5)
+        a = 0.5 * (a + np.swapaxes(a, 1, 2))
+        b = rng.standard_normal((4, 5))
+        x = solve_hermitian(a, b, 0.2)
+        ref = solve_hermitian(a.astype(complex), b.astype(complex), 0.2)
+        assert x.dtype == np.float64 and ref.dtype == np.complex128
+        assert np.max(np.abs(ref.imag)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+        # one complex operand makes the whole solve complex
+        assert solve_hermitian(a, b + 0j, 0.2).dtype == np.complex128
+        assert solve_hermitian(a + 0j, b, 0.2).dtype == np.complex128
+
 
 # ---------------------------------------------------------------------------
 # SVD
@@ -223,6 +239,17 @@ class TestSvd:
         assert np.allclose(res.singular_values,
                            [expected, 0.0, 0.0], atol=1e-10 * expected)
         assert np.allclose(res.u.conj().T @ res.u, np.eye(3), atol=1e-10)
+
+    def test_real_matrix_has_real_factors(self):
+        rng = np.random.default_rng(10)
+        a = rng.standard_normal((9, 4))
+        res, ref = svd(a), svd(a.astype(complex))
+        assert res.u.dtype == res.v.dtype == np.float64
+        assert ref.u.dtype == ref.v.dtype == np.complex128
+        scale = ref.singular_values[0]
+        assert np.max(np.abs(res.singular_values - ref.singular_values)) \
+            <= 1e-12 * scale
+        assert np.max(np.abs(res.compose() - a)) <= 1e-12 * scale
 
     @given(st.integers(1, 7), st.integers(1, 7), st.integers(0, 7),
            st.integers(0, 2 ** 32 - 1))
