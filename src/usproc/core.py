@@ -30,6 +30,18 @@ RECTANGULAR = "rectangular"
 HANNING = "hanning"
 HAMMING = "hamming"
 
+#: float64 values (256 KiB) in one block of a kernel's per-channel
+#: temporaries; the simulator and focusing work on that many channels at a
+#: time, so their temporaries stay cache-sized whatever the channel count
+BLOCK_ELEMENTS = 1 << 15
+
+
+def row_blocks(rows: int, row_size: int):
+    """Slices covering ``range(rows)`` in order, each of as many rows of
+    ``row_size`` values as fit in :data:`BLOCK_ELEMENTS`, and at least one."""
+    step = max(1, BLOCK_ELEMENTS // max(row_size, 1))
+    return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+
 
 class _Handover:
     """An array passed to a constructor by the code that just built it and

@@ -61,6 +61,11 @@ def _check_size(fh, count: int, what: str) -> None:
 def _read_f32(fh, shape: tuple[int, ...], what: str) -> np.ndarray:
     count = math.prod(shape)
     _check_size(fh, count, what)
+    # an empty payload can still declare a shape too big for numpy to hold:
+    # its other dimensions times the float64 itemsize must fit an intp
+    if 8 * math.prod(max(n, 1) for n in shape) > np.iinfo(np.intp).max:
+        raise FileFormatError(f"bad header: {what} of shape {shape} is too "
+                              "large for an array")
     raw = _read_exact(fh, 4 * count, what)
     return np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
 
@@ -92,7 +97,8 @@ def write_urf1(path, cube: RfDataCube, f0: float) -> None:
         fh.write(_URF1_MAGIC)
         fh.write(struct.pack("<III", e, c, nt))
         fh.write(struct.pack("<ddd", cube.fs, cube.speed_of_sound, f0))
-        fh.write(cube.samples.astype("<f4", order="C"))
+        for event in cube.samples:     # one float32 event at a time
+            fh.write(event.astype("<f4", order="C"))
 
 
 def read_urf1(path, events: list[TransmitEvent]):

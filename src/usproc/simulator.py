@@ -25,6 +25,12 @@ the transmit leg is that element's receive leg bit for bit, since
 (x - o)^2 = (o - x)^2 exactly, and the sum of the two legs is commutative, so
 each pair's noise-free trace is computed once and copied to its mirrored
 (event, channel) slot.  A full SA set evaluates C(C+1)/2 of its C^2 traces.
+
+Echoes are evaluated a block of receive channels at a time, as many as keep
+one (channels, scatterer chunk, window) temporary within
+``core.BLOCK_ELEMENTS`` float64 values, so the working set stays in cache
+whatever the channel count.  Traces are independent, and each one still sums
+its echoes in scatterer order, so the block size never changes a bit.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ from .core import (
     TransducerArray,
     TransmitEvent,
     _Handover,
+    row_blocks,
 )
 from .errors import DepthExceedsWindowError, EmptyEventsError
 
@@ -129,7 +136,9 @@ def simulate(array: TransducerArray, events, field: ScattererField,
     trace (e', i) into channel c for every earlier such event e' sent from
     element c, and evaluates only its other channels; the copy is bit for
     bit what evaluating would give.  Noise is added afterwards, keyed per
-    (event, channel), so noisy traces are not mirrored.
+    (event, channel), so noisy traces are not mirrored.  Channels are
+    evaluated and copied in blocks (:func:`core.row_blocks`), so besides
+    the cube only one block's temporaries are held.
     """
     events = tuple(events)
     if not events:
@@ -145,12 +154,13 @@ def simulate(array: TransducerArray, events, field: ScattererField,
     rx_dist = np.sqrt((elem[:, 0:1] - xs[None, :]) ** 2
                       + (elem[:, 1:2] - zs[None, :]) ** 2)
 
-    t_axis = np.arange(nt) / fs
     # every echo's window has one fixed width, clipped to the trace
     half = math.ceil(_SUPPORT_SIGMAS * pulse.sigma_t * fs) + 1
     width = min(2 * half + 1, nt)
     offsets = np.arange(width)
-    row_starts = (np.arange(c_count) * nt)[:, None, None]
+    # a block holds as many channels as keep one (channels, chunk, window)
+    # temporary within core.BLOCK_ELEMENTS values
+    chunk = min(_SCATTERER_CHUNK, len(field))
     samples = np.zeros((len(events), c_count, nt))
     # sender[c]: an earlier event that transmitted from element c's position
     sender = np.full(c_count, -1)
@@ -162,26 +172,35 @@ def simulate(array: TransducerArray, events, field: ScattererField,
                 raise DepthExceedsWindowError(
                     f"depth-exceeds-window: max delay {tau_max:.3e}s needs "
                     f"Nt > {tau_max * fs + 1:.0f} at fs={fs:.3e}")
-        rows = slice(None)
         own = _own_element(event, elem)
-        if own is not None:
-            sent = sender >= 0
-            rows = np.flatnonzero(~sent)
-        for lo in range(0, len(field), _SCATTERER_CHUNK):
-            hi = min(lo + _SCATTERER_CHUNK, len(field))
-            tau = (tx_dist[None, lo:hi] + rx_dist[rows, lo:hi]) / v  # (R, k)
-            first = np.floor(tau * fs).astype(np.int64) - half
-            np.clip(first, 0, nt - width, out=first)
-            window = first[:, :, None] + offsets                     # (R, k, W)
-            arg = t_axis[window] - tau[:, :, None]
-            echoes = gaussian_pulse(pulse, arg) * amps[None, lo:hi, None]
-            # bincount adds in input order: scatterers in order per sample
-            samples[e] += np.bincount(
-                (window + row_starts[rows]).ravel(), echoes.ravel(),
-                c_count * nt).reshape(c_count, nt)
+        sent = sender >= 0
+        rows = np.flatnonzero(~sent) if own is not None else np.arange(c_count)
+        for block in row_blocks(len(rows), chunk * width):
+            rb = rows[block]
+            traces = np.zeros((len(rb), nt))
+            row_starts = np.arange(0, traces.size, nt)[:, None, None]
+            for lo in range(0, len(field), _SCATTERER_CHUNK):
+                hi = min(lo + _SCATTERER_CHUNK, len(field))
+                tau = (tx_dist[None, lo:hi] + rx_dist[rb, lo:hi]) / v  # (R, k)
+                first = np.floor(tau * fs).astype(np.int64) - half
+                np.clip(first, 0, nt - width, out=first)
+                window = first[:, :, None] + offsets                   # (R, k, W)
+                # sample times index / fs: the doubles np.arange(nt) / fs holds
+                arg = window / fs
+                arg -= tau[:, :, None]
+                echoes = gaussian_pulse(pulse, arg)
+                echoes *= amps[None, lo:hi, None]
+                # bincount adds in input order: scatterers in order per sample
+                window += row_starts
+                traces += np.bincount(window.ravel(), echoes.ravel(),
+                                      traces.size).reshape(traces.shape)
+            samples[e, rb] = traces
         if own is not None:
             # reciprocity: trace (e, c) is trace (sender[c], own)
-            samples[e, sent] = samples[sender[sent], own]
+            mirrored = np.flatnonzero(sent)
+            for block in row_blocks(len(mirrored), nt):
+                ch = mirrored[block]
+                samples[e, ch] = samples[sender[ch], own]
             sender[own] = e
     if noise_std > 0.0:
         for e in range(len(events)):

@@ -4,9 +4,13 @@ Focusing migrates the recorded time-domain traces onto the imaging grid by
 sampling each channel at its two-way time of flight (linear interpolation
 between adjacent samples; contributions whose delay falls outside the
 recording window are zero, not an error).  Delays are kept factored into a
-receive leg per channel and a transmit leg per event; focusing forms one
-event's (C, Rx, Rz) delays at a time, so no (E, C, Rx, Rz) array is built
-unless a caller asks for :attr:`DelayTensor.delays`.
+receive leg per channel and a transmit leg per event; focusing forms the
+delays of one event and one block of receive channels at a time, as many
+channels as keep a (channels, Rx, Rz) array within ``core.BLOCK_ELEMENTS``
+float64 values, so its temporaries stay cache-sized and no (E, C, Rx, Rz)
+array is built unless a caller asks for :attr:`DelayTensor.delays`.  Each
+channel still sums its events in the order 0..E-1, so the block size never
+changes a bit.
 
 Reciprocal synthetic aperture: in a full SA set recorded without noise,
 trace (e, c) equals trace (c, e) and so do their delays, because the
@@ -36,6 +40,7 @@ from .core import (
     TransducerArray,
     _frozen,
     _Handover,
+    row_blocks,
 )
 from .errors import (
     AllZeroEnvelopeError,
@@ -52,7 +57,8 @@ class DelayTensor:
     ``DelayTensor(delays)`` holds a full (E, C, Rx, Rz) array.
     :func:`compute_delays` builds the factored form instead: the (E, Rx, Rz)
     transmit legs, the (C, Rx, Rz) receive leg and the speed v, from which
-    :meth:`event` forms event e's delays as ``(tx_leg[e] + rx_leg) / v``.
+    :meth:`event` forms event e's delays as ``(tx_leg[e] + rx_leg) / v``,
+    for every receive channel or for a block of them.
     :attr:`delays` gives the full array either way.
 
     Delays must be finite but may be negative: a steered plane wave reaches
@@ -113,11 +119,12 @@ class DelayTensor:
             return self._full.shape
         return (self._tx_legs.shape[0],) + self._rx_leg.shape
 
-    def event(self, e: int) -> np.ndarray:
-        """Event e's (C, Rx, Rz) delays [s]."""
+    def event(self, e: int, rows=slice(None)) -> np.ndarray:
+        """Event e's (C, Rx, Rz) delays [s], or those of the receive
+        channels ``rows`` selects."""
         if self._full is not None:
-            return self._full[e]
-        return (self._tx_legs[e][None, :, :] + self._rx_leg) / self._v
+            return self._full[e, rows]
+        return (self._tx_legs[e][None, :, :] + self._rx_leg[rows]) / self._v
 
     @property
     def delays(self) -> np.ndarray:
@@ -163,41 +170,45 @@ def focus(cube: RfDataCube, delays: DelayTensor, grid: ImagingGrid,
 
     Returns per-pixel channel vectors, float64 like the cube's samples and
     handed to the tensor without a copy; events are coherently summed unless
-    ``per_event`` is set, in which case they are stacked.  Events are
-    focused one at a time from :meth:`DelayTensor.event`, so the summed form
-    never holds more than one event's (C, Rx, Rz) slabs besides the running
-    sum.  When :func:`_reciprocal` shows slab (e, c) equals slab (c, e),
-    the summed form gathers event i for channels i..C-1 only and adds row
-    k both to channel i + k and, in event order, to channel i: half the
-    gathers, the same bits.
+    ``per_event`` is set, in which case they are stacked.  Each event is
+    focused one block of channels (:func:`core.row_blocks`) at a time from
+    :meth:`DelayTensor.event`, so besides the output only one block's
+    slabs are held.  When :func:`_reciprocal` shows slab (e, c) equals
+    slab (c, e), the summed form gathers event i for channels i..C-1 only
+    and adds row k both to channel i + k and, in event order, to channel i:
+    half the gathers, the same bits.
     """
     e_count, c_count, nt = cube.samples.shape
     if delays.shape[:2] != (e_count, c_count) or delays.shape[2:] != grid.shape:
         raise ShapeMismatchError(
             f"shape-mismatch: delays {delays.shape} vs cube "
             f"(E={e_count}, C={c_count}) and grid {grid.shape}")
+    samples, fs = cube.samples, cube.fs
+    pixels = grid.shape[0] * grid.shape[1]
     if per_event:
         out = np.empty((e_count, c_count) + grid.shape)
-        for e in range(e_count):
-            out[e] = _focus_event(cube.samples[e], delays.event(e) * cube.fs)
+        for rb in row_blocks(c_count, pixels):
+            for e in range(e_count):
+                out[e, rb] = _focus_event(samples[e, rb], delays.event(e, rb) * fs)
         return FocusedTensor(_Handover(out), grid, per_event=True)
     # a zero start and event-by-event adds give np.sum(axis=0)'s bits
     total = np.zeros((c_count,) + grid.shape)
-    if _reciprocal(cube.samples, delays):
-        legs = delays._rx_leg
+    if _reciprocal(samples, delays):
         for i in range(c_count):
-            # slab row k is pair (i, i + k): term i of channel i + k, and
-            # by symmetry term i + k of channel i, added in event order; the
-            # index array goes straight in so that _focus_event can free it
-            slab = _focus_event(cube.samples[i, i:],
-                                (legs[i] + legs[i:]) / delays._v * cube.fs)
-            total[i:] += slab
-            for k in range(1, c_count - i):
-                total[i] += slab[k]
-            del slab    # before the next event's indices are built
+            for rb in row_blocks(c_count - i, pixels):
+                # slab row k is pair (i, i + rb.start + k): term i of that
+                # channel, and by symmetry the term of channel i for event
+                # i + rb.start + k, added in event order
+                rows = slice(i + rb.start, i + rb.stop)
+                slab = _focus_event(samples[i, rows], delays.event(i, rows) * fs)
+                total[rows] += slab
+                for k in range(1 if rb.start == 0 else 0, len(slab)):
+                    total[i] += slab[k]
+                del slab    # before the next block's indices are built
     else:
-        for e in range(e_count):
-            total += _focus_event(cube.samples[e], delays.event(e) * cube.fs)
+        for rb in row_blocks(c_count, pixels):
+            for e in range(e_count):
+                total[rb] += _focus_event(samples[e, rb], delays.event(e, rb) * fs)
     return FocusedTensor(_Handover(total), grid, per_event=False)
 
 
@@ -212,8 +223,9 @@ def _reciprocal(samples: np.ndarray, delays: DelayTensor) -> bool:
     never -0.0, and a zero of either sign added to any other value leaves it
     as it is.
     """
-    return (delays._full is None
-            and np.array_equal(delays._tx_legs, delays._rx_leg)
+    legs = delays._tx_legs, delays._rx_leg
+    return (delays._full is None and legs[0].shape == legs[1].shape
+            and all(map(np.array_equal, *legs))
             and all(np.array_equal(samples[i, i + 1:], samples[i + 1:, i])
                     for i in range(samples.shape[1] - 1)))
 
@@ -225,8 +237,9 @@ def _focus_event(traces: np.ndarray, idx: np.ndarray) -> np.ndarray:
     samples around each index come from one ``take`` each on the flattened
     traces, at c Nt + floor(idx) and one past it.  The arithmetic runs in
     place but in the same order as (1 - frac) * lo + frac * hi, and
-    temporaries are released once used, so the peak stays near five
-    (C, Rx, Rz) arrays.
+    temporaries are released once used, so the peak stays near five arrays
+    of the shape of ``idx``: one channel block's worth when called from
+    :func:`focus`.
     """
     c_count, nt = traces.shape
     outside = (idx < 0.0) | (idx > nt - 1)

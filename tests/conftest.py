@@ -1,0 +1,17 @@
+"""Helpers shared by the test modules."""
+
+import tracemalloc
+
+
+def traced_peak(fn, *args, **kwargs):
+    """Call ``fn(*args, **kwargs)`` under tracemalloc; return its result and
+    the peak bytes allocated during the call beyond those held before it."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return out, peak

@@ -4,13 +4,14 @@ import os
 import struct
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+
+from conftest import traced_peak
 
 from usproc import beamform as bf
 from usproc import cli
@@ -205,6 +206,26 @@ class TestExitCodes:
         rc = run(["clutter", "--in", str(path), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "truncated payload" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["clutter", "--in", "{seq}"], ["ulm", "--frames", "{seq}"]])
+    def test_empty_uim1_sequence_of_unholdable_shape_exit_2(
+            self, tmp_path, capsys, argv):
+        # T = 0 frames of 2**30 x 2**30: no payload, but no array either
+        path = tmp_path / "s.uim1"
+        path.write_bytes(b"UIM1" + struct.pack("<III", 2 ** 30, 2 ** 30, 0))
+        argv = [a.format(seq=path) for a in argv]
+        rc = run(argv + ["--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "bad header" in capsys.readouterr().err
+
+    def test_empty_urf_of_unholdable_shape_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "f.urf1"
+        path.write_bytes(b"URF1" + struct.pack("<III", 0, 2 ** 32 - 1, 2 ** 32 - 1)
+                         + struct.pack("<ddd", 40e6, 1540.0, 5e6))
+        rc = run(["beamform", "--in", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "bad header" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("argv", [
@@ -453,12 +474,8 @@ class TestExitCodes:
                 "ulm": ["ulm", "--frames", str(frames)]}[command]
         before = {p.name for p in tmp_path.iterdir()}
         capsys.readouterr()
-        tracemalloc.start()
-        try:
-            rc = run(argv + ["--out", str(tmp_path / "o"), "--set", key, value])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        rc, peak = traced_peak(
+            run, argv + ["--out", str(tmp_path / "o"), "--set", key, value])
         assert_config_error(rc, capsys, key)
         assert {p.name for p in tmp_path.iterdir()} == before
         assert peak < 2 ** 25

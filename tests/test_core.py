@@ -2,12 +2,13 @@
 
 import math
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+
+from conftest import traced_peak
 
 from usproc import io as uio
 from usproc.core import (
@@ -194,13 +195,7 @@ class TestUrf1:
         cube = RfDataCube(np.ones((4, 16, 2000)), 40e6, 1540.0, events)
         path = tmp_path / "t.urf"
         uio.write_urf1(path, cube, 5e6)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            back, _ = uio.read_urf1(path, events)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        (back, _), peak = traced_peak(uio.read_urf1, path, events)
         assert np.array_equal(back.samples, cube.samples)
         assert peak < 1.75 * cube.samples.nbytes, peak / cube.samples.nbytes
 
@@ -232,6 +227,28 @@ class TestUrf1:
         with pytest.raises(FileFormatError, match="truncated payload"):
             uio.read_urf1(path, [TransmitEvent.plane_wave(0.0)])
         with pytest.raises(FileFormatError, match="truncated payload"):
+            uio.read_urf1_header(path)
+
+    def test_write_streams_one_event_at_a_time(self, tmp_path):
+        # the payload is the one-shot float32 cast of the cube, written event
+        # by event: the peak stays one float32 event (1/32 of the float64
+        # cube at E = 16), not the whole float32 copy (1/2 of it)
+        rng = np.random.default_rng(2)
+        events = [TransmitEvent.plane_wave(0.0)] * 16
+        cube = RfDataCube(rng.standard_normal((16, 16, 2000)), 40e6, 1540.0,
+                          events)
+        path = tmp_path / "t.urf"
+        _, peak = traced_peak(uio.write_urf1, path, cube, 5e6)
+        assert path.read_bytes()[40:] == cube.samples.astype("<f4").tobytes()
+        assert peak < cube.samples.nbytes / 4, peak / cube.samples.nbytes
+
+    def test_empty_payload_of_unholdable_shape_rejected(self, tmp_path):
+        # E = 0 declares 0 bytes, which the empty payload holds, but C x Nt
+        # float64 values overflow numpy's array size
+        path = forged_urf1(tmp_path / "f.urf", 0, 2 ** 32 - 1, 2 ** 32 - 1)
+        with pytest.raises(FileFormatError, match="bad header"):
+            uio.read_urf1(path, [])
+        with pytest.raises(FileFormatError, match="bad header"):
             uio.read_urf1_header(path)
 
     def test_header_round_trip(self, tmp_path):
@@ -287,6 +304,13 @@ class TestUim1:
         seq = tmp_path / "s.uim1"
         seq.write_bytes(b"UIM1" + struct.pack("<III", 1, HUGE, HUGE))
         with pytest.raises(FileFormatError, match="truncated payload"):
+            uio.read_uim1_seq(seq)
+
+    def test_empty_sequence_of_unholdable_shape_rejected(self, tmp_path):
+        # T = 0 frames of 2**30 x 2**30 declare 0 bytes in a 16-byte file
+        seq = tmp_path / "s.uim1"
+        seq.write_bytes(b"UIM1" + struct.pack("<III", 2 ** 30, 2 ** 30, 0))
+        with pytest.raises(FileFormatError, match="bad header"):
             uio.read_uim1_seq(seq)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

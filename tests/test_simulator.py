@@ -1,12 +1,11 @@
 """Point-scatterer simulator: pulse shape, delays, noise determinism."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from oracles import dft_direct, simulate_full_trace
-from usproc import simulator
+from usproc import core, simulator
 from usproc.core import (
     SYNTHETIC_APERTURE,
     ScattererField,
@@ -148,14 +147,8 @@ class TestSimulate:
         field = ScattererField([[0.0, 5e-3, 1.0]])
         nt = 4000
         cube_bytes = len(events) * 16 * nt * 8
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            cube = simulate(arr, events, field, PulseModel(F0, 0.6), V, nt,
-                            0.1, 0)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        cube, peak = traced_peak(simulate, arr, events, field,
+                                 PulseModel(F0, 0.6), V, nt, 0.1, 0)
         assert cube.samples.shape == (16, 16, nt)
         assert peak < 1.25 * cube_bytes, peak / cube_bytes
 
@@ -371,9 +364,63 @@ class TestReciprocity:
             return sum(evaluated)
 
         one = samples_evaluated(sa_events(arr, [0]))        # all C traces
+        assert one > 0
         full = samples_evaluated(sa_events(arr, range(c)))
         assert 2 * full == one * (c + 1)                    # C(C+1)/2 traces
         shifted = [TransmitEvent(SYNTHETIC_APERTURE, origin=(x + 1e-9, z),
                                  element_index=i)
                    for i, (x, z) in enumerate(elem)]
         assert samples_evaluated(shifted) == one * c        # C^2 traces
+
+
+class TestChannelBlocks:
+    """Channel blocks of any size give the whole-trace oracle's bits."""
+
+    # 3 * 32 * 391 values are three rows of a full-width window, so 7
+    # channels split into uneven blocks
+    @pytest.fixture(params=[1, 3 * 32 * 391, 2 ** 40],
+                    ids=["one_row", "three_rows", "one_block"])
+    def block(self, request, monkeypatch):
+        monkeypatch.setattr(core, "BLOCK_ELEMENTS", request.param)
+
+    @pytest.mark.parametrize("events", [
+        "plane_waves", "full_set", "shuffled_set", "mixed"])
+    def test_matches_oracle(self, block, events):
+        arr = make_array(7)
+        events = {
+            "plane_waves": [TransmitEvent.plane_wave(a) for a in (-0.3, 0.2)],
+            "full_set": sa_events(arr, range(7)),
+            "shuffled_set": sa_events(arr, np.random.default_rng(1).permutation(7)),
+            "mixed": [TransmitEvent.plane_wave(0.1)] + sa_events(arr, [4, 0, 4]),
+        }[events]
+        assert_matches_oracle(arr, events,
+                              random_field(np.random.default_rng(2), 70))
+
+    def test_noise(self, block):
+        arr = make_array(5)
+        events = sa_events(arr, range(5)) + [TransmitEvent.plane_wave(0.2)]
+        field = random_field(np.random.default_rng(3), 40)
+        pulse = PulseModel(F0, 0.6)
+        nt = tight_nt(arr, events, field, V)
+        noisy = simulate(arr, events, field, pulse, V, nt, 0.05, 11).samples
+        noise = simulate(arr, events, ScattererField(np.zeros((0, 3))), pulse,
+                         V, nt, 0.05, 11).samples
+        ref = simulate_full_trace(arr, events, field, pulse, V, nt) + noise
+        assert np.array_equal(bits(noisy), bits(ref))
+
+
+@pytest.mark.parametrize("scheme", ["plane_wave", "synthetic_aperture"])
+def test_working_set_independent_of_channel_count(scheme):
+    # beyond the cube it returns, simulate holds one block of channels'
+    # temporaries and (C, S) distance tables: from 16 to 64 channels only
+    # the tables grow, by far less than a quarter of one block
+    field = random_field(np.random.default_rng(4), 40, z_range=(2e-3, 8e-3))
+    beyond = {}
+    for c in (16, 64):
+        arr = make_array(c)
+        events = ([TransmitEvent.plane_wave(a) for a in (-0.1, 0.0, 0.1)]
+                  if scheme == "plane_wave" else sa_events(arr, range(c)))
+        cube, peak = traced_peak(simulate, arr, events, field,
+                                 PulseModel(F0, 0.6), V, 600, 0.0, 0)
+        beyond[c] = peak - cube.samples.nbytes
+    assert beyond[64] < beyond[16] + 8 * core.BLOCK_ELEMENTS // 4, beyond

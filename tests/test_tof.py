@@ -1,17 +1,16 @@
 """Delay computation, focusing, envelope detection, log compression."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from oracles import (
     analytic_direct,
     delays_per_pixel,
     delays_whole_array,
     focus_per_trace,
 )
-from usproc import tof
+from usproc import core, tof
 from usproc.core import (
     ImagingGrid,
     RfDataCube,
@@ -197,14 +196,7 @@ class TestFocusMatchesPerTrace:
         cube = RfDataCube(rng.standard_normal((e_count, c_count, 500)),
                           40e6, V, events)
         delays = compute_delays(arr, events, grid, V)
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            out = focus(cube, delays, grid, per_event=False)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        out, peak = traced_peak(focus, cube, delays, grid, per_event=False)
         assert out.values.shape == (c_count,) + grid.shape
         assert peak < 4 * c_count * grid.shape[0] * grid.shape[1] * 16
 
@@ -223,14 +215,8 @@ class TestFocusMatchesPerTrace:
         assert _reciprocal(cube.samples, delays)
         peaks = []
         for _ in range(2):
-            tracemalloc.start()
-            try:
-                tracemalloc.reset_peak()
-                base = tracemalloc.get_traced_memory()[0]
-                out = focus(cube, delays, grid, per_event=False)
-                peaks.append(tracemalloc.get_traced_memory()[1] - base)
-            finally:
-                tracemalloc.stop()
+            out, peak = traced_peak(focus, cube, delays, grid, per_event=False)
+            peaks.append(peak)
             del out
             monkeypatch.setattr(tof, "_reciprocal", lambda *a: False)
         # a slab or an index array kept alive one event too long would add
@@ -256,14 +242,7 @@ class TestFocusMatchesPerTrace:
                           40e6, V, events)
         delays = compute_delays(arr, events, grid, V)
         elements = c_count * grid.shape[0] * grid.shape[1]
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            out = focus(cube, delays, grid, per_event=True)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        out, peak = traced_peak(focus, cube, delays, grid, per_event=True)
         assert out.values.shape == (e_count,) + (c_count,) + grid.shape
         assert out.values.dtype == np.float64
         assert not out.values.flags.writeable
@@ -358,14 +337,9 @@ class TestFactoredDelays:
             rng = np.random.default_rng(e_count)
             cube = RfDataCube(rng.standard_normal((e_count, c_count, 500)),
                               40e6, V, events)
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                delays = compute_delays(arr, events, grid, V)
-                focus(cube, delays, grid, per_event=False)
-                peaks[e_count] = tracemalloc.get_traced_memory()[1] - base
-            finally:
-                tracemalloc.stop()
+            _, peaks[e_count] = traced_peak(
+                lambda: focus(cube, compute_delays(arr, events, grid, V), grid,
+                              per_event=False))
         tx_growth = (32 - 4) * grid.shape[0] * grid.shape[1] * 8
         assert peaks[32] < peaks[4] + tx_growth + slab // 2, peaks
 
@@ -419,6 +393,57 @@ class TestReciprocalFocus:
         ref = focus_per_trace(cube.samples, cube.fs, delays.delays)
         assert np.any(ref)
         assert np.array_equal(bits(out), bits(ref))
+
+
+class TestChannelBlocks:
+    """Focusing in channel blocks of any size gives the per-trace oracle's
+    bits on every path: the event loop, the reciprocal SA path and the
+    per-event stack."""
+
+    # 351 values are three rows of the 9 x 13 grid, so 8 channels split
+    # into uneven blocks
+    @pytest.mark.parametrize("block", [1, 351, 2 ** 40],
+                             ids=["one_row", "three_rows", "one_block"])
+    @pytest.mark.parametrize("variant,per_event", [
+        ("plane_waves", False), ("shuffled", False), ("symmetric", False),
+        ("plane_waves", True), ("symmetric", True)])
+    def test_matches_per_trace_oracle(self, monkeypatch, block, variant,
+                                      per_event):
+        monkeypatch.setattr(core, "BLOCK_ELEMENTS", block)
+        cube, delays = TestReciprocalFocus.setup(variant)
+        grid = TestReciprocalFocus.GRID
+        assert _reciprocal(cube.samples, delays) is (variant == "symmetric")
+        out = focus(cube, delays, grid, per_event=per_event).values
+        ref = focus_per_trace(cube.samples, cube.fs, delays.delays, per_event)
+        assert np.any(ref)
+        assert np.array_equal(bits(out), bits(ref))
+
+
+@pytest.mark.parametrize("variant,per_event", [
+    ("plane_waves", False), ("reciprocal", False), ("plane_waves", True)])
+def test_working_set_independent_of_channel_count(variant, per_event):
+    # beyond its output, focus holds one block of channels' temporaries:
+    # with blocks of 8 channels (3840 pixels) that stays put from 16 to 64
+    # channels, where whole-channel slabs would grow fourfold
+    grid = ImagingGrid.regular(-2e-3, 2e-3, 48, 3e-3, 8e-3, 80)
+    assert core.BLOCK_ELEMENTS // (48 * 80) < 16
+    beyond = {}
+    for c in (16, 64):
+        arr = TransducerArray.linear(c, V / 5e6 / 2, 5e6, 40e6)
+        rng = np.random.default_rng(c)
+        if variant == "reciprocal":
+            events = [TransmitEvent.synthetic_aperture(i, arr) for i in range(c)]
+            half = rng.standard_normal((c, c, 500))
+            samples = half + half.transpose(1, 0, 2)
+        else:
+            events = [TransmitEvent.plane_wave(a) for a in (-0.1, 0.0, 0.1)]
+            samples = rng.standard_normal((3, c, 500))
+        cube = RfDataCube(samples, 40e6, V, events)
+        delays = compute_delays(arr, events, grid, V)
+        assert _reciprocal(cube.samples, delays) is (variant == "reciprocal")
+        out, peak = traced_peak(focus, cube, delays, grid, per_event)
+        beyond[c] = peak - out.values.nbytes
+    assert beyond[64] < beyond[16] + 8 * core.BLOCK_ELEMENTS // 4, beyond
 
 
 class TestNegativeDelays:
