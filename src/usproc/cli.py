@@ -36,6 +36,7 @@ from .core import (
     ScattererField,
     TransducerArray,
     TransmitEvent,
+    row_blocks,
 )
 from .errors import ConfigError, FileFormatError, UsprocError
 from .simulator import PulseModel, simulate, transmit_distances
@@ -531,22 +532,23 @@ def _cmd_ulm(args) -> int:
     _check_size("ULM HR grid (ulm.factor)", *hr_shape)
     thr, radius = cfg["ulm.threshold"], cfg["ulm.window_radius"]
     psf = ulm.gaussian_psf(cfg["ulm.psf_sigma"])
-    # every frame shares the operator, so one step serves the whole run
-    step = ulm.localization_step(frames.shape[1:], psf, factor) \
-        if method == "sparse" and len(frames) else None
-
-    def localize(frame):
-        if method == "sparse":
-            lam = cfg["ulm.lambda_frac"] * ulm.max_correlation(frame, psf, factor)
-            hr = ulm.localize_sparse(frame, psf, lam, factor, step=step,
+    sets = []
+    if method == "centroid":
+        for frame in frames:
+            det = ulm.detect_centroids(frame, thr, radius).detections.copy()
+            det[:, :2] = det[:, :2] * factor + (factor - 1) / 2.0
+            sets.append(ulm.LocalizationSet(det))
+    elif len(frames):
+        # every frame shares the operator, so one step serves the whole run,
+        # and each block of frames is solved as one batch
+        step = ulm.localization_step(frames.shape[1:], psf, factor)
+        for block in row_blocks(len(frames), hr_shape[0] * hr_shape[1]):
+            stack = frames[block]
+            lam = cfg["ulm.lambda_frac"] * ulm.max_correlation(stack, psf, factor)
+            hr = ulm.localize_sparse(stack, psf, lam, factor, step=step,
                                      max_iters=cfg["ulm.max_iters"],
                                      tol=cfg["ulm.tol"])
-            return ulm.detect_centroids(hr, thr, radius)
-        det = ulm.detect_centroids(frame, thr, radius).detections.copy()
-        det[:, :2] = det[:, :2] * factor + (factor - 1) / 2.0
-        return ulm.LocalizationSet(det)
-
-    sets = [localize(f) for f in frames]
+            sets += [ulm.detect_centroids(h, thr, radius) for h in hr]
     density = ulm.accumulate(sets, hr_shape)
     uio.write_uim1(args.out + "_density.uim1", density)
     uio.write_pgm_linear(args.out + "_density.pgm", density)

@@ -43,6 +43,17 @@ def row_blocks(rows: int, row_size: int):
     return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
 
 
+def all_finite(a) -> bool:
+    """``np.isfinite(a).all()`` without a mask the size of ``a``.
+
+    Scans the values in :func:`row_blocks` of one value each, in memory
+    order (a view for any contiguous array), and stops at the first block
+    holding a NaN or an infinity.
+    """
+    flat = np.asarray(a).ravel(order="K")
+    return all(np.isfinite(flat[block]).all() for block in row_blocks(flat.size, 1))
+
+
 class _Handover:
     """An array passed to a constructor by the code that just built it and
     keeps no reference to it, so :func:`_frozen` may take it without a copy."""
@@ -179,7 +190,7 @@ def validate(cube: RfDataCube) -> None:
     if len(cube.events) != e:
         raise DimensionMismatchError(
             f"dimension-mismatch: len(events)={len(cube.events)} != E={e}")
-    if not np.all(np.isfinite(s)):
+    if not all_finite(s):
         raise NonFiniteSampleError("non-finite-sample: samples contain NaN/Inf")
     if not cube.speed_of_sound > 0:
         raise NonPositiveSpeedError(
@@ -241,7 +252,7 @@ class FocusedTensor:
             raise DimensionMismatchError(
                 f"dimension-mismatch: values shape {v.shape} inconsistent with "
                 f"grid {self.grid.shape} (per_event={self.per_event})")
-        if not np.all(np.isfinite(v)):
+        if not all_finite(v):
             raise NonFiniteSampleError("non-finite-sample: focused values")
         object.__setattr__(self, "values", v)
 

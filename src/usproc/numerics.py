@@ -114,7 +114,8 @@ def svd(a) -> SvdResult:
     a = np.asarray(a, dtype=working_dtype(a))
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise DimensionMismatchError("dimension-mismatch: svd expects a 2-D matrix")
-    if not np.all(np.isfinite(a)):
+    from .core import all_finite   # core imports this module
+    if not all_finite(a):
         raise ValueError("svd input must be finite")
     try:
         u, s, vh = np.linalg.svd(a, full_matrices=False)

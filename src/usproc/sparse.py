@@ -5,9 +5,13 @@ The core solver is plain ISTA,
     x^{k+1} = soft_threshold(x^k - mu A^H (A x^k - y), mu * lambda),
 
 minimizing 0.5 ||y - A x||^2 + lambda ||x||_1.  FISTA-style acceleration is
-deliberately not used.  On top of it sit the Fourier-domain sub-Nyquist
-scanline recovery (partial DFT times pulse spectrum) and zero-padded
-image deconvolution.
+deliberately not used.  One call solves a single problem or a stack of
+independent ones that share the operator and the step: each row of the
+stack keeps its own objective, monotonicity check and stopping rule, and a
+row that stops is frozen while the others go on, so every row ends with the
+bits it would have had alone.  On top of it sit the Fourier-domain
+sub-Nyquist scanline recovery (partial DFT times pulse spectrum) and
+zero-padded image deconvolution.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, StepTooLargeError
-from .numerics import _check_adjoint, fft, operator_norm
+from .numerics import _check_adjoint, fft, operator_norm, working_dtype
 
 _POWER_ITERS = 100
 
@@ -28,23 +32,43 @@ def soft_threshold(x, lam: float):
     """Proximal operator of lam*||.||_1: shrink magnitudes by lam, clip at 0.
 
     Complex-safe (magnitude shrinkage); for reals equals sgn(x)(|x|-lam)_+.
+    Computed in float64, or complex128 for complex x.
     """
     if lam < 0:
         raise ValueError("threshold must be >= 0")
-    x = np.asarray(x)
-    mag = np.abs(x)
+    x = np.array(x, dtype=working_dtype(x))
     with np.errstate(invalid="ignore", divide="ignore"):
-        scale = np.where(mag > 0.0, np.maximum(1.0 - lam / np.maximum(mag, 1e-300), 0.0), 0.0)
-    return x * scale
+        _shrink(x, lam, np.empty(x.shape))
+    return x
+
+
+def _shrink(z, lam, scale):
+    """Soft-threshold ``z`` in place by ``lam`` (a scalar, or a column per
+    row of z), with ``scale`` (float64, z's shape) as scratch.
+
+    z * max(1 - lam / max(|z|, 1e-300), 0): where z = +-0 the factor is 0,
+    or 1 when lam = 0, so z keeps its bits; a NaN stays NaN.  Call with
+    invalid and divide-by-zero floating-point errors ignored.
+    """
+    np.abs(z, out=scale)
+    np.maximum(scale, 1e-300, out=scale)
+    np.divide(lam, scale, out=scale)
+    np.subtract(1.0, scale, out=scale)
+    np.maximum(scale, 0.0, out=scale)
+    np.multiply(z, scale, out=z)
 
 
 @dataclass
 class SparseProblem:
-    """One l1-regularized least-squares instance for :func:`ista`.
+    """One l1-regularized least-squares instance, or a stack of them, for
+    :func:`ista`.
 
     ``forward``/``adjoint`` act on 1-D complex vectors, or on float64
     vectors when ``real`` is set: then ``y``, the iterate, the residual and
     the gradient stay real, which halves the arithmetic of a real operator.
+    A 2-D ``y`` of shape (B, m) is B problems under one operator, solved
+    together: ``lam`` is one weight or a (B,) array of them, and the maps
+    must take (k, n) and (k, m) stacks row by row as well as 1-D vectors.
     ``step=None`` auto-selects mu = 1/(1.01 ||A||^2) with :func:`ista_step`,
     guaranteeing descent; problems that share an operator can compute that
     step once and pass it in.
@@ -53,7 +77,7 @@ class SparseProblem:
     forward: callable
     adjoint: callable
     y: np.ndarray
-    lam: float
+    lam: float | np.ndarray
     step: float | None = None
     max_iters: int = 5000
     tol: float = 1e-8
@@ -62,9 +86,18 @@ class SparseProblem:
     def __post_init__(self):
         if self.real and np.iscomplexobj(self.y):
             raise ValueError("a real problem needs real measurements y")
-        dtype = np.float64 if self.real else np.complex128
-        self.y = np.asarray(self.y, dtype=dtype).ravel()
-        if not self.lam >= 0:   # 0 is least squares; on A^H y = 0 it stops at x = 0
+        y = np.asarray(self.y, dtype=np.float64 if self.real else np.complex128)
+        if y.ndim > 2 or y.ndim == 2 and not y.shape[0]:
+            raise DimensionMismatchError(
+                "dimension-mismatch: y must be a vector or a (B, m) stack, B >= 1")
+        self.y = y if y.ndim == 2 else y.ravel()
+        if np.ndim(self.lam):
+            self.lam = np.array(self.lam, dtype=np.float64)
+            if self.lam.shape != self.y.shape[:-1]:
+                raise DimensionMismatchError(
+                    "dimension-mismatch: lambda must be one weight or one per row of y")
+        # 0 is least squares; on A^H y = 0 it stops at x = 0
+        if not np.all(self.lam >= 0):
             raise ValueError("lambda must be >= 0")
         if self.step is not None and not 0 < self.step < math.inf:
             raise ValueError("step must be finite and > 0")
@@ -72,9 +105,15 @@ class SparseProblem:
             raise ValueError("tol must be > 0")
 
 
-def _objective(residual, x, lam):
-    return 0.5 * float(np.sum(np.abs(residual) ** 2)) \
-        + lam * float(np.sum(np.abs(x)))
+def _sum_squares(v, out, real: bool):
+    """sum |v|^2 along the last axis, with ``out`` (float64, v's shape) as
+    scratch: v * v for real v, which has the bits of np.abs(v) ** 2."""
+    if real:
+        np.multiply(v, v, out=out)
+    else:
+        np.abs(v, out=out)
+        np.multiply(out, out, out=out)
+    return np.add.reduce(out, axis=-1)
 
 
 def ista_step(forward, adjoint, dim: int, real: bool = False) -> float:
@@ -94,38 +133,86 @@ def ista(problem: SparseProblem):
     The objective is tracked every iterate and must never increase: a rise
     beyond roundoff raises ``step-too-large``.  Stops when the relative step
     ||x_{k+1} - x_k|| / max(||x_k||, 1) drops below ``tol``.
+
+    A (B, m) stack gives a (B, n) ``x_hat`` and a (B,) ``final_objective``.
+    Each row has its own objective, check and stop; a row that stops is
+    frozen while the rest go on, so every row has the bits of its solve
+    alone.  ``iterations_used`` is then the batch's loop count, the largest
+    row count.
     """
-    dtype = np.float64 if problem.real else np.complex128
-    dim = np.asarray(problem.adjoint(problem.y)).size
+    real, y, lam = problem.real, problem.y, problem.lam
+    dtype = np.float64 if real else np.complex128
+    if y.ndim == 1:   # one problem: its scalars are Python floats, as cheap as they get
+        num, sqrt, at_least_1, anyof = float, math.sqrt, lambda v: max(v, 1.0), bool
+    else:
+        num, sqrt, at_least_1, anyof = np.asarray, np.sqrt, \
+            lambda v: np.maximum(v, 1.0), np.ndarray.any
+    dim = np.asarray(problem.adjoint(y if y.ndim == 1 else y[0])).size
+    x = np.zeros(y.shape[:-1] + (dim,), dtype=dtype)
+    residual = -y                    # A x - y at x = 0
+    res_sq = np.empty(y.shape)
+    obj = 0.5 * num(_sum_squares(residual, res_sq, real)) + lam * 0.0
     if problem.step is None:
-        mu = ista_step(problem.forward, problem.adjoint, dim, problem.real)
+        mu = ista_step(problem.forward, problem.adjoint, dim, real)
         if mu == math.inf:
-            return np.zeros(dim, dtype=dtype), 0, _objective(problem.y, 0, problem.lam)
+            return x, 0, obj
     else:
         rng = np.random.Generator(np.random.Philox(key=0x15745EED))
-        _check_adjoint(problem.forward, problem.adjoint, dim, rng, real=problem.real)
+        _check_adjoint(problem.forward, problem.adjoint, dim, rng, real=real)
         mu = problem.step
 
-    x = np.zeros(dim, dtype=dtype)
-    residual = -problem.y            # A x - y at x = 0
-    obj = _objective(residual, x, problem.lam)
+    thresh = mu * lam
+    rows = None                      # a stack's unfinished rows
+    if y.ndim == 2:
+        rows = np.arange(y.shape[0])
+        lam = np.broadcast_to(lam, rows.shape)
+        thresh = np.broadcast_to(thresh, rows.shape)[:, None]
+        x_out, obj_out = np.empty_like(x), np.empty_like(obj)
+    z, mag = np.empty_like(x), np.empty(x.shape)   # scratch, in place throughout
+    norm = 0.0                       # ||x||
     iters = 0
-    for _ in range(problem.max_iters):
-        grad = np.asarray(problem.adjoint(residual), dtype=dtype).ravel()
-        x_new = soft_threshold(x - mu * grad, mu * problem.lam)
-        residual = np.asarray(problem.forward(x_new)).ravel() - problem.y
-        obj_new = _objective(residual, x_new, problem.lam)
-        iters += 1
-        if obj_new > obj + 1e-12 * max(1.0, abs(obj)):
-            raise StepTooLargeError(
-                f"step-too-large: objective rose {obj:.6e} -> {obj_new:.6e} "
-                f"at iteration {iters} (mu={mu:.3e})")
-        delta = np.sqrt(np.sum(np.abs(x_new - x) ** 2))
-        ref = max(np.sqrt(np.sum(np.abs(x) ** 2)), 1.0)
-        x, obj = x_new, obj_new
-        if delta / ref < problem.tol:
-            break
-    return x, iters, obj
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for _ in range(problem.max_iters):
+            grad = np.asarray(problem.adjoint(residual), dtype=dtype).reshape(x.shape)
+            np.multiply(mu, grad, out=z)
+            np.subtract(x, z, out=z)
+            _shrink(z, thresh, mag)  # z is x_new from here on
+            np.subtract(np.asarray(problem.forward(z)).reshape(y.shape), y,
+                        out=residual)
+            np.abs(z, out=mag)
+            obj_new = 0.5 * num(_sum_squares(residual, res_sq, real)) \
+                + lam * num(np.add.reduce(mag, axis=-1))
+            iters += 1
+            rise = obj_new > obj + 1e-12 * at_least_1(abs(obj))
+            if anyof(rise):
+                where = ""
+                if rows is not None:
+                    i = rise.argmax()
+                    where, obj, obj_new = f" in row {rows[i]}", obj[i], obj_new[i]
+                raise StepTooLargeError(
+                    f"step-too-large: objective rose {obj:.6e} -> {obj_new:.6e} "
+                    f"at iteration {iters}{where} (mu={mu:.3e})")
+            np.multiply(mag, mag, out=mag)           # ||x_new||, the next reference
+            norm_new = sqrt(num(np.add.reduce(mag, axis=-1)))
+            np.subtract(z, x, out=x)                 # the old x is not needed again
+            delta = sqrt(num(_sum_squares(x, x if real else mag, real)))
+            stop = delta / at_least_1(norm) < problem.tol
+            x, z, obj, norm = z, x, obj_new, norm_new
+            if anyof(stop):
+                if rows is None:
+                    break
+                x_out[rows[stop]], obj_out[rows[stop]] = x[stop], obj[stop]
+                keep = ~stop
+                rows, x, obj, norm = rows[keep], x[keep], obj[keep], norm[keep]
+                if not rows.size:
+                    break
+                y, residual = y[keep], residual[keep]
+                lam, thresh = lam[keep], thresh[keep]
+                z, mag, res_sq = np.empty_like(x), np.empty(x.shape), np.empty(y.shape)
+    if rows is None:
+        return x, iters, obj
+    x_out[rows], obj_out[rows] = x, obj
+    return x_out, iters, obj_out
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ either classic centroid detection on the low-resolution (LR) frame or sparse
 coding: ISTA on the HR grid with forward = convolve-then-downsample, which
 is what resolves bubbles below the diffraction-limited PSF width.  That
 forward map is applied as separable per-axis matrices, one pair per
-rank-one term of the PSF.
+rank-one term of the PSF, and a stack of frames is solved as one ISTA
+batch whose every frame gets the bits of its solve alone.
 
 Coordinates are (x, z) = (axis 0, axis 1) fractional HR pixel indices
 throughout.
@@ -129,11 +130,16 @@ def simulate_bubbles(hr_shape, n_frames: int, mean_bubbles_per_frame: float,
     return frames
 
 
-def max_correlation(frame, psf, downsample_factor: int) -> float:
-    """||A^H y||_inf of the localization model; the natural lambda scale."""
+def max_correlation(frame, psf, downsample_factor: int):
+    """||A^H y||_inf of the localization model; the natural lambda scale.
+
+    A float for one (h, w) frame; an (F,) array for an (F, h, w) stack,
+    each entry equal to that frame's value alone.
+    """
     frame = np.asarray(frame, dtype=np.float64)
-    _, adjoint, _ = _hr_model(frame.shape, psf, int(downsample_factor))
-    return float(np.max(np.abs(adjoint(frame.ravel()))))
+    _, adjoint, _ = _hr_model(frame.shape[-2:], psf, int(downsample_factor))
+    scale = np.max(np.abs(adjoint(frame.reshape(frame.shape[:-2] + (-1,)))), axis=-1)
+    return float(scale) if frame.ndim == 2 else scale
 
 
 def _axis_operators(taps, n: int, factor: int) -> np.ndarray:
@@ -155,7 +161,9 @@ def _hr_model(lr_shape, psf, factor: int):
     (numpy's ``matrix_rank`` tolerance); a Gaussian has r = 1.  Term k
     becomes one matrix per axis, A0_k (H/f, H) and A1_k (W/f, W), so
     forward(X) = sum_k A0_k X A1_k^T and adjoint(Y) = sum_k A0_k^T Y A1_k,
-    each two batched matmuls over the r terms.
+    added in k order.  Both maps take a (..., H*W) or (..., H/f*W/f) stack
+    of flattened frames and map each frame as they map it alone: every term
+    is a 2-D product of the same views, whatever the stack.
     """
     lr_shape = tuple(lr_shape)
     psf = np.asarray(psf, dtype=np.float64)
@@ -171,13 +179,21 @@ def _hr_model(lr_shape, psf, factor: int):
     rank = int(np.sum(s > s[0] * max(psf.shape) * np.finfo(np.float64).eps))
     a0 = _axis_operators((u[:, :rank] * s[:rank]).T, hr_shape[0], factor)
     a1 = _axis_operators(vh[:rank], hr_shape[1], factor)
+    # transposed views, not copies: BLAS's transpose flag sets the bits
     a0_t, a1_t = a0.transpose(0, 2, 1), a1.transpose(0, 2, 1)
 
+    def terms(left, v, right, shape):
+        v = v.reshape(v.shape[:-1] + shape)
+        out = left[0] @ v @ right[0]
+        for k in range(1, rank):
+            out += left[k] @ v @ right[k]
+        return out.reshape(v.shape[:-2] + (-1,))
+
     def forward(x):
-        return (a0 @ x.reshape(hr_shape) @ a1_t).sum(axis=0).ravel()
+        return terms(a0, x, a1_t, hr_shape)
 
     def adjoint(y):
-        return (a0_t @ y.reshape(lr_shape) @ a1).sum(axis=0).ravel()
+        return terms(a0_t, y, a1, lr_shape)
 
     return forward, adjoint, hr_shape
 
@@ -201,7 +217,7 @@ def localization_step(lr_shape, psf, downsample_factor: int) -> float:
     return ista_step(forward, adjoint, hr_shape[0] * hr_shape[1], real=True)
 
 
-def localize_sparse(frame, psf, lam: float, downsample_factor: int,
+def localize_sparse(frame, psf, lam, downsample_factor: int,
                     step: float | None = None, max_iters: int = 2000,
                     tol: float = 1e-6) -> np.ndarray:
     """Sparse-coding localization: ISTA on the HR grid, nonneg-clamped.
@@ -210,15 +226,18 @@ def localize_sparse(frame, psf, lam: float, downsample_factor: int,
     convolved with the PSF, then block-averaged by ``downsample_factor``.
     The frame, the PSF and the HR unknown are real, so ISTA runs in float64
     over separable per-axis matrices.  ``step`` defaults to
-    :func:`localization_step`.
+    :func:`localization_step`.  An (F, h, w) stack of frames, with ``lam``
+    one weight or one per frame, is solved as one batch and gives (F, H, W)
+    maps, each equal to that frame's solve alone.
     """
     frame = np.asarray(frame, dtype=np.float64)
-    forward, adjoint, hr_shape = _hr_model(frame.shape, _unit_peak(psf),
+    forward, adjoint, hr_shape = _hr_model(frame.shape[-2:], _unit_peak(psf),
                                            int(downsample_factor))
-    problem = SparseProblem(forward, adjoint, frame.ravel(), lam, step=step,
-                            max_iters=max_iters, tol=tol, real=True)
+    problem = SparseProblem(forward, adjoint,
+                            frame.reshape(frame.shape[:-2] + (-1,)), lam,
+                            step=step, max_iters=max_iters, tol=tol, real=True)
     x, _, _ = ista(problem)
-    return np.clip(x.reshape(hr_shape), 0.0, None)
+    return np.clip(x.reshape(frame.shape[:-2] + hr_shape), 0.0, None)
 
 
 def detect_centroids(frame, threshold_fraction: float,

@@ -9,13 +9,17 @@ so the two must agree bit for bit.  The sparse-localization reference is
 the complex128 ISTA that ULM ran before its solve moved to real arithmetic,
 kept whole (operator, power iteration, solver) so that it cannot drift with
 the production code.  The real ULM operator's reference is the FFT
-composition it ran before it became separable per-axis matrices.
+composition it ran before it became separable per-axis matrices.  The
+ISTA reference solves one problem on 1-D vectors with a fresh array per
+step and the ``np.where`` form of the soft threshold, as the solver did
+before it took stacks of problems.
 """
 
 import math
 
 import numpy as np
 
+from usproc.numerics import _check_adjoint, operator_norm
 from usproc.sparse import Conv2Same
 from usproc.ulm import block_average
 
@@ -309,3 +313,58 @@ def localize_sparse_complex(frame, psf, lam, factor, step=None,
             break
     shape = (frame.shape[0] * factor, frame.shape[1] * factor)
     return np.clip(np.real(x).reshape(shape), 0.0, None), iters
+
+
+def soft_threshold_where(x, lam):
+    """Soft threshold with the explicit zero branch np.where(|x| > 0, ..., 0)."""
+    x = np.asarray(x)
+    mag = np.abs(x)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        scale = np.where(mag > 0.0, np.maximum(
+            1.0 - lam / np.maximum(mag, 1e-300), 0.0), 0.0)
+    return x * scale
+
+
+def ista_single(forward, adjoint, y, lam, step=None, max_iters=5000,
+                tol=1e-8, real=False):
+    """ISTA on one problem, one 1-D vector at a time, as the solver ran
+    before it took stacks: returns (x, iterations, objective).
+
+    The step comes from numerics' power iteration (``operator_norm``) and a
+    given step is checked with numerics' adjoint test, as in the solver.
+    """
+    dtype = np.float64 if real else np.complex128
+    y = np.asarray(y, dtype=dtype).ravel()
+
+    def objective(residual, x):
+        return 0.5 * float(np.sum(np.abs(residual) ** 2)) \
+            + lam * float(np.sum(np.abs(x)))
+
+    dim = np.asarray(adjoint(y)).size
+    if step is None:
+        norm = operator_norm(forward, adjoint, dim, 100, real=real)
+        if norm == 0.0:
+            return np.zeros(dim, dtype=dtype), 0, objective(y, 0)
+        mu = 1.0 / (norm * norm)
+    else:
+        rng = np.random.Generator(np.random.Philox(key=0x15745EED))
+        _check_adjoint(forward, adjoint, dim, rng, real=real)
+        mu = step
+    x = np.zeros(dim, dtype=dtype)
+    residual = -y
+    obj = objective(residual, x)
+    iters = 0
+    for _ in range(max_iters):
+        grad = np.asarray(adjoint(residual), dtype=dtype).ravel()
+        x_new = soft_threshold_where(x - mu * grad, mu * lam)
+        residual = np.asarray(forward(x_new)).ravel() - y
+        obj_new = objective(residual, x_new)
+        iters += 1
+        if obj_new > obj + 1e-12 * max(1.0, abs(obj)):
+            raise AssertionError("objective rose")
+        delta = np.sqrt(np.sum(np.abs(x_new - x) ** 2))
+        ref = max(np.sqrt(np.sum(np.abs(x) ** 2)), 1.0)
+        x, obj = x_new, obj_new
+        if delta / ref < tol:
+            break
+    return x, iters, obj

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from conftest import traced_peak
 
 from usproc import beamform as bf
-from usproc import cli
+from usproc import cli, core
 from usproc import io as uio
 from usproc import tof
 from usproc.cli import PipelineConfig, run
@@ -749,6 +749,57 @@ class TestRecoverDeconvolveClutterUlm:
         assert density.shape == (32, 32)
         csv = (tmp_path / "u_detections.csv").read_text()
         assert csv.startswith("frame,x,z,intensity")
+
+    @staticmethod
+    def bubble_sequence(path, zero_frame):
+        from usproc.ulm import simulate_bubbles
+        frames = np.stack([f.image for f in
+                           simulate_bubbles((32, 32), 5, 4.0, 2.0, 4, 30.0, 9)])
+        if zero_frame:
+            frames[2] = 0.0
+        uio.write_uim1_seq(path, frames)
+        return frames
+
+    def test_ulm_frame_blocks_byte_identical(self, tmp_path, monkeypatch):
+        # one frame per batch or every frame in one batch: the same bytes;
+        # at tol 1e-3 the frames of a batch stop at different iterations
+        seq = tmp_path / "frames.uim1"
+        self.bubble_sequence(seq, zero_frame=True)
+        outs = {}
+        for block in (1, 2 ** 40):
+            monkeypatch.setattr(core, "BLOCK_ELEMENTS", block)
+            prefix = tmp_path / f"b{block}"
+            assert run(["ulm", "--frames", str(seq), "--out", str(prefix),
+                        "--method", "sparse", "--set", "ulm.max_iters", "300",
+                        "--set", "ulm.tol", "1e-3"]) == 0
+            outs[block] = [(tmp_path / f"b{block}{suffix}").read_bytes()
+                           for suffix in ("_density.uim1", "_density.pgm",
+                                          "_detections.csv")]
+        assert outs[1] == outs[2 ** 40]
+        assert outs[1][2].count(b"\r\n") > 3   # some detections written
+
+    def test_ulm_batch_equals_frame_by_frame(self, tmp_path, monkeypatch):
+        # a zero frame between bubble frames, all in one batch, against the
+        # library's one-frame solves written in the CLI's CSV format
+        from usproc import ulm
+        monkeypatch.setattr(core, "BLOCK_ELEMENTS", 2 ** 40)
+        seq = tmp_path / "frames.uim1"
+        self.bubble_sequence(seq, zero_frame=True)
+        assert run(["ulm", "--frames", str(seq), "--out", str(tmp_path / "u"),
+                    "--method", "sparse", "--set", "ulm.max_iters", "200"]) == 0
+        psf = ulm.gaussian_psf(2.0)
+        frames = uio.read_uim1_seq(seq)   # the float32 values the CLI reads
+        step = ulm.localization_step(frames.shape[1:], psf, 4)
+        rows = ["frame,x,z,intensity"]
+        for t, frame in enumerate(frames):
+            lam = 0.05 * ulm.max_correlation(frame, psf, 4)
+            hr = ulm.localize_sparse(frame, psf, lam, 4, step=step,
+                                     max_iters=200, tol=1e-5)
+            rows += [f"{t},{float(x)!r},{float(z)!r},{float(i)!r}"
+                     for x, z, i in ulm.detect_centroids(hr, 0.10, 1).detections]
+        assert (tmp_path / "u_detections.csv").read_bytes() == \
+            "".join(r + "\r\n" for r in rows).encode("ascii")
+        assert not any(r.startswith("2,") for r in rows)
 
     def test_ulm_threads_byte_identical(self, tmp_path):
         # one step is computed before the frame pool and shared by all

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import traced_peak
 
+from usproc import core
 from usproc import io as uio
 from usproc.core import (
     HAMMING,
@@ -24,6 +25,7 @@ from usproc.core import (
     TransducerArray,
     TransmitEvent,
     _Handover,
+    all_finite,
     validate,
 )
 from usproc.errors import (
@@ -33,6 +35,7 @@ from usproc.errors import (
     NonPositiveSpeedError,
     UsprocError,
 )
+from usproc.numerics import svd
 
 HUGE = 2 ** 31  # E=1, C=Nt=2**31 declares 2**64 payload bytes
 
@@ -75,6 +78,59 @@ class TestValidate:
         cube = make_cube()
         validate(cube)
         validate(cube)
+
+
+class TestAllFinite:
+    """The blocked finiteness scan against ``np.isfinite(a).all()``."""
+
+    BLOCK_BYTES = 8 * core.BLOCK_ELEMENTS
+
+    @pytest.mark.parametrize("block", [1, 3, 2 ** 40])
+    def test_matches_whole_array_check(self, monkeypatch, block):
+        monkeypatch.setattr(core, "BLOCK_ELEMENTS", block)
+        rng = np.random.default_rng(5)
+        base = rng.standard_normal((4, 5, 6))
+        cases = [base, base.astype(np.complex128), np.asfortranarray(base),
+                 base[:, ::2, 1:], np.zeros((0, 3)), np.float64(2.0)]
+        for bad in (np.nan, np.inf, -np.inf):
+            for index in ((0, 0, 0), (3, 4, 5), (2, 1, 3)):
+                a = base.copy()
+                a[index] = bad
+                cases += [a, np.asfortranarray(a), a[:, ::2, 1:]]
+                c = base.astype(np.complex128)
+                c[index] = complex(0.0, bad)
+                cases.append(c)
+        for a in cases:
+            assert all_finite(a) == bool(np.isfinite(a).all())
+
+    def test_scan_peak_is_under_one_block(self):
+        a = np.zeros(1 << 21)       # 16 MB; its whole-array mask is 2 MB
+        a[-1] = np.nan
+        ok, peak = traced_peak(all_finite, a)
+        assert not ok and peak < self.BLOCK_BYTES
+
+    def test_nan_in_last_sample_raises(self):
+        samples = np.zeros((2, 16, 4096))
+        samples[-1, -1, -1] = np.nan
+        cube = RfDataCube(samples, 40e6, 1540.0,
+                          [TransmitEvent.plane_wave(0.0)] * 2)
+        with pytest.raises(NonFiniteSampleError, match="non-finite-sample"):
+            validate(cube)
+        grid = ImagingGrid(np.arange(64) * 1e-4, 1e-3 + np.arange(64) * 1e-4)
+        values = np.zeros((32, 64, 64))
+        values[-1, -1, -1] = np.inf
+        with pytest.raises(NonFiniteSampleError, match="non-finite-sample"):
+            FocusedTensor(_Handover(values), grid)
+        with pytest.raises(ValueError, match="finite"):
+            svd(values[-1])
+
+    def test_focused_tensor_check_peak_is_under_one_block(self):
+        # a handed-over tensor is frozen in place, so the finiteness scan is
+        # all that the constructor allocates
+        grid = ImagingGrid(np.arange(64) * 1e-4, 1e-3 + np.arange(64) * 1e-4)
+        values = np.zeros((128, 64, 64))         # 4 MB, a 512 KiB mask
+        _, peak = traced_peak(FocusedTensor, _Handover(values), grid)
+        assert peak < self.BLOCK_BYTES
 
 
 class TestTypes:

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import ista_single, soft_threshold_where
 
-from usproc.errors import StepTooLargeError
+from usproc.errors import DimensionMismatchError, StepTooLargeError
 from usproc.sparse import (
     Conv2Same,
     ScanlineModel,
@@ -63,6 +64,150 @@ class TestSoftThreshold:
                                     - soft_threshold(b, lam)) ** 2))
         rhs = np.sqrt(np.sum(np.abs(a - b) ** 2))
         assert lhs <= rhs + 1e-12
+
+
+def bits(a):
+    """The raw bits of a float64 or complex128 array, for exact comparison."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestSoftThresholdAgainstOracle:
+    """The threshold without the ``np.where(|x| > 0, ..., 0)`` branch
+    against the form with it: where |x| = 0, x is +-0 and x * scale keeps
+    those bits for any lam >= 0, so the two agree bit for bit."""
+
+    REAL = [0.0, -0.0, np.nan, np.inf, -np.inf, 1e-310, -2.5, 0.25, 3.0]
+    COMPLEX = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+               complex(np.nan, 0.0), complex(np.inf, 1.0), complex(-np.inf, 0.0),
+               3 + 4j, -0.1j]
+
+    @pytest.mark.parametrize("values", [REAL, COMPLEX])
+    @pytest.mark.parametrize("lam", [0.0, 1e-320, 0.7, 1e300, np.inf])
+    def test_bits_match_where_form(self, values, lam):
+        x = np.array(values)
+        with np.errstate(all="ignore"):
+            got, ref = soft_threshold(x, lam), soft_threshold_where(x, lam)
+        nan = np.isnan(ref)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(bits(got[~nan]), bits(ref[~nan]))
+
+    def test_zero_lambda_is_identity_on_signed_zeros(self):
+        x = np.array([0.0, -0.0, 1.5, -2.0])
+        assert np.array_equal(bits(soft_threshold(x, 0.0)), bits(x))
+
+
+def row_maps(a):
+    """Maps of the matrix ``a`` that take a vector or a stack of rows and
+    treat every row as they treat a vector alone."""
+    a_h = a.conj().T
+    return (lambda v: (a @ v[..., None])[..., 0],
+            lambda r: (a_h @ r[..., None])[..., 0])
+
+
+class TestBatchedIsta:
+    """Stacks of problems against the one-problem reference, row by row."""
+
+    @staticmethod
+    def stack(seed, rows, m, n, complex_=False):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((m, n))
+        truth = np.zeros((rows, n))
+        for r in range(rows):
+            truth[r, rng.choice(n, 3, replace=False)] = rng.standard_normal(3)
+        if complex_:
+            a = a + 1j * rng.standard_normal((m, n))
+        y = truth @ a.T + 0.01 * rng.standard_normal((rows, m))
+        y[rows // 2] = 0.0           # one all-zero row: it stops at once
+        return a, y
+
+    def check_rows(self, a, y, lam, real, **kw):
+        forward, adjoint = row_maps(a)
+        x, iters, obj = ista(SparseProblem(forward, adjoint, y, lam, real=real, **kw))
+        lams = np.broadcast_to(lam, y.shape[:1])
+        counts = []
+        for r in range(y.shape[0]):
+            x_r, it_r, obj_r = ista_single(forward, adjoint, y[r], float(lams[r]),
+                                           real=real, **kw)
+            assert np.array_equal(bits(x[r]), bits(x_r)), f"row {r}"
+            assert obj[r] == obj_r
+            counts.append(it_r)
+        assert type(iters) is int and iters == max(counts)
+        assert x.shape == (y.shape[0], a.shape[1]) and obj.shape == y.shape[:1]
+        return counts
+
+    def test_real_rows_per_row_lambda_own_step(self):
+        a, y = self.stack(30, 5, 10, 24)
+        lam = 0.02 * np.max(np.abs(y @ a), axis=1) + np.array([0, 0, 0.1, 0, 0])
+        counts = self.check_rows(a, y, lam, True, max_iters=3000, tol=1e-7)
+        assert counts[2] == 1 and len(set(counts)) >= 3   # rows stop apart
+
+    def test_complex_rows_given_step(self):
+        a, y = self.stack(31, 4, 8, 20, complex_=True)
+        mu = ista_step(*row_maps(a), 20)
+        counts = self.check_rows(a, y, 0.05, False, step=mu, max_iters=2000,
+                                 tol=1e-6)
+        assert len(set(counts)) >= 3
+
+    def test_rows_at_the_cap_and_before(self):
+        a, y = self.stack(32, 6, 12, 30)
+        counts = self.check_rows(a, y, 0.01, True, max_iters=150, tol=1e-4)
+        assert 150 in counts and min(counts) < 150
+
+    def test_all_rows_zero(self):
+        forward, adjoint = row_maps(np.eye(3) + 0.5)
+        x, iters, obj = ista(SparseProblem(forward, adjoint, np.zeros((2, 3)),
+                                           [0.0, 0.4], real=True))
+        assert iters == 1 and not np.any(x) and list(obj) == [0.0, 0.0]
+
+    def test_zero_operator_stack(self):
+        zero = (lambda v: 0.0 * v, lambda r: 0.0 * r)
+        x, iters, obj = ista(SparseProblem(*zero, np.ones((2, 3)), 0.1, real=True))
+        assert x.shape == (2, 3) and not np.any(x) and iters == 0
+        assert list(obj) == [1.5, 1.5]
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_one_problem_matches_reference(self, complex_):
+        a, y = self.stack(33, 3, 9, 16, complex_=complex_)
+        forward, adjoint = row_maps(a)
+        for step in (None, 0.5 * ista_step(forward, adjoint, 16)):
+            x, iters, obj = ista(SparseProblem(forward, adjoint, y[0], 0.03,
+                                               step=step, real=not complex_,
+                                               max_iters=900, tol=1e-9))
+            x_r, it_r, obj_r = ista_single(forward, adjoint, y[0], 0.03, step=step,
+                                           real=not complex_, max_iters=900, tol=1e-9)
+            assert np.array_equal(bits(x), bits(x_r))
+            assert (iters, obj) == (it_r, obj_r)
+
+    def test_one_problem_returns_python_scalars(self):
+        forward, adjoint = row_maps(np.eye(3) + 0.5)
+        x, iters, obj = ista(SparseProblem(forward, adjoint, np.ones(3), 0.1))
+        assert x.shape == (3,) and type(iters) is int and type(obj) is float
+
+    def test_step_too_large_names_the_row(self):
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((6, 6)) + np.eye(6) * 2
+        y = np.stack([np.zeros(6), rng.standard_normal(6)])
+        big = 100.0 / np.linalg.norm(a, 2) ** 2
+        with pytest.raises(StepTooLargeError, match=r"step-too-large: .* in row 1 "):
+            ista(SparseProblem(*row_maps(a), y, 0.01, step=big))
+
+    @pytest.mark.parametrize("lam", [[0.1], [0.1, 0.2, 0.3], [[0.1, 0.2]]])
+    def test_lambda_per_row_shape_checked(self, lam):
+        with pytest.raises(DimensionMismatchError, match="lambda"):
+            SparseProblem(*row_maps(np.eye(2)), np.ones((2, 2)), lam)
+
+    def test_lambda_array_on_one_problem_rejected(self):
+        with pytest.raises(DimensionMismatchError, match="lambda"):
+            SparseProblem(*row_maps(np.eye(2)), np.ones(2), [0.1, 0.2])
+
+    def test_negative_row_lambda_rejected(self):
+        with pytest.raises(ValueError, match="lambda must be >= 0"):
+            SparseProblem(*row_maps(np.eye(2)), np.ones((2, 2)), [0.1, -1.0])
+
+    @pytest.mark.parametrize("y", [np.ones((2, 2, 2)), np.ones((0, 2))])
+    def test_stack_shape_checked(self, y):
+        with pytest.raises(DimensionMismatchError, match="stack"):
+            SparseProblem(*row_maps(np.eye(2)), y, 0.1)
 
 
 class TestIsta:

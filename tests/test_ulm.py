@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from oracles import (
     block_expand,
+    ista_single,
     localize_sparse_complex,
     ulm_model_complex,
     ulm_model_fft,
@@ -92,6 +93,79 @@ def random_unit_peak_psf(shape, seed):
     rng = np.random.default_rng(seed)
     psf = rng.random(shape)
     return psf / psf.max()
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestFrameStacks:
+    """A stack of frames is solved as one batch; every frame must get the
+    bits of its solve alone, checked against the one-problem ISTA reference
+    over the same maps."""
+
+    @staticmethod
+    def frames(hr_shape, count, seed):
+        stack = np.stack([f.image for f in simulate_bubbles(
+            hr_shape, count, 5.0, 2.0, 4, 30.0, seed)])
+        stack[count // 2] = 0.0      # an all-zero frame among bubble frames
+        return stack
+
+    @pytest.mark.parametrize("hr_shape,count,tol", [
+        ((32, 32), 4, 1e-5),         # every bubble frame at the cap
+        ((48, 40), 5, 1e-3),         # frames stop at different iterations
+    ])
+    def test_stack_matches_each_frame_alone(self, hr_shape, count, tol):
+        psf = gaussian_psf(2.0)
+        stack = self.frames(hr_shape, count, 40)
+        lam = 0.05 * max_correlation(stack, psf, 4)
+        step = localization_step(stack.shape[1:], psf, 4)
+        hr = localize_sparse(stack, psf, lam, 4, step=step, max_iters=300, tol=tol)
+        assert hr.shape == (count,) + hr_shape
+        forward, adjoint, _ = ulm_module._hr_model(stack.shape[1:], psf, 4)
+        counts = []
+        for f, frame in enumerate(stack):
+            assert lam[f] == 0.05 * max_correlation(frame, psf, 4)
+            alone = localize_sparse(frame, psf, lam[f], 4, step=step,
+                                    max_iters=300, tol=tol)
+            x, iters, _ = ista_single(forward, adjoint, frame.ravel(), lam[f],
+                                      step=step, max_iters=300, tol=tol, real=True)
+            ref = np.clip(x.reshape(hr_shape), 0.0, None)
+            assert np.array_equal(bits(hr[f]), bits(alone))
+            assert np.array_equal(bits(hr[f]), bits(ref))
+            counts.append(iters)
+        assert counts[count // 2] == 1 and not np.any(hr[count // 2])
+        if tol > 1e-4:
+            assert len(set(counts)) >= 3
+
+    def test_one_lambda_for_the_stack(self):
+        psf = gaussian_psf(2.0)
+        stack = self.frames((32, 32), 3, 41)
+        hr = localize_sparse(stack, psf, 0.2, 4, max_iters=50)
+        for f, frame in enumerate(stack):
+            alone = localize_sparse(frame, psf, 0.2, 4, max_iters=50)
+            assert np.array_equal(bits(hr[f]), bits(alone))
+
+    def test_max_correlation_of_a_stack(self):
+        psf = gaussian_psf(2.0)
+        stack = self.frames((32, 24), 3, 42)
+        scale = max_correlation(stack, psf, 4)
+        assert scale.shape == (3,) and scale[1] == 0.0
+        assert list(scale) == [max_correlation(f, psf, 4) for f in stack]
+        assert type(max_correlation(stack[0], psf, 4)) is float
+
+    @pytest.mark.parametrize("psf", [gaussian_psf(2.0),
+                                     random_unit_peak_psf((5, 4), 1)])
+    def test_model_maps_stacks_row_by_row(self, psf):
+        forward, adjoint, hr_shape = ulm_module._hr_model((7, 5), psf, 3)
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((4, hr_shape[0] * hr_shape[1]))
+        y = rng.standard_normal((4, 35))
+        fx, ay = forward(x), adjoint(y)
+        assert fx.shape == (4, 35) and ay.shape == x.shape
+        for r in range(4):
+            assert np.array_equal(bits(fx[r]), bits(forward(x[r])))
+            assert np.array_equal(bits(ay[r]), bits(adjoint(y[r])))
 
 
 class TestSeparableModel:
