@@ -154,16 +154,19 @@ def read_uim1_seq(path) -> np.ndarray:
         return _read_pixels(fh, (t, rx, rz))
 
 
-def write_pgm(path, log_db: np.ndarray, dynamic_range_db: float) -> None:
-    """8-bit binary PGM of a log-compressed image (0 dB -> white)."""
-    img = np.asarray(log_db, dtype=np.float64)
-    scaled = np.clip((img + dynamic_range_db) / dynamic_range_db, 0.0, 1.0)
-    pix = np.round(scaled * 255.0).astype(np.uint8)
+def _write_p5(path, unit: np.ndarray) -> None:
+    """8-bit binary P5 PGM of a (lateral, axial) map of values in [0, 1]."""
     # PGM raster is row-by-row top to bottom: emit axial rows, lateral columns
-    pix = pix.T
+    pix = np.round(unit * 255.0).astype(np.uint8).T
     with open(path, "wb") as fh:
         fh.write(f"P5\n{pix.shape[1]} {pix.shape[0]}\n255\n".encode("ascii"))
         fh.write(pix.tobytes(order="C"))
+
+
+def write_pgm(path, log_db: np.ndarray, dynamic_range_db: float) -> None:
+    """8-bit binary PGM of a log-compressed image (0 dB -> white)."""
+    img = np.asarray(log_db, dtype=np.float64)
+    _write_p5(path, np.clip((img + dynamic_range_db) / dynamic_range_db, 0.0, 1.0))
 
 
 def write_pgm_linear(path, image: np.ndarray) -> None:
@@ -171,10 +174,7 @@ def write_pgm_linear(path, image: np.ndarray) -> None:
     img = np.asarray(image, dtype=np.float64)
     peak = img.max() if img.size else 0.0
     scaled = img / peak if peak > 0 else np.zeros_like(img)
-    pix = np.round(np.clip(scaled, 0.0, 1.0) * 255.0).astype(np.uint8).T
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{pix.shape[1]} {pix.shape[0]}\n255\n".encode("ascii"))
-        fh.write(pix.tobytes(order="C"))
+    _write_p5(path, np.clip(scaled, 0.0, 1.0))
 
 
 def read_scatterer_field(path) -> ScattererField:

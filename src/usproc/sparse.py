@@ -341,7 +341,9 @@ def corr2_same_adjoint(y, h):
 
 def deconvolve(y, psf, lam: float, step: float | None = None,
                max_iters: int = 5000, tol: float = 1e-8) -> np.ndarray:
-    """l1-regularized deblurring of an image under a known PSF kernel."""
+    """l1-regularized deblurring of an image under a known PSF kernel.
+
+    Real image and PSF: solved and returned in float64; else complex128."""
     y = np.asarray(y)
     psf = np.asarray(psf)
     if psf.shape[0] > y.shape[0] or psf.shape[1] > y.shape[1]:
@@ -358,7 +360,6 @@ def deconvolve(y, psf, lam: float, step: float | None = None,
         return op.adjoint(r).ravel()
 
     problem = SparseProblem(forward, adjoint, y.ravel(), lam, step=step,
-                            max_iters=max_iters, tol=tol)
+                            max_iters=max_iters, tol=tol, real=real_io)
     x, _, _ = ista(problem)
-    x = x.reshape(shape)
-    return np.real(x) if real_io else x
+    return x.reshape(shape)

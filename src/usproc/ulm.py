@@ -7,7 +7,8 @@ coding: ISTA on the HR grid with forward = convolve-then-downsample, which
 is what resolves bubbles below the diffraction-limited PSF width.  That
 forward map is applied as separable per-axis matrices, one pair per
 rank-one term of the PSF, and a stack of frames is solved as one ISTA
-batch whose every frame gets the bits of its solve alone.
+batch whose every frame gets the bits of its solve alone.  ISTA's step
+comes in closed form from those matrices' spectral norms.
 
 Coordinates are (x, z) = (axis 0, axis 1) fractional HR pixel indices
 throughout.
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .sparse import SparseProblem, ista, ista_step
+from .sparse import SparseProblem, ista
 
 
 @dataclass(frozen=True)
@@ -137,7 +138,7 @@ def max_correlation(frame, psf, downsample_factor: int):
     each entry equal to that frame's value alone.
     """
     frame = np.asarray(frame, dtype=np.float64)
-    _, adjoint, _ = _hr_model(frame.shape[-2:], psf, int(downsample_factor))
+    _, adjoint, _, _ = _hr_model(frame.shape[-2:], psf, int(downsample_factor))
     scale = np.max(np.abs(adjoint(frame.reshape(frame.shape[:-2] + (-1,)))), axis=-1)
     return float(scale) if frame.ndim == 2 else scale
 
@@ -155,7 +156,8 @@ def _axis_operators(taps, n: int, factor: int) -> np.ndarray:
 
 def _hr_model(lr_shape, psf, factor: int):
     """Forward (convolve, then block-average) and adjoint maps of the
-    localization model on flattened float64 vectors, and the HR shape.
+    localization model on flattened float64 vectors, the HR shape, and
+    ``norm``, a bound on the model's spectral norm.
 
     The PSF is split by SVD into its r numerically nonzero rank-one terms
     (numpy's ``matrix_rank`` tolerance); a Gaussian has r = 1.  Term k
@@ -163,7 +165,9 @@ def _hr_model(lr_shape, psf, factor: int):
     forward(X) = sum_k A0_k X A1_k^T and adjoint(Y) = sum_k A0_k^T Y A1_k,
     added in k order.  Both maps take a (..., H*W) or (..., H/f*W/f) stack
     of flattened frames and map each frame as they map it alone: every term
-    is a 2-D product of the same views, whatever the stack.
+    is a 2-D product of the same views, whatever the stack.  Term k is the
+    Kronecker product A0_k (x) A1_k, of norm ||A0_k||_2 ||A1_k||_2, so
+    their sum ``norm`` is the model's norm for r = 1 and bounds it else.
     """
     lr_shape = tuple(lr_shape)
     psf = np.asarray(psf, dtype=np.float64)
@@ -179,6 +183,8 @@ def _hr_model(lr_shape, psf, factor: int):
     rank = int(np.sum(s > s[0] * max(psf.shape) * np.finfo(np.float64).eps))
     a0 = _axis_operators((u[:, :rank] * s[:rank]).T, hr_shape[0], factor)
     a1 = _axis_operators(vh[:rank], hr_shape[1], factor)
+    norm = float(np.sum(np.linalg.norm(a0, 2, axis=(1, 2))
+                        * np.linalg.norm(a1, 2, axis=(1, 2))))
     # transposed views, not copies: BLAS's transpose flag sets the bits
     a0_t, a1_t = a0.transpose(0, 2, 1), a1.transpose(0, 2, 1)
 
@@ -195,7 +201,7 @@ def _hr_model(lr_shape, psf, factor: int):
     def adjoint(y):
         return terms(a0_t, y, a1, lr_shape)
 
-    return forward, adjoint, hr_shape
+    return forward, adjoint, hr_shape, norm
 
 
 def _unit_peak(psf) -> np.ndarray:
@@ -205,16 +211,31 @@ def _unit_peak(psf) -> np.ndarray:
     return psf
 
 
+def _step(norm: float) -> float:
+    # 1.01 is the margin the power-iteration estimate of the norm carried:
+    # keeping it keeps the step within 3e-5 relative of that estimate's
+    # step, so solves and detections barely move.  inf for the zero model.
+    return math.inf if norm == 0.0 else 1.0 / (1.01 * norm) ** 2
+
+
 def localization_step(lr_shape, psf, downsample_factor: int) -> float:
     """ISTA step of :func:`localize_sparse` for frames of shape ``lr_shape``.
+
+    mu = 1 / (1.01 L)^2, with L = sum_k ||A0_k||_2 ||A1_k||_2 over the
+    model's per-axis matrices (see :func:`_hr_model`).  L bounds the model's
+    norm, so ISTA descends at this step for every PSF.  For a separable PSF
+    (rank 1: every Gaussian) L is the norm exactly.  For a PSF of rank
+    r > 1 the bound is loose and the step smaller than it need be: for the
+    unit-peak 9 x 9 PSFs of rank 4 and 7 with standard-normal factors that
+    the tests use (8 x 8 frames, factor 2), L is 2.09 and 2.70 times the
+    norm of the dense model.  A model that maps everything to zero gets
+    inf, and :func:`localize_sparse` returns zeros at that step.
 
     The step depends only on the PSF, the factor and the frame shape, so a
     sequence of frames can share one; passing it as ``step`` gives the same
     result as letting each solve compute it.
     """
-    forward, adjoint, hr_shape = _hr_model(lr_shape, _unit_peak(psf),
-                                           int(downsample_factor))
-    return ista_step(forward, adjoint, hr_shape[0] * hr_shape[1], real=True)
+    return _step(_hr_model(lr_shape, _unit_peak(psf), int(downsample_factor))[3])
 
 
 def localize_sparse(frame, psf, lam, downsample_factor: int,
@@ -226,16 +247,21 @@ def localize_sparse(frame, psf, lam, downsample_factor: int,
     convolved with the PSF, then block-averaged by ``downsample_factor``.
     The frame, the PSF and the HR unknown are real, so ISTA runs in float64
     over separable per-axis matrices.  ``step`` defaults to
-    :func:`localization_step`.  An (F, h, w) stack of frames, with ``lam``
-    one weight or one per frame, is solved as one batch and gives (F, H, W)
-    maps, each equal to that frame's solve alone.
+    :func:`localization_step`'s closed-form step; no norm is estimated.  An
+    (F, h, w) stack of frames, with ``lam`` one weight or one per frame, is
+    solved as one batch and gives (F, H, W) maps, each equal to that frame's
+    solve alone.
     """
     frame = np.asarray(frame, dtype=np.float64)
-    forward, adjoint, hr_shape = _hr_model(frame.shape[-2:], _unit_peak(psf),
-                                           int(downsample_factor))
+    forward, adjoint, hr_shape, norm = _hr_model(
+        frame.shape[-2:], _unit_peak(psf), int(downsample_factor))
+    step = _step(norm) if step is None else step
     problem = SparseProblem(forward, adjoint,
                             frame.reshape(frame.shape[:-2] + (-1,)), lam,
-                            step=step, max_iters=max_iters, tol=tol, real=True)
+                            step=None if step == math.inf else step,
+                            max_iters=max_iters, tol=tol, real=True)
+    if step == math.inf:   # the zero model: x = 0 solves every frame
+        return np.zeros(frame.shape[:-2] + hr_shape)
     x, _, _ = ista(problem)
     return np.clip(x.reshape(frame.shape[:-2] + hr_shape), 0.0, None)
 

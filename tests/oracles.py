@@ -12,7 +12,9 @@ the production code.  The real ULM operator's reference is the FFT
 composition it ran before it became separable per-axis matrices.  The
 ISTA reference solves one problem on 1-D vectors with a fresh array per
 step and the ``np.where`` form of the soft threshold, as the solver did
-before it took stacks of problems.
+before it took stacks of problems.  A linear map's norm is the top
+singular value of its dense matrix, built from the map one identity column
+at a time.
 """
 
 import math
@@ -260,6 +262,13 @@ def ulm_model_complex(lr_shape, psf, factor):
         return np.fft.ifft2(np.fft.fft2(ypad) * np.conj(kernel_fft))[:h0, :h1].ravel()
 
     return forward, adjoint
+
+
+def dense_norm(forward, dim):
+    """Spectral norm of a linear map on length-``dim`` vectors: the top
+    singular value of its matrix, whose column j is forward(e_j)."""
+    matrix = np.stack([np.asarray(forward(e)) for e in np.eye(dim)], axis=1)
+    return float(np.linalg.svd(matrix, compute_uv=False)[0])
 
 
 def _unit_complex(rng, n):

@@ -750,6 +750,22 @@ class TestRecoverDeconvolveClutterUlm:
         csv = (tmp_path / "u_detections.csv").read_text()
         assert csv.startswith("frame,x,z,intensity")
 
+    def test_ulm_estimates_no_norm(self, tmp_path, monkeypatch):
+        # the step comes from the model's per-axis matrices in closed form
+        from usproc import numerics, sparse
+        from usproc.ulm import simulate_bubbles
+
+        def no_estimate(*args, **kwargs):
+            raise AssertionError("ulm estimated an operator norm")
+
+        monkeypatch.setattr(sparse, "operator_norm", no_estimate)
+        monkeypatch.setattr(numerics, "operator_norm", no_estimate)
+        frames = simulate_bubbles((32, 32), 2, 3.0, 2.0, 4, 30.0, 4)
+        seq = tmp_path / "frames.uim1"
+        uio.write_uim1_seq(seq, np.stack([f.image for f in frames]))
+        assert run(["ulm", "--frames", str(seq), "--out", str(tmp_path / "u"),
+                    "--method", "sparse", "--set", "ulm.max_iters", "50"]) == 0
+
     @staticmethod
     def bubble_sequence(path, zero_frame):
         from usproc.ulm import simulate_bubbles

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from oracles import nuclear_norm_direct
+from usproc import clutter
+from usproc import io as uio
+from usproc.cli import run
 from usproc.clutter import (
     CasoratiMatrix,
     build_casorati,
@@ -16,6 +19,7 @@ from usproc.clutter import (
     unbuild_casorati,
 )
 from usproc.errors import DimensionMismatchError
+from usproc.numerics import svd
 
 
 class TestCasorati:
@@ -125,6 +129,44 @@ def flow_scene(seed=7, nm=60, t=24):
             2 * np.pi * (5 + n_row) * tt / t + rng.uniform(0, 2 * np.pi))
     y = tissue + blood + 1e-3 * rng.standard_normal((nm, t))
     return y, tissue, blood, rows
+
+
+def benchmark_flow_scene():
+    """The flow-rpca benchmark's Casorati scene: 10 x 10 pixels, 32 frames,
+    rank-2 tissue, six flowing pixels and 1e-3 noise."""
+    n, t, flows = 100, 32, 6
+    rng = np.random.Generator(np.random.Philox(key=0xF10))
+    u, _ = np.linalg.qr(rng.standard_normal((n, 2)))
+    tt = np.arange(t)
+    v, _ = np.linalg.qr(np.column_stack(
+        [1.0 + 0.1 * np.sin(2 * np.pi * tt / t), np.linspace(-1.0, 1.0, t)]))
+    y = (u * np.array([30.0, 15.0])) @ v.T
+    for k, row in enumerate(np.sort(rng.choice(n, flows, replace=False))):
+        y[row] += rng.uniform(0.5, 1.0) * np.sin(
+            2 * np.pi * (t // 8 + k) * tt / t + rng.uniform(0, 2 * np.pi))
+    y += 1e-3 * rng.standard_normal((n, t))
+    return np.stack([y[:, i].reshape((10, 10), order="F") for i in range(t)])
+
+
+def test_svd_factors_orthonormal_on_flow_scene(tmp_path, monkeypatch):
+    # numerics.svd trusts LAPACK's factors; this checks them on every SVD
+    # that `usproc clutter --method rpca` takes of the benchmark's scene
+    results = []
+
+    def recording_svd(a):
+        results.append(svd(a))
+        return results[-1]
+
+    monkeypatch.setattr(clutter, "svd", recording_svd)
+    seq = tmp_path / "seq.uim1"
+    uio.write_uim1_seq(seq, benchmark_flow_scene())
+    assert run(["clutter", "--in", str(seq), "--method", "rpca",
+                "--out", str(tmp_path / "flow")]) == 0
+    assert len(results) > 30          # default_lambda1's, then one per iteration
+    for res in results:
+        for q in (res.u, res.v):
+            assert q.dtype == np.float64
+            assert np.max(np.abs(q.T @ q - np.eye(q.shape[1]))) <= 1e-10
 
 
 class TestRealData:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from oracles import (
     block_expand,
+    dense_norm,
     ista_single,
     localize_sparse_complex,
     ulm_model_complex,
@@ -122,7 +123,7 @@ class TestFrameStacks:
         step = localization_step(stack.shape[1:], psf, 4)
         hr = localize_sparse(stack, psf, lam, 4, step=step, max_iters=300, tol=tol)
         assert hr.shape == (count,) + hr_shape
-        forward, adjoint, _ = ulm_module._hr_model(stack.shape[1:], psf, 4)
+        forward, adjoint, _, _ = ulm_module._hr_model(stack.shape[1:], psf, 4)
         counts = []
         for f, frame in enumerate(stack):
             assert lam[f] == 0.05 * max_correlation(frame, psf, 4)
@@ -157,7 +158,7 @@ class TestFrameStacks:
     @pytest.mark.parametrize("psf", [gaussian_psf(2.0),
                                      random_unit_peak_psf((5, 4), 1)])
     def test_model_maps_stacks_row_by_row(self, psf):
-        forward, adjoint, hr_shape = ulm_module._hr_model((7, 5), psf, 3)
+        forward, adjoint, hr_shape, _ = ulm_module._hr_model((7, 5), psf, 3)
         rng = np.random.default_rng(12)
         x = rng.standard_normal((4, hr_shape[0] * hr_shape[1]))
         y = rng.standard_normal((4, 35))
@@ -187,7 +188,7 @@ class TestSeparableModel:
     ])
     def test_matches_fft_oracle(self, lr_shape, psf, factor):
         psf = psf / psf.max()
-        forward, adjoint, hr_shape = ulm_module._hr_model(lr_shape, psf, factor)
+        forward, adjoint, hr_shape, _ = ulm_module._hr_model(lr_shape, psf, factor)
         ref_fwd, ref_adj, ref_shape = ulm_model_fft(lr_shape, psf, factor)
         assert hr_shape == ref_shape
         rng = np.random.default_rng(7)
@@ -204,7 +205,7 @@ class TestSeparableModel:
     @pytest.mark.parametrize("psf", [gaussian_psf(2.0),
                                      random_unit_peak_psf((6, 3), 3)])
     def test_adjoint_identity(self, psf):
-        forward, adjoint, hr_shape = ulm_module._hr_model((6, 9), psf, 2)
+        forward, adjoint, hr_shape, _ = ulm_module._hr_model((6, 9), psf, 2)
         rng = np.random.default_rng(11)
         for _ in range(5):
             x = rng.standard_normal(hr_shape[0] * hr_shape[1])
@@ -235,8 +236,8 @@ class TestSeparableModel:
 class TestRealSolveAgainstComplexOracle:
     """The float64 solve against the complex128 one it replaced.
 
-    Both start from x = 0 with the same step to roundoff, and ISTA is
-    nonexpansive, so the HR maps differ by accumulated rounding only
+    Both start from x = 0 with :func:`localization_step`'s step, and ISTA
+    is nonexpansive, so the HR maps differ by accumulated rounding only
     (measured below 1e-14 relative).  Stated tolerance: HR maps within
     1e-9 of the oracle's peak, detections within 1e-6 HR px, and the
     detection counts and density maps exactly equal.
@@ -248,8 +249,10 @@ class TestRealSolveAgainstComplexOracle:
     def solve_both(image, tol=1e-5):
         psf = gaussian_psf(2.0)
         lam = 0.05 * max_correlation(image, psf, 4)
-        hr = localize_sparse(image, psf, lam, 4, max_iters=700, tol=tol)
-        ref, iters = localize_sparse_complex(image, psf, lam, 4,
+        step = localization_step(image.shape, psf, 4)
+        hr = localize_sparse(image, psf, lam, 4, step=step, max_iters=700,
+                             tol=tol)
+        ref, iters = localize_sparse_complex(image, psf, lam, 4, step=step,
                                              max_iters=700, tol=tol)
         return hr, ref, iters
 
@@ -317,17 +320,61 @@ class TestSharedStep:
         shared = localize_sparse(frame, psf, lam, 4, step=mu, max_iters=300)
         assert np.array_equal(own.view(np.uint64), shared.view(np.uint64))
 
-    def test_real_step_matches_complex_to_roundoff(self):
-        psf = gaussian_psf(2.0)
-        for lr_shape in [(8, 8), (16, 12), (32, 32)]:
-            forward, adjoint = ulm_model_complex(lr_shape, psf, 4)
-            mu_c = ista_step(forward, adjoint, lr_shape[0] * lr_shape[1] * 16)
-            mu_r = localization_step(lr_shape, psf, 4)
-            assert mu_r == pytest.approx(mu_c, rel=1e-12)
-
     def test_unit_peak_checked(self):
         with pytest.raises(ValueError):
             localization_step((8, 8), 0.5 * gaussian_psf(1.0), 2)
+
+
+def rank_r_psf(shape, rank, seed):
+    """Unit-peak PSF of the given rank with standard-normal factors."""
+    rng = np.random.default_rng(seed)
+    psf = rng.standard_normal((shape[0], rank)) @ rng.standard_normal((rank, shape[1]))
+    return psf / psf.max()
+
+
+class TestStepFromModel:
+    """The model's norm bound against the dense oracle, the top singular
+    value of the model's matrix.  For a separable PSF the bound is the norm
+    (stated tolerance 1e-12 relative); for r > 1 it must not fall below it,
+    so that the step it gives keeps ISTA's descent."""
+
+    @pytest.mark.parametrize("lr_shape,sigma,factor", [
+        ((8, 8), 2.0, 4),            # the CLI's PSF and factor
+        ((16, 12), 2.0, 4),
+        ((6, 9), 0.7, 3),
+        ((5, 7), 1.5, 2),
+        ((9, 5), 5.0, 1),            # kernel 41 wider than the HR grid
+    ])
+    def test_separable_psf_norm_is_exact(self, lr_shape, sigma, factor):
+        psf = gaussian_psf(sigma)
+        forward, _, hr_shape, norm = ulm_module._hr_model(lr_shape, psf, factor)
+        dense = dense_norm(forward, hr_shape[0] * hr_shape[1])
+        assert norm == pytest.approx(dense, rel=1e-12)
+        assert localization_step(lr_shape, psf, factor) \
+            == pytest.approx(1.0 / (1.01 * dense) ** 2, rel=1e-12)
+
+    @pytest.mark.parametrize("rank,seed", [(4, 0), (7, 1)])
+    def test_bound_for_non_separable_psf(self, rank, seed):
+        psf = rank_r_psf((9, 9), rank, seed)
+        assert np.linalg.matrix_rank(psf) == rank
+        forward, _, hr_shape, norm = ulm_module._hr_model((8, 8), psf, 2)
+        assert norm >= dense_norm(forward, hr_shape[0] * hr_shape[1])
+        frame = np.random.default_rng(seed).standard_normal((8, 8))
+        lam = 0.05 * max_correlation(frame, psf, 2)
+        step = localization_step(frame.shape, psf, 2)
+        # ISTA raises step-too-large if the objective ever rises
+        hr = localize_sparse(frame, psf, lam, 2, step=step, max_iters=300)
+        assert hr.shape == hr_shape and np.all(np.isfinite(hr))
+
+    def test_zero_model_gives_zeros(self):
+        # a 1 x 1 HR grid sees only the PSF's centre tap, here 0
+        psf = np.zeros((5, 5))
+        psf[0, 0] = 1.0
+        assert localization_step((1, 1), psf, 1) == np.inf
+        assert np.array_equal(localize_sparse(np.ones((1, 1)), psf, 0.1, 1),
+                              np.zeros((1, 1)))
+        with pytest.raises(ValueError, match="lambda"):
+            localize_sparse(np.ones((1, 1)), psf, -0.1, 1)
 
 
 class TestDetectCentroids:
