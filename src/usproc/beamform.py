@@ -130,7 +130,7 @@ def _column_weights(rows, block, live, cfg, covariance_fn):
     live = live.copy()
     live[live] = solvable
     gamma = gamma[solvable]
-    w = solve_hermitian(gamma, np.ones(gamma.shape[:-1], dtype=gamma.dtype), 0.0)
+    w = solve_hermitian(gamma, np.ones(gamma.shape[:-1], dtype=gamma.dtype))
     return live, gamma, w / np.sum(w, axis=-1, keepdims=True)
 
 

@@ -282,10 +282,11 @@ def _auto_count(span: float, step: float, least: int) -> int:
 
 
 def _grid_from(cfg: PipelineConfig, array: TransducerArray, nt: int,
-               v: float, events: int = 1) -> ImagingGrid:
+               v: float, images: int = 0) -> ImagingGrid:
     """The configured grid, nan bounds and 0 counts filled from the array and
-    the recording depth, after its focused tensor (C x Rx x Rz, times
-    ``events`` when focused per event) passes the size cap."""
+    the recording depth, after what is built on it (a C x Rx x Rz focused
+    tensor, plus ``images`` Rx x Rz images when compounding) passes the
+    size cap."""
     lam = v / array.center_frequency
     half_aperture = (array.num_elements - 1) * array.pitch / 2.0
     auto = {"bf.grid_lat_min": -half_aperture, "bf.grid_lat_max": half_aperture,
@@ -295,9 +296,9 @@ def _grid_from(cfg: PipelineConfig, array: TransducerArray, nt: int,
         auto[key] if math.isnan(cfg[key]) else cfg[key] for key in auto)
     nx = cfg["bf.grid_nx"] or _auto_count(lat_max - lat_min, lam / 2.0, 2)
     nz = cfg["bf.grid_nz"] or _auto_count(ax_max - ax_min, lam / 4.0, 4)
-    what = ("focused tensor E x C x Rx x Rz (bf.compound, " if events > 1
-            else "focused tensor C x Rx x Rz (") + "bf.grid_nx, bf.grid_nz)"
-    _check_size(what, events, array.num_elements, nx, nz)
+    what = ("focused tensor C x Rx x Rz plus E x Rx x Rz images (bf.compound, "
+            if images else "focused tensor C x Rx x Rz (") + "bf.grid_nx, bf.grid_nz)"
+    _check_size(what, array.num_elements + images, nx, nz)
     return _regular_grid(lat_min, lat_max, nx, ax_min, ax_max, nz)
 
 
@@ -333,10 +334,12 @@ def _beamform_image(cfg: PipelineConfig, focused, method: str):
     return bf.das(focused, apod) if method == "das" else bf.cf_weighted_das(focused, apod)
 
 
-def _write_image_outputs(prefix: Path, image, dyn_range: float) -> None:
+def _write_image_outputs(prefix: Path, image, dyn_range: float):
+    """Write the image's rf as UIM1 and its log view as PGM; return the view."""
     viewed = tof.log_view(image, dyn_range)
     uio.write_uim1(str(prefix) + ".uim1", np.real(image.rf))
     uio.write_pgm(str(prefix) + ".pgm", viewed.log_db, dyn_range)
+    return viewed
 
 
 def _write_csv(path, rows) -> None:
@@ -420,18 +423,22 @@ def _cmd_beamform(args) -> int:
     if method in ("mv", "wiener") and cfg["bf.sub_l"] > array.num_elements:
         raise ConfigError(f"bf.sub_l = {cfg['bf.sub_l']} exceeds the cube's "
                           f"C = {array.num_elements} channels")
-    per_event = mode != "channel" and len(events) > 1
-    grid = _grid_from(cfg, array, nt, v, len(events) if per_event else 1)
+    images = len(events) if mode != "channel" and len(events) > 1 else 0
+    grid = _grid_from(cfg, array, nt, v, images)
+    if images and mode == "mv":
+        # each column's transmit covariances are padded by K on both ends
+        _check_size("MV compounding window (Rz + 2K) x E x E (bf.k, bf.compound)",
+                    grid.shape[1] + 2 * cfg["bf.k"], images, images)
     cube, _ = uio.read_urf1(args.infile, events)
     delays = tof.compute_delays(array, cube.events, grid, v)
-    if per_event:
-        focused = tof.focus(cube, delays, grid, per_event=True)
-        apod = ApodizationWindow(_APOD[cfg["bf.apod"]], array.num_elements)
-        image = bf.compound([bf.das(focused.event(e), apod)
-                             for e in range(cube.num_events)], mode)
+    if images:
+        # one event's focused tensor at a time, each beamformed by bf.method
+        image = bf.compound(
+            [_beamform_image(cfg, tof.focus(cube, delays, grid, e), method)
+             for e in range(images)],
+            mode, bf.CovarianceConfig(images, cfg["bf.k"], cfg["bf.eps"]))
     else:
-        focused = tof.focus(cube, delays, grid, per_event=False)
-        image = _beamform_image(cfg, focused, method)
+        image = _beamform_image(cfg, tof.focus(cube, delays, grid), method)
     _write_image_outputs(Path(args.out), image, cfg["bf.dyn_range"])
     cfg.dump(args.out + ".config.txt", args.seed)
     print(f"wrote {args.out}.uim1 and {args.out}.pgm ({method})")
@@ -538,14 +545,12 @@ def _cmd_ulm(args) -> int:
             det = ulm.detect_centroids(frame, thr, radius).detections.copy()
             det[:, :2] = det[:, :2] * factor + (factor - 1) / 2.0
             sets.append(ulm.LocalizationSet(det))
-    elif len(frames):
-        # every frame shares the operator, so one step serves the whole run,
-        # and each block of frames is solved as one batch
-        step = ulm.localization_step(frames.shape[1:], psf, factor)
+    else:
+        # each block of frames is solved as one batch
         for block in row_blocks(len(frames), hr_shape[0] * hr_shape[1]):
             stack = frames[block]
             lam = cfg["ulm.lambda_frac"] * ulm.max_correlation(stack, psf, factor)
-            hr = ulm.localize_sparse(stack, psf, lam, factor, step=step,
+            hr = ulm.localize_sparse(stack, psf, lam, factor,
                                      max_iters=cfg["ulm.max_iters"],
                                      tol=cfg["ulm.tol"])
             sets += [ulm.detect_centroids(h, thr, radius) for h in hr]
@@ -638,13 +643,12 @@ def _cmd_demo(args) -> int:
     cube, pulse = _simulate_from(cfg, array, field, args.seed)
     uio.write_urf1(outdir / "cube.urf", cube, pulse.f0)
     delays = tof.compute_delays(array, cube.events, grid, v)
-    focused = tof.focus(cube, delays, grid, per_event=False)
+    focused = tof.focus(cube, delays, grid)
     dyn = cfg["bf.dyn_range"]
     rows = []
     for method in ("das", "mv", "cf", "imap"):
         image = _beamform_image(cfg, focused, method)
-        _write_image_outputs(outdir / method, image, dyn)
-        env = tof.detect_envelope(image).envelope
+        env = _write_image_outputs(outdir / method, image, dyn).envelope
         rows.append(("contrast_db", method, mx.contrast_db(env, grid, bg, cyst)))
         rows.append(("cnr", method, mx.cnr(env, grid, bg, cyst)))
     _write_csv(outdir / "metrics.csv", rows)

@@ -234,38 +234,29 @@ class ImagingGrid:
 class FocusedTensor:
     """TOF-corrected per-pixel channel vectors y_r over an imaging grid.
 
-    ``values`` has shape (C, Rx, Rz) when ``per_event`` is False (events
-    coherently summed during focusing) and (E, C, Rx, Rz) otherwise.  It is
-    float64 for real channel data, as focused from an :class:`RfDataCube`,
-    and complex128 for complex (IQ) data; a ``_Handover`` array already of
-    that dtype is frozen in place, without a copy.
+    ``values`` has shape (C, Rx, Rz): one event's, or the coherent sum of
+    several events' made during focusing.  It is float64 for real channel
+    data, as focused from an :class:`RfDataCube`, and complex128 for complex
+    (IQ) data; a ``_Handover`` array already of that dtype is frozen in
+    place, without a copy.
     """
 
     values: np.ndarray
     grid: ImagingGrid
-    per_event: bool = False
 
     def __post_init__(self):
         v = _frozen_samples(self.values)
-        want = 4 if self.per_event else 3
-        if v.ndim != want or v.shape[-2:] != self.grid.shape:
+        if v.ndim != 3 or v.shape[1:] != self.grid.shape:
             raise DimensionMismatchError(
                 f"dimension-mismatch: values shape {v.shape} inconsistent with "
-                f"grid {self.grid.shape} (per_event={self.per_event})")
+                f"grid {self.grid.shape}")
         if not all_finite(v):
             raise NonFiniteSampleError("non-finite-sample: focused values")
         object.__setattr__(self, "values", v)
 
     @property
     def num_channels(self):
-        return self.values.shape[-3]
-
-    def event(self, e: int) -> "FocusedTensor":
-        """Single-event view as a compounded-form tensor."""
-        if not self.per_event:
-            raise DimensionMismatchError(
-                "dimension-mismatch: tensor is already compounded")
-        return FocusedTensor(self.values[e], self.grid, per_event=False)
+        return self.values.shape[0]
 
 
 @dataclass(frozen=True)

@@ -50,30 +50,29 @@ def fft(signal, inverse: bool = False) -> np.ndarray:
 # Hermitian solve
 
 
-def solve_hermitian(a, b, loading: float = 0.0) -> np.ndarray:
-    """Solve (A + loading*I) x = b for Hermitian A via Cholesky.
+def solve_hermitian(a, b) -> np.ndarray:
+    """Solve A x = b for Hermitian A via Cholesky.
 
     ``a`` is one (n, n) matrix with ``b`` of shape (n,), or a stack
     (..., n, n) with ``b`` of shape (..., n) solved in one batched call;
     each matrix of a stack is checked for symmetry against its own scale.
     Raises ``singular-matrix`` when the Cholesky factorization of any matrix
-    fails after loading, which for a Hermitian matrix signals that it is not
-    positive definite.  Real ``a`` and ``b`` (a symmetric system) are solved
-    in float64 and give a float64 ``x``; a complex operand makes it complex128.
+    fails, which for a Hermitian matrix signals that it is not positive
+    definite; a caller that wants diagonal loading adds it to ``a`` first.
+    Real ``a`` and ``b`` (a symmetric system) are solved in float64 and give
+    a float64 ``x``; a complex operand makes it complex128.
     """
     dtype = working_dtype(a, b)
     a = np.asarray(a, dtype=dtype)
     b = np.asarray(b, dtype=dtype)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or b.shape != a.shape[:-1]:
         raise DimensionMismatchError("dimension-mismatch: need square A and matching b")
-    if loading < 0:
-        raise ValueError("loading must be >= 0")
     a_h = np.conj(np.swapaxes(a, -1, -2))
     scale = np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1), initial=0.0))
     if np.any(np.max(np.abs(a - a_h), axis=(-2, -1), initial=0.0) > 1e-10 * scale):
         raise ValueError("matrix is not Hermitian to 1e-10")
     try:
-        low = np.linalg.cholesky(a + loading * np.eye(a.shape[-1]))
+        low = np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"singular-matrix: Cholesky failed ({exc})") from exc
     # forward then backward substitution through the two triangular factors

@@ -9,9 +9,10 @@ deliberately not used.  One call solves a single problem or a stack of
 independent ones that share the operator and the step: each row of the
 stack keeps its own objective, monotonicity check and stopping rule, and a
 row that stops is frozen while the others go on, so every row ends with the
-bits it would have had alone.  On top of it sit the Fourier-domain
-sub-Nyquist scanline recovery (partial DFT times pulse spectrum) and
-zero-padded image deconvolution.
+bits it would have had alone.  The step is one a caller derives from its
+model in closed form, or else 1/||A||^2 from numerics' power iteration.  On
+top of it sit the Fourier-domain sub-Nyquist scanline recovery (partial DFT
+times pulse spectrum) and zero-padded image deconvolution.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ import numpy as np
 
 from .errors import DimensionMismatchError, StepTooLargeError
 from .numerics import _check_adjoint, fft, operator_norm, working_dtype
-
-_POWER_ITERS = 100
 
 
 def soft_threshold(x, lam: float):
@@ -69,9 +68,10 @@ class SparseProblem:
     A 2-D ``y`` of shape (B, m) is B problems under one operator, solved
     together: ``lam`` is one weight or a (B,) array of them, and the maps
     must take (k, n) and (k, m) stacks row by row as well as 1-D vectors.
-    ``step=None`` auto-selects mu = 1/(1.01 ||A||^2) with :func:`ista_step`,
-    guaranteeing descent; problems that share an operator can compute that
-    step once and pass it in.
+    ``step=None`` makes :func:`ista` take mu = 1/||A||^2 from
+    :func:`~usproc.numerics.operator_norm`'s power iteration, whose estimate
+    carries a 1.01 safety factor, guaranteeing descent; a caller that knows
+    a bound on ||A|| in closed form passes its step instead.
     """
 
     forward: callable
@@ -116,17 +116,6 @@ def _sum_squares(v, out, real: bool):
     return np.add.reduce(out, axis=-1)
 
 
-def ista_step(forward, adjoint, dim: int, real: bool = False) -> float:
-    """ISTA step mu = 1/||A||^2 from the safety-factored power iteration.
-
-    This is the step :func:`ista` picks when ``step`` is None; it depends only
-    on the operator, so problems sharing one can compute it once.  Returns
-    inf for the zero operator, whose minimizer is x = 0 for any y.
-    """
-    norm = operator_norm(forward, adjoint, dim, _POWER_ITERS, real=real)
-    return math.inf if norm == 0.0 else 1.0 / (norm * norm)
-
-
 def ista(problem: SparseProblem):
     """Run ISTA from x = 0; returns (x_hat, iterations_used, final_objective).
 
@@ -153,9 +142,10 @@ def ista(problem: SparseProblem):
     res_sq = np.empty(y.shape)
     obj = 0.5 * num(_sum_squares(residual, res_sq, real)) + lam * 0.0
     if problem.step is None:
-        mu = ista_step(problem.forward, problem.adjoint, dim, real)
-        if mu == math.inf:
+        norm = operator_norm(problem.forward, problem.adjoint, dim, real=real)
+        if norm == 0.0:   # the zero operator: x = 0 is a minimizer for any y
             return x, 0, obj
+        mu = 1.0 / (norm * norm)
     else:
         rng = np.random.Generator(np.random.Philox(key=0x15745EED))
         _check_adjoint(problem.forward, problem.adjoint, dim, rng, real=real)
@@ -251,11 +241,10 @@ class ScanlineModel:
 
 
 def recover_scanline(model: ScanlineModel, y_tilde, lam: float,
-                     step: float | None = None, max_iters: int = 5000,
-                     tol: float = 1e-8) -> np.ndarray:
+                     max_iters: int = 5000, tol: float = 1e-8) -> np.ndarray:
     """MAP recovery of a sparse scanline from partial DFT measurements."""
     problem = SparseProblem(model.forward, model.adjoint, y_tilde, lam,
-                            step=step, max_iters=max_iters, tol=tol)
+                            max_iters=max_iters, tol=tol)
     x, _, _ = ista(problem)
     return np.real(x)
 
@@ -339,8 +328,8 @@ def corr2_same_adjoint(y, h):
     return Conv2Same(y.shape, h).adjoint(y)
 
 
-def deconvolve(y, psf, lam: float, step: float | None = None,
-               max_iters: int = 5000, tol: float = 1e-8) -> np.ndarray:
+def deconvolve(y, psf, lam: float, max_iters: int = 5000,
+               tol: float = 1e-8) -> np.ndarray:
     """l1-regularized deblurring of an image under a known PSF kernel.
 
     Real image and PSF: solved and returned in float64; else complex128."""
@@ -359,7 +348,7 @@ def deconvolve(y, psf, lam: float, step: float | None = None,
     def adjoint(r):
         return op.adjoint(r).ravel()
 
-    problem = SparseProblem(forward, adjoint, y.ravel(), lam, step=step,
+    problem = SparseProblem(forward, adjoint, y.ravel(), lam,
                             max_iters=max_iters, tol=tol, real=real_io)
     x, _, _ = ista(problem)
     return x.reshape(shape)

@@ -3,7 +3,9 @@
 Focusing migrates the recorded time-domain traces onto the imaging grid by
 sampling each channel at its two-way time of flight (linear interpolation
 between adjacent samples; contributions whose delay falls outside the
-recording window are zero, not an error).  Delays are kept factored into a
+recording window are zero, not an error).  It gives one (C, Rx, Rz) tensor:
+the coherent sum over the events, or one event alone, so per-transmit
+images are compounded one event at a time.  Delays are kept factored into a
 receive leg per channel and a transmit leg per event; focusing forms the
 delays of one event and one block of receive channels at a time, as many
 channels as keep a (channels, Rx, Rz) array within ``core.BLOCK_ELEMENTS``
@@ -32,7 +34,6 @@ import math
 import numpy as np
 
 from .core import (
-    PLANE_WAVE,
     BeamformedImage,
     FocusedTensor,
     ImagingGrid,
@@ -49,6 +50,7 @@ from .errors import (
     NonPositiveSpeedError,
     ShapeMismatchError,
 )
+from .simulator import transmit_distances
 
 
 class DelayTensor:
@@ -144,8 +146,11 @@ def compute_delays(array: TransducerArray, events, grid: ImagingGrid,
 
     Plane-wave transmits replace the point-source leg by the planar arrival
     time (x sin(theta) + z cos(theta)) / v, referenced so the wavefront
-    crosses the array origin at t = 0.  Returns the factored tensor: the legs
-    are computed once here, the division by v per event when it is read.
+    crosses the array origin at t = 0.  The transmit legs are the
+    simulator's :func:`~usproc.simulator.transmit_distances`, so a delay and
+    the echo simulated for it share their bits.  Returns the factored
+    tensor: the legs are computed once here, the division by v per event
+    when it is read.
     """
     events = tuple(events)
     px = grid.lateral_coords[:, None]   # (Rx, 1)
@@ -156,27 +161,24 @@ def compute_delays(array: TransducerArray, events, grid: ImagingGrid,
     np.sqrt(rx_leg, out=rx_leg)
     tx_legs = np.empty((len(events),) + grid.shape)
     for e, event in enumerate(events):
-        if event.scheme == PLANE_WAVE:
-            tx_legs[e] = px * math.sin(event.angle) + pz * math.cos(event.angle)
-        else:
-            ox, oz = event.origin
-            tx_legs[e] = np.sqrt((px - ox) ** 2 + (pz - oz) ** 2)
+        tx_legs[e] = transmit_distances(event, px, pz)
     return DelayTensor.factored(_Handover(tx_legs), _Handover(rx_leg), v)
 
 
 def focus(cube: RfDataCube, delays: DelayTensor, grid: ImagingGrid,
-          per_event: bool = False) -> FocusedTensor:
+          event: int | None = None) -> FocusedTensor:
     """Delay-and-interpolate the cube onto the grid (time-to-space migration).
 
-    Returns per-pixel channel vectors, float64 like the cube's samples and
-    handed to the tensor without a copy; events are coherently summed unless
-    ``per_event`` is set, in which case they are stacked.  Each event is
-    focused one block of channels (:func:`core.row_blocks`) at a time from
-    :meth:`DelayTensor.event`, so besides the output only one block's
-    slabs are held.  When :func:`_reciprocal` shows slab (e, c) equals
-    slab (c, e), the summed form gathers event i for channels i..C-1 only
-    and adds row k both to channel i + k and, in event order, to channel i:
-    half the gathers, the same bits.
+    Returns the (C, Rx, Rz) per-pixel channel vectors, float64 like the
+    cube's samples and handed to the tensor without a copy: the coherent
+    sum over all events, or with ``event`` set that event's alone.  Each
+    event is focused one block of channels (:func:`core.row_blocks`) at a
+    time from :meth:`DelayTensor.event` and added to a zero start, so
+    besides the output only one block's slabs are held.  When the sum over
+    all events is asked for and :func:`_reciprocal` shows slab (e, c) equals
+    slab (c, e), event i is gathered for channels i..C-1 only and row k is
+    added both to channel i + k and, in event order, to channel i: half the
+    gathers, the same bits.
     """
     e_count, c_count, nt = cube.samples.shape
     if delays.shape[:2] != (e_count, c_count) or delays.shape[2:] != grid.shape:
@@ -185,15 +187,9 @@ def focus(cube: RfDataCube, delays: DelayTensor, grid: ImagingGrid,
             f"(E={e_count}, C={c_count}) and grid {grid.shape}")
     samples, fs = cube.samples, cube.fs
     pixels = grid.shape[0] * grid.shape[1]
-    if per_event:
-        out = np.empty((e_count, c_count) + grid.shape)
-        for rb in row_blocks(c_count, pixels):
-            for e in range(e_count):
-                out[e, rb] = _focus_event(samples[e, rb], delays.event(e, rb) * fs)
-        return FocusedTensor(_Handover(out), grid, per_event=True)
     # a zero start and event-by-event adds give np.sum(axis=0)'s bits
     total = np.zeros((c_count,) + grid.shape)
-    if _reciprocal(samples, delays):
+    if event is None and _reciprocal(samples, delays):
         for i in range(c_count):
             for rb in row_blocks(c_count - i, pixels):
                 # slab row k is pair (i, i + rb.start + k): term i of that
@@ -206,10 +202,11 @@ def focus(cube: RfDataCube, delays: DelayTensor, grid: ImagingGrid,
                     total[i] += slab[k]
                 del slab    # before the next block's indices are built
     else:
+        events = range(e_count) if event is None else (event,)
         for rb in row_blocks(c_count, pixels):
-            for e in range(e_count):
+            for e in events:
                 total[rb] += _focus_event(samples[e, rb], delays.event(e, rb) * fs)
-    return FocusedTensor(_Handover(total), grid, per_event=False)
+    return FocusedTensor(_Handover(total), grid)
 
 
 def _reciprocal(samples: np.ndarray, delays: DelayTensor) -> bool:

@@ -60,11 +60,11 @@ class LocalizationSet:
         return self.detections.shape[0]
 
 
-def gaussian_psf(sigma: float, radius: int | None = None) -> np.ndarray:
-    """Unit-peak Gaussian kernel on (2r+1)^2 pixels, r defaulting to ceil(4 sigma)."""
+def gaussian_psf(sigma: float) -> np.ndarray:
+    """Unit-peak Gaussian kernel on (2r+1)^2 pixels, r = ceil(4 sigma)."""
     if sigma <= 0:
         raise ValueError("psf sigma must be > 0")
-    r = int(math.ceil(4.0 * sigma)) if radius is None else int(radius)
+    r = int(math.ceil(4.0 * sigma))
     d = np.arange(-r, r + 1)
     return np.exp(-(d[:, None] ** 2 + d[None, :] ** 2) / (2.0 * sigma * sigma))
 
@@ -218,36 +218,20 @@ def _step(norm: float) -> float:
     return math.inf if norm == 0.0 else 1.0 / (1.01 * norm) ** 2
 
 
-def localization_step(lr_shape, psf, downsample_factor: int) -> float:
-    """ISTA step of :func:`localize_sparse` for frames of shape ``lr_shape``.
-
-    mu = 1 / (1.01 L)^2, with L = sum_k ||A0_k||_2 ||A1_k||_2 over the
-    model's per-axis matrices (see :func:`_hr_model`).  L bounds the model's
-    norm, so ISTA descends at this step for every PSF.  For a separable PSF
-    (rank 1: every Gaussian) L is the norm exactly.  For a PSF of rank
-    r > 1 the bound is loose and the step smaller than it need be: for the
-    unit-peak 9 x 9 PSFs of rank 4 and 7 with standard-normal factors that
-    the tests use (8 x 8 frames, factor 2), L is 2.09 and 2.70 times the
-    norm of the dense model.  A model that maps everything to zero gets
-    inf, and :func:`localize_sparse` returns zeros at that step.
-
-    The step depends only on the PSF, the factor and the frame shape, so a
-    sequence of frames can share one; passing it as ``step`` gives the same
-    result as letting each solve compute it.
-    """
-    return _step(_hr_model(lr_shape, _unit_peak(psf), int(downsample_factor))[3])
-
-
 def localize_sparse(frame, psf, lam, downsample_factor: int,
-                    step: float | None = None, max_iters: int = 2000,
-                    tol: float = 1e-6) -> np.ndarray:
+                    max_iters: int = 2000, tol: float = 1e-6) -> np.ndarray:
     """Sparse-coding localization: ISTA on the HR grid, nonneg-clamped.
 
     ``psf`` must be normalized to unit peak.  Forward model: HR image
     convolved with the PSF, then block-averaged by ``downsample_factor``.
     The frame, the PSF and the HR unknown are real, so ISTA runs in float64
-    over separable per-axis matrices.  ``step`` defaults to
-    :func:`localization_step`'s closed-form step; no norm is estimated.  An
+    over separable per-axis matrices.  The step is 1 / (1.01 L)^2, with L
+    the :func:`_hr_model` bound on the model's norm: no norm is estimated.
+    L is the norm exactly for a separable PSF (rank 1: every Gaussian) and
+    a looser bound for a PSF of rank r > 1, whose step is then smaller than
+    it need be (2.09 and 2.70 times the dense model's norm for the tests'
+    unit-peak 9 x 9 PSFs of rank 4 and 7, 8 x 8 frames, factor 2).  A model
+    that maps everything to zero gives zeros.  An
     (F, h, w) stack of frames, with ``lam`` one weight or one per frame, is
     solved as one batch and gives (F, H, W) maps, each equal to that frame's
     solve alone.
@@ -255,7 +239,7 @@ def localize_sparse(frame, psf, lam, downsample_factor: int,
     frame = np.asarray(frame, dtype=np.float64)
     forward, adjoint, hr_shape, norm = _hr_model(
         frame.shape[-2:], _unit_peak(psf), int(downsample_factor))
-    step = _step(norm) if step is None else step
+    step = _step(norm)
     problem = SparseProblem(forward, adjoint,
                             frame.reshape(frame.shape[:-2] + (-1,)), lam,
                             step=None if step == math.inf else step,

@@ -231,7 +231,7 @@ class TestMv:
         m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         gamma = m @ m.conj().T + 0.3 * np.eye(3)
         from usproc.numerics import solve_hermitian
-        w = solve_hermitian(gamma, np.ones(3, dtype=complex), 0.0)
+        w = solve_hermitian(gamma, np.ones(3, dtype=complex))
         w = w / np.sum(w)
         assert abs(np.sum(w) - 1.0) <= 1e-12
         base = (np.conj(w) @ gamma @ w).real

@@ -448,13 +448,27 @@ class TestExitCodes:
         assert_config_error(rc, capsys, key)
         assert list(tmp_path.glob("img*")) == []
 
+    def test_huge_k_for_mv_compounding_exit_1(self, tmp_path, capsys):
+        # MV compounding pads each column's E x E covariances by K, as MV
+        # beamforming pads its L x L ones
+        field = write_field(tmp_path / "f.txt")
+        cube = str(tmp_path / "c.urf")
+        assert run(["simulate", "--field", field, "--out", cube,
+                    "--num-elements", "8", "--pw-angles=-0.1,0,0.1"]) == 0
+        capsys.readouterr()
+        rc = run(["beamform", "--in", cube, "--out", str(tmp_path / "img"),
+                  "--config", cube + ".config.txt", "--set", "bf.compound", "mv",
+                  "--set", "bf.k", "100000000"])
+        assert_config_error(rc, capsys, "bf.k")
+        assert list(tmp_path.glob("img*")) == []
+
     @pytest.mark.parametrize("command,key,value", [
         ("simulate", "sim.fs_factor", "1e8"),     # auto sim.nt
         ("simulate", "sim.fs_factor", "1e9"),
         ("simulate", "sim.fs_factor", "1e300"),
         ("simulate", "sim.nt", "100000000000"),
         ("beamform", "bf.grid_nx", "100000000"),
-        ("beamform", "bf.compound", "mean"),       # E x C x Rx x Rz
+        ("beamform", "bf.compound", "mean"),       # (C + E) x Rx x Rz
         ("ulm", "ulm.factor", "100000")])
     def test_config_sized_allocation_capped(self, tmp_path, capsys, command,
                                             key, value):
@@ -462,12 +476,15 @@ class TestExitCodes:
         # "Maximum allowed size exceeded"
         field = write_field(tmp_path / "f.txt")
         cube = str(tmp_path / "c.urf")
+        angles = ",".join(str(a) for a in np.linspace(-0.5, 0.5, 20))
         assert run(["simulate", "--field", field, "--out", cube,
-                    "--set", "sim.num_elements", "8", "--pw-angles=-0.1,0,0.1"]) == 0
+                    "--set", "sim.num_elements", "8", "--pw-angles=" + angles]) == 0
         frames = tmp_path / "frames.uim1"
         uio.write_uim1_seq(frames, np.ones((2, 8, 8)))
         argv = {"simulate": ["simulate", "--field", field],
-                # 8 x 200000 x 100 focused values fit the cap, 3 x that not
+                # 8 x 200000 x 100 focused values fit the cap; compounding
+                # the 20 angles' images adds 20 x 200000 x 100, and the sum
+                # does not fit
                 "beamform": ["beamform", "--in", cube, "--config",
                              cube + ".config.txt", "--set", "bf.grid_nx",
                              "200000", "--set", "bf.grid_nz", "100"],
@@ -657,6 +674,46 @@ class TestSimulateBeamform:
         assert taken == [True]
         assert outputs["reciprocal"] == outputs["loop"]
 
+    def test_compounding_follows_method_k_and_eps(self, tmp_path):
+        # every event is beamformed by bf.method, and MV compounding weighs
+        # the events with bf.k and bf.eps
+        field = write_field(tmp_path / "f.txt",
+                            "-0.001 0.008 1.0\n0.0005 0.009 -0.6\n")
+        cube = str(tmp_path / "c.urf")
+        assert run(["simulate", "--field", field, "--out", cube,
+                    "--num-elements", "8", "--pw-angles=-0.1,0,0.1",
+                    "--noise-std", "0.01"]) == 0
+        variants = {"default": [], "mv": ["--method", "mv"],
+                    "k": ["--set", "bf.k", "0"], "eps": ["--set", "bf.eps", "0.3"]}
+        for mode in ("mean", "mv"):
+            images = {}
+            for name, extra in variants.items():
+                out = tmp_path / f"{mode}_{name}"
+                assert run(["beamform", "--in", cube, "--out", str(out),
+                            "--config", cube + ".config.txt",
+                            "--set", "bf.compound", mode, "--set", "bf.grid_nx", "9",
+                            "--set", "bf.grid_nz", "16"] + extra) == 0
+                images[name] = (tmp_path / f"{mode}_{name}.uim1").read_bytes()
+            assert images["mv"] != images["default"]
+            # K and eps reach DAS images only through MV compounding
+            for name in ("k", "eps"):
+                assert (images[name] != images["default"]) is (mode == "mv"), name
+
+    def test_compounding_holds_one_event_tensor(self, tmp_path):
+        # 16 SA events on 16 channels: the (E, C, Rx, Rz) float64 stack of
+        # every event's focused tensor would be 9.4 MB, one event's 0.6 MB;
+        # the whole run peaks near 4.4 MB
+        field = write_field(tmp_path / "f.txt")
+        cube = str(tmp_path / "c.urf")
+        assert run(["simulate", "--field", field, "--out", cube,
+                    "--num-elements", "16", "--set", "sim.scheme", "sa"]) == 0
+        rc, peak = traced_peak(run, [
+            "beamform", "--in", cube, "--out", str(tmp_path / "img"),
+            "--config", cube + ".config.txt", "--set", "bf.compound", "mean",
+            "--set", "bf.grid_nx", "48", "--set", "bf.grid_nz", "96"])
+        assert rc == 0
+        assert peak < 16 * 16 * 48 * 96 * 8, peak
+
     def test_beamform_all_methods(self, tmp_path):
         field = write_field(tmp_path / "f.txt")
         cube = tmp_path / "c.urf"
@@ -805,12 +862,10 @@ class TestRecoverDeconvolveClutterUlm:
                     "--method", "sparse", "--set", "ulm.max_iters", "200"]) == 0
         psf = ulm.gaussian_psf(2.0)
         frames = uio.read_uim1_seq(seq)   # the float32 values the CLI reads
-        step = ulm.localization_step(frames.shape[1:], psf, 4)
         rows = ["frame,x,z,intensity"]
         for t, frame in enumerate(frames):
             lam = 0.05 * ulm.max_correlation(frame, psf, 4)
-            hr = ulm.localize_sparse(frame, psf, lam, 4, step=step,
-                                     max_iters=200, tol=1e-5)
+            hr = ulm.localize_sparse(frame, psf, lam, 4, max_iters=200, tol=1e-5)
             rows += [f"{t},{float(x)!r},{float(z)!r},{float(i)!r}"
                      for x, z, i in ulm.detect_centroids(hr, 0.10, 1).detections]
         assert (tmp_path / "u_detections.csv").read_bytes() == \
@@ -873,6 +928,19 @@ class TestRecoverDeconvolveClutterUlm:
         lines = (tmp_path / "m.csv").read_text().splitlines()
         assert lines[0] == "metric,name,value"
         assert lines[1].startswith("contrast_db,")
+
+
+def test_demo_detects_each_envelope_once(tmp_path, monkeypatch):
+    # the metrics take the envelope that the PGM's log view computed
+    calls = []
+    detect = tof.detect_envelope
+    monkeypatch.setattr(tof, "detect_envelope",
+                        lambda image: calls.append(1) or detect(image))
+    assert run(["demo", "--out", str(tmp_path / "demo"),
+                "--set", "demo.num_scatterers", "20",
+                "--set", "sim.num_elements", "8",
+                "--set", "bf.grid_nx", "8", "--set", "bf.grid_nz", "24"]) == 0
+    assert len(calls) == 4    # das, mv, cf, imap
 
 
 def test_real_pipelines_factor_in_float64(tmp_path, monkeypatch):

@@ -1,11 +1,16 @@
-"""Dependency guard: importing usproc must not pull in scipy.
+"""Import guards: importing usproc must not pull in scipy, and no module
+imports a name it never uses.
 
 numpy is the only runtime dependency.  scipy may be installed next to it, so
 an accidental ``import scipy.linalg`` would go unnoticed in every other test;
 this one imports the package and all of its submodules in a fresh
-interpreter and inspects ``sys.modules``.
+interpreter and inspects ``sys.modules``.  Deleting code tends to leave its
+imports behind, so a second test reads each module's syntax tree (standard
+library ``ast``, no linter needed) and lists the names it imports but never
+mentions.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -31,3 +36,34 @@ def test_usproc_does_not_import_scipy():
                          capture_output=True, text=True).stdout.split(None, 1)
     assert int(out[0]) >= 12
     assert out[1].strip() == "[]"
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module binds by ``import`` or ``from ... import`` and never
+    mentions again; ``from __future__`` imports are directives, not names."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in imported.items()
+            if name not in used]
+
+
+def test_unused_import_check_finds_one():
+    assert unused_imports("import math\nfrom os import path, sep\nsep\n") \
+        == ["math (line 1)", "path (line 2)"]
+    assert unused_imports("from __future__ import annotations\n") == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    found = {path.name: unused_imports(path.read_text(encoding="utf-8"))
+             for path in sorted((SRC / "usproc").glob("*.py"))
+             if path.name != "__init__.py"}
+    assert len(found) >= 12
+    assert {name: names for name, names in found.items() if names} == {}

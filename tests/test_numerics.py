@@ -69,11 +69,11 @@ class TestFft:
 
 class TestSolveHermitian:
     def test_identity(self):
-        x = solve_hermitian(np.eye(2), np.array([3.0, 4.0]), 0.0)
+        x = solve_hermitian(np.eye(2), np.array([3.0, 4.0]))
         assert np.allclose(x, [3.0, 4.0], atol=1e-14)
 
     def test_diagonal(self):
-        x = solve_hermitian(np.diag([1.0, 4.0]), np.array([1.0, 1.0]), 0.0)
+        x = solve_hermitian(np.diag([1.0, 4.0]), np.array([1.0, 1.0]))
         assert np.allclose(x, [1.0, 0.25], atol=1e-14)
 
     def test_random_pd_matches_full_pivot_oracle(self):
@@ -81,7 +81,7 @@ class TestSolveHermitian:
         m = rand_complex(rng, 6, 6)
         a = m @ m.conj().T + 0.5 * np.eye(6)
         b = rand_complex(rng, 6)
-        x = solve_hermitian(a, b, 0.0)
+        x = solve_hermitian(a, b)
         assert np.allclose(x, solve_full_pivot(a, b), atol=1e-10)
         resid = np.sqrt(np.sum(np.abs(a @ x - b) ** 2))
         bound = 1e-10 * np.max(np.abs(a)) * max(np.sqrt(np.sum(np.abs(x) ** 2)), 1)
@@ -92,20 +92,20 @@ class TestSolveHermitian:
         m = rand_complex(rng, 5, 5)
         a = m @ m.conj().T
         b = rand_complex(rng, 5)
-        delta = 0.37
-        x1 = solve_hermitian(a, b, delta)
-        x2 = solve_hermitian(a + delta * np.eye(5), b, 0.0)
-        assert np.allclose(x1, x2, atol=1e-12)
+        loaded = a + 0.37 * np.eye(5)    # loading is the caller's to add
+        x = solve_hermitian(loaded, b)
+        assert np.allclose(x, solve_full_pivot(loaded, b), atol=1e-12)
 
     def test_singular_raises(self):
         a = np.array([[1.0, 1.0], [1.0, 1.0]])  # rank 1
         with pytest.raises(SingularMatrixError, match="singular-matrix"):
-            solve_hermitian(a, np.array([1.0, 0.0]), 0.0)
+            solve_hermitian(a, np.array([1.0, 0.0]))
 
     def test_loading_rescues_singular(self):
         a = np.array([[1.0, 1.0], [1.0, 1.0]])
-        x = solve_hermitian(a, np.array([1.0, 1.0]), 0.1)
-        assert np.allclose((a + 0.1 * np.eye(2)) @ x, [1.0, 1.0], atol=1e-12)
+        loaded = a + 0.1 * np.eye(2)
+        x = solve_hermitian(loaded, np.array([1.0, 1.0]))
+        assert np.allclose(loaded @ x, [1.0, 1.0], atol=1e-12)
 
     @given(st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -115,7 +115,7 @@ class TestSolveHermitian:
         a = m @ m.conj().T + 0.1 * np.eye(n)
         a = 0.5 * (a + a.conj().T)
         b = rand_complex(rng, n)
-        x = solve_hermitian(a, b, 0.0)
+        x = solve_hermitian(a, b)
         ref = solve_full_pivot(a, b)
         assert np.max(np.abs(x - ref)) \
             <= 1e-9 * max(np.max(np.abs(ref)), 1.0)
@@ -124,7 +124,7 @@ class TestSolveHermitian:
     @settings(max_examples=40, deadline=None)
     def test_psd_with_zero_row_is_singular(self, n, k, seed):
         # a PD block with one zero row and column inserted: the Cholesky
-        # pivot of that row is exactly 0, so zero loading must fail
+        # pivot of that row is exactly 0, so the unloaded solve must fail
         rng = np.random.default_rng(seed)
         k %= n
         m = rand_complex(rng, n - 1, n - 1)
@@ -132,12 +132,12 @@ class TestSolveHermitian:
         keep = np.delete(np.arange(n), k)
         a[np.ix_(keep, keep)] = m @ m.conj().T + np.eye(n - 1)
         with pytest.raises(SingularMatrixError, match="singular-matrix"):
-            solve_hermitian(a, rand_complex(rng, n), 0.0)
+            solve_hermitian(a, rand_complex(rng, n))
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError):
             solve_hermitian(np.array([[1.0, 2.0], [0.0, 1.0]]),
-                            np.array([1.0, 1.0]), 0.0)
+                            np.array([1.0, 1.0]))
 
     @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -148,7 +148,7 @@ class TestSolveHermitian:
         a = 0.5 * (a + np.conj(np.swapaxes(a, 1, 2)))
         a *= np.exp(rng.uniform(-8, 8, (batch, 1, 1)))  # scales far apart
         b = rand_complex(rng, batch, n)
-        x = solve_hermitian(a, b, 0.0)
+        x = solve_hermitian(a, b)
         assert x.shape == (batch, n)
         for i in range(batch):
             ref = solve_full_pivot(a[i], b[i])
@@ -157,7 +157,7 @@ class TestSolveHermitian:
     def test_stack_with_one_singular_matrix_raises(self):
         a = np.stack([np.eye(3), np.ones((3, 3)), 2.0 * np.eye(3)])
         with pytest.raises(SingularMatrixError, match="singular-matrix"):
-            solve_hermitian(a, np.ones((3, 3)), 0.0)
+            solve_hermitian(a, np.ones((3, 3)))
 
     def test_stack_symmetry_scale_is_per_matrix(self):
         # 0.5 of asymmetry is far below 1e-10 of the big matrix's scale, so
@@ -165,13 +165,13 @@ class TestSolveHermitian:
         small = np.array([[1.0, 0.5], [0.0, 1.0]])
         big = 1e12 * np.eye(2)
         with pytest.raises(ValueError, match="not Hermitian"):
-            solve_hermitian(np.stack([small, big]), np.ones((2, 2)), 0.0)
-        x = solve_hermitian(np.stack([np.eye(2), big]), np.ones((2, 2)), 0.0)
+            solve_hermitian(np.stack([small, big]), np.ones((2, 2)))
+        x = solve_hermitian(np.stack([np.eye(2), big]), np.ones((2, 2)))
         assert np.allclose(x, [[1.0, 1.0], [1e-12, 1e-12]], rtol=1e-14, atol=0)
 
     def test_stack_shape_mismatch(self):
         with pytest.raises(DimensionMismatchError, match="dimension-mismatch"):
-            solve_hermitian(np.stack([np.eye(2)] * 3), np.ones((2, 2)), 0.0)
+            solve_hermitian(np.stack([np.eye(2)] * 3), np.ones((2, 2)))
 
     def test_real_system_solved_in_float64(self):
         # the oracle is the same solve on the same data cast to complex128
@@ -180,14 +180,15 @@ class TestSolveHermitian:
         a = m @ np.swapaxes(m, 1, 2) + 0.1 * np.eye(5)
         a = 0.5 * (a + np.swapaxes(a, 1, 2))
         b = rng.standard_normal((4, 5))
-        x = solve_hermitian(a, b, 0.2)
-        ref = solve_hermitian(a.astype(complex), b.astype(complex), 0.2)
+        a = a + 0.2 * np.eye(5)
+        x = solve_hermitian(a, b)
+        ref = solve_hermitian(a.astype(complex), b.astype(complex))
         assert x.dtype == np.float64 and ref.dtype == np.complex128
         assert np.max(np.abs(ref.imag)) <= 1e-12 * np.max(np.abs(ref))
         assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
         # one complex operand makes the whole solve complex
-        assert solve_hermitian(a, b + 0j, 0.2).dtype == np.complex128
-        assert solve_hermitian(a + 0j, b, 0.2).dtype == np.complex128
+        assert solve_hermitian(a, b + 0j).dtype == np.complex128
+        assert solve_hermitian(a + 0j, b).dtype == np.complex128
 
 
 # ---------------------------------------------------------------------------

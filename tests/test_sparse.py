@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from oracles import ista_single, soft_threshold_where
 
 from usproc.errors import DimensionMismatchError, StepTooLargeError
+from usproc.numerics import operator_norm
 from usproc.sparse import (
     Conv2Same,
     ScanlineModel,
@@ -15,7 +16,6 @@ from usproc.sparse import (
     corr2_same_adjoint,
     deconvolve,
     ista,
-    ista_step,
     recover_scanline,
     soft_threshold,
 )
@@ -143,7 +143,7 @@ class TestBatchedIsta:
 
     def test_complex_rows_given_step(self):
         a, y = self.stack(31, 4, 8, 20, complex_=True)
-        mu = ista_step(*row_maps(a), 20)
+        mu = 1 / operator_norm(*row_maps(a), 20) ** 2
         counts = self.check_rows(a, y, 0.05, False, step=mu, max_iters=2000,
                                  tol=1e-6)
         assert len(set(counts)) >= 3
@@ -169,7 +169,7 @@ class TestBatchedIsta:
     def test_one_problem_matches_reference(self, complex_):
         a, y = self.stack(33, 3, 9, 16, complex_=complex_)
         forward, adjoint = row_maps(a)
-        for step in (None, 0.5 * ista_step(forward, adjoint, 16)):
+        for step in (None, 0.5 / operator_norm(forward, adjoint, 16) ** 2):
             x, iters, obj = ista(SparseProblem(forward, adjoint, y[0], 0.03,
                                                step=step, real=not complex_,
                                                max_iters=900, tol=1e-9))
@@ -314,14 +314,19 @@ class TestRealIsta:
         a = rng.standard_normal((9, 14))
         y = rng.standard_normal(9)
         for real in (False, True):
-            mu = ista_step(lambda v: a @ v, lambda r: a.T @ r, 14, real=real)
+            mu = 1 / operator_norm(lambda v: a @ v, lambda r: a.T @ r, 14,
+                                   real=real) ** 2
             make = self.real_problem if real else matrix_problem
             own = ista(make(a, y, 0.02, max_iters=200))[0]
             shared = ista(make(a, y, 0.02, step=mu, max_iters=200))[0]
             assert np.array_equal(own.view(np.uint64), shared.view(np.uint64))
 
     def test_zero_operator_step_is_infinite(self):
-        assert ista_step(lambda v: 0.0 * v, lambda r: 0.0 * r, 3) == np.inf
+        # the zero operator has norm 0, so no finite step: the complex path
+        # returns x = 0 without iterating, as the real one does
+        x, iters, obj = ista(matrix_problem(np.zeros((3, 3)), np.ones(3), 0.1))
+        assert x.dtype == np.complex128 and not np.any(x) and iters == 0
+        assert obj == pytest.approx(1.5)
 
     @pytest.mark.parametrize("step", [0.0, -1.0, np.inf, np.nan])
     def test_step_must_be_finite_positive(self, step):

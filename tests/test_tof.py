@@ -38,6 +38,22 @@ from usproc.tof import (
 V = 1540.0
 
 
+def focused_values(cube, delays, grid, per_event=False):
+    """``focus``'s sum over events, or with ``per_event`` the (E, C, Rx, Rz)
+    stack of its one-event tensors."""
+    if not per_event:
+        return focus(cube, delays, grid).values
+    return np.stack([focus(cube, delays, grid, event=e).values
+                     for e in range(cube.num_events)])
+
+
+def per_trace(cube, delays, per_event=False):
+    """The per-trace oracle on ``delays``.  ``focus`` adds every event to a
+    zero start, so a per-event -0.0 of the oracle reads +0.0 there: adding
+    +0.0 maps -0.0 to +0.0 and leaves every other value's bits alone."""
+    return focus_per_trace(cube.samples, cube.fs, delays.delays, per_event) + 0.0
+
+
 def single_element_array():
     # two-element array straddling the origin is the smallest valid one;
     # tests reference element 0 placed left of center
@@ -150,10 +166,10 @@ class TestFocus:
         rng = np.random.default_rng(2)
         cube = RfDataCube(rng.standard_normal((2, 4, 400)), 40e6, V, events)
         delays = compute_delays(arr, events, grid, V)
-        stacked = focus(cube, delays, grid, per_event=True)
-        summed = focus(cube, delays, grid, per_event=False)
-        assert stacked.values.shape == (2, 4, 1, 1)
-        assert np.allclose(stacked.values.sum(axis=0), summed.values, atol=1e-15)
+        stacked = focused_values(cube, delays, grid, per_event=True)
+        summed = focus(cube, delays, grid)
+        assert stacked.shape == (2, 4, 1, 1)
+        assert np.allclose(stacked.sum(axis=0), summed.values, atol=1e-15)
 
 
 class TestFocusMatchesPerTrace:
@@ -179,8 +195,8 @@ class TestFocusMatchesPerTrace:
                                        (1, 6, 50), (7, 5, 50)])
     def test_bit_identical(self, shape, per_event):
         cube, delays, grid = self.setup(*shape, seed=sum(shape))
-        out = focus(cube, delays, grid, per_event=per_event).values
-        ref = focus_per_trace(cube.samples, cube.fs, delays.delays, per_event)
+        out = focused_values(cube, delays, grid, per_event)
+        ref = per_trace(cube, delays, per_event)
         assert out.shape == ref.shape
         assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
 
@@ -196,7 +212,7 @@ class TestFocusMatchesPerTrace:
         cube = RfDataCube(rng.standard_normal((e_count, c_count, 500)),
                           40e6, V, events)
         delays = compute_delays(arr, events, grid, V)
-        out, peak = traced_peak(focus, cube, delays, grid, per_event=False)
+        out, peak = traced_peak(focus, cube, delays, grid)
         assert out.values.shape == (c_count,) + grid.shape
         assert peak < 4 * c_count * grid.shape[0] * grid.shape[1] * 16
 
@@ -215,7 +231,7 @@ class TestFocusMatchesPerTrace:
         assert _reciprocal(cube.samples, delays)
         peaks = []
         for _ in range(2):
-            out, peak = traced_peak(focus, cube, delays, grid, per_event=False)
+            out, peak = traced_peak(focus, cube, delays, grid)
             peaks.append(peak)
             del out
             monkeypatch.setattr(tof, "_reciprocal", lambda *a: False)
@@ -226,12 +242,12 @@ class TestFocusMatchesPerTrace:
         assert peaks[0] < 4 * c_count * grid.shape[0] * grid.shape[1] * 16
         assert peaks[0] < peaks[1] + slab // 4, peaks
 
-    def test_per_event_holds_one_stacked_tensor(self):
-        # the (E, C, Rx, Rz) result of a real cube is float64, built once
-        # and not copied: 8 E = 128 bytes per (C, Rx, Rz) element at E = 16,
-        # plus about 33 for one event's temporaries and the finiteness
-        # scan's byte mask (a complex result would read about 290, a second
-        # float64 copy about 290 too)
+    def test_one_event_holds_one_tensor(self):
+        # one event of a 16-event real cube gives a float64 (C, Rx, Rz)
+        # tensor, built once and not copied: 8 bytes per element plus about
+        # 33 for the event's temporaries and the finiteness scan's byte mask
+        # (41 in all, measured), where an (E, C, Rx, Rz) stack of every
+        # event would need at least 8 E = 128
         e_count = c_count = 16
         grid = ImagingGrid.regular(-2e-3, 2e-3, 24, 3e-3, 8e-3, 40)
         arr = TransducerArray.linear(c_count, V / 5e6 / 2, 5e6, 40e6)
@@ -242,11 +258,13 @@ class TestFocusMatchesPerTrace:
                           40e6, V, events)
         delays = compute_delays(arr, events, grid, V)
         elements = c_count * grid.shape[0] * grid.shape[1]
-        out, peak = traced_peak(focus, cube, delays, grid, per_event=True)
-        assert out.values.shape == (e_count,) + (c_count,) + grid.shape
+        out, peak = traced_peak(focus, cube, delays, grid, event=5)
+        assert out.values.shape == (c_count,) + grid.shape
         assert out.values.dtype == np.float64
         assert not out.values.flags.writeable
-        assert peak / elements < 8 * e_count + 48, peak / elements
+        assert peak / elements < 8 + 40, peak / elements
+        stack = focus_per_trace(cube.samples, cube.fs, delays.delays, True)
+        assert np.array_equal(bits(out.values), bits(stack[5] + 0.0))
 
 
 def bits(a):
@@ -291,9 +309,9 @@ class TestFactoredDelays:
                           40e6, V, events)
         factored = compute_delays(arr, events, grid, V)
         full = DelayTensor(factored.delays)
-        a = focus(cube, factored, grid, per_event=per_event).values
-        b = focus(cube, full, grid, per_event=per_event).values
-        ref = focus_per_trace(cube.samples, cube.fs, full.delays, per_event)
+        a = focused_values(cube, factored, grid, per_event)
+        b = focused_values(cube, full, grid, per_event)
+        ref = per_trace(cube, full, per_event)
         assert np.array_equal(bits(a), bits(b))
         assert np.array_equal(bits(a), bits(ref))
 
@@ -338,8 +356,7 @@ class TestFactoredDelays:
             cube = RfDataCube(rng.standard_normal((e_count, c_count, 500)),
                               40e6, V, events)
             _, peaks[e_count] = traced_peak(
-                lambda: focus(cube, compute_delays(arr, events, grid, V), grid,
-                              per_event=False))
+                lambda: focus(cube, compute_delays(arr, events, grid, V), grid))
         tx_growth = (32 - 4) * grid.shape[0] * grid.shape[1] * 8
         assert peaks[32] < peaks[4] + tx_growth + slab // 2, peaks
 
@@ -397,8 +414,8 @@ class TestReciprocalFocus:
 
 class TestChannelBlocks:
     """Focusing in channel blocks of any size gives the per-trace oracle's
-    bits on every path: the event loop, the reciprocal SA path and the
-    per-event stack."""
+    bits on every path: the event loop, the reciprocal SA path and one
+    event alone."""
 
     # 351 values are three rows of the 9 x 13 grid, so 8 channels split
     # into uneven blocks
@@ -413,8 +430,8 @@ class TestChannelBlocks:
         cube, delays = TestReciprocalFocus.setup(variant)
         grid = TestReciprocalFocus.GRID
         assert _reciprocal(cube.samples, delays) is (variant == "symmetric")
-        out = focus(cube, delays, grid, per_event=per_event).values
-        ref = focus_per_trace(cube.samples, cube.fs, delays.delays, per_event)
+        out = focused_values(cube, delays, grid, per_event)
+        ref = per_trace(cube, delays, per_event)
         assert np.any(ref)
         assert np.array_equal(bits(out), bits(ref))
 
@@ -441,7 +458,9 @@ def test_working_set_independent_of_channel_count(variant, per_event):
         cube = RfDataCube(samples, 40e6, V, events)
         delays = compute_delays(arr, events, grid, V)
         assert _reciprocal(cube.samples, delays) is (variant == "reciprocal")
-        out, peak = traced_peak(focus, cube, delays, grid, per_event)
+        # the per-event path: one event alone
+        out, peak = traced_peak(focus, cube, delays, grid,
+                                1 if per_event else None)
         beyond[c] = peak - out.values.nbytes
     assert beyond[64] < beyond[16] + 8 * core.BLOCK_ELEMENTS // 4, beyond
 

@@ -13,14 +13,13 @@ from oracles import (
 
 from usproc import ulm as ulm_module
 from usproc.errors import DimensionMismatchError
-from usproc.sparse import ista_step
+from usproc.numerics import operator_norm
 from usproc.ulm import (
     LocalizationSet,
     accumulate,
     block_average,
     detect_centroids,
     gaussian_psf,
-    localization_step,
     localize_sparse,
     max_correlation,
     render_frame,
@@ -120,15 +119,14 @@ class TestFrameStacks:
         psf = gaussian_psf(2.0)
         stack = self.frames(hr_shape, count, 40)
         lam = 0.05 * max_correlation(stack, psf, 4)
-        step = localization_step(stack.shape[1:], psf, 4)
-        hr = localize_sparse(stack, psf, lam, 4, step=step, max_iters=300, tol=tol)
+        hr = localize_sparse(stack, psf, lam, 4, max_iters=300, tol=tol)
         assert hr.shape == (count,) + hr_shape
-        forward, adjoint, _, _ = ulm_module._hr_model(stack.shape[1:], psf, 4)
+        forward, adjoint, _, norm = ulm_module._hr_model(stack.shape[1:], psf, 4)
+        step = ulm_module._step(norm)
         counts = []
         for f, frame in enumerate(stack):
             assert lam[f] == 0.05 * max_correlation(frame, psf, 4)
-            alone = localize_sparse(frame, psf, lam[f], 4, step=step,
-                                    max_iters=300, tol=tol)
+            alone = localize_sparse(frame, psf, lam[f], 4, max_iters=300, tol=tol)
             x, iters, _ = ista_single(forward, adjoint, frame.ravel(), lam[f],
                                       step=step, max_iters=300, tol=tol, real=True)
             ref = np.clip(x.reshape(hr_shape), 0.0, None)
@@ -236,7 +234,7 @@ class TestSeparableModel:
 class TestRealSolveAgainstComplexOracle:
     """The float64 solve against the complex128 one it replaced.
 
-    Both start from x = 0 with :func:`localization_step`'s step, and ISTA
+    Both start from x = 0 with :func:`localize_sparse`'s step, and ISTA
     is nonexpansive, so the HR maps differ by accumulated rounding only
     (measured below 1e-14 relative).  Stated tolerance: HR maps within
     1e-9 of the oracle's peak, detections within 1e-6 HR px, and the
@@ -249,9 +247,8 @@ class TestRealSolveAgainstComplexOracle:
     def solve_both(image, tol=1e-5):
         psf = gaussian_psf(2.0)
         lam = 0.05 * max_correlation(image, psf, 4)
-        step = localization_step(image.shape, psf, 4)
-        hr = localize_sparse(image, psf, lam, 4, step=step, max_iters=700,
-                             tol=tol)
+        step = ulm_module._step(ulm_module._hr_model(image.shape, psf, 4)[3])
+        hr = localize_sparse(image, psf, lam, 4, max_iters=700, tol=tol)
         ref, iters = localize_sparse_complex(image, psf, lam, 4, step=step,
                                              max_iters=700, tol=tol)
         return hr, ref, iters
@@ -300,29 +297,21 @@ class TestRealSolveAgainstComplexOracle:
 
 class TestSharedStep:
     def test_complex_path_bit_identical(self):
-        # the step shared across frames is the one each complex solve drew
+        # numerics' power-iteration step, passed in, is the one the oracle draws
         frame = simulate_bubbles((40, 32), 1, 4.0, 2.0, 4, 30.0, 5)[0].image
         psf = gaussian_psf(2.0)
         lam = 0.05 * max_correlation(frame, psf, 4)
         forward, adjoint = ulm_model_complex(frame.shape, psf, 4)
-        mu = ista_step(forward, adjoint, 40 * 32)
+        mu = 1 / operator_norm(forward, adjoint, 40 * 32) ** 2
         own, _ = localize_sparse_complex(frame, psf, lam, 4, max_iters=300)
         shared, _ = localize_sparse_complex(frame, psf, lam, 4, step=mu,
                                             max_iters=300)
         assert np.array_equal(own.view(np.uint64), shared.view(np.uint64))
 
-    def test_real_path_bit_identical(self):
-        frame = simulate_bubbles((40, 32), 1, 4.0, 2.0, 4, 30.0, 6)[0].image
-        psf = gaussian_psf(2.0)
-        lam = 0.05 * max_correlation(frame, psf, 4)
-        mu = localization_step(frame.shape, psf, 4)
-        own = localize_sparse(frame, psf, lam, 4, max_iters=300)
-        shared = localize_sparse(frame, psf, lam, 4, step=mu, max_iters=300)
-        assert np.array_equal(own.view(np.uint64), shared.view(np.uint64))
-
     def test_unit_peak_checked(self):
-        with pytest.raises(ValueError):
-            localization_step((8, 8), 0.5 * gaussian_psf(1.0), 2)
+        # a stack of frames is checked as one frame is
+        with pytest.raises(ValueError, match="unit peak"):
+            localize_sparse(np.zeros((3, 8, 8)), 0.5 * gaussian_psf(1.0), 0.1, 2)
 
 
 def rank_r_psf(shape, rank, seed):
@@ -350,7 +339,7 @@ class TestStepFromModel:
         forward, _, hr_shape, norm = ulm_module._hr_model(lr_shape, psf, factor)
         dense = dense_norm(forward, hr_shape[0] * hr_shape[1])
         assert norm == pytest.approx(dense, rel=1e-12)
-        assert localization_step(lr_shape, psf, factor) \
+        assert ulm_module._step(norm) \
             == pytest.approx(1.0 / (1.01 * dense) ** 2, rel=1e-12)
 
     @pytest.mark.parametrize("rank,seed", [(4, 0), (7, 1)])
@@ -361,16 +350,15 @@ class TestStepFromModel:
         assert norm >= dense_norm(forward, hr_shape[0] * hr_shape[1])
         frame = np.random.default_rng(seed).standard_normal((8, 8))
         lam = 0.05 * max_correlation(frame, psf, 2)
-        step = localization_step(frame.shape, psf, 2)
         # ISTA raises step-too-large if the objective ever rises
-        hr = localize_sparse(frame, psf, lam, 2, step=step, max_iters=300)
+        hr = localize_sparse(frame, psf, lam, 2, max_iters=300)
         assert hr.shape == hr_shape and np.all(np.isfinite(hr))
 
     def test_zero_model_gives_zeros(self):
         # a 1 x 1 HR grid sees only the PSF's centre tap, here 0
         psf = np.zeros((5, 5))
         psf[0, 0] = 1.0
-        assert localization_step((1, 1), psf, 1) == np.inf
+        assert ulm_module._hr_model((1, 1), psf, 1)[3] == 0.0
         assert np.array_equal(localize_sparse(np.ones((1, 1)), psf, 0.1, 1),
                               np.zeros((1, 1)))
         with pytest.raises(ValueError, match="lambda"):
