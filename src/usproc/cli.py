@@ -282,13 +282,20 @@ def _auto_count(span: float, step: float, least: int) -> int:
 
 
 def _grid_from(cfg: PipelineConfig, array: TransducerArray, nt: int,
-               v: float, images: int = 0) -> ImagingGrid:
+               v: float, images: int = 0, mv: bool = False) -> ImagingGrid:
     """The configured grid, nan bounds and 0 counts filled from the array and
-    the recording depth, after what is built on it (a C x Rx x Rz focused
-    tensor, plus ``images`` Rx x Rz images when compounding) passes the
-    size cap."""
+    the recording depth, after what is built on it passes the size cap: a
+    C x Rx x Rz focused tensor, plus ``images`` Rx x Rz images when
+    compounding, and MV compounding's padded E x E covariances.  With ``mv``
+    (MV or Wiener beamforming) ``bf.sub_l`` must not exceed C and MV's padded
+    L x L covariances pass the cap too.  ``beamform`` and ``demo`` call this
+    before they read or simulate anything."""
+    c = array.num_elements
+    if mv and cfg["bf.sub_l"] > c:
+        raise ConfigError(f"bf.sub_l = {cfg['bf.sub_l']} exceeds the array's "
+                          f"C = {c} elements")
     lam = v / array.center_frequency
-    half_aperture = (array.num_elements - 1) * array.pitch / 2.0
+    half_aperture = (c - 1) * array.pitch / 2.0
     auto = {"bf.grid_lat_min": -half_aperture, "bf.grid_lat_max": half_aperture,
             "bf.grid_ax_min": lam,
             "bf.grid_ax_max": (nt - 1) / array.sampling_frequency * v / 2.0}
@@ -298,21 +305,32 @@ def _grid_from(cfg: PipelineConfig, array: TransducerArray, nt: int,
     nz = cfg["bf.grid_nz"] or _auto_count(ax_max - ax_min, lam / 4.0, 4)
     what = ("focused tensor C x Rx x Rz plus E x Rx x Rz images (bf.compound, "
             if images else "focused tensor C x Rx x Rz (") + "bf.grid_nx, bf.grid_nz)"
-    _check_size(what, array.num_elements + images, nx, nz)
+    _check_size(what, c + images, nx, nz)
+    # each column's covariances are padded by K on both ends of the axis
+    if mv:
+        sub_l = _sub_l(cfg, c)
+        _check_size("MV covariance window (Rz + 2K) x L x L (bf.k, bf.sub_l)",
+                    nz + 2 * cfg["bf.k"], sub_l, sub_l)
+    if images and cfg["bf.compound"] == "mv":
+        _check_size("MV compounding window (Rz + 2K) x E x E (bf.k, bf.compound)",
+                    nz + 2 * cfg["bf.k"], images, images)
     return _regular_grid(lat_min, lat_max, nx, ax_min, ax_max, nz)
 
 
 def _regular_grid(lat_min, lat_max, nx, ax_min, ax_max, nz) -> ImagingGrid:
     """``ImagingGrid.regular``, with coordinates that do not strictly
     increase in front of the array reported as a config error."""
-    lat = np.linspace(lat_min, lat_max, nx)
-    ax = np.linspace(ax_min, ax_max, nz)
-    if not (np.all(np.diff(lat) > 0) and np.all(np.diff(ax) > 0)
-            and np.all(ax > 0)):
+    try:
+        return ImagingGrid.regular(lat_min, lat_max, nx, ax_min, ax_max, nz)
+    except ValueError:
         raise ConfigError(f"bf.grid_*: {nx} x {nz} pixels over [{lat_min:.3g}, {lat_max:.3g}]"
                           f" x [{ax_min:.3g}, {ax_max:.3g}] m are not strictly increasing"
-                          f" in front of the array")
-    return ImagingGrid(lat, ax)
+                          f" in front of the array") from None
+
+
+def _sub_l(cfg: PipelineConfig, c: int) -> int:
+    """The MV subaperture length L: ``bf.sub_l``, or C/2 when it is 0."""
+    return cfg["bf.sub_l"] or max(c // 2, 1)
 
 
 _APOD = {"rect": RECTANGULAR, "hanning": HANNING, "hamming": HAMMING}
@@ -321,12 +339,7 @@ _APOD = {"rect": RECTANGULAR, "hanning": HANNING, "hamming": HAMMING}
 def _beamform_image(cfg: PipelineConfig, focused, method: str):
     c = focused.num_channels
     if method in ("mv", "wiener"):
-        cov = bf.CovarianceConfig(cfg["bf.sub_l"] or max(c // 2, 1), cfg["bf.k"],
-                                  cfg["bf.eps"])
-        # each column's covariances are padded by K on both ends of the axis
-        _check_size("MV covariance window (Rz + 2K) x L x L (bf.k, bf.sub_l)",
-                    focused.values.shape[-1] + 2 * cov.temporal_half_window,
-                    cov.subaperture_length, cov.subaperture_length)
+        cov = bf.CovarianceConfig(_sub_l(cfg, c), cfg["bf.k"], cfg["bf.eps"])
         return bf.mv(focused, cov) if method == "mv" else bf.wiener(focused, cov)
     if method == "imap":
         return bf.imap(focused, cfg["bf.iters"])
@@ -420,15 +433,8 @@ def _cmd_beamform(args) -> int:
     cfg = _resolve_config(args)
     array, events, nt, v = _open_cube(args, cfg)
     method, mode = cfg["bf.method"], cfg["bf.compound"]
-    if method in ("mv", "wiener") and cfg["bf.sub_l"] > array.num_elements:
-        raise ConfigError(f"bf.sub_l = {cfg['bf.sub_l']} exceeds the cube's "
-                          f"C = {array.num_elements} channels")
     images = len(events) if mode != "channel" and len(events) > 1 else 0
-    grid = _grid_from(cfg, array, nt, v, images)
-    if images and mode == "mv":
-        # each column's transmit covariances are padded by K on both ends
-        _check_size("MV compounding window (Rz + 2K) x E x E (bf.k, bf.compound)",
-                    grid.shape[1] + 2 * cfg["bf.k"], images, images)
+    grid = _grid_from(cfg, array, nt, v, images, mv=method in ("mv", "wiener"))
     cube, _ = uio.read_urf1(args.infile, events)
     delays = tof.compute_delays(array, cube.events, grid, v)
     if images:
@@ -623,11 +629,9 @@ def _demo_phantom(cfg: PipelineConfig, seed: int) -> ScattererField:
 
 def _cmd_demo(args) -> int:
     cfg = _resolve_config(args, fill=_DEMO_GRID)
-    if cfg["bf.sub_l"] > cfg["sim.num_elements"]:
-        raise ConfigError(f"bf.sub_l = {cfg['bf.sub_l']} exceeds "
-                          f"sim.num_elements = {cfg['sim.num_elements']}")
     array, v = _sim_array(cfg), cfg["sim.v"]
-    grid = _grid_from(cfg, array, 0, v)   # ``fill`` set every bound: no depth needed
+    # ``fill`` set every bound, so no depth is needed; the demo runs MV
+    grid = _grid_from(cfg, array, 0, v, mv=True)
     cx, cz, radius = cfg["demo.cyst_cx"], cfg["demo.cyst_cz"], cfg["demo.cyst_radius"]
     half = radius / math.sqrt(2.0) * 0.9
     cyst = mx.RegionSpec(cx - half, cz - half, cx + half, cz + half)

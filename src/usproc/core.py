@@ -213,9 +213,10 @@ class ImagingGrid:
         ax = _frozen(self.axial_coords, dtype=np.float64)
         if lat.ndim != 1 or ax.ndim != 1 or lat.size < 1 or ax.size < 1:
             raise DimensionMismatchError("dimension-mismatch: grid must be >= 1x1")
-        if np.any(np.diff(lat) <= 0) or np.any(np.diff(ax) <= 0):
+        # written so that a nan coordinate fails too
+        if not (np.all(np.diff(lat) > 0) and np.all(np.diff(ax) > 0)):
             raise ValueError("grid coordinates must be strictly increasing")
-        if np.any(ax <= 0):
+        if not np.all(ax > 0):
             raise ValueError("axial coordinates must be > 0 (in front of the array)")
         object.__setattr__(self, "lateral_coords", lat)
         object.__setattr__(self, "axial_coords", ax)

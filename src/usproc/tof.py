@@ -5,14 +5,13 @@ sampling each channel at its two-way time of flight (linear interpolation
 between adjacent samples; contributions whose delay falls outside the
 recording window are zero, not an error).  It gives one (C, Rx, Rz) tensor:
 the coherent sum over the events, or one event alone, so per-transmit
-images are compounded one event at a time.  Delays are kept factored into a
-receive leg per channel and a transmit leg per event; focusing forms the
-delays of one event and one block of receive channels at a time, as many
-channels as keep a (channels, Rx, Rz) array within ``core.BLOCK_ELEMENTS``
-float64 values, so its temporaries stay cache-sized and no (E, C, Rx, Rz)
-array is built unless a caller asks for :attr:`DelayTensor.delays`.  Each
-channel still sums its events in the order 0..E-1, so the block size never
-changes a bit.
+images are compounded one event at a time.  Delays are kept as a receive
+leg per channel and a transmit leg per event; focusing forms the delays of
+one event and one block of receive channels at a time, as many channels as
+keep a (channels, Rx, Rz) array within ``core.BLOCK_ELEMENTS`` float64
+values, so its temporaries stay cache-sized and no (E, C, Rx, Rz) array is
+built.  Each channel still sums its events in the order 0..E-1, so the
+block size never changes a bit.
 
 Reciprocal synthetic aperture: in a full SA set recorded without noise,
 trace (e, c) equals trace (c, e) and so do their delays, because the
@@ -20,16 +19,16 @@ transmit leg of event e is element e's receive leg.  The summed focus then
 gathers each element pair once (C(C+1)/2 of C^2 slab rows) and adds the
 slab to both channels, each channel still summing its events in the order
 0..E-1, so the output keeps the event-by-event loop's bits.  The path is
-taken only when the input proves it exact (E == C, factored delays, legs
-equal by ``array_equal``, cube symmetric by exact comparison); any other
-input, such as plane waves, noise, a shuffled or partial SA set, takes the
-loop (Jensen et al., "Synthetic aperture ultrasound imaging", Ultrasonics
-44, 2006).
+taken only when the input proves it exact (E == C, legs equal by
+``array_equal``, cube symmetric by exact comparison); any other input, such
+as plane waves, noise, a shuffled or partial SA set, takes the loop (Jensen
+et al., "Synthetic aperture ultrasound imaging", Ultrasonics 44, 2006).
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,15 +52,15 @@ from .errors import (
 from .simulator import transmit_distances
 
 
+@dataclass(frozen=True, eq=False)
 class DelayTensor:
-    """Two-way delays [s] of shape (E, C, Rx, Rz).
+    """Two-way delays [s] of shape (E, C, Rx, Rz), kept as their legs [m].
 
-    ``DelayTensor(delays)`` holds a full (E, C, Rx, Rz) array.
-    :func:`compute_delays` builds the factored form instead: the (E, Rx, Rz)
-    transmit legs, the (C, Rx, Rz) receive leg and the speed v, from which
-    :meth:`event` forms event e's delays as ``(tx_leg[e] + rx_leg) / v``,
-    for every receive channel or for a block of them.
-    :attr:`delays` gives the full array either way.
+    Event e's delays are ``(tx_legs[e] + rx_leg) / v``: the (E, Rx, Rz)
+    transmit legs, the (C, Rx, Rz) receive leg and the speed v.
+    :meth:`event` forms them for every receive channel or for a block of
+    them.  The constructor copies a caller's legs; a ``core._Handover`` leg
+    is frozen in place instead.
 
     Delays must be finite but may be negative: a steered plane wave reaches
     pixels on one side of the array before it crosses the origin at t = 0.
@@ -69,75 +68,44 @@ class DelayTensor:
     zero when focusing.
     """
 
-    __slots__ = ("_full", "_tx_legs", "_rx_leg", "_v")
+    tx_legs: np.ndarray
+    rx_leg: np.ndarray
+    v: float
 
-    def __init__(self, delays):
-        d = _frozen(delays, dtype=np.float64)
-        if d.ndim != 4:
-            raise DimensionMismatchError(
-                "dimension-mismatch: delays must be (E, C, Rx, Rz)")
-        if not np.all(np.isfinite(d)):
-            raise NonFiniteSampleError("non-finite-sample: delays")
-        self._full = d
-        self._tx_legs = self._rx_leg = self._v = None
-
-    @classmethod
-    def factored(cls, tx_legs, rx_leg, v: float) -> DelayTensor:
-        """Delays ``(tx_legs[e] + rx_leg) / v`` from (E, Rx, Rz) transmit
-        legs and a (C, Rx, Rz) receive leg [m].
-
-        Like ``DelayTensor(delays)``, this copies a caller's arrays; a
-        ``core._Handover`` leg is frozen in place instead.
-        """
-        if v <= 0:
-            raise NonPositiveSpeedError(f"non-positive-speed: v={v}")
-        tx_legs = _frozen(tx_legs, dtype=np.float64)
-        rx_leg = _frozen(rx_leg, dtype=np.float64)
+    def __post_init__(self):
+        if self.v <= 0:
+            raise NonPositiveSpeedError(f"non-positive-speed: v={self.v}")
+        tx_legs = _frozen(self.tx_legs, dtype=np.float64)
+        rx_leg = _frozen(self.rx_leg, dtype=np.float64)
         if tx_legs.ndim != 3 or rx_leg.ndim != 3 \
                 or tx_legs.shape[1:] != rx_leg.shape[1:]:
             raise DimensionMismatchError(
                 "dimension-mismatch: legs must be (E, Rx, Rz) and (C, Rx, Rz)")
-        self = cls.__new__(cls)
-        self._full = None
-        self._tx_legs, self._rx_leg, self._v = tx_legs, rx_leg, float(v)
+        object.__setattr__(self, "tx_legs", tx_legs)
+        object.__setattr__(self, "rx_leg", rx_leg)
+        object.__setattr__(self, "v", float(self.v))
         if not self._all_finite():
             raise NonFiniteSampleError("non-finite-sample: delays")
-        return self
 
     def _all_finite(self) -> bool:
         # |tx + rx| / v is at most the sum of |max| and |min| of both legs
         # over v, and rounding keeps that order, so a finite bound proves
         # every delay finite; otherwise check event by event
-        if self._tx_legs.size == 0:
+        if self.tx_legs.size == 0:
             return True
-        bound = sum(abs(float(f(leg))) for leg in (self._tx_legs, self._rx_leg)
-                    for f in (np.max, np.min)) / self._v
+        bound = sum(abs(float(f(leg))) for leg in (self.tx_legs, self.rx_leg)
+                    for f in (np.max, np.min)) / self.v
         return math.isfinite(bound) or all(
             np.all(np.isfinite(self.event(e))) for e in range(self.shape[0]))
 
     @property
     def shape(self) -> tuple[int, int, int, int]:
-        if self._full is not None:
-            return self._full.shape
-        return (self._tx_legs.shape[0],) + self._rx_leg.shape
+        return (self.tx_legs.shape[0],) + self.rx_leg.shape
 
     def event(self, e: int, rows=slice(None)) -> np.ndarray:
         """Event e's (C, Rx, Rz) delays [s], or those of the receive
         channels ``rows`` selects."""
-        if self._full is not None:
-            return self._full[e, rows]
-        return (self._tx_legs[e][None, :, :] + self._rx_leg[rows]) / self._v
-
-    @property
-    def delays(self) -> np.ndarray:
-        """The full (E, C, Rx, Rz) delays, read-only."""
-        if self._full is not None:
-            return self._full
-        out = np.empty(self.shape)
-        for e in range(self.shape[0]):
-            out[e] = self.event(e)
-        out.flags.writeable = False
-        return out
+        return (self.tx_legs[e][None, :, :] + self.rx_leg[rows]) / self.v
 
 
 def compute_delays(array: TransducerArray, events, grid: ImagingGrid,
@@ -148,9 +116,8 @@ def compute_delays(array: TransducerArray, events, grid: ImagingGrid,
     time (x sin(theta) + z cos(theta)) / v, referenced so the wavefront
     crosses the array origin at t = 0.  The transmit legs are the
     simulator's :func:`~usproc.simulator.transmit_distances`, so a delay and
-    the echo simulated for it share their bits.  Returns the factored
-    tensor: the legs are computed once here, the division by v per event
-    when it is read.
+    the echo simulated for it share their bits.  The legs are computed once
+    here, the division by v per event when it is read.
     """
     events = tuple(events)
     px = grid.lateral_coords[:, None]   # (Rx, 1)
@@ -162,7 +129,7 @@ def compute_delays(array: TransducerArray, events, grid: ImagingGrid,
     tx_legs = np.empty((len(events),) + grid.shape)
     for e, event in enumerate(events):
         tx_legs[e] = transmit_distances(event, px, pz)
-    return DelayTensor.factored(_Handover(tx_legs), _Handover(rx_leg), v)
+    return DelayTensor(_Handover(tx_legs), _Handover(rx_leg), v)
 
 
 def focus(cube: RfDataCube, delays: DelayTensor, grid: ImagingGrid,
@@ -212,16 +179,16 @@ def focus(cube: RfDataCube, delays: DelayTensor, grid: ImagingGrid,
 def _reciprocal(samples: np.ndarray, delays: DelayTensor) -> bool:
     """Whether slab (e, c) of a summed focus equals slab (c, e) bit for bit.
 
-    True for a full synthetic-aperture set recorded without noise: factored
-    delays whose (E, Rx, Rz) transmit legs equal the (C, Rx, Rz) receive leg,
-    so E == C, and ``samples[e, c] == samples[c, e]``.  Exact comparisons
+    True for a full synthetic-aperture set recorded without noise: delays
+    whose (E, Rx, Rz) transmit legs equal the (C, Rx, Rz) receive leg, so
+    E == C, and ``samples[e, c] == samples[c, e]``.  Exact comparisons
     only, so any other input takes the event-by-event loop.  A zero's sign,
     which ``==`` ignores, cannot reach the sum: it starts at +0.0 and so is
     never -0.0, and a zero of either sign added to any other value leaves it
     as it is.
     """
-    legs = delays._tx_legs, delays._rx_leg
-    return (delays._full is None and legs[0].shape == legs[1].shape
+    legs = delays.tx_legs, delays.rx_leg
+    return (legs[0].shape == legs[1].shape
             and all(map(np.array_equal, *legs))
             and all(np.array_equal(samples[i, i + 1:], samples[i + 1:, i])
                     for i in range(samples.shape[1] - 1)))

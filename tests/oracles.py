@@ -188,6 +188,12 @@ def delays_whole_array(array, events, grid, v):
     return delays
 
 
+def delays_from_legs(delays):
+    """The (E, C, Rx, Rz) delays [s] of a :class:`usproc.tof.DelayTensor`,
+    formed from its public legs as (tx_leg + rx_leg) / v in one broadcast."""
+    return (delays.tx_legs[:, None] + delays.rx_leg[None]) / delays.v
+
+
 def focus_per_trace(samples, fs, delays, per_event=False):
     """Linear-interpolation focusing, one (event, channel) trace at a time.
 

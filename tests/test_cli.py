@@ -414,7 +414,9 @@ class TestExitCodes:
         ("demo.cyst_cz", "inf"),
         # the cyst or the background beside it holds no grid pixel
         ("demo.cyst_cx", "0.9"), ("demo.cyst_radius", "1e-6"),
-        ("bf.sub_l", "33")])
+        ("bf.sub_l", "33"),
+        # MV's covariances padded by K: checked before anything is simulated
+        ("bf.k", "1000000000")])
     def test_bad_demo_value_exit_1(self, tmp_path, capsys, key, value):
         rc = run(["demo", "--out", str(tmp_path / "d"), "--set", key, value])
         assert_config_error(rc, capsys, key)
@@ -433,19 +435,28 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("key,value", [
         ("bf.compound", "xx"), ("bf.sub_l", "9"), ("bf.k", "1000000000")])
-    def test_bad_value_on_real_cube_exit_1(self, tmp_path, capsys, key, value):
+    def test_bad_value_on_real_cube_exit_1(self, tmp_path, capsys, monkeypatch,
+                                           key, value):
         # an unknown compounding mode used to run as 'channel' on a one-angle
         # cube, L > C used to focus every pixel and then exit 2, and a huge K
-        # to raise MemoryError padding the covariances
+        # to raise MemoryError padding the covariances; each is now reported
+        # before the cube is read or focused
         field = write_field(tmp_path / "f.txt")
         cube = str(tmp_path / "c.urf")
         assert run(["simulate", "--field", field, "--out", cube,
                     "--set", "sim.num_elements", "8"]) == 0
         capsys.readouterr()
+        calls = []
+        for module, name in ((uio, "read_urf1"), (tof, "focus")):
+            def counted(*a, _f=getattr(module, name), _n=name, **k):
+                calls.append(_n)
+                return _f(*a, **k)
+            monkeypatch.setattr(module, name, counted)
         rc = run(["beamform", "--in", cube, "--out", str(tmp_path / "img"),
                   "--method", "mv", "--config", cube + ".config.txt",
                   "--set", key, value])
         assert_config_error(rc, capsys, key)
+        assert calls == []
         assert list(tmp_path.glob("img*")) == []
 
     def test_huge_k_for_mv_compounding_exit_1(self, tmp_path, capsys):
@@ -745,7 +756,7 @@ class TestNegativePlaneWaveDelays:
         cube, _ = uio.read_urf1(out / "cube.urf", cli._events_from(cfg, array))
         grid = cli._grid_from(cfg, array, nt, v)
         delays = tof.compute_delays(array, cube.events, grid, v)
-        negative = delays.delays[0] < 0
+        negative = delays.event(0) < 0
         assert np.any(negative)
         focused = tof.focus(cube, delays, grid)
         assert not np.any(focused.values[negative])

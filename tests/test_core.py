@@ -150,6 +150,11 @@ class TestTypes:
     def test_grid_axial_positive(self):
         with pytest.raises(ValueError):
             ImagingGrid([0.0, 1e-3], [0.0, 1e-3])
+        # a nan coordinate is neither in front of the array nor increasing
+        for lateral, axial in (([0.0, 1e-3], [np.nan]),
+                               ([0.0, np.nan, 1e-3], [1e-3])):
+            with pytest.raises(ValueError):
+                ImagingGrid(lateral, axial)
 
     def test_scatterers_must_be_in_front(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import pytest
 from conftest import traced_peak
 from oracles import (
     analytic_direct,
+    delays_from_legs,
     delays_per_pixel,
     delays_whole_array,
     focus_per_trace,
@@ -48,10 +49,12 @@ def focused_values(cube, delays, grid, per_event=False):
 
 
 def per_trace(cube, delays, per_event=False):
-    """The per-trace oracle on ``delays``.  ``focus`` adds every event to a
-    zero start, so a per-event -0.0 of the oracle reads +0.0 there: adding
-    +0.0 maps -0.0 to +0.0 and leaves every other value's bits alone."""
-    return focus_per_trace(cube.samples, cube.fs, delays.delays, per_event) + 0.0
+    """The per-trace oracle on the full delays formed from ``delays``' legs.
+    ``focus`` adds every event to a zero start, so a per-event -0.0 of the
+    oracle reads +0.0 there: adding +0.0 maps -0.0 to +0.0 and leaves every
+    other value's bits alone."""
+    return focus_per_trace(cube.samples, cube.fs, delays_from_legs(delays),
+                           per_event) + 0.0
 
 
 def single_element_array():
@@ -66,7 +69,7 @@ class TestComputeDelays:
             [[0.0, 0.0], [1e-4, 0.0]], 1e-4, 2, 5e6, 40e6)
         grid = ImagingGrid([0.0], [10e-3])
         ev = TransmitEvent(scheme="synthetic_aperture", origin=(0.0, 0.0))
-        d = compute_delays(arr, [ev], grid, V).delays
+        d = delays_from_legs(compute_delays(arr, [ev], grid, V))
         assert d[0, 0, 0, 0] == pytest.approx(2 * 10e-3 / V, rel=1e-12)
 
     def test_three_four_five_triangle(self):
@@ -74,13 +77,14 @@ class TestComputeDelays:
             [[0.0, 0.0], [1e-4, 0.0]], 1e-4, 2, 5e6, 40e6)
         grid = ImagingGrid([3e-3], [4e-3])
         ev = TransmitEvent(scheme="synthetic_aperture", origin=(0.0, 0.0))
-        d = compute_delays(arr, [ev], grid, V).delays
+        d = delays_from_legs(compute_delays(arr, [ev], grid, V))
         assert d[0, 0, 0, 0] == pytest.approx(2 * 5e-3 / V, rel=1e-12)
 
     def test_plane_wave_transmit_leg_depends_only_on_depth(self):
         arr = single_element_array()
         grid = ImagingGrid([-4e-3, 1e-3, 5e-3], [7e-3])
-        d = compute_delays(arr, [TransmitEvent.plane_wave(0.0)], grid, V).delays
+        d = delays_from_legs(
+            compute_delays(arr, [TransmitEvent.plane_wave(0.0)], grid, V))
         elem = arr.element_positions
         for ix, x in enumerate(grid.lateral_coords):
             rx_leg = np.hypot(elem[0, 0] - x, 7e-3) / V
@@ -89,7 +93,8 @@ class TestComputeDelays:
     def test_monotone_in_depth(self):
         arr = TransducerArray.linear(8, 1.5e-4, 5e6, 40e6)
         grid = ImagingGrid([2e-3], np.linspace(1e-3, 30e-3, 120))
-        d = compute_delays(arr, [TransmitEvent.plane_wave(0.2)], grid, V).delays
+        d = delays_from_legs(
+            compute_delays(arr, [TransmitEvent.plane_wave(0.2)], grid, V))
         assert np.all(np.diff(d[0, :, 0, :], axis=-1) > 0)
 
 
@@ -116,7 +121,8 @@ class TestFocus:
         samples = rng.standard_normal((1, 8, 64))
         cube = RfDataCube(samples, fs, V, events)
         grid = ImagingGrid([0.0], [1e-3])
-        delays = DelayTensor(np.full((1, 8, 1, 1), tau))
+        # legs in seconds over v = 1: (0 + tau) / 1 is tau exactly
+        delays = DelayTensor(np.zeros((1, 1, 1)), np.full((8, 1, 1), tau), 1.0)
         out = focus(cube, delays, grid)
         assert np.allclose(out.values[:, 0, 0], samples[0, :, k], atol=1e-15)
 
@@ -124,7 +130,8 @@ class TestFocus:
         arr, events, grid0 = self.make_setup()
         cube = RfDataCube(np.ones((1, 8, 64)), 40e6, V, events)
         grid = ImagingGrid([0.0], [1e-3])
-        delays = DelayTensor(np.full((1, 8, 1, 1), 64 / 40e6 + 1e-6))
+        delays = DelayTensor(np.zeros((1, 1, 1)),
+                             np.full((8, 1, 1), 64 / 40e6 + 1e-6), 1.0)
         assert not np.any(focus(cube, delays, grid).values)
 
     def test_focused_peak_matches_simulator_truth(self):
@@ -135,7 +142,7 @@ class TestFocus:
         field = ScattererField([[target[0], target[1], 1.0]])
         cube = simulate(arr, events, field, PulseModel(5e6, 0.6), V, 700, 0.0, 0)
         grid = ImagingGrid([target[0]], [target[1]])
-        delays = compute_delays(arr, events, grid, V).delays
+        delays = delays_from_legs(compute_delays(arr, events, grid, V))
         for c in range(8):
             t_peak = np.argmax(np.abs(cube.samples[0, c]))
             assert abs(t_peak - delays[0, c, 0, 0] * 40e6) <= 1.0
@@ -154,7 +161,7 @@ class TestFocus:
     def test_shape_mismatch(self):
         arr, events, grid = self.make_setup()
         cube = RfDataCube(np.zeros((1, 8, 64)), 40e6, V, events)
-        delays = DelayTensor(np.zeros((1, 7, 1, 1)))
+        delays = DelayTensor(np.zeros((1, 1, 1)), np.zeros((7, 1, 1)), 1.0)
         small = ImagingGrid([0.0], [1e-3])
         with pytest.raises(ShapeMismatchError, match="shape-mismatch"):
             focus(cube, delays, small)
@@ -181,14 +188,18 @@ class TestFocusMatchesPerTrace:
         samples = rng.standard_normal((e_count, c_count, nt))
         samples[rng.random(samples.shape) < 0.1] = -0.0
         fs = 40e6
-        # delays from 3 samples before the window to 3 past its end, plus
-        # both window edges exactly
-        delays = rng.uniform(-3.0, nt + 2.0, (e_count, c_count, 5, 7)) / fs
-        delays[..., 0, 0] = 0.0
-        delays[..., 0, 1] = (nt - 1) / fs
+        # legs in seconds over v = 1, each from 1.5 samples before the
+        # window to half its length plus one: delays from 3 samples before
+        # the window to 3 past its end, plus both window edges exactly
+        tx = rng.uniform(-1.5, nt / 2 + 1.0, (e_count, 5, 7)) / fs
+        rx = rng.uniform(-1.5, nt / 2 + 1.0, (c_count, 5, 7)) / fs
+        tx[:, 0, :2] = 0.0
+        rx[:, 0, 0] = 0.0
+        rx[:, 0, 1] = (nt - 1) / fs
         events = [TransmitEvent.plane_wave(0.0)] * e_count
         grid = ImagingGrid.regular(-1e-3, 1e-3, 5, 1e-3, 2e-3, 7)
-        return RfDataCube(samples, fs, V, events), DelayTensor(delays), grid
+        return (RfDataCube(samples, fs, V, events), DelayTensor(tx, rx, 1.0),
+                grid)
 
     @pytest.mark.parametrize("per_event", [False, True])
     @pytest.mark.parametrize("shape", [(1, 1, 1), (3, 4, 1), (3, 4, 2),
@@ -263,7 +274,8 @@ class TestFocusMatchesPerTrace:
         assert out.values.dtype == np.float64
         assert not out.values.flags.writeable
         assert peak / elements < 8 + 40, peak / elements
-        stack = focus_per_trace(cube.samples, cube.fs, delays.delays, True)
+        stack = focus_per_trace(cube.samples, cube.fs, delays_from_legs(delays),
+                                True)
         assert np.array_equal(bits(out.values), bits(stack[5] + 0.0))
 
 
@@ -286,9 +298,9 @@ class TestFactoredDelays:
         events = self.events(scheme, arr)
         grid = ImagingGrid.regular(-4e-3, 4e-3, 9, 0.05e-3, 6e-3, 11)
         d = compute_delays(arr, events, grid, V)
-        full = d.delays
+        full = delays_from_legs(d)
         assert d.shape == full.shape == (len(events), 6) + grid.shape
-        assert not full.flags.writeable
+        assert not d.tx_legs.flags.writeable and not d.rx_leg.flags.writeable
         assert np.array_equal(bits(full),
                               bits(delays_per_pixel(arr, events, grid, V)))
         assert np.array_equal(bits(full),
@@ -307,13 +319,10 @@ class TestFactoredDelays:
         rng = np.random.default_rng(11)
         cube = RfDataCube(rng.standard_normal((len(events), 6, 400)),
                           40e6, V, events)
-        factored = compute_delays(arr, events, grid, V)
-        full = DelayTensor(factored.delays)
-        a = focused_values(cube, factored, grid, per_event)
-        b = focused_values(cube, full, grid, per_event)
-        ref = per_trace(cube, full, per_event)
-        assert np.array_equal(bits(a), bits(b))
-        assert np.array_equal(bits(a), bits(ref))
+        delays = compute_delays(arr, events, grid, V)
+        out = focused_values(cube, delays, grid, per_event)
+        ref = per_trace(cube, delays, per_event)
+        assert np.array_equal(bits(out), bits(ref))
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_non_finite_leg_rejected(self):
@@ -325,7 +334,7 @@ class TestFactoredDelays:
                            grid, V)
         legs = np.ones((1, 1, 1))
         with pytest.raises(NonFiniteSampleError, match="non-finite-sample"):
-            DelayTensor.factored(np.full((1, 1, 1), np.nan), legs, V)
+            DelayTensor(np.full((1, 1, 1), np.nan), legs, V)
 
     def test_non_positive_speed_rejected(self):
         arr = TransducerArray.linear(4, V / 5e6 / 2, 5e6, 40e6)
@@ -394,20 +403,17 @@ class TestReciprocalFocus:
             events = [TransmitEvent.plane_wave(a)
                       for a in np.linspace(-0.3, 0.3, 8)]
         cube = RfDataCube(samples, cube.fs, V, events)
-        delays = compute_delays(arr, events, cls.GRID, V)
-        if variant == "unfactored":
-            delays = DelayTensor(delays.delays)
-        return cube, delays
+        return cube, compute_delays(arr, events, cls.GRID, V)
 
     @pytest.mark.parametrize("variant,reciprocal", [
         ("symmetric", True), ("signed_zero", True), ("one_sample", False),
         ("noise", False), ("shuffled", False), ("subset", False),
-        ("unfactored", False), ("plane_waves", False)])
+        ("plane_waves", False)])
     def test_matches_per_trace_oracle(self, variant, reciprocal):
         cube, delays = self.setup(variant)
         assert _reciprocal(cube.samples, delays) is reciprocal
         out = focus(cube, delays, self.GRID).values
-        ref = focus_per_trace(cube.samples, cube.fs, delays.delays)
+        ref = focus_per_trace(cube.samples, cube.fs, delays_from_legs(delays))
         assert np.any(ref)
         assert np.array_equal(bits(out), bits(ref))
 
@@ -473,10 +479,12 @@ class TestNegativeDelays:
         samples = rng.standard_normal((1, 4, 64))
         cube = RfDataCube(samples, 40e6, V, [TransmitEvent.plane_wave(0.5)])
         grid = ImagingGrid([0.0], [1e-3])
-        d = np.full((1, 4, 1, 1), 10 / 40e6)
-        d[0, 1] = -1e-9
-        d[0, 3] = -2e-6
-        out = focus(cube, DelayTensor(d), grid).values[:, 0, 0]
+        # legs in seconds over v = 1, so each delay is its receive leg
+        rx = np.full((4, 1, 1), 10 / 40e6)
+        rx[1] = -1e-9
+        rx[3] = -2e-6
+        delays = DelayTensor(np.zeros((1, 1, 1)), rx, 1.0)
+        out = focus(cube, delays, grid).values[:, 0, 0]
         assert out[1] == 0 and out[3] == 0
         assert np.allclose(out[[0, 2]], samples[0, [0, 2], 10], atol=1e-15)
 
@@ -484,19 +492,17 @@ class TestNegativeDelays:
         arr = TransducerArray.linear(8, V / 5e6 / 2, 5e6, 40e6)
         grid = ImagingGrid([-5e-3, 0.0], [0.1e-3, 5e-3])
         d = compute_delays(arr, [TransmitEvent.plane_wave(1.2)], grid, V)
-        assert np.any(d.delays < 0) and np.all(np.isfinite(d.delays))
+        full = delays_from_legs(d)
+        assert np.any(full < 0) and np.all(np.isfinite(full))
 
     def test_full_tensor_copies_caller_array(self):
-        d = np.zeros((1, 2, 1, 1))
-        delays = DelayTensor(d)
-        assert d.flags.writeable
-        assert not np.shares_memory(delays.delays, d)
-        assert not delays.delays.flags.writeable
-
-    def test_non_finite_still_rejected(self):
-        from usproc.errors import NonFiniteSampleError
-        with pytest.raises(NonFiniteSampleError, match="non-finite-sample"):
-            DelayTensor(np.full((1, 1, 1, 1), -np.inf))
+        # the tensor keeps read-only copies of a caller's legs
+        tx, rx = np.zeros((1, 1, 1)), np.zeros((2, 1, 1))
+        delays = DelayTensor(tx, rx, 1.0)
+        for caller, kept in ((tx, delays.tx_legs), (rx, delays.rx_leg)):
+            assert caller.flags.writeable
+            assert not np.shares_memory(kept, caller)
+            assert not kept.flags.writeable
 
 
 class TestEnvelope:
