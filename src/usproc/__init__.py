@@ -1,10 +1,11 @@
 """Model-based ultrasound signal processing toolkit.
 
 Submodules: ``core`` (domain types), ``numerics`` (FFT/solve/SVD over
-numpy.fft and numpy.linalg, operator norm), ``simulator``, ``tof`` (delays,
-focusing, envelope), ``beamform`` (DAS/MV/Wiener/CF/iMAP/compounding),
-``sparse`` (ISTA and friends), ``clutter`` (SVT/RPCA), ``ulm`` (localization
-microscopy), ``metrics``, ``io`` (URF1/UIM1/PGM), ``cli``.
+numpy.fft and numpy.linalg), ``simulator``, ``tof`` (delays, focusing,
+envelope), ``beamform`` (DAS/MV/Wiener/CF/iMAP/compounding), ``sparse``
+(ISTA with its step from each model's closed-form norm, and friends),
+``clutter`` (SVT/RPCA), ``ulm`` (localization microscopy), ``metrics``,
+``io`` (URF1/UIM1/PGM), ``cli``.
 """
 
 from . import beamform, clutter, core, io, metrics, numerics, simulator, sparse, tof, ulm

@@ -319,9 +319,12 @@ def _grid_from(cfg: PipelineConfig, array: TransducerArray, nt: int,
 
 def _regular_grid(lat_min, lat_max, nx, ax_min, ax_max, nz) -> ImagingGrid:
     """``ImagingGrid.regular``, with coordinates that do not strictly
-    increase in front of the array reported as a config error."""
+    increase in front of the array reported as a config error.  Bounds
+    whose difference overflows give inf and nan coordinates, which the grid
+    rejects, so numpy's warnings about them are silenced."""
     try:
-        return ImagingGrid.regular(lat_min, lat_max, nx, ax_min, ax_max, nz)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return ImagingGrid.regular(lat_min, lat_max, nx, ax_min, ax_max, nz)
     except ValueError:
         raise ConfigError(f"bf.grid_*: {nx} x {nz} pixels over [{lat_min:.3g}, {lat_max:.3g}]"
                           f" x [{ax_min:.3g}, {ax_max:.3g}] m are not strictly increasing"

@@ -1,4 +1,4 @@
-"""Numerical kernels: FFT, Hermitian solve, SVD, operator norm.
+"""Numerical kernels: FFT, Hermitian solve, SVD.
 
 All kernels are pure functions with no global state.  The FFT, the Cholesky
 factorization and the SVD are numpy's own (``numpy.fft`` and
@@ -8,8 +8,6 @@ errors, and it takes LAPACK's factors as they come rather than checking
 them again on every call.  The solve and the SVD work in float64 on real
 operands and in complex128 as soon as one operand is complex
 (:func:`working_dtype`), so real data never pays for complex arithmetic.
-The operator norm is a power iteration over caller-supplied maps, for
-operators whose norm is not known in closed form.
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    AdjointMismatchError,
     DimensionMismatchError,
     NoConvergenceError,
     SingularMatrixError,
@@ -122,63 +119,3 @@ def svd(a) -> SvdResult:
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"no-convergence: SVD failed ({exc})") from exc
     return SvdResult(u, s, vh.conj().T)
-
-
-# ---------------------------------------------------------------------------
-# Operator norm
-
-
-def _unit_normal(rng, n):
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return v / np.sqrt(np.sum(np.abs(v) ** 2))
-
-
-def _apply(op, v, real):
-    """``op(v)``; a real operator gets Re v and Im v as two float64 vectors.
-
-    A real linear map takes a + ib to A a + i A b, so the real form gives
-    the complex one's value up to roundoff while only real vectors reach it.
-    """
-    if not real:
-        return np.asarray(op(v))
-    re, im = np.asarray(op(v.real)), np.asarray(op(v.imag))
-    if np.iscomplexobj(re) or np.iscomplexobj(im):
-        raise ValueError("a real operator must map real vectors to real vectors")
-    return re + 1j * im
-
-
-def _check_adjoint(forward, adjoint, dim, rng, trials=2, real=False):
-    for _ in range(trials):
-        x = _unit_normal(rng, dim)
-        ax = _apply(forward, x, real)
-        y = _unit_normal(rng, ax.shape[0])
-        lhs = np.vdot(ax, y)
-        rhs = np.vdot(x, _apply(adjoint, y, real))
-        if abs(lhs - rhs) > 1e-8 * max(1.0, abs(lhs), abs(rhs)):
-            raise AdjointMismatchError(
-                f"adjoint-mismatch: <Ax,y>={lhs:.6e} vs <x,A^H y>={rhs:.6e}")
-
-
-def operator_norm(forward, adjoint, dim: int, iters: int = 100,
-                  real: bool = False) -> float:
-    """Estimate the largest singular value of a linear map by power iteration.
-
-    ``forward``/``adjoint`` act on 1-D complex vectors of length ``dim``.
-    With ``real`` they act on float64 vectors instead and see the real and
-    imaginary parts of the same Philox draws, so the estimate matches the
-    complex iteration's up to roundoff.  The adjoint is verified
-    probabilistically first; the returned estimate includes a 1.01
-    overestimate-safety factor.
-    """
-    rng = np.random.Generator(np.random.Philox(key=0x75B5C0DE))
-    _check_adjoint(forward, adjoint, dim, rng, real=real)
-    vec = _unit_normal(rng, dim)
-    for _ in range(iters):
-        vec = np.asarray(_apply(adjoint, _apply(forward, vec, real), real),
-                         dtype=np.complex128)
-        nrm = np.sqrt(np.sum(np.abs(vec) ** 2))
-        if nrm == 0.0:
-            return 0.0
-        vec /= nrm
-    top = np.sqrt(np.sum(np.abs(_apply(forward, vec, real)) ** 2))
-    return 1.01 * float(top)

@@ -6,13 +6,15 @@ The core solver is plain ISTA,
 
 minimizing 0.5 ||y - A x||^2 + lambda ||x||_1.  FISTA-style acceleration is
 deliberately not used.  One call solves a single problem or a stack of
-independent ones that share the operator and the step: each row of the
-stack keeps its own objective, monotonicity check and stopping rule, and a
-row that stops is frozen while the others go on, so every row ends with the
-bits it would have had alone.  The step is one a caller derives from its
-model in closed form, or else 1/||A||^2 from numerics' power iteration.  On
-top of it sit the Fourier-domain sub-Nyquist scanline recovery (partial DFT
-times pulse spectrum) and zero-padded image deconvolution.
+independent ones that share the operator: each row of the stack keeps its
+own objective, monotonicity check and stopping rule, and a row that stops
+is frozen while the others go on, so every row ends with the bits it would
+have had alone; a single problem is a one-row stack.  The step is
+1 / (1.01 ||A||)^2, with ||A|| the spectral norm, or a bound on it, that
+each model states in closed form: nothing is estimated.  On top of it sit
+the Fourier-domain sub-Nyquist scanline recovery (partial DFT times pulse
+spectrum, of norm sqrt(N) max|h|) and zero-padded image deconvolution (of
+norm at most the kernel spectrum's peak).
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, StepTooLargeError
-from .numerics import _check_adjoint, fft, operator_norm, working_dtype
+from .errors import AdjointMismatchError, DimensionMismatchError, StepTooLargeError
+from .numerics import fft, working_dtype
 
 
 def soft_threshold(x, lam: float):
@@ -68,17 +70,15 @@ class SparseProblem:
     A 2-D ``y`` of shape (B, m) is B problems under one operator, solved
     together: ``lam`` is one weight or a (B,) array of them, and the maps
     must take (k, n) and (k, m) stacks row by row as well as 1-D vectors.
-    ``step=None`` makes :func:`ista` take mu = 1/||A||^2 from
-    :func:`~usproc.numerics.operator_norm`'s power iteration, whose estimate
-    carries a 1.01 safety factor, guaranteeing descent; a caller that knows
-    a bound on ||A|| in closed form passes its step instead.
+    ``norm`` is the operator's spectral norm ||A||, or a bound on it, as the
+    model states it in closed form; :func:`ista` takes its step from it.
     """
 
     forward: callable
     adjoint: callable
     y: np.ndarray
     lam: float | np.ndarray
-    step: float | None = None
+    norm: float
     max_iters: int = 5000
     tol: float = 1e-8
     real: bool = False
@@ -99,10 +99,44 @@ class SparseProblem:
         # 0 is least squares; on A^H y = 0 it stops at x = 0
         if not np.all(self.lam >= 0):
             raise ValueError("lambda must be >= 0")
-        if self.step is not None and not 0 < self.step < math.inf:
-            raise ValueError("step must be finite and > 0")
+        if not 0 <= self.norm < math.inf:
+            raise ValueError("norm must be finite and >= 0")
         if self.tol <= 0:
             raise ValueError("tol must be > 0")
+
+
+def _unit_normal(rng, n):
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return v / np.sqrt(np.sum(np.abs(v) ** 2))
+
+
+def _apply(op, v, real):
+    """``op(v)``; a real operator gets Re v and Im v as two float64 vectors.
+
+    A real linear map takes a + ib to A a + i A b, so the real form gives
+    the complex one's value up to roundoff while only real vectors reach it.
+    """
+    if not real:
+        return np.asarray(op(v))
+    re, im = np.asarray(op(v.real)), np.asarray(op(v.imag))
+    if np.iscomplexobj(re) or np.iscomplexobj(im):
+        raise ValueError("a real operator must map real vectors to real vectors")
+    return re + 1j * im
+
+
+def _check_adjoint(forward, adjoint, dim: int, real: bool):
+    """Raise ``adjoint-mismatch`` unless <A x, y> = <x, A^H y> to 1e-8
+    relative on two pairs of random unit vectors."""
+    rng = np.random.Generator(np.random.Philox(key=0x15745EED))
+    for _ in range(2):
+        x = _unit_normal(rng, dim)
+        ax = _apply(forward, x, real)
+        y = _unit_normal(rng, ax.shape[0])
+        lhs = np.vdot(ax, y)
+        rhs = np.vdot(x, _apply(adjoint, y, real))
+        if abs(lhs - rhs) > 1e-8 * max(1.0, abs(lhs), abs(rhs)):
+            raise AdjointMismatchError(
+                f"adjoint-mismatch: <Ax,y>={lhs:.6e} vs <x,A^H y>={rhs:.6e}")
 
 
 def _sum_squares(v, out, real: bool):
@@ -119,90 +153,88 @@ def _sum_squares(v, out, real: bool):
 def ista(problem: SparseProblem):
     """Run ISTA from x = 0; returns (x_hat, iterations_used, final_objective).
 
-    The objective is tracked every iterate and must never increase: a rise
+    The step is mu = 1 / (1.01 ``norm``)^2: 1/L for the gradient's Lipschitz
+    constant L = ||A||^2, with a 1.01 margin on the norm.  A zero norm, or
+    one whose square underflows, gives x = 0 without iterating.  The
+    objective is tracked every iterate and must never increase: a rise
     beyond roundoff raises ``step-too-large``.  Stops when the relative step
     ||x_{k+1} - x_k|| / max(||x_k||, 1) drops below ``tol``.
 
-    A (B, m) stack gives a (B, n) ``x_hat`` and a (B,) ``final_objective``.
-    Each row has its own objective, check and stop; a row that stops is
-    frozen while the rest go on, so every row has the bits of its solve
-    alone.  ``iterations_used`` is then the batch's loop count, the largest
-    row count.
+    Every solve runs as a stack.  A (B, m) stack gives a (B, n) ``x_hat``
+    and a (B,) ``final_objective``.  Each row has its own objective, check
+    and stop; a row that stops is frozen while the rest go on, so every row
+    has the bits of its solve alone.  ``iterations_used`` is then the
+    batch's loop count, the largest row count.  A vector ``y`` is a one-row
+    stack whose maps see 1-D views; it gives a 1-D ``x_hat`` and a float
+    ``final_objective``.
     """
-    real, y, lam = problem.real, problem.y, problem.lam
+    real, lam = problem.real, problem.lam
     dtype = np.float64 if real else np.complex128
-    if y.ndim == 1:   # one problem: its scalars are Python floats, as cheap as they get
-        num, sqrt, at_least_1, anyof = float, math.sqrt, lambda v: max(v, 1.0), bool
-    else:
-        num, sqrt, at_least_1, anyof = np.asarray, np.sqrt, \
-            lambda v: np.maximum(v, 1.0), np.ndarray.any
-    dim = np.asarray(problem.adjoint(y if y.ndim == 1 else y[0])).size
-    x = np.zeros(y.shape[:-1] + (dim,), dtype=dtype)
+    one = problem.y.ndim == 1
+    y = problem.y[None] if one else problem.y
+
+    def view(v):   # what the maps see of a (k, .) stack
+        return v[0] if one else v
+
+    def result(x, iters, obj):
+        return (x[0], iters, float(obj[0])) if one else (x, iters, obj)
+
+    dim = np.asarray(problem.adjoint(y[0])).size
+    _check_adjoint(problem.forward, problem.adjoint, dim, real)
+    x = np.zeros((y.shape[0], dim), dtype=dtype)
     residual = -y                    # A x - y at x = 0
     res_sq = np.empty(y.shape)
-    obj = 0.5 * num(_sum_squares(residual, res_sq, real)) + lam * 0.0
-    if problem.step is None:
-        norm = operator_norm(problem.forward, problem.adjoint, dim, real=real)
-        if norm == 0.0:   # the zero operator: x = 0 is a minimizer for any y
-            return x, 0, obj
-        mu = 1.0 / (norm * norm)
-    else:
-        rng = np.random.Generator(np.random.Philox(key=0x15745EED))
-        _check_adjoint(problem.forward, problem.adjoint, dim, rng, real=real)
-        mu = problem.step
+    obj = 0.5 * _sum_squares(residual, res_sq, real) + lam * 0.0
+    # numpy's scalar pow has the bits of Python's, and overflows or
+    # underflows to inf or 0 where Python's would raise
+    with np.errstate(over="ignore", divide="ignore"):
+        mu = float(1.0 / np.float64(1.01 * problem.norm) ** 2)
+    if mu == math.inf:               # the zero operator: x = 0 minimizes for any y
+        return result(x, 0, obj)
 
-    thresh = mu * lam
-    rows = None                      # a stack's unfinished rows
-    if y.ndim == 2:
-        rows = np.arange(y.shape[0])
-        lam = np.broadcast_to(lam, rows.shape)
-        thresh = np.broadcast_to(thresh, rows.shape)[:, None]
-        x_out, obj_out = np.empty_like(x), np.empty_like(obj)
+    rows = np.arange(y.shape[0])     # the unfinished rows
+    lam = np.broadcast_to(lam, rows.shape)
+    thresh = (mu * lam)[:, None]
+    x_out, obj_out = np.empty_like(x), np.empty_like(obj)
     z, mag = np.empty_like(x), np.empty(x.shape)   # scratch, in place throughout
-    norm = 0.0                       # ||x||
+    x_norm = 0.0                     # ||x||
     iters = 0
     with np.errstate(invalid="ignore", divide="ignore"):
         for _ in range(problem.max_iters):
-            grad = np.asarray(problem.adjoint(residual), dtype=dtype).reshape(x.shape)
+            grad = np.asarray(problem.adjoint(view(residual)), dtype=dtype).reshape(x.shape)
             np.multiply(mu, grad, out=z)
             np.subtract(x, z, out=z)
             _shrink(z, thresh, mag)  # z is x_new from here on
-            np.subtract(np.asarray(problem.forward(z)).reshape(y.shape), y,
+            np.subtract(np.asarray(problem.forward(view(z))).reshape(y.shape), y,
                         out=residual)
             np.abs(z, out=mag)
-            obj_new = 0.5 * num(_sum_squares(residual, res_sq, real)) \
-                + lam * num(np.add.reduce(mag, axis=-1))
+            obj_new = 0.5 * _sum_squares(residual, res_sq, real) \
+                + lam * np.add.reduce(mag, axis=-1)
             iters += 1
-            rise = obj_new > obj + 1e-12 * at_least_1(abs(obj))
-            if anyof(rise):
-                where = ""
-                if rows is not None:
-                    i = rise.argmax()
-                    where, obj, obj_new = f" in row {rows[i]}", obj[i], obj_new[i]
+            rise = obj_new > obj + 1e-12 * np.maximum(obj, 1.0)   # obj >= 0
+            if np.count_nonzero(rise):   # cheaper than .any() on a few rows
+                i = rise.argmax()
+                where = "" if one else f" in row {rows[i]}"
                 raise StepTooLargeError(
-                    f"step-too-large: objective rose {obj:.6e} -> {obj_new:.6e} "
+                    f"step-too-large: objective rose {obj[i]:.6e} -> {obj_new[i]:.6e} "
                     f"at iteration {iters}{where} (mu={mu:.3e})")
             np.multiply(mag, mag, out=mag)           # ||x_new||, the next reference
-            norm_new = sqrt(num(np.add.reduce(mag, axis=-1)))
+            x_norm_new = np.sqrt(np.add.reduce(mag, axis=-1))
             np.subtract(z, x, out=x)                 # the old x is not needed again
-            delta = sqrt(num(_sum_squares(x, x if real else mag, real)))
-            stop = delta / at_least_1(norm) < problem.tol
-            x, z, obj, norm = z, x, obj_new, norm_new
-            if anyof(stop):
-                if rows is None:
-                    break
+            delta = np.sqrt(_sum_squares(x, x if real else mag, real))
+            stop = delta / np.maximum(x_norm, 1.0) < problem.tol
+            x, z, obj, x_norm = z, x, obj_new, x_norm_new
+            if np.count_nonzero(stop):
                 x_out[rows[stop]], obj_out[rows[stop]] = x[stop], obj[stop]
                 keep = ~stop
-                rows, x, obj, norm = rows[keep], x[keep], obj[keep], norm[keep]
+                rows, x, obj, x_norm = rows[keep], x[keep], obj[keep], x_norm[keep]
                 if not rows.size:
                     break
                 y, residual = y[keep], residual[keep]
                 lam, thresh = lam[keep], thresh[keep]
                 z, mag, res_sq = np.empty_like(x), np.empty(x.shape), np.empty(y.shape)
-    if rows is None:
-        return x, iters, obj
     x_out[rows], obj_out[rows] = x, obj
-    return x_out, iters, obj_out
+    return result(x_out, iters, obj_out)
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +262,12 @@ class ScanlineModel:
         object.__setattr__(self, "pulse_spectrum", h)
         object.__setattr__(self, "selected_bins", bins)
 
+    @property
+    def norm(self) -> float:
+        """||H F_u|| = sqrt(N) max|h|, exactly: the DFT's rows are orthogonal,
+        each of norm sqrt(N).  0 with no bins."""
+        return math.sqrt(self.n) * float(np.max(np.abs(self.pulse_spectrum), initial=0.0))
+
     def forward(self, x):
         return self.pulse_spectrum * fft(np.asarray(x).ravel())[self.selected_bins]
 
@@ -243,7 +281,7 @@ class ScanlineModel:
 def recover_scanline(model: ScanlineModel, y_tilde, lam: float,
                      max_iters: int = 5000, tol: float = 1e-8) -> np.ndarray:
     """MAP recovery of a sparse scanline from partial DFT measurements."""
-    problem = SparseProblem(model.forward, model.adjoint, y_tilde, lam,
+    problem = SparseProblem(model.forward, model.adjoint, y_tilde, lam, model.norm,
                             max_iters=max_iters, tol=tol)
     x, _, _ = ista(problem)
     return np.real(x)
@@ -284,6 +322,14 @@ class Conv2Same:
     def kernel_fft(self):
         """Full complex spectrum, computed when a complex operand first needs it."""
         return np.fft.fft2(self._kernel, self.full)
+
+    @functools.cached_property
+    def norm(self) -> float:
+        """max |kernel spectrum| on the ``full`` grid, a bound on the map's
+        spectral norm: on that grid the linear convolution is a circular
+        one, between a zero-padding embedding and a crop of norm 1 each."""
+        spectrum = self.kernel_rfft if self.real_kernel else self.kernel_fft
+        return float(np.max(np.abs(spectrum)))
 
     def _is_real(self, a) -> bool:
         return self.real_kernel and not np.iscomplexobj(a)
@@ -348,7 +394,7 @@ def deconvolve(y, psf, lam: float, max_iters: int = 5000,
     def adjoint(r):
         return op.adjoint(r).ravel()
 
-    problem = SparseProblem(forward, adjoint, y.ravel(), lam,
+    problem = SparseProblem(forward, adjoint, y.ravel(), lam, op.norm,
                             max_iters=max_iters, tol=tol, real=real_io)
     x, _, _ = ista(problem)
     return x.reshape(shape)

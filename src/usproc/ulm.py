@@ -7,8 +7,9 @@ coding: ISTA on the HR grid with forward = convolve-then-downsample, which
 is what resolves bubbles below the diffraction-limited PSF width.  That
 forward map is applied as separable per-axis matrices, one pair per
 rank-one term of the PSF, and a stack of frames is solved as one ISTA
-batch whose every frame gets the bits of its solve alone.  ISTA's step
-comes in closed form from those matrices' spectral norms.
+batch whose every frame gets the bits of its solve alone.  The model's
+norm, from which ISTA takes its step, comes in closed form from those
+matrices' spectral norms.
 
 Coordinates are (x, z) = (axis 0, axis 1) fractional HR pixel indices
 throughout.
@@ -211,13 +212,6 @@ def _unit_peak(psf) -> np.ndarray:
     return psf
 
 
-def _step(norm: float) -> float:
-    # 1.01 is the margin the power-iteration estimate of the norm carried:
-    # keeping it keeps the step within 3e-5 relative of that estimate's
-    # step, so solves and detections barely move.  inf for the zero model.
-    return math.inf if norm == 0.0 else 1.0 / (1.01 * norm) ** 2
-
-
 def localize_sparse(frame, psf, lam, downsample_factor: int,
                     max_iters: int = 2000, tol: float = 1e-6) -> np.ndarray:
     """Sparse-coding localization: ISTA on the HR grid, nonneg-clamped.
@@ -225,8 +219,8 @@ def localize_sparse(frame, psf, lam, downsample_factor: int,
     ``psf`` must be normalized to unit peak.  Forward model: HR image
     convolved with the PSF, then block-averaged by ``downsample_factor``.
     The frame, the PSF and the HR unknown are real, so ISTA runs in float64
-    over separable per-axis matrices.  The step is 1 / (1.01 L)^2, with L
-    the :func:`_hr_model` bound on the model's norm: no norm is estimated.
+    over separable per-axis matrices.  ISTA takes its step from L, the
+    :func:`_hr_model` bound on the model's norm: no norm is estimated.
     L is the norm exactly for a separable PSF (rank 1: every Gaussian) and
     a looser bound for a PSF of rank r > 1, whose step is then smaller than
     it need be (2.09 and 2.70 times the dense model's norm for the tests'
@@ -239,13 +233,9 @@ def localize_sparse(frame, psf, lam, downsample_factor: int,
     frame = np.asarray(frame, dtype=np.float64)
     forward, adjoint, hr_shape, norm = _hr_model(
         frame.shape[-2:], _unit_peak(psf), int(downsample_factor))
-    step = _step(norm)
     problem = SparseProblem(forward, adjoint,
-                            frame.reshape(frame.shape[:-2] + (-1,)), lam,
-                            step=None if step == math.inf else step,
+                            frame.reshape(frame.shape[:-2] + (-1,)), lam, norm,
                             max_iters=max_iters, tol=tol, real=True)
-    if step == math.inf:   # the zero model: x = 0 solves every frame
-        return np.zeros(frame.shape[:-2] + hr_shape)
     x, _, _ = ista(problem)
     return np.clip(x.reshape(frame.shape[:-2] + hr_shape), 0.0, None)
 

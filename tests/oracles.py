@@ -21,7 +21,6 @@ import math
 
 import numpy as np
 
-from usproc.numerics import _check_adjoint, operator_norm
 from usproc.sparse import Conv2Same
 from usproc.ulm import block_average
 
@@ -277,29 +276,9 @@ def dense_norm(forward, dim):
     return float(np.linalg.svd(matrix, compute_uv=False)[0])
 
 
-def _unit_complex(rng, n):
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return v / np.sqrt(np.sum(np.abs(v) ** 2))
-
-
-def ista_step_complex(forward, adjoint, dim, iters=100):
-    """1 / (1.01 ||A||)^2 by power iteration from the solver's Philox key
-    (after the two adjoint-check draws that the solver makes first)."""
-    rng = np.random.Generator(np.random.Philox(key=0x75B5C0DE))
-    for _ in range(2):
-        m = np.asarray(forward(_unit_complex(rng, dim))).shape[0]
-        _unit_complex(rng, m)
-    vec = _unit_complex(rng, dim)
-    for _ in range(iters):
-        vec = np.asarray(adjoint(np.asarray(forward(vec))), dtype=np.complex128)
-        vec /= np.sqrt(np.sum(np.abs(vec) ** 2))
-    norm = 1.01 * float(np.sqrt(np.sum(np.abs(np.asarray(forward(vec))) ** 2)))
-    return 1.0 / (norm * norm)
-
-
-def localize_sparse_complex(frame, psf, lam, factor, step=None,
+def localize_sparse_complex(frame, psf, lam, factor, mu,
                             max_iters=2000, tol=1e-6):
-    """ULM sparse localization with complex128 ISTA from x = 0.
+    """ULM sparse localization with complex128 ISTA from x = 0 at step mu.
 
     Returns the nonneg-clamped (H, W) HR map and the iterations used.
     """
@@ -307,7 +286,6 @@ def localize_sparse_complex(frame, psf, lam, factor, step=None,
     forward, adjoint = ulm_model_complex(frame.shape, psf, factor)
     y = frame.astype(np.complex128).ravel()
     dim = y.size * factor * factor
-    mu = ista_step_complex(forward, adjoint, dim) if step is None else step
     x = np.zeros(dim, dtype=np.complex128)
     residual = -y
     iters = 0
@@ -340,13 +318,12 @@ def soft_threshold_where(x, lam):
     return x * scale
 
 
-def ista_single(forward, adjoint, y, lam, step=None, max_iters=5000,
+def ista_single(forward, adjoint, y, lam, norm, max_iters=5000,
                 tol=1e-8, real=False):
     """ISTA on one problem, one 1-D vector at a time, as the solver ran
     before it took stacks: returns (x, iterations, objective).
 
-    The step comes from numerics' power iteration (``operator_norm``) and a
-    given step is checked with numerics' adjoint test, as in the solver.
+    The step is 1 / (1.01 norm)^2, as in the solver.
     """
     dtype = np.float64 if real else np.complex128
     y = np.asarray(y, dtype=dtype).ravel()
@@ -355,17 +332,8 @@ def ista_single(forward, adjoint, y, lam, step=None, max_iters=5000,
         return 0.5 * float(np.sum(np.abs(residual) ** 2)) \
             + lam * float(np.sum(np.abs(x)))
 
-    dim = np.asarray(adjoint(y)).size
-    if step is None:
-        norm = operator_norm(forward, adjoint, dim, 100, real=real)
-        if norm == 0.0:
-            return np.zeros(dim, dtype=dtype), 0, objective(y, 0)
-        mu = 1.0 / (norm * norm)
-    else:
-        rng = np.random.Generator(np.random.Philox(key=0x15745EED))
-        _check_adjoint(forward, adjoint, dim, rng, real=real)
-        mu = step
-    x = np.zeros(dim, dtype=dtype)
+    mu = 1.0 / (1.01 * norm) ** 2
+    x = np.zeros(np.asarray(adjoint(y)).size, dtype=dtype)
     residual = -y
     obj = objective(residual, x)
     iters = 0

@@ -219,7 +219,7 @@ def test_criterion_6_ista_optimality():
         # degenerate-face instances converge slowly under plain ISTA but
         # do reach their exact fixed point; budget accordingly
         prob = SparseProblem(lambda v: a @ v, lambda r: a.T @ r, y, lam,
-                             max_iters=600000, tol=1e-15)
+                             np.linalg.norm(a, 2), max_iters=600000, tol=1e-15)
         x, _, _ = ista(prob)  # objective monotonicity asserted inside
         worst = max(worst, kkt_residual(a, y, np.real(x), lam))
         # lasso null test, exact: ||A^H y||_inf evaluated through the
@@ -227,7 +227,7 @@ def test_criterion_6_ista_optimality():
         # is bitwise consistent
         lam_null = float(np.max(np.abs(a.T @ y.astype(complex))))
         x0, _, _ = ista(SparseProblem(lambda v: a @ v, lambda r: a.T @ r, y,
-                                      lam_null))
+                                      lam_null, np.linalg.norm(a, 2)))
         assert not np.any(x0)
     ok = worst <= 1e-6 * lam
     assert report(6, ok, f"20 lasso instances (12x30): worst KKT residual "

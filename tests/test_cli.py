@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import traced_peak
+from oracles import dense_norm
 
 from usproc import beamform as bf
 from usproc import cli, core
@@ -406,6 +408,23 @@ class TestExitCodes:
                   "--out", str(tmp_path / "m.csv"), "--config", str(conf)])
         assert_config_error(rc, capsys, key)
         assert [p.name for p in tmp_path.iterdir()] == ["m.conf"]
+
+    def test_overflowing_grid_span_is_one_config_error(self, tmp_path, capsys):
+        # the bounds' difference overflows: no numpy warning may reach the
+        # caller before the config error
+        conf = tmp_path / "m.conf"
+        conf.write_text("bf.grid_lat_min = -1.7e308\nbf.grid_lat_max = 1.7e308\n"
+                        "bf.grid_ax_min = 0.001\nbf.grid_ax_max = 0.01\n"
+                        "metrics.region_a = -0.004,0.001,0.0,0.005\n"
+                        "metrics.region_b = 0.0,0.001,0.004,0.005\n")
+        uio.write_uim1(tmp_path / "img.uim1", np.ones((4, 4)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run(["metrics", "--in", str(tmp_path / "img.uim1"),
+                      "--out", str(tmp_path / "m.csv"), "--config", str(conf)])
+        err = capsys.readouterr().err
+        assert rc == 1 and len(err.splitlines()) == 1, err
+        assert err.startswith("config error: bf.grid_")
 
     @pytest.mark.parametrize("key,value", [
         ("demo.num_scatterers", "-1"), ("demo.num_scatterers", "0"),
@@ -818,21 +837,65 @@ class TestRecoverDeconvolveClutterUlm:
         csv = (tmp_path / "u_detections.csv").read_text()
         assert csv.startswith("frame,x,z,intensity")
 
-    def test_ulm_estimates_no_norm(self, tmp_path, monkeypatch):
-        # the step comes from the model's per-axis matrices in closed form
-        from usproc import numerics, sparse
-        from usproc.ulm import simulate_bubbles
+    def test_recover_empty_bins_gives_zeros(self, tmp_path):
+        # no bins: the model is zero, of norm 0, and so is its solution
+        field = write_field(tmp_path / "f.txt", "0.0 0.003 1.0\n")
+        cube = tmp_path / "c.urf"
+        assert run(["simulate", "--field", field, "--out", str(cube),
+                    "--num-elements", "2", "--nt", "256"]) == 0
+        bins = tmp_path / "bins.txt"
+        bins.write_text("# no bins\n")
+        assert run(["recover", "--in", str(cube), "--bins", str(bins),
+                    "--out", str(tmp_path / "rec")]) == 0
+        x = uio.read_uim1(tmp_path / "rec.uim1")
+        assert x.shape == (256, 1) and not np.any(x)
 
-        def no_estimate(*args, **kwargs):
-            raise AssertionError("ulm estimated an operator norm")
+    @pytest.mark.parametrize("command", ["recover", "deconvolve", "ulm"])
+    def test_solve_states_model_norm(self, tmp_path, monkeypatch, command):
+        # every solve takes its norm from its model in closed form: exact
+        # for a scanline and for ULM's Gaussian PSF, a bound within 1% of
+        # the norm for a deconvolution of a 32 x 32 image by a 3 x 3 box
+        from usproc import sparse, ulm
+        seen = []
 
-        monkeypatch.setattr(sparse, "operator_norm", no_estimate)
-        monkeypatch.setattr(numerics, "operator_norm", no_estimate)
-        frames = simulate_bubbles((32, 32), 2, 3.0, 2.0, 4, 30.0, 4)
-        seq = tmp_path / "frames.uim1"
-        uio.write_uim1_seq(seq, np.stack([f.image for f in frames]))
-        assert run(["ulm", "--frames", str(seq), "--out", str(tmp_path / "u"),
-                    "--method", "sparse", "--set", "ulm.max_iters", "50"]) == 0
+        def recording(solve):
+            def ista(problem):
+                seen.append(problem)
+                return solve(problem)
+            return ista
+
+        monkeypatch.setattr(sparse, "ista", recording(sparse.ista))
+        monkeypatch.setattr(ulm, "ista", recording(ulm.ista))
+        out = str(tmp_path / "out")
+        if command == "recover":
+            cube = tmp_path / "c.urf"
+            field = write_field(tmp_path / "f.txt", "0.0 0.003 1.0\n")
+            assert run(["simulate", "--field", field, "--out", str(cube),
+                        "--num-elements", "2", "--nt", "256"]) == 0
+            bins = tmp_path / "bins.txt"
+            chosen = np.random.default_rng(0).choice(256, 90, replace=False)
+            bins.write_text("\n".join(str(b) for b in chosen) + "\n")
+            argv = ["recover", "--in", str(cube), "--bins", str(bins)]
+        elif command == "deconvolve":
+            img, psf = tmp_path / "img.uim1", tmp_path / "psf.uim1"
+            uio.write_uim1(img, np.random.default_rng(1).random((32, 32)))
+            uio.write_uim1(psf, np.ones((3, 3)) / 9.0)
+            argv = ["deconvolve", "--in", str(img), "--psf", str(psf)]
+        else:
+            frames = ulm.simulate_bubbles((32, 32), 2, 3.0, 2.0, 4, 30.0, 4)
+            seq = tmp_path / "frames.uim1"
+            uio.write_uim1_seq(seq, np.stack([f.image for f in frames]))
+            argv = ["ulm", "--frames", str(seq), "--method", "sparse"]
+        assert run(argv + ["--out", out, "--set", "sparse.max_iters", "50",
+                           "--set", "ulm.max_iters", "50"]) == 0
+        assert seen
+        for problem in seen:
+            dim = np.asarray(problem.adjoint(np.atleast_2d(problem.y)[0])).size
+            dense = dense_norm(problem.forward, dim)
+            if command == "deconvolve":
+                assert dense <= problem.norm <= 1.01 * dense
+            else:
+                assert problem.norm == pytest.approx(dense, rel=1e-12)
 
     @staticmethod
     def bubble_sequence(path, zero_frame):

@@ -11,12 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from usproc.errors import (
-    AdjointMismatchError,
-    DimensionMismatchError,
-    SingularMatrixError,
-)
-from usproc.numerics import fft, operator_norm, solve_hermitian, svd
+from usproc.errors import DimensionMismatchError, SingularMatrixError
+from usproc.numerics import fft, solve_hermitian, svd
 
 from oracles import dft_direct, eigvals_jacobi_hermitian, solve_full_pivot
 
@@ -273,55 +269,3 @@ class TestSvd:
         assert np.all(res.singular_values[rank:] <= 1e-6 * np.sqrt(scale))
         fro = np.sqrt(np.sum(np.abs(a) ** 2))
         assert np.sqrt(np.sum(np.abs(res.compose() - a) ** 2)) <= 1e-10 * max(fro, 1.0)
-
-
-# ---------------------------------------------------------------------------
-# Operator norm
-
-
-class TestOperatorNorm:
-    def test_scaled_identity(self):
-        est = operator_norm(lambda v: 2.0 * v, lambda v: 2.0 * v, 6, 50)
-        assert est == pytest.approx(2.02, abs=1e-12)
-
-    def test_diagonal(self):
-        a = np.diag([3.0, 1.0])
-        est = operator_norm(lambda v: a @ v, lambda v: a.T @ v, 2, 200)
-        assert est == pytest.approx(3.03, rel=0.01)
-
-    def test_matches_svd_oracle(self):
-        rng = np.random.default_rng(11)
-        a = rand_complex(rng, 10, 10)
-        est = operator_norm(lambda v: a @ v, lambda v: a.conj().T @ v, 10, 200)
-        assert est == pytest.approx(1.01 * svd(a).singular_values[0], rel=1e-3)
-
-    def test_adjoint_mismatch_detected(self):
-        rng = np.random.default_rng(12)
-        a = rand_complex(rng, 5, 5)
-        with pytest.raises(AdjointMismatchError, match="adjoint-mismatch"):
-            operator_norm(lambda v: a @ v, lambda v: a.T @ v, 5, 10)
-
-    def test_zero_operator(self):
-        est = operator_norm(lambda v: 0.0 * v, lambda v: 0.0 * v, 4, 10)
-        assert est == 0.0
-
-    def test_real_mode_matches_complex(self):
-        # a real map sees Re and Im of the same draws as two float64 vectors
-        rng = np.random.default_rng(13)
-        a = rng.standard_normal((7, 12))
-        seen = []
-
-        def forward(v):
-            seen.append(np.asarray(v).dtype)
-            return a @ v
-
-        est_c = operator_norm(lambda v: a @ v, lambda r: a.T @ r, 12, 30)
-        est_r = operator_norm(forward, lambda r: a.T @ r, 12, 30, real=True)
-        assert est_r == pytest.approx(est_c, rel=1e-13)
-        assert set(seen) == {np.dtype(np.float64)}
-
-    def test_real_mode_rejects_complex_output(self):
-        a = rand_complex(np.random.default_rng(14), 4, 4)
-        with pytest.raises(ValueError, match="real operator"):
-            operator_norm(lambda v: a @ v, lambda r: a.conj().T @ r, 4, 5,
-                          real=True)

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import ista_single, soft_threshold_where
+from oracles import dense_norm, ista_single, soft_threshold_where
 
-from usproc.errors import DimensionMismatchError, StepTooLargeError
-from usproc.numerics import operator_norm
+from usproc.errors import AdjointMismatchError, DimensionMismatchError, StepTooLargeError
 from usproc.sparse import (
     Conv2Same,
     ScanlineModel,
@@ -22,7 +21,10 @@ from usproc.sparse import (
 
 
 def matrix_problem(a, y, lam, **kw):
+    """The problem of the matrix ``a``, with its spectral norm unless ``norm``
+    is given."""
     a = np.asarray(a, dtype=np.complex128)
+    kw.setdefault("norm", np.linalg.norm(a, 2))
     return SparseProblem(lambda v: a @ v, lambda r: a.conj().T @ r, y, lam, **kw)
 
 
@@ -122,6 +124,7 @@ class TestBatchedIsta:
 
     def check_rows(self, a, y, lam, real, **kw):
         forward, adjoint = row_maps(a)
+        kw.setdefault("norm", np.linalg.norm(a, 2))
         x, iters, obj = ista(SparseProblem(forward, adjoint, y, lam, real=real, **kw))
         lams = np.broadcast_to(lam, y.shape[:1])
         counts = []
@@ -143,9 +146,7 @@ class TestBatchedIsta:
 
     def test_complex_rows_given_step(self):
         a, y = self.stack(31, 4, 8, 20, complex_=True)
-        mu = 1 / operator_norm(*row_maps(a), 20) ** 2
-        counts = self.check_rows(a, y, 0.05, False, step=mu, max_iters=2000,
-                                 tol=1e-6)
+        counts = self.check_rows(a, y, 0.05, False, max_iters=2000, tol=1e-6)
         assert len(set(counts)) >= 3
 
     def test_rows_at_the_cap_and_before(self):
@@ -156,12 +157,12 @@ class TestBatchedIsta:
     def test_all_rows_zero(self):
         forward, adjoint = row_maps(np.eye(3) + 0.5)
         x, iters, obj = ista(SparseProblem(forward, adjoint, np.zeros((2, 3)),
-                                           [0.0, 0.4], real=True))
+                                           [0.0, 0.4], 2.5, real=True))
         assert iters == 1 and not np.any(x) and list(obj) == [0.0, 0.0]
 
     def test_zero_operator_stack(self):
         zero = (lambda v: 0.0 * v, lambda r: 0.0 * r)
-        x, iters, obj = ista(SparseProblem(*zero, np.ones((2, 3)), 0.1, real=True))
+        x, iters, obj = ista(SparseProblem(*zero, np.ones((2, 3)), 0.1, 0.0, real=True))
         assert x.shape == (2, 3) and not np.any(x) and iters == 0
         assert list(obj) == [1.5, 1.5]
 
@@ -169,45 +170,45 @@ class TestBatchedIsta:
     def test_one_problem_matches_reference(self, complex_):
         a, y = self.stack(33, 3, 9, 16, complex_=complex_)
         forward, adjoint = row_maps(a)
-        for step in (None, 0.5 / operator_norm(forward, adjoint, 16) ** 2):
-            x, iters, obj = ista(SparseProblem(forward, adjoint, y[0], 0.03,
-                                               step=step, real=not complex_,
+        for norm in (np.linalg.norm(a, 2), 1.4 * np.linalg.norm(a, 2)):
+            x, iters, obj = ista(SparseProblem(forward, adjoint, y[0], 0.03, norm,
+                                               real=not complex_,
                                                max_iters=900, tol=1e-9))
-            x_r, it_r, obj_r = ista_single(forward, adjoint, y[0], 0.03, step=step,
+            x_r, it_r, obj_r = ista_single(forward, adjoint, y[0], 0.03, norm,
                                            real=not complex_, max_iters=900, tol=1e-9)
             assert np.array_equal(bits(x), bits(x_r))
             assert (iters, obj) == (it_r, obj_r)
 
     def test_one_problem_returns_python_scalars(self):
         forward, adjoint = row_maps(np.eye(3) + 0.5)
-        x, iters, obj = ista(SparseProblem(forward, adjoint, np.ones(3), 0.1))
+        x, iters, obj = ista(SparseProblem(forward, adjoint, np.ones(3), 0.1, 2.5))
         assert x.shape == (3,) and type(iters) is int and type(obj) is float
 
     def test_step_too_large_names_the_row(self):
         rng = np.random.default_rng(3)
         a = rng.standard_normal((6, 6)) + np.eye(6) * 2
         y = np.stack([np.zeros(6), rng.standard_normal(6)])
-        big = 100.0 / np.linalg.norm(a, 2) ** 2
+        # a norm a tenth of ||A||: a step about 100 / ||A||^2
         with pytest.raises(StepTooLargeError, match=r"step-too-large: .* in row 1 "):
-            ista(SparseProblem(*row_maps(a), y, 0.01, step=big))
+            ista(SparseProblem(*row_maps(a), y, 0.01, np.linalg.norm(a, 2) / 10))
 
     @pytest.mark.parametrize("lam", [[0.1], [0.1, 0.2, 0.3], [[0.1, 0.2]]])
     def test_lambda_per_row_shape_checked(self, lam):
         with pytest.raises(DimensionMismatchError, match="lambda"):
-            SparseProblem(*row_maps(np.eye(2)), np.ones((2, 2)), lam)
+            SparseProblem(*row_maps(np.eye(2)), np.ones((2, 2)), lam, 1.0)
 
     def test_lambda_array_on_one_problem_rejected(self):
         with pytest.raises(DimensionMismatchError, match="lambda"):
-            SparseProblem(*row_maps(np.eye(2)), np.ones(2), [0.1, 0.2])
+            SparseProblem(*row_maps(np.eye(2)), np.ones(2), [0.1, 0.2], 1.0)
 
     def test_negative_row_lambda_rejected(self):
         with pytest.raises(ValueError, match="lambda must be >= 0"):
-            SparseProblem(*row_maps(np.eye(2)), np.ones((2, 2)), [0.1, -1.0])
+            SparseProblem(*row_maps(np.eye(2)), np.ones((2, 2)), [0.1, -1.0], 1.0)
 
     @pytest.mark.parametrize("y", [np.ones((2, 2, 2)), np.ones((0, 2))])
     def test_stack_shape_checked(self, y):
         with pytest.raises(DimensionMismatchError, match="stack"):
-            SparseProblem(*row_maps(np.eye(2)), y, 0.1)
+            SparseProblem(*row_maps(np.eye(2)), y, 0.1, 1.0)
 
 
 class TestIsta:
@@ -225,10 +226,11 @@ class TestIsta:
         a = rng.standard_normal((6, 10))
         y = rng.standard_normal(6)
         lam = 0.3
-        prob = matrix_problem(a, y, lam, step=0.01, max_iters=1)
+        prob = matrix_problem(a, y, lam, norm=10.0, max_iters=1)
         x1, iters, _ = ista(prob)
         assert iters == 1
-        expect = soft_threshold(0.01 * (a.T @ y), 0.01 * lam)
+        mu = 1.0 / (1.01 * 10.0) ** 2
+        expect = soft_threshold(mu * (a.T @ y), mu * lam)
         assert np.allclose(x1, expect, atol=1e-14)
 
     def test_lasso_null_exact(self):
@@ -254,9 +256,9 @@ class TestIsta:
         rng = np.random.default_rng(3)
         a = rng.standard_normal((6, 6)) + np.eye(6) * 2
         y = rng.standard_normal(6)
-        big = 10.0 / np.linalg.norm(a, 2) ** 2
+        # a norm a tenth of ||A||: a step about 100 / ||A||^2
         with pytest.raises(StepTooLargeError, match="step-too-large"):
-            ista(matrix_problem(a, y, 0.01, step=big * 10))
+            ista(matrix_problem(a, y, 0.01, norm=np.linalg.norm(a, 2) / 10))
 
     def test_zero_measurement(self):
         a = np.eye(4)
@@ -281,11 +283,18 @@ class TestIsta:
         with pytest.raises(ValueError, match="lambda must be >= 0"):
             matrix_problem(np.eye(2), np.ones(2), lam)
 
+    def test_adjoint_mismatch_detected(self):
+        rng = np.random.default_rng(12)
+        a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        with pytest.raises(AdjointMismatchError, match="adjoint-mismatch"):
+            ista(SparseProblem(lambda v: a @ v, lambda r: a.T @ r, np.ones(5),
+                               0.1, np.linalg.norm(a, 2)))
+
 
 class TestRealIsta:
     def real_problem(self, a, y, lam, **kw):
         return SparseProblem(lambda v: a @ v, lambda r: a.T @ r, y, lam,
-                             real=True, **kw)
+                             np.linalg.norm(a, 2), real=True, **kw)
 
     def test_stays_float64_and_matches_complex(self):
         rng = np.random.default_rng(20)
@@ -304,22 +313,10 @@ class TestRealIsta:
 
     def test_zero_operator_gives_zeros(self):
         prob = SparseProblem(lambda v: 0.0 * v, lambda r: 0.0 * r,
-                             np.ones(3), 0.1, real=True)
+                             np.ones(3), 0.1, 0.0, real=True)
         x, iters, obj = ista(prob)
         assert x.dtype == np.float64 and not np.any(x) and iters == 0
         assert obj == pytest.approx(1.5)
-
-    def test_shared_step_is_bit_identical(self):
-        rng = np.random.default_rng(21)
-        a = rng.standard_normal((9, 14))
-        y = rng.standard_normal(9)
-        for real in (False, True):
-            mu = 1 / operator_norm(lambda v: a @ v, lambda r: a.T @ r, 14,
-                                   real=real) ** 2
-            make = self.real_problem if real else matrix_problem
-            own = ista(make(a, y, 0.02, max_iters=200))[0]
-            shared = ista(make(a, y, 0.02, step=mu, max_iters=200))[0]
-            assert np.array_equal(own.view(np.uint64), shared.view(np.uint64))
 
     def test_zero_operator_step_is_infinite(self):
         # the zero operator has norm 0, so no finite step: the complex path
@@ -328,10 +325,40 @@ class TestRealIsta:
         assert x.dtype == np.complex128 and not np.any(x) and iters == 0
         assert obj == pytest.approx(1.5)
 
-    @pytest.mark.parametrize("step", [0.0, -1.0, np.inf, np.nan])
-    def test_step_must_be_finite_positive(self, step):
-        with pytest.raises(ValueError, match="step"):
-            matrix_problem(np.eye(2), np.ones(2), 0.1, step=step)
+    @pytest.mark.parametrize("norm", [1e-200, 1e-320])
+    def test_norm_whose_square_underflows_gives_zeros(self, norm):
+        # (1.01 norm)^2 rounds to 0: the step would be infinite
+        x, iters, obj = ista(matrix_problem(norm * np.eye(3), np.ones(3), 0.1))
+        assert not np.any(x) and iters == 0 and obj == pytest.approx(1.5)
+
+    @pytest.mark.parametrize("norm", [-1e-300, -1.0, np.inf, np.nan])
+    def test_norm_must_be_finite_nonnegative(self, norm):
+        with pytest.raises(ValueError, match="norm must be finite and >= 0"):
+            matrix_problem(np.eye(2), np.ones(2), 0.1, norm=norm)
+
+    def test_norm_is_required(self):
+        with pytest.raises(TypeError, match="norm"):
+            SparseProblem(lambda v: v, lambda r: r, np.ones(2), 0.1)
+
+    def test_real_mode_sees_float64_only(self):
+        # the adjoint check hands a real problem's maps Re and Im of its
+        # draws as two float64 vectors, and the iterations stay real
+        a = np.random.default_rng(13).standard_normal((7, 12))
+        seen = []
+
+        def forward(v):
+            seen.append(np.asarray(v).dtype)
+            return a @ v
+
+        ista(SparseProblem(forward, lambda r: a.T @ r, np.ones(7), 0.1,
+                           np.linalg.norm(a, 2), max_iters=5, real=True))
+        assert len(seen) > 5 and set(seen) == {np.dtype(np.float64)}
+
+    def test_real_mode_rejects_complex_output(self):
+        a = np.random.default_rng(14).standard_normal((4, 4)) * (1 + 1j)
+        with pytest.raises(ValueError, match="real operator"):
+            ista(SparseProblem(lambda v: a @ v, lambda r: a.conj().T @ r,
+                               np.ones(4), 0.1, np.linalg.norm(a, 2), real=True))
 
 
 class TestScanline:
@@ -402,6 +429,62 @@ class TestScanline:
         assert set(np.flatnonzero(np.abs(x) > 1e-9)) == set(support)
         nmse = np.sum((x - x_true) ** 2) / np.sum(x_true ** 2)
         assert nmse <= 1e-3
+
+
+def hanning_psf(k):
+    w = np.hanning(k + 2)[1:-1]
+    return np.outer(w, w)
+
+
+def gaussian_psf(sigma, radius):
+    d = np.arange(-radius, radius + 1)
+    return np.exp(-(d[:, None] ** 2 + d[None, :] ** 2) / (2 * sigma ** 2))
+
+
+class TestModelNorms:
+    """Each model's closed-form norm against the dense oracle, the top
+    singular value of the model's matrix."""
+
+    @pytest.mark.parametrize("n,m", [(48, 17), (31, 31), (16, 1), (1, 1)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_scanline_norm_is_exact(self, n, m, seed):
+        rng = np.random.default_rng(seed)
+        bins = rng.choice(n, m, replace=False)
+        h = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        model = ScanlineModel(h, bins, n)
+        assert model.norm == pytest.approx(dense_norm(model.forward, n), rel=1e-12)
+
+    def test_scanline_without_bins_has_norm_zero(self):
+        model = ScanlineModel(np.ones(0), np.zeros(0, dtype=np.int64), 8)
+        assert model.norm == 0.0
+        assert not np.any(recover_scanline(model, np.zeros(0), 0.0))
+
+    @pytest.mark.parametrize("kshape", [(3, 3), (4, 5), (1, 6), (7, 2)])
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_conv_norm_bounds_dense_norm(self, kshape, complex_):
+        rng = np.random.default_rng(sum(kshape))
+        h = rng.standard_normal(kshape)
+        if complex_:
+            h = h + 1j * rng.standard_normal(kshape)
+        op = Conv2Same((9, 7), h)
+        dense = dense_norm(lambda v: op.forward(v).ravel(), 63)
+        assert dense <= op.norm * (1 + 1e-12)
+
+    @pytest.mark.parametrize("psf", [hanning_psf(7), gaussian_psf(1.5, 4)],
+                             ids=["hanning7", "gaussian9"])
+    def test_conv_norm_within_one_percent_for_psfs(self, psf):
+        # the bound closes as the image grows: 48 x 48 is the smallest
+        # square image at which both PSFs come within 1%
+        op = Conv2Same((48, 48), psf)
+        dense = dense_norm(lambda v: op.forward(v).ravel(), 48 * 48)
+        assert dense <= op.norm <= 1.01 * dense
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_zero_psf_deconvolves_to_zeros(self, complex_):
+        y = np.random.default_rng(3).standard_normal((6, 5))
+        psf = np.zeros((3, 3), dtype=complex if complex_ else float)
+        x = deconvolve(y, psf, 0.1)
+        assert x.shape == (6, 5) and not np.any(x)
 
 
 class TestConvOperators:

@@ -13,7 +13,6 @@ from oracles import (
 
 from usproc import ulm as ulm_module
 from usproc.errors import DimensionMismatchError
-from usproc.numerics import operator_norm
 from usproc.ulm import (
     LocalizationSet,
     accumulate,
@@ -95,6 +94,11 @@ def random_unit_peak_psf(shape, seed):
     return psf / psf.max()
 
 
+def model_step(lr_shape, psf, factor):
+    """ISTA's step 1 / (1.01 L)^2 from the localization model's norm L."""
+    return 1.0 / (1.01 * ulm_module._hr_model(lr_shape, psf, factor)[3]) ** 2
+
+
 def bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
@@ -122,13 +126,12 @@ class TestFrameStacks:
         hr = localize_sparse(stack, psf, lam, 4, max_iters=300, tol=tol)
         assert hr.shape == (count,) + hr_shape
         forward, adjoint, _, norm = ulm_module._hr_model(stack.shape[1:], psf, 4)
-        step = ulm_module._step(norm)
         counts = []
         for f, frame in enumerate(stack):
             assert lam[f] == 0.05 * max_correlation(frame, psf, 4)
             alone = localize_sparse(frame, psf, lam[f], 4, max_iters=300, tol=tol)
             x, iters, _ = ista_single(forward, adjoint, frame.ravel(), lam[f],
-                                      step=step, max_iters=300, tol=tol, real=True)
+                                      norm, max_iters=300, tol=tol, real=True)
             ref = np.clip(x.reshape(hr_shape), 0.0, None)
             assert np.array_equal(bits(hr[f]), bits(alone))
             assert np.array_equal(bits(hr[f]), bits(ref))
@@ -247,9 +250,9 @@ class TestRealSolveAgainstComplexOracle:
     def solve_both(image, tol=1e-5):
         psf = gaussian_psf(2.0)
         lam = 0.05 * max_correlation(image, psf, 4)
-        step = ulm_module._step(ulm_module._hr_model(image.shape, psf, 4)[3])
         hr = localize_sparse(image, psf, lam, 4, max_iters=700, tol=tol)
-        ref, iters = localize_sparse_complex(image, psf, lam, 4, step=step,
+        ref, iters = localize_sparse_complex(image, psf, lam, 4,
+                                             model_step(image.shape, psf, 4),
                                              max_iters=700, tol=tol)
         return hr, ref, iters
 
@@ -274,7 +277,8 @@ class TestRealSolveAgainstComplexOracle:
     def test_empty_frame_exact_zeros(self):
         psf = gaussian_psf(2.0)
         hr = localize_sparse(np.zeros((8, 6)), psf, 0.1, 4)
-        ref, _ = localize_sparse_complex(np.zeros((8, 6)), psf, 0.1, 4)
+        ref, _ = localize_sparse_complex(np.zeros((8, 6)), psf, 0.1, 4,
+                                         model_step((8, 6), psf, 4))
         assert hr.shape == (32, 24)
         assert np.array_equal(hr.view(np.uint64), ref.view(np.uint64))
         assert np.all(hr.view(np.uint64) == 0)
@@ -296,18 +300,6 @@ class TestRealSolveAgainstComplexOracle:
 
 
 class TestSharedStep:
-    def test_complex_path_bit_identical(self):
-        # numerics' power-iteration step, passed in, is the one the oracle draws
-        frame = simulate_bubbles((40, 32), 1, 4.0, 2.0, 4, 30.0, 5)[0].image
-        psf = gaussian_psf(2.0)
-        lam = 0.05 * max_correlation(frame, psf, 4)
-        forward, adjoint = ulm_model_complex(frame.shape, psf, 4)
-        mu = 1 / operator_norm(forward, adjoint, 40 * 32) ** 2
-        own, _ = localize_sparse_complex(frame, psf, lam, 4, max_iters=300)
-        shared, _ = localize_sparse_complex(frame, psf, lam, 4, step=mu,
-                                            max_iters=300)
-        assert np.array_equal(own.view(np.uint64), shared.view(np.uint64))
-
     def test_unit_peak_checked(self):
         # a stack of frames is checked as one frame is
         with pytest.raises(ValueError, match="unit peak"):
@@ -339,8 +331,6 @@ class TestStepFromModel:
         forward, _, hr_shape, norm = ulm_module._hr_model(lr_shape, psf, factor)
         dense = dense_norm(forward, hr_shape[0] * hr_shape[1])
         assert norm == pytest.approx(dense, rel=1e-12)
-        assert ulm_module._step(norm) \
-            == pytest.approx(1.0 / (1.01 * dense) ** 2, rel=1e-12)
 
     @pytest.mark.parametrize("rank,seed", [(4, 0), (7, 1)])
     def test_bound_for_non_separable_psf(self, rank, seed):
