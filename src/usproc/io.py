@@ -67,7 +67,10 @@ def _read_f32(fh, shape: tuple[int, ...], what: str) -> np.ndarray:
         raise FileFormatError(f"bad header: {what} of shape {shape} is too "
                               "large for an array")
     raw = _read_exact(fh, 4 * count, what)
-    return np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
+    # a signalling NaN raises numpy's invalid flag when cast; the readers
+    # report it as a non-finite value
+    with np.errstate(invalid="ignore"):
+        return np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
 
 
 def _read_urf1_header(fh):

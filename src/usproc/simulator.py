@@ -8,14 +8,20 @@ drawn from a counter-based generator keyed per (event, channel) with
 Box-Muller sampling, so results are bit-reproducible for a given seed
 regardless of evaluation order.
 
-Each echo is evaluated only near its delay.  The Gaussian envelope
-exp(-x^2 / 2) of an offset of x standard deviations rounds to exactly 0.0 in
-float64 once x^2 / 2 exceeds about 745.13 (x > 38.61), because the result
-falls below half the smallest subnormal.  Samples further than
-``_SUPPORT_SIGMAS`` = 38.7 sigma_t from the echo's delay would therefore add
-exactly +-0.0, which leaves every nonzero partial sum unchanged, so the
-windowed sum equals the whole-trace sum bit for bit as long as the echoes
-of a scatterer chunk are still added in scatterer order and each chunk's sum
+Each echo is evaluated only where float32 can see it.  URF1 stores float32,
+which rounds every magnitude below 2^-150 (half its smallest subnormal) to
++-0.  At an offset of x standard deviations from its delay, an echo is at
+most peak * exp(-x^2 / 2), with peak = |pulse amplitude| * max |scatterer
+amplitude|, so beyond x = sqrt(2 (ln peak + 150 ln 2)) sigma_t (about 14.5
+for a peak of 1 to 4) every sample is below 2^-150 and is not evaluated.
+The half-width is capped at ``_SUPPORT_SIGMAS`` = 38.7, where the float64
+envelope itself rounds to 0.0 (x^2 / 2 > 745.13), which also covers a peak
+that overflows to inf.  A trace therefore differs from the whole-trace sum
+by less than (scatterers) * 2^-150 plus the rounding of its kept sum.  Its
+float32 samples are the whole-trace sum's up to the sign of zero, except
+where that difference carries a sum near float32's underflow across a
+rounding midpoint: such a sample moves by one float32 step.  The echoes of
+a scatterer chunk are still added in scatterer order and each chunk's sum
 is then added to the trace.
 
 A synthetic-aperture set is reciprocal: the echo sent from element i and
@@ -53,7 +59,8 @@ from .core import (
 from .errors import DepthExceedsWindowError, EmptyEventsError
 
 _SCATTERER_CHUNK = 32
-# offset, in pulse standard deviations, beyond which the envelope is 0.0
+# offset, in pulse standard deviations, beyond which the float64 envelope
+# is 0.0: the widest echo window
 _SUPPORT_SIGMAS = 38.7
 
 
@@ -111,6 +118,17 @@ def transmit_distances(event: TransmitEvent, xs, zs) -> np.ndarray:
     return np.sqrt((xs - ox) ** 2 + (zs - oz) ** 2)
 
 
+def _visible_sigmas(peak: float) -> float:
+    """Offset x, in pulse standard deviations, beyond which an echo of
+    magnitude at most ``peak`` stays below 2^-150, where float32 rounds it
+    to +-0: peak exp(-x^2 / 2) = 2^-150 at x = sqrt(2 (ln peak + 150 ln 2)).
+    Capped at ``_SUPPORT_SIGMAS``; 0 for a peak of 0 or below 2^-150."""
+    if not peak > 0:
+        return 0.0
+    x2 = 2.0 * (math.log(peak) + 150.0 * math.log(2.0))
+    return min(math.sqrt(max(x2, 0.0)), _SUPPORT_SIGMAS)
+
+
 def _own_element(event: TransmitEvent, elem: np.ndarray) -> int | None:
     """Index i of the element an SA event transmits from when its origin is
     exactly element i's position, else None."""
@@ -121,6 +139,9 @@ def _own_element(event: TransmitEvent, elem: np.ndarray) -> int | None:
     return None
 
 
+# an overflow gives an inf or nan sample, which core.validate reports as
+# non-finite-sample
+@np.errstate(over="ignore", invalid="ignore")
 def simulate(array: TransducerArray, events, field: ScattererField,
              pulse: PulseModel, v: float, nt: int, noise_std: float,
              seed: int) -> RfDataCube:
@@ -131,6 +152,12 @@ def simulate(array: TransducerArray, events, field: ScattererField,
     arrival time x sin(theta) + z cos(theta) in place of a point-source
     distance).  Raises ``depth-exceeds-window`` if the deepest scatterer's
     round trip does not fit in the nt-sample window.
+
+    Each echo is evaluated within x sigma_t of its delay, x from the float32
+    bound 2^-150 and the largest echo the call can make (module docstring),
+    so a sample is within (scatterers) * 2^-150 of the whole-trace sum plus
+    rounding, and its float32 cast is that sum's up to the sign of zero or
+    one step near float32's underflow.
 
     By reciprocity, an SA event transmitting from its own element i copies
     trace (e', i) into channel c for every earlier such event e' sent from
@@ -154,8 +181,10 @@ def simulate(array: TransducerArray, events, field: ScattererField,
     rx_dist = np.sqrt((elem[:, 0:1] - xs[None, :]) ** 2
                       + (elem[:, 1:2] - zs[None, :]) ** 2)
 
-    # every echo's window has one fixed width, clipped to the trace
-    half = math.ceil(_SUPPORT_SIGMAS * pulse.sigma_t * fs) + 1
+    # every echo's window has one fixed width, clipped to the trace: out to
+    # where the largest echo the call can make falls below 2^-150
+    peak = abs(pulse.amplitude) * float(np.max(np.abs(amps), initial=0.0))
+    half = math.ceil(_visible_sigmas(peak) * pulse.sigma_t * fs) + 1
     width = min(2 * half + 1, nt)
     offsets = np.arange(width)
     # a block holds as many channels as keep one (channels, chunk, window)

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import traced_peak
-from oracles import dense_norm
+from conftest import assert_same_float32, traced_peak
+from oracles import dense_norm, simulate_full_trace
 
 from usproc import beamform as bf
 from usproc import cli, core
@@ -22,6 +22,7 @@ from usproc import tof
 from usproc.cli import PipelineConfig, run
 from usproc.core import RECTANGULAR, ApodizationWindow
 from usproc.errors import ConfigError
+from usproc.simulator import PulseModel
 
 
 def write_field(path, rows="0.0 0.008 1.0\n"):
@@ -426,6 +427,23 @@ class TestExitCodes:
         assert rc == 1 and len(err.splitlines()) == 1, err
         assert err.startswith("config error: bf.grid_")
 
+    @pytest.mark.parametrize("row,key,value", [
+        ("0.0 0.008 1e10\n", "sim.amplitude", "1e300"),
+        ("0.0 0.008 1.0\n", "sim.noise_std", "1e308")], ids=["echo", "noise"])
+    def test_overflowing_samples_are_one_error(self, tmp_path, capsys, row,
+                                               key, value):
+        # the simulated samples overflow to inf: no numpy warning may reach
+        # the caller before the non-finite-sample error
+        field = write_field(tmp_path / "f.txt", row)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run(["simulate", "--field", field,
+                      "--out", str(tmp_path / "c.urf"), "--set", key, value])
+        err = capsys.readouterr().err
+        assert rc == 2 and len(err.splitlines()) == 1, err
+        assert err.startswith("error: non-finite-sample")
+        assert [p.name for p in tmp_path.iterdir()] == ["f.txt"]
+
     @pytest.mark.parametrize("key,value", [
         ("demo.num_scatterers", "-1"), ("demo.num_scatterers", "0"),
         ("demo.num_scatterers", str(10 ** 15)), ("demo.cyst_radius", "nan"),
@@ -680,6 +698,32 @@ class TestSimulateBeamform:
                     "--method", "das"]) == 0
         assert (tmp_path / "img.uim1").exists()
         assert (tmp_path / "img.pgm").read_bytes().startswith(b"P5\n")
+
+    @pytest.mark.parametrize("scheme", ["pw", "sa"])
+    def test_urf1_stores_the_whole_trace_sum(self, tmp_path, scheme):
+        # echoes are evaluated only where float32 can see them: the cube's
+        # float32 samples are the whole-trace sum's
+        rng = np.random.default_rng(5)
+        rows = np.column_stack([rng.uniform(-4e-3, 4e-3, 40),
+                                rng.uniform(2e-3, 12e-3, 40),
+                                rng.standard_normal(40)])
+        field = write_field(tmp_path / "f.txt", "".join(
+            f"{x!r} {z!r} {a!r}\n" for x, z, a in rows.tolist()))
+        out = tmp_path / "c.urf"
+        assert run(["simulate", "--field", field, "--out", str(out),
+                    "--seed", "3", "--set", "sim.scheme", scheme,
+                    "--set", "sim.pw_angles", "0.1,-0.2,0.0"]) == 0
+        cfg = PipelineConfig()
+        cfg.load_file(str(out) + ".config.txt")
+        cfg.parse()
+        array = cli._sim_array(cfg)
+        cube, f0 = uio.read_urf1(out, cli._events_from(cfg, array))
+        pulse = PulseModel(f0, cfg["sim.bandwidth"], cfg["sim.amplitude"])
+        ref = simulate_full_trace(array, cube.events,
+                                  uio.read_scatterer_field(field), pulse,
+                                  cfg["sim.v"], cube.num_samples)
+        assert np.any(ref)
+        assert_same_float32(cube.samples, ref)
 
     def test_sa_das_reciprocal_focus_keeps_bytes(self, tmp_path, monkeypatch):
         # an SA cube survives the float32 URF1 round trip symmetric, so DAS

@@ -386,6 +386,15 @@ class TestUim1:
         with pytest.raises(NonFiniteSampleError, match="non-finite-sample: pixels"):
             uio.read_uim1_seq(path)
 
+    def test_signalling_nan_pixel_rejected(self, tmp_path):
+        # float32 0x7f800001 is a signalling NaN: casting it raises numpy's
+        # invalid flag, which must not reach the caller as a warning
+        path = tmp_path / "i.uim1"
+        path.write_bytes(b"UIM1" + struct.pack("<II", 1, 3)
+                         + struct.pack("<3I", 0, 0x3F800000, 0x7F800001))
+        with pytest.raises(NonFiniteSampleError, match="non-finite-sample: pixels"):
+            uio.read_uim1(path)
+
 
 #: A header field: small, so that some declared payloads fit the file, or any u32.
 DIMS = st.one_of(st.integers(0, 4), st.integers(0, 2 ** 32 - 1))
