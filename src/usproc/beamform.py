@@ -110,14 +110,13 @@ def _smoothed_covariances(rows, k: int, eps: float) -> np.ndarray:
 
 
 def _column_weights(rows, block, live, cfg, covariance_fn):
-    """Covariances of one column's live pixels and, from one stacked solve,
-    their weights w = Gamma^-1 1 normalized to 1^H w = 1.
+    """Weights w = u / (1^H u), u = Gamma^-1 1, of one column's live pixels
+    from one stacked solve, and their noise power w^H Gamma w = 1 / (1^H u).
 
     A custom ``covariance_fn`` is called per live pixel on its clamped axial
     +-K slice of the (n, ..., Rz) ``block``, flattened to (n, samples).
     Pixels whose covariance trace is below ``_TINY_TRACE`` are dropped: the
-    returned copy of ``live`` marks the pixels that ``gamma`` and ``w``
-    describe.
+    returned copy of ``live`` marks the pixels the two arrays describe.
     """
     k = cfg.temporal_half_window
     if covariance_fn is None:
@@ -130,8 +129,9 @@ def _column_weights(rows, block, live, cfg, covariance_fn):
     live = live.copy()
     live[live] = solvable
     gamma = gamma[solvable]
-    w = solve_hermitian(gamma, np.ones(gamma.shape[:-1], dtype=gamma.dtype))
-    return live, gamma, w / np.sum(w, axis=-1, keepdims=True)
+    u = solve_hermitian(gamma, np.ones(gamma.shape[:-1], dtype=gamma.dtype))
+    gain = np.sum(u, axis=-1, keepdims=True)
+    return live, u / gain, 1.0 / gain[:, 0].real
 
 
 def _capon(focused: FocusedTensor, cfg, covariance_fn, postfilter: bool):
@@ -147,14 +147,13 @@ def _capon(focused: FocusedTensor, cfg, covariance_fn, postfilter: bool):
         live = np.any(col, axis=0)
         if not np.any(live):
             continue
-        live, gamma, w = _column_weights(
+        live, w, noise = _column_weights(
             sliding_window_view(col.T, ell, axis=1), col, live, cfg,
             covariance_fn)
-        subs = sliding_window_view(col[:, live].T, gamma.shape[-1], axis=1)
+        subs = sliding_window_view(col[:, live].T, w.shape[-1], axis=1)
         est = np.mean((subs @ np.conj(w)[:, :, None])[..., 0], axis=-1)
-        if postfilter:  # w^H Gamma w > 0, as Gamma passed the Cholesky test
+        if postfilter:  # noise > 0: 1^H Gamma^-1 1 > 0 for positive-definite Gamma
             sig = np.abs(est) ** 2
-            noise = np.einsum("ni,nij,nj->n", np.conj(w), gamma, w).real
             est = sig / (sig + noise) * est
         # a complex custom covariance gives real data complex weights
         rf = rf.astype(np.result_type(rf, est), copy=False)
@@ -258,7 +257,7 @@ def compound(images, mode: str = MEAN, cfg: CovarianceConfig | None = None,
         if not np.any(live):
             continue
         block = stack[:, max(ix - k, 0):ix + k + 1, :]   # (E, lateral, Rz)
-        live, _, w = _column_weights(block.transpose(2, 1, 0), block, live,
+        live, w, _ = _column_weights(block.transpose(2, 1, 0), block, live,
                                      cfg, covariance_fn)
         est = np.sum(np.conj(w) * center[:, live].T, axis=-1)
         rf = rf.astype(np.result_type(rf, est), copy=False)

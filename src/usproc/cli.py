@@ -332,8 +332,8 @@ def _regular_grid(lat_min, lat_max, nx, ax_min, ax_max, nz) -> ImagingGrid:
 
 
 def _sub_l(cfg: PipelineConfig, c: int) -> int:
-    """The MV subaperture length L: ``bf.sub_l``, or C/2 when it is 0."""
-    return cfg["bf.sub_l"] or max(c // 2, 1)
+    """The MV subaperture length L: ``bf.sub_l``, or MV's default when it is 0."""
+    return cfg["bf.sub_l"] or bf.default_covariance_config(c).subaperture_length
 
 
 _APOD = {"rect": RECTANGULAR, "hanning": HANNING, "hamming": HAMMING}

@@ -1,11 +1,11 @@
 """Numerical kernels: FFT, Hermitian solve, SVD.
 
-All kernels are pure functions with no global state.  The FFT, the Cholesky
-factorization and the SVD are numpy's own (``numpy.fft`` and
-``numpy.linalg``, backed by pocketfft and LAPACK); this module keeps the
-toolkit's input checks and maps LAPACK failures onto the toolkit's named
-errors, and it takes LAPACK's factors as they come rather than checking
-them again on every call.  The solve and the SVD work in float64 on real
+All kernels are pure functions with no global state.  The FFT, the solve
+and the SVD are numpy's own (``numpy.fft`` and ``numpy.linalg``, backed by
+pocketfft and LAPACK); this module keeps the toolkit's input checks, maps
+LAPACK failures onto the toolkit's named errors and takes LAPACK's results
+as they come.  The Hermitian solve's Cholesky is only its positive-definite
+test: one LU solve gives x.  The solve and the SVD work in float64 on real
 operands and in complex128 as soon as one operand is complex
 (:func:`working_dtype`), so real data never pays for complex arithmetic.
 """
@@ -48,14 +48,14 @@ def fft(signal, inverse: bool = False) -> np.ndarray:
 
 
 def solve_hermitian(a, b) -> np.ndarray:
-    """Solve A x = b for Hermitian A via Cholesky.
+    """Solve A x = b for Hermitian positive-definite A.
 
     ``a`` is one (n, n) matrix with ``b`` of shape (n,), or a stack
     (..., n, n) with ``b`` of shape (..., n) solved in one batched call;
     each matrix of a stack is checked for symmetry against its own scale.
-    Raises ``singular-matrix`` when the Cholesky factorization of any matrix
-    fails, which for a Hermitian matrix signals that it is not positive
-    definite; a caller that wants diagonal loading adds it to ``a`` first.
+    A Cholesky factorization, not kept, tests each matrix for positive
+    definiteness and one LU solve gives x; either failing raises
+    ``singular-matrix``.  A caller that wants diagonal loading adds it first.
     Real ``a`` and ``b`` (a symmetric system) are solved in float64 and give
     a float64 ``x``; a complex operand makes it complex128.
     """
@@ -69,12 +69,10 @@ def solve_hermitian(a, b) -> np.ndarray:
     if np.any(np.max(np.abs(a - a_h), axis=(-2, -1), initial=0.0) > 1e-10 * scale):
         raise ValueError("matrix is not Hermitian to 1e-10")
     try:
-        low = np.linalg.cholesky(a)
+        np.linalg.cholesky(a)
+        return np.linalg.solve(a, b[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"singular-matrix: Cholesky failed ({exc})") from exc
-    # forward then backward substitution through the two triangular factors
-    y = np.linalg.solve(low, b[..., None])
-    return np.linalg.solve(np.conj(np.swapaxes(low, -1, -2)), y)[..., 0]
+        raise SingularMatrixError(f"singular-matrix: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -33,10 +33,11 @@ each pair's noise-free trace is computed once and copied to its mirrored
 (event, channel) slot.  A full SA set evaluates C(C+1)/2 of its C^2 traces.
 
 Echoes are evaluated a block of receive channels at a time, as many as keep
-one (channels, scatterer chunk, window) temporary within
-``core.BLOCK_ELEMENTS`` float64 values, so the working set stays in cache
-whatever the channel count.  Traces are independent, and each one still sums
-its echoes in scatterer order, so the block size never changes a bit.
+one (channels, scatterer chunk, window) temporary and the block's two
+(channels, Nt) trace buffers within ``core.BLOCK_ELEMENTS`` float64 values,
+so the working set stays in cache whatever the channel count or Nt.
+Traces are independent, and each one still sums its echoes in scatterer
+order, so the block size never changes a bit.
 """
 
 from __future__ import annotations
@@ -188,7 +189,7 @@ def simulate(array: TransducerArray, events, field: ScattererField,
     width = min(2 * half + 1, nt)
     offsets = np.arange(width)
     # a block holds as many channels as keep one (channels, chunk, window)
-    # temporary within core.BLOCK_ELEMENTS values
+    # temporary, their traces and the bincount sum within core.BLOCK_ELEMENTS
     chunk = min(_SCATTERER_CHUNK, len(field))
     samples = np.zeros((len(events), c_count, nt))
     # sender[c]: an earlier event that transmitted from element c's position
@@ -204,7 +205,7 @@ def simulate(array: TransducerArray, events, field: ScattererField,
         own = _own_element(event, elem)
         sent = sender >= 0
         rows = np.flatnonzero(~sent) if own is not None else np.arange(c_count)
-        for block in row_blocks(len(rows), chunk * width):
+        for block in row_blocks(len(rows), chunk * width + 2 * nt):
             rb = rows[block]
             traces = np.zeros((len(rb), nt))
             row_starts = np.arange(0, traces.size, nt)[:, None, None]

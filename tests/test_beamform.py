@@ -135,8 +135,8 @@ def identity_cov(neighborhood, cfg):
     return np.eye(cfg.subaperture_length, dtype=np.complex128)
 
 
-def mv_reference_pixel(vals, ix, iz, cfg):
-    """Per-pixel MV by definition: estimate_covariance on the clamped axial
+def mv_reference_pixel(vals, ix, iz, cfg, covariance_fn=estimate_covariance):
+    """Per-pixel MV by definition: ``covariance_fn`` on the clamped axial
     neighborhood, an oracle solve, unity-gain normalization.
 
     Returns (estimate, weights, covariance); (0, None, None) for y_r = 0.
@@ -145,15 +145,15 @@ def mv_reference_pixel(vals, ix, iz, cfg):
     if not np.any(center):
         return 0.0, None, None
     k = cfg.temporal_half_window
-    gamma = estimate_covariance(vals[:, ix, max(iz - k, 0):iz + k + 1], cfg)
+    gamma = covariance_fn(vals[:, ix, max(iz - k, 0):iz + k + 1], cfg)
     w = solve_full_pivot(gamma, np.ones(gamma.shape[0]))
     w = w / np.sum(w)
     subs = np.lib.stride_tricks.sliding_window_view(center, gamma.shape[0])
     return np.mean(subs @ np.conj(w)), w, gamma
 
 
-def wiener_reference_pixel(vals, ix, iz, cfg):
-    est, w, gamma = mv_reference_pixel(vals, ix, iz, cfg)
+def wiener_reference_pixel(vals, ix, iz, cfg, covariance_fn=estimate_covariance):
+    est, w, gamma = mv_reference_pixel(vals, ix, iz, cfg, covariance_fn)
     if w is None or est == 0:
         return 0.0
     sig = abs(est) ** 2
@@ -434,6 +434,23 @@ class TestWiener:
         cfg = CovarianceConfig(ell, k, 0.05)
         out = wiener(tensor_from(vals), cfg).rf
         assert_matches_reference(out, reference_image(wiener_reference_pixel, vals, cfg))
+
+    def test_custom_complex_covariance_matches_definition(self):
+        # w^H Gamma w formed explicitly per pixel, for a complex Hermitian
+        # positive-definite covariance that is neither the identity nor the
+        # same at every pixel
+        vals = zeroed_tensor(np.random.default_rng(33), 6, 4, 5)
+        base = np.eye(3) + 0.2j * (np.eye(3, k=1) - np.eye(3, k=-1))
+        cfg = CovarianceConfig(3, 1, 0.0)
+
+        def cov(nb, cfg):
+            return base + estimate_covariance(nb, cfg)
+
+        out = wiener(tensor_from(vals), cfg, covariance_fn=cov).rf
+        ref = reference_image(
+            lambda *a: wiener_reference_pixel(*a, covariance_fn=cov), vals, cfg)
+        assert np.any(ref)
+        assert_matches_reference(out, ref)
 
 
 class TestCompound:

@@ -285,6 +285,26 @@ class TestExitCodes:
         assert rc == 2
         assert "dimension-mismatch" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["mv", "wiener"])
+    def test_rank_deficient_covariance_exit_2(self, tmp_path, capsys, method):
+        # only channel 0 carries data, so without diagonal loading each
+        # covariance is zero but for its (0, 0) entry and fails the Cholesky
+        # test; the default loading makes the same cube solvable
+        nt = 800
+        samples = np.zeros((1, 32, nt), dtype="<f4")
+        samples[0, 0] = 1.0 + 0.5 * np.sin(0.7 * np.arange(nt))
+        path = tmp_path / "c.urf1"
+        path.write_bytes(b"URF1" + struct.pack("<III", 1, 32, nt)
+                         + struct.pack("<ddd", 40e6, 1540.0, 5e6) + samples.tobytes())
+        argv = ["beamform", "--in", str(path), "--out", str(tmp_path / "o"),
+                "--method", method, "--set", "bf.grid_nx", "8",
+                "--set", "bf.grid_nz", "32"]
+        assert run(argv + ["--eps", "0"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: singular-matrix"), err
+        assert not (tmp_path / "o.uim1").exists()
+        assert run(argv + ["--eps", "0.01"]) == 0
+
     @pytest.mark.parametrize("key,value", [
         ("sim.f0", "0"), ("sim.f0", "nan"), ("sim.bandwidth", "3"),
         ("sim.noise_std", "-1"), ("sim.noise_std", "nan"),

@@ -516,3 +516,16 @@ def test_working_set_independent_of_channel_count(scheme):
                                  PulseModel(F0, 0.6), V, 600, 0.0, 0)
         beyond[c] = peak - cube.samples.nbytes
     assert beyond[64] < beyond[16] + 8 * core.BLOCK_ELEMENTS // 4, beyond
+
+
+def test_working_set_bounded_at_long_traces():
+    # each block also holds its (channels, Nt) traces and their bincount sum:
+    # at Nt = 50,000 two such rows exceed BLOCK_ELEMENTS, so a block is one
+    # channel and the peak beyond the cube stays within three rows of Nt
+    field = random_field(np.random.default_rng(4), 40, z_range=(2e-3, 8e-3))
+    events = [TransmitEvent.plane_wave(a) for a in (-0.1, 0.0, 0.1)]
+    nt = 50_000
+    cube, peak = traced_peak(simulate, make_array(16), events, field,
+                             PulseModel(F0, 0.6), V, nt, 0.0, 0)
+    beyond = peak - cube.samples.nbytes
+    assert beyond < 3 * nt * 8, beyond
