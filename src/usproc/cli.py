@@ -39,6 +39,7 @@ from .core import (
     row_blocks,
 )
 from .errors import ConfigError, FileFormatError, UsprocError
+from .numerics import fft
 from .simulator import PulseModel, simulate, transmit_distances
 
 # ---------------------------------------------------------------------------
@@ -254,7 +255,7 @@ def _check_relations(cfg: PipelineConfig) -> None:
     for lo, hi in (_GRID_KEYS[:2], _GRID_KEYS[2:]):
         if cfg[lo] >= cfg[hi]:   # False while either is nan (auto)
             raise ConfigError(f"{lo} = {cfg[lo]} must be below {hi} = {cfg[hi]}")
-    r = math.ceil(4.0 * cfg["ulm.psf_sigma"])   # ulm.gaussian_psf's radius
+    r = ulm.psf_radius(cfg["ulm.psf_sigma"])
     _check_size("ULM PSF (ulm.psf_sigma)", 2 * r + 1, 2 * r + 1)
 
 
@@ -351,11 +352,11 @@ def _beamform_image(cfg: PipelineConfig, focused, method: str):
 
 
 def _write_image_outputs(prefix: Path, image, dyn_range: float):
-    """Write the image's rf as UIM1 and its log view as PGM; return the view."""
-    viewed = tof.log_view(image, dyn_range)
+    """Write rf as UIM1 and its log-compressed envelope as PGM; return the envelope."""
+    env = tof.detect_envelope(image).envelope
     uio.write_uim1(str(prefix) + ".uim1", np.real(image.rf))
-    uio.write_pgm(str(prefix) + ".pgm", viewed.log_db, dyn_range)
-    return viewed
+    uio.write_pgm(str(prefix) + ".pgm", tof.log_compress(env, dyn_range), dyn_range)
+    return env
 
 
 def _write_csv(path, rows) -> None:
@@ -488,7 +489,6 @@ def _cmd_recover(args) -> int:
     bins = _read_bins(args.bins, trace.size)
     model = sp.ScanlineModel(np.ones(bins.size, dtype=np.complex128), bins,
                              trace.size)
-    from .numerics import fft
     y_tilde = fft(trace)[bins]
     lam = _sparse_lambda(cfg, lambda: model.adjoint(y_tilde))
     x = sp.recover_scanline(model, y_tilde, lam, max_iters=cfg["sparse.max_iters"],
@@ -655,7 +655,7 @@ def _cmd_demo(args) -> int:
     rows = []
     for method in ("das", "mv", "cf", "imap"):
         image = _beamform_image(cfg, focused, method)
-        env = _write_image_outputs(outdir / method, image, dyn).envelope
+        env = _write_image_outputs(outdir / method, image, dyn)
         rows.append(("contrast_db", method, mx.contrast_db(env, grid, bg, cyst)))
         rows.append(("cnr", method, mx.cnr(env, grid, bg, cyst)))
     _write_csv(outdir / "metrics.csv", rows)

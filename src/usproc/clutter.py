@@ -126,11 +126,11 @@ def rpca(cas: CasoratiMatrix, lam1: float, lam2: float, mu1: float = 0.5,
     x_t = np.zeros_like(y)
     x_b = np.zeros_like(y)
     obj = 0.5 * float(np.sum(np.abs(y) ** 2))
+    resid = y                        # Y - X_t - X_b at X = 0
     iters = 0
     for _ in range(max_iters):
-        g = y - x_t - x_b
-        x_t_new, nuc = _svt_with_nuclear(x_t + mu1 * g, mu1 * lam1)
-        x_b_new = mixed_l12_threshold(x_b + mu2 * g, mu2 * lam2)
+        x_t_new, nuc = _svt_with_nuclear(x_t + mu1 * resid, mu1 * lam1)
+        x_b_new = mixed_l12_threshold(x_b + mu2 * resid, mu2 * lam2)
         iters += 1
         resid = y - x_t_new - x_b_new
         obj_new = 0.5 * float(np.sum(np.abs(resid) ** 2)) \

@@ -262,20 +262,18 @@ class FocusedTensor:
 
 @dataclass(frozen=True)
 class BeamformedImage:
-    """Per-pixel reflectivity estimates plus optional display views.
+    """Per-pixel reflectivity estimates plus an optional envelope.
 
-    When ``envelope`` is present it must equal ``|rf|``; build display views
-    with :func:`usproc.tof.detect_envelope`, which replaces ``rf`` by the
+    When ``envelope`` is present it must equal ``|rf|``; build it with
+    :func:`usproc.tof.detect_envelope`, which replaces ``rf`` by the
     per-line analytic signal so that this invariant carries the B-mode
-    meaning.  ``log_db`` when present is normalized: max exactly 0, all
-    values in [-dynamic_range, 0].  ``rf`` is float64 when the estimate is
-    real (a beamformer fed real channel data) and complex128 otherwise.
+    meaning.  ``rf`` is float64 when the estimate is real (a beamformer fed
+    real channel data) and complex128 otherwise.
     """
 
     rf: np.ndarray              # (Rx, Rz) float64 or complex128
     grid: ImagingGrid
     envelope: np.ndarray | None = None
-    log_db: np.ndarray | None = None
 
     def __post_init__(self):
         rf = _frozen_samples(self.rf)
@@ -290,13 +288,6 @@ class BeamformedImage:
             if not np.allclose(env, np.abs(rf), rtol=1e-12, atol=1e-300):
                 raise ValueError("envelope must equal |rf|")
             object.__setattr__(self, "envelope", env)
-        if self.log_db is not None:
-            ldb = _frozen(self.log_db, dtype=np.float64)
-            if ldb.shape != rf.shape:
-                raise DimensionMismatchError("dimension-mismatch: log_db shape")
-            if ldb.max() != 0.0 or np.any(ldb > 0):
-                raise ValueError("log_db must be <= 0 with max exactly 0")
-            object.__setattr__(self, "log_db", ldb)
 
 
 @dataclass(frozen=True)

@@ -105,35 +105,27 @@ class SparseProblem:
             raise ValueError("tol must be > 0")
 
 
-def _unit_normal(rng, n):
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return v / np.sqrt(np.sum(np.abs(v) ** 2))
-
-
-def _apply(op, v, real):
-    """``op(v)``; a real operator gets Re v and Im v as two float64 vectors.
-
-    A real linear map takes a + ib to A a + i A b, so the real form gives
-    the complex one's value up to roundoff while only real vectors reach it.
-    """
+def _unit_normal(rng, n, real: bool):
+    v = rng.standard_normal(n)
     if not real:
-        return np.asarray(op(v))
-    re, im = np.asarray(op(v.real)), np.asarray(op(v.imag))
-    if np.iscomplexobj(re) or np.iscomplexobj(im):
-        raise ValueError("a real operator must map real vectors to real vectors")
-    return re + 1j * im
+        v = v + 1j * rng.standard_normal(n)
+    return v / np.sqrt(np.sum(np.abs(v) ** 2))
 
 
 def _check_adjoint(forward, adjoint, dim: int, real: bool):
     """Raise ``adjoint-mismatch`` unless <A x, y> = <x, A^H y> to 1e-8
-    relative on two pairs of random unit vectors."""
+    relative on two pairs of random unit vectors, drawn in the problem's
+    dtype: float64 for a real problem, whose maps must then return real
+    arrays, and complex128 otherwise."""
     rng = np.random.Generator(np.random.Philox(key=0x15745EED))
     for _ in range(2):
-        x = _unit_normal(rng, dim)
-        ax = _apply(forward, x, real)
-        y = _unit_normal(rng, ax.shape[0])
-        lhs = np.vdot(ax, y)
-        rhs = np.vdot(x, _apply(adjoint, y, real))
+        x = _unit_normal(rng, dim, real)
+        ax = np.asarray(forward(x))
+        y = _unit_normal(rng, ax.shape[0], real)
+        aty = np.asarray(adjoint(y))
+        if real and (np.iscomplexobj(ax) or np.iscomplexobj(aty)):
+            raise ValueError("a real operator must map real vectors to real vectors")
+        lhs, rhs = np.vdot(ax, y), np.vdot(x, aty)
         if abs(lhs - rhs) > 1e-8 * max(1.0, abs(lhs), abs(rhs)):
             raise AdjointMismatchError(
                 f"adjoint-mismatch: <Ax,y>={lhs:.6e} vs <x,A^H y>={rhs:.6e}")

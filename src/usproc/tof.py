@@ -279,10 +279,3 @@ def detect_envelope(image: BeamformedImage) -> BeamformedImage:
     """B-mode view: replace rf by its per-line analytic signal, add envelope."""
     analytic = analytic_signal(image.rf, axis=-1)
     return BeamformedImage(analytic, image.grid, envelope=np.abs(analytic))
-
-
-def log_view(image: BeamformedImage, dynamic_range_db: float) -> BeamformedImage:
-    """Attach a normalized log-compressed view (computes envelope if absent)."""
-    img = image if image.envelope is not None else detect_envelope(image)
-    return BeamformedImage(img.rf, img.grid, envelope=img.envelope,
-                           log_db=log_compress(img.envelope, dynamic_range_db))

@@ -61,11 +61,16 @@ class LocalizationSet:
         return self.detections.shape[0]
 
 
+def psf_radius(sigma: float) -> int:
+    """Half-width r = ceil(4 sigma) of :func:`gaussian_psf`'s kernel."""
+    return math.ceil(4.0 * sigma)
+
+
 def gaussian_psf(sigma: float) -> np.ndarray:
-    """Unit-peak Gaussian kernel on (2r+1)^2 pixels, r = ceil(4 sigma)."""
+    """Unit-peak Gaussian kernel on (2r+1)^2 pixels, r = :func:`psf_radius`."""
     if sigma <= 0:
         raise ValueError("psf sigma must be > 0")
-    r = int(math.ceil(4.0 * sigma))
+    r = psf_radius(sigma)
     d = np.arange(-r, r + 1)
     return np.exp(-(d[:, None] ** 2 + d[None, :] ** 2) / (2.0 * sigma * sigma))
 
@@ -92,7 +97,7 @@ def render_frame(hr_shape, positions, sigma) -> np.ndarray:
 
 def reference_peak(psf_sigma: float, downsample_factor: int) -> float:
     """LR peak of one centered unit bubble; the SNR reference amplitude."""
-    r = int(math.ceil(4.0 * psf_sigma)) + downsample_factor
+    r = psf_radius(psf_sigma) + downsample_factor
     size = 2 * r * downsample_factor
     hr = render_frame((size, size), np.array([[size / 2.0, size / 2.0]]), psf_sigma)
     return float(block_average(hr, downsample_factor).max())

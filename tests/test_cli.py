@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_same_float32, traced_peak
-from oracles import dense_norm, simulate_full_trace
+from oracles import analytic_direct, dense_norm, simulate_full_trace
 
 from usproc import beamform as bf
 from usproc import cli, core
@@ -718,6 +718,31 @@ class TestSimulateBeamform:
                     "--method", "das"]) == 0
         assert (tmp_path / "img.uim1").exists()
         assert (tmp_path / "img.pgm").read_bytes().startswith(b"P5\n")
+
+    def test_pgm_is_the_log_compressed_envelope(self, tmp_path):
+        # each axial line of the UIM1 rf, through the dense-DFT analytic
+        # signal and a numpy log compression, gives the PGM to one grey
+        # level (the UIM1 rf is the float32 rounding of the CLI's)
+        field = write_field(tmp_path / "f.txt",
+                            "0.0 0.008 1.0\n-0.001 0.0095 -0.4\n")
+        cube = str(tmp_path / "c.urf")
+        assert run(["simulate", "--field", field, "--out", cube,
+                    "--num-elements", "8"]) == 0
+        dyn = 40.0
+        assert run(["beamform", "--in", cube, "--out", str(tmp_path / "img"),
+                    "--method", "das", "--set", "bf.grid_nx", "10",
+                    "--set", "bf.grid_nz", "48", "--set", "bf.dyn_range", str(dyn)]) == 0
+        rf = uio.read_uim1(tmp_path / "img.uim1")
+        env = np.abs([analytic_direct(line) for line in rf])
+        with np.errstate(divide="ignore"):
+            db = np.clip(20.0 * np.log10(env / env.max()), -dyn, 0.0)
+        expected = np.round((db + dyn) / dyn * 255.0)
+        raw = (tmp_path / "img.pgm").read_bytes()
+        header = f"P5\n{rf.shape[0]} {rf.shape[1]}\n255\n".encode("ascii")
+        assert raw.startswith(header)
+        pgm = np.frombuffer(raw[len(header):], np.uint8).reshape(rf.shape[::-1]).T
+        assert np.max(np.abs(pgm - expected)) <= 1.0
+        assert np.ptp(pgm) > 100   # the view spans the range, not one grey
 
     @pytest.mark.parametrize("scheme", ["pw", "sa"])
     def test_urf1_stores_the_whole_trace_sum(self, tmp_path, scheme):

@@ -354,6 +354,13 @@ class TestRealIsta:
                            np.linalg.norm(a, 2), max_iters=5, real=True))
         assert len(seen) > 5 and set(seen) == {np.dtype(np.float64)}
 
+    def test_adjoint_mismatch_detected(self):
+        # A in place of A^T: the real vectors of the check must expose it
+        a = np.random.default_rng(12).standard_normal((5, 5))
+        with pytest.raises(AdjointMismatchError, match="adjoint-mismatch"):
+            ista(SparseProblem(lambda v: a @ v, lambda r: a @ r, np.ones(5), 0.1,
+                               np.linalg.norm(a, 2), real=True))
+
     def test_real_mode_rejects_complex_output(self):
         a = np.random.default_rng(14).standard_normal((4, 4)) * (1 + 1j)
         with pytest.raises(ValueError, match="real operator"):
