@@ -1,7 +1,7 @@
 """Model-based ultrasound signal processing toolkit.
 
-Submodules: ``core`` (domain types), ``numerics`` (FFT/solve/SVD over
-numpy.fft and numpy.linalg), ``simulator``, ``tof`` (delays, focusing,
+Submodules: ``core`` (domain types), ``numerics`` (Hermitian solve and
+SVD over numpy.linalg), ``simulator``, ``tof`` (delays, focusing,
 envelope), ``beamform`` (DAS/MV/Wiener/CF/iMAP/compounding), ``sparse``
 (ISTA with its step from each model's closed-form norm, and friends),
 ``clutter`` (SVT/RPCA), ``ulm`` (localization microscopy), ``metrics``,

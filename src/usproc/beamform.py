@@ -49,8 +49,8 @@ class CovarianceConfig:
 
 
 def default_covariance_config(num_channels: int) -> CovarianceConfig:
-    """Common stable choices: L = C/2 (floor, min 1), K = 2, eps = 0.01."""
-    return CovarianceConfig(max(num_channels // 2, 1), 2, 0.01)
+    """L = C/2 (floor, min 1), with the field defaults K = 2, eps = 0.01."""
+    return CovarianceConfig(max(num_channels // 2, 1))
 
 
 def das(focused: FocusedTensor, apod: ApodizationWindow) -> BeamformedImage:
@@ -248,7 +248,7 @@ def compound(images, mode: str = MEAN, cfg: CovarianceConfig | None = None,
         raise ValueError(f"unknown compounding mode {mode!r}")
 
     if cfg is None:
-        cfg = CovarianceConfig(stack.shape[0], 2, 0.01)
+        cfg = CovarianceConfig(stack.shape[0])
     k = cfg.temporal_half_window
     rf = np.zeros(grid.shape, dtype=stack.dtype)
     for ix in range(rf.shape[0]):

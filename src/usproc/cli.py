@@ -39,7 +39,6 @@ from .core import (
     row_blocks,
 )
 from .errors import ConfigError, FileFormatError, UsprocError
-from .numerics import fft
 from .simulator import PulseModel, simulate, transmit_distances
 
 # ---------------------------------------------------------------------------
@@ -255,8 +254,11 @@ def _check_relations(cfg: PipelineConfig) -> None:
     for lo, hi in (_GRID_KEYS[:2], _GRID_KEYS[2:]):
         if cfg[lo] >= cfg[hi]:   # False while either is nan (auto)
             raise ConfigError(f"{lo} = {cfg[lo]} must be below {hi} = {cfg[hi]}")
-    r = ulm.psf_radius(cfg["ulm.psf_sigma"])
-    _check_size("ULM PSF (ulm.psf_sigma)", 2 * r + 1, 2 * r + 1)
+    try:
+        side = 2 * ulm.psf_radius(cfg["ulm.psf_sigma"]) + 1
+    except OverflowError:   # the radius overflowed to inf
+        side = math.inf
+    _check_size("ULM PSF (ulm.psf_sigma)", side, side)
 
 
 # ---------------------------------------------------------------------------
@@ -359,11 +361,16 @@ def _write_image_outputs(prefix: Path, image, dyn_range: float):
     return env
 
 
-def _write_csv(path, rows) -> None:
+_METRICS_HEADER = ("metric", "name", "value")
+
+
+def _write_csv(path, header, rows) -> None:
+    """CRLF lines of ``header`` then ``rows``: a str or int cell as it is,
+    any other number as the repr of its float."""
     with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write("metric,name,value\r\n")
-        for metric, name, value in rows:
-            fh.write(f"{metric},{name},{float(value)!r}\r\n")
+        for row in (header, *rows):
+            fh.write(",".join(str(c) if isinstance(c, (str, int)) else repr(float(c))
+                              for c in row) + "\r\n")
 
 
 def _auto_nt(array, events, field, v, pulse) -> int:
@@ -489,7 +496,7 @@ def _cmd_recover(args) -> int:
     bins = _read_bins(args.bins, trace.size)
     model = sp.ScanlineModel(np.ones(bins.size, dtype=np.complex128), bins,
                              trace.size)
-    y_tilde = fft(trace)[bins]
+    y_tilde = model.forward(trace)
     lam = _sparse_lambda(cfg, lambda: model.adjoint(y_tilde))
     x = sp.recover_scanline(model, y_tilde, lam, max_iters=cfg["sparse.max_iters"],
                             tol=cfg["sparse.tol"])
@@ -503,7 +510,7 @@ def _cmd_deconvolve(args) -> int:
     cfg = _resolve_config(args)
     image = uio.read_uim1(args.infile)
     psf = uio.read_uim1(args.psf)
-    lam = _sparse_lambda(cfg, lambda: sp.corr2_same_adjoint(image, psf))
+    lam = _sparse_lambda(cfg, lambda: sp.Conv2Same(image.shape, psf).adjoint(image))
     out = sp.deconvolve(image, psf, lam, max_iters=cfg["sparse.max_iters"],
                         tol=cfg["sparse.tol"])
     uio.write_uim1(args.out + ".uim1", out)
@@ -527,11 +534,8 @@ def _cmd_clutter(args) -> int:
             cas, lam1, lam2, cfg["clutter.mu1"], cfg["clutter.mu2"],
             cfg["clutter.iters"], cfg["clutter.tol"])
     shape = cas.spatial_shape
-    tis_seq, bld_seq = (np.stack([x[:, i].real.reshape(shape, order="F")
-                                  for i in range(cas.num_frames)])
-                        for x in (tissue, blood))
-    uio.write_uim1_seq(args.out + "_tissue.uim1", tis_seq)
-    uio.write_uim1_seq(args.out + "_blood.uim1", bld_seq)
+    uio.write_uim1_seq(args.out + "_tissue.uim1", cl.unbuild_casorati(tissue, shape))
+    uio.write_uim1_seq(args.out + "_blood.uim1", cl.unbuild_casorati(blood, shape))
     power = cl.power_doppler(blood, shape)
     uio.write_pgm_linear(args.out + "_doppler.pgm", power)
     cfg.dump(args.out + ".config.txt", args.seed)
@@ -566,11 +570,8 @@ def _cmd_ulm(args) -> int:
     density = ulm.accumulate(sets, hr_shape)
     uio.write_uim1(args.out + "_density.uim1", density)
     uio.write_pgm_linear(args.out + "_density.pgm", density)
-    with open(args.out + "_detections.csv", "w", encoding="ascii", newline="") as fh:
-        fh.write("frame,x,z,intensity\r\n")
-        for t, lset in enumerate(sets):
-            for x, z, inten in lset.detections:
-                fh.write(f"{t},{float(x)!r},{float(z)!r},{float(inten)!r}\r\n")
+    _write_csv(args.out + "_detections.csv", ("frame", "x", "z", "intensity"),
+               ((t, *det) for t, lset in enumerate(sets) for det in lset.detections))
     cfg.dump(args.out + ".config.txt", args.seed)
     print(f"wrote {args.out}_density.uim1/.pgm and _detections.csv "
           f"({sum(len(s) for s in sets)} detections)")
@@ -598,7 +599,7 @@ def _cmd_metrics(args) -> int:
         rows.append(("nmse", "vs_ref", mx.nmse(image, uio.read_uim1(args.ref))))
     if not rows:
         raise ConfigError("metrics: need regions (metrics.region_a/b) or --ref")
-    _write_csv(args.out, rows)
+    _write_csv(args.out, _METRICS_HEADER, rows)
     cfg.dump(args.out + ".config.txt", args.seed)
     print(f"wrote {args.out} ({len(rows)} metrics)")
     return 0
@@ -658,7 +659,7 @@ def _cmd_demo(args) -> int:
         env = _write_image_outputs(outdir / method, image, dyn)
         rows.append(("contrast_db", method, mx.contrast_db(env, grid, bg, cyst)))
         rows.append(("cnr", method, mx.cnr(env, grid, bg, cyst)))
-    _write_csv(outdir / "metrics.csv", rows)
+    _write_csv(outdir / "metrics.csv", _METRICS_HEADER, rows)
     cfg.dump(outdir / "demo.config.txt", args.seed)
     print(f"wrote demo outputs to {outdir}")
     return 0

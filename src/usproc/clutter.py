@@ -61,17 +61,18 @@ def build_casorati(frames) -> CasoratiMatrix:
     return CasoratiMatrix(cols, shape, len(frames))
 
 
-def unbuild_casorati(cas: CasoratiMatrix) -> list[np.ndarray]:
-    """Inverse of :func:`build_casorati`; bit-exact round trip."""
-    n, m = cas.spatial_shape
-    return [cas.data[:, t].reshape((n, m), order="F")
-            for t in range(cas.num_frames)]
+def unbuild_casorati(data, spatial_shape) -> np.ndarray:
+    """Inverse of :func:`build_casorati` for (N*M, T) data, such as a
+    Casorati matrix's or a component split from it: the (T, N, M) stack of
+    its frames, a bit-exact round trip."""
+    n, m = spatial_shape
+    return np.asarray(data).reshape((n, m, -1), order="F").transpose(2, 0, 1)
 
 
 def _svt_with_nuclear(y: np.ndarray, lam: float):
-    res = svd(y)
-    s = np.maximum(res.singular_values - lam, 0.0)
-    out = (res.u * s) @ res.v.conj().T
+    u, s, vh = svd(y)
+    s = np.maximum(s - lam, 0.0)
+    out = (u * s) @ vh
     return out, float(np.sum(s))
 
 
@@ -101,8 +102,8 @@ def mixed_l12_norm(x) -> float:
 def default_lambda1(y) -> float:
     """Scale-aware default: s_1(Y) / sqrt(max(NM, T))."""
     y = np.asarray(y, dtype=working_dtype(y))
-    s1 = svd(y).singular_values[0]
-    return float(s1 / np.sqrt(max(y.shape)))
+    _, s, _ = svd(y)
+    return float(s[0] / np.sqrt(max(y.shape)))
 
 
 def rpca(cas: CasoratiMatrix, lam1: float, lam2: float, mu1: float = 0.5,
@@ -149,14 +150,7 @@ def rpca(cas: CasoratiMatrix, lam1: float, lam2: float, mu1: float = 0.5,
     return x_t, x_b, iters
 
 
-def power_doppler(x_blood: CasoratiMatrix | np.ndarray,
-                  spatial_shape=None) -> np.ndarray:
-    """Per-pixel temporal l2 of the flow component, as a spatial map."""
-    if isinstance(x_blood, CasoratiMatrix):
-        data, shape = x_blood.data, x_blood.spatial_shape
-    else:
-        data, shape = np.asarray(x_blood), spatial_shape
-    power = np.sqrt(np.sum(np.abs(data) ** 2, axis=1))
-    if shape is None:
-        return power
-    return power.reshape(shape, order="F")
+def power_doppler(x_blood, spatial_shape) -> np.ndarray:
+    """Per-pixel temporal l2 of an (N*M, T) flow component, as an (N, M) map."""
+    power = np.sqrt(np.sum(np.abs(np.asarray(x_blood)) ** 2, axis=1))
+    return power.reshape(spatial_shape, order="F")

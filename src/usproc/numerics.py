@@ -1,18 +1,17 @@
-"""Numerical kernels: FFT, Hermitian solve, SVD.
+"""Numerical kernels: Hermitian solve, SVD.
 
-All kernels are pure functions with no global state.  The FFT, the solve
-and the SVD are numpy's own (``numpy.fft`` and ``numpy.linalg``, backed by
-pocketfft and LAPACK); this module keeps the toolkit's input checks, maps
-LAPACK failures onto the toolkit's named errors and takes LAPACK's results
-as they come.  The Hermitian solve's Cholesky is only its positive-definite
-test: one LU solve gives x.  The solve and the SVD work in float64 on real
-operands and in complex128 as soon as one operand is complex
-(:func:`working_dtype`), so real data never pays for complex arithmetic.
+All kernels are pure functions with no global state.  The solve and the
+SVD are numpy's own (``numpy.linalg``, backed by LAPACK); this module keeps
+the toolkit's input checks, maps LAPACK failures onto the toolkit's named
+errors and takes LAPACK's results as they come.  The Hermitian solve's
+Cholesky is only its positive-definite test: one LU solve gives x.  The
+solve and the SVD work in float64 on real operands and in complex128 as
+soon as one operand is complex (:func:`working_dtype`), so real data never
+pays for complex arithmetic.  FFTs are ``numpy.fft``, called where they are
+needed.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,21 +25,6 @@ from .errors import (
 def working_dtype(*arrays) -> type:
     """complex128 if any operand is complex, float64 otherwise."""
     return np.complex128 if any(map(np.iscomplexobj, arrays)) else np.float64
-
-
-# ---------------------------------------------------------------------------
-# FFT
-
-
-def fft(signal, inverse: bool = False) -> np.ndarray:
-    """Exact DFT (or IDFT with the 1/N factor) of a 1-D sequence of any length.
-
-    Forward: X[k] = sum_n x[n] exp(-2i pi k n / N).
-    """
-    x = np.asarray(signal, dtype=np.complex128)
-    if x.ndim != 1 or x.size < 1:
-        raise DimensionMismatchError("dimension-mismatch: fft expects a 1-D sequence")
-    return np.fft.ifft(x) if inverse else np.fft.fft(x)
 
 
 # ---------------------------------------------------------------------------
@@ -79,28 +63,9 @@ def solve_hermitian(a, b) -> np.ndarray:
 # SVD
 
 
-@dataclass(frozen=True)
-class SvdResult:
-    """Thin SVD A = U diag(s) V^H with r = min(M, N) columns.
-
-    Only the singular values' sign and order are checked; U and V are
-    LAPACK's."""
-
-    u: np.ndarray
-    singular_values: np.ndarray
-    v: np.ndarray
-
-    def __post_init__(self):
-        s = self.singular_values
-        if np.any(s < 0) or np.any(np.diff(s) > 0):
-            raise ValueError("singular values must be nonnegative, descending")
-
-    def compose(self) -> np.ndarray:
-        return (self.u * self.singular_values) @ self.v.conj().T
-
-
-def svd(a) -> SvdResult:
-    """Thin singular value decomposition of a finite 2-D matrix.
+def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD A = (U * s) @ V^H of a finite 2-D matrix, as numpy's
+    ``(u, s, vh)`` with r = min(M, N) columns in U and rows in V^H.
 
     A real matrix is decomposed in float64 with real factors, a complex one
     in complex128.  Raises ``no-convergence`` when LAPACK's SVD does not
@@ -113,7 +78,6 @@ def svd(a) -> SvdResult:
     if not all_finite(a):
         raise ValueError("svd input must be finite")
     try:
-        u, s, vh = np.linalg.svd(a, full_matrices=False)
+        return np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"no-convergence: SVD failed ({exc})") from exc
-    return SvdResult(u, s, vh.conj().T)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AdjointMismatchError, DimensionMismatchError, StepTooLargeError
-from .numerics import fft, working_dtype
+from .numerics import working_dtype
 
 
 def soft_threshold(x, lam: float):
@@ -244,9 +244,9 @@ class ScanlineModel:
     def __post_init__(self):
         h = np.asarray(self.pulse_spectrum, dtype=np.complex128)
         bins = np.asarray(self.selected_bins, dtype=np.int64)
-        if h.ndim != 1 or bins.shape != h.shape:
+        if h.ndim != 1 or bins.shape != h.shape or self.n < 1:
             raise DimensionMismatchError(
-                "dimension-mismatch: pulse spectrum and bins must match 1-D")
+                "dimension-mismatch: pulse spectrum and bins must match 1-D, N >= 1")
         if bins.size > self.n or np.unique(bins).size != bins.size:
             raise ValueError("bins must be unique and at most N of them")
         if np.any(bins < 0) or np.any(bins >= self.n):
@@ -261,13 +261,14 @@ class ScanlineModel:
         return math.sqrt(self.n) * float(np.max(np.abs(self.pulse_spectrum), initial=0.0))
 
     def forward(self, x):
-        return self.pulse_spectrum * fft(np.asarray(x).ravel())[self.selected_bins]
+        x = np.asarray(x, dtype=np.complex128).ravel()
+        return self.pulse_spectrum * np.fft.fft(x)[self.selected_bins]
 
     def adjoint(self, y):
         """Zero-filled inverse DFT of conj(H) y, scaled to the true adjoint."""
         z = np.zeros(self.n, dtype=np.complex128)
         z[self.selected_bins] = np.conj(self.pulse_spectrum) * np.asarray(y).ravel()
-        return self.n * fft(z, inverse=True)
+        return self.n * np.fft.ifft(z)
 
 
 def recover_scanline(model: ScanlineModel, y_tilde, lam: float,
@@ -352,18 +353,6 @@ class Conv2Same:
         else:
             full = np.fft.ifft2(np.fft.fft2(ypad) * np.conj(self.kernel_fft))
         return full[:self.shape[0], :self.shape[1]]
-
-
-def conv2_same(x, h):
-    """Zero-padded convolution cropped to x's shape ('same')."""
-    x = np.asarray(x)
-    return Conv2Same(x.shape, h).forward(x)
-
-
-def corr2_same_adjoint(y, h):
-    """Exact adjoint of :func:`conv2_same` (correlation with the kernel)."""
-    y = np.asarray(y)
-    return Conv2Same(y.shape, h).adjoint(y)
 
 
 def deconvolve(y, psf, lam: float, max_iters: int = 5000,

@@ -333,6 +333,15 @@ class TestExitCodes:
         assert err.startswith("config error:") and key in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv", [["simulate", "--field"], ["ulm", "--frames"],
+                                      ["clutter", "--in"]])
+    def test_overflowing_psf_sigma_exit_1(self, tmp_path, capsys, argv):
+        # every subcommand sizes the ULM PSF; 4 sigma overflows to inf here
+        rc = run(argv + [str(tmp_path / "missing"), "--out", str(tmp_path / "o"),
+                         "--set", "ulm.psf_sigma", "1e308"])
+        assert_config_error(rc, capsys, "ulm.psf_sigma")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("command", ["simulate", "demo"])
     @pytest.mark.parametrize("key,value", [
         ("sim.fs_factor", "inf"), ("sim.fs_factor", "1e305"),

@@ -31,9 +31,11 @@ class TestCasorati:
     def test_round_trip_bit_exact(self):
         rng = np.random.default_rng(0)
         frames = [rng.standard_normal((3, 5)) for _ in range(4)]
-        back = unbuild_casorati(build_casorati(frames))
+        cas = build_casorati(frames)
+        back = unbuild_casorati(cas.data, cas.spatial_shape)
+        assert back.shape == (4, 3, 5)
         for a, b in zip(frames, back):
-            assert np.array_equal(a, b.real)
+            assert np.array_equal(a, b)
 
     def test_single_frame_rejected(self):
         with pytest.raises(DimensionMismatchError, match="dimension-mismatch"):
@@ -163,8 +165,9 @@ def test_svd_factors_orthonormal_on_flow_scene(tmp_path, monkeypatch):
     assert run(["clutter", "--in", str(seq), "--method", "rpca",
                 "--out", str(tmp_path / "flow")]) == 0
     assert len(results) > 30          # default_lambda1's, then one per iteration
-    for res in results:
-        for q in (res.u, res.v):
+    for u, s, vh in results:
+        assert np.all(s >= 0) and np.all(np.diff(s) <= 0)
+        for q in (u, vh.T):
             assert q.dtype == np.float64
             assert np.max(np.abs(q.T @ q - np.eye(q.shape[1]))) <= 1e-10
 
@@ -280,6 +283,6 @@ def test_power_doppler_is_temporal_l2():
     rng = np.random.default_rng(10)
     frames = rng.standard_normal((6, 2, 3))
     cas = build_casorati(list(frames))
-    pd = power_doppler(cas)
+    pd = power_doppler(cas.data, cas.spatial_shape)
     manual = np.sqrt(np.sum(frames ** 2, axis=0))
     assert np.allclose(pd, manual, atol=1e-12)

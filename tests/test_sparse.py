@@ -11,8 +11,6 @@ from usproc.sparse import (
     Conv2Same,
     ScanlineModel,
     SparseProblem,
-    conv2_same,
-    corr2_same_adjoint,
     deconvolve,
     ista,
     recover_scanline,
@@ -341,8 +339,8 @@ class TestRealIsta:
             SparseProblem(lambda v: v, lambda r: r, np.ones(2), 0.1)
 
     def test_real_mode_sees_float64_only(self):
-        # the adjoint check hands a real problem's maps Re and Im of its
-        # draws as two float64 vectors, and the iterations stay real
+        # the adjoint check draws float64 vectors for a real problem, and
+        # the iterations stay real
         a = np.random.default_rng(13).standard_normal((7, 12))
         seen = []
 
@@ -466,6 +464,10 @@ class TestModelNorms:
         assert model.norm == 0.0
         assert not np.any(recover_scanline(model, np.zeros(0), 0.0))
 
+    def test_scanline_of_no_samples_rejected(self):
+        with pytest.raises(DimensionMismatchError, match="N >= 1"):
+            ScanlineModel(np.ones(0), np.zeros(0, dtype=np.int64), 0)
+
     @pytest.mark.parametrize("kshape", [(3, 3), (4, 5), (1, 6), (7, 2)])
     @pytest.mark.parametrize("complex_", [False, True])
     def test_conv_norm_bounds_dense_norm(self, kshape, complex_):
@@ -545,7 +547,7 @@ class TestConvOperators:
         rng = np.random.default_rng(8)
         x = rng.standard_normal((6, 7))
         h = rng.standard_normal((3, 3))
-        out = conv2_same(x, h).real
+        out = Conv2Same(x.shape, h).forward(x)
         direct = np.zeros_like(x)
         for a in range(3):
             for b in range(3):
@@ -575,8 +577,8 @@ class TestDeconvolve:
             truth[i, j] = rng.uniform(1.0, 2.0)
         d = np.arange(-4, 5)
         psf = np.exp(-(d[:, None] ** 2 + d[None, :] ** 2) / (2 * 1.5 ** 2))
-        y = conv2_same(truth, psf).real
-        lam = 0.05 * np.max(np.abs(corr2_same_adjoint(y, psf)))
+        y = Conv2Same(truth.shape, psf).forward(truth)
+        lam = 0.05 * np.max(np.abs(Conv2Same(y.shape, psf).adjoint(y)))
         x = deconvolve(y, psf, lam, max_iters=3000, tol=1e-10)
         flat = np.argsort(x.ravel())[::-1][:3]
         found = {divmod(int(f), 24) for f in flat}
