@@ -551,7 +551,6 @@ def _cmd_ulm(args) -> int:
     hr_shape = (frames.shape[1] * factor, frames.shape[2] * factor)
     _check_size("ULM HR grid (ulm.factor)", *hr_shape)
     thr, radius = cfg["ulm.threshold"], cfg["ulm.window_radius"]
-    psf = ulm.gaussian_psf(cfg["ulm.psf_sigma"])
     sets = []
     if method == "centroid":
         for frame in frames:
@@ -559,12 +558,15 @@ def _cmd_ulm(args) -> int:
             det[:, :2] = det[:, :2] * factor + (factor - 1) / 2.0
             sets.append(ulm.LocalizationSet(det))
     else:
+        _check_size("ULM per-axis operators n x n, n = max(HR grid) (ulm.factor)",
+                    max(hr_shape), max(hr_shape))
+        model = ulm.LocalizationModel(frames.shape[1:],
+                                      ulm.gaussian_psf(cfg["ulm.psf_sigma"]), factor)
         # each block of frames is solved as one batch
         for block in row_blocks(len(frames), hr_shape[0] * hr_shape[1]):
             stack = frames[block]
-            lam = cfg["ulm.lambda_frac"] * ulm.max_correlation(stack, psf, factor)
-            hr = ulm.localize_sparse(stack, psf, lam, factor,
-                                     max_iters=cfg["ulm.max_iters"],
+            lam = cfg["ulm.lambda_frac"] * ulm.max_correlation(stack, model)
+            hr = ulm.localize_sparse(stack, model, lam, max_iters=cfg["ulm.max_iters"],
                                      tol=cfg["ulm.tol"])
             sets += [ulm.detect_centroids(h, thr, radius) for h in hr]
     density = ulm.accumulate(sets, hr_shape)

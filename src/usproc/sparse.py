@@ -13,13 +13,12 @@ have had alone; a single problem is a one-row stack.  The step is
 1 / (1.01 ||A||)^2, with ||A|| the spectral norm, or a bound on it, that
 each model states in closed form: nothing is estimated.  On top of it sit
 the Fourier-domain sub-Nyquist scanline recovery (partial DFT times pulse
-spectrum, of norm sqrt(N) max|h|) and zero-padded image deconvolution (of
-norm at most the kernel spectrum's peak).
+spectrum, of norm sqrt(N) max|h|) and zero-padded deconvolution of a real
+image under a real kernel (of norm at most the kernel spectrum's peak).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -284,20 +283,26 @@ def recover_scanline(model: ScanlineModel, y_tilde, lam: float,
 # 2-D convolution operators (zero padded) and deconvolution
 
 
+def _real(a, what: str) -> np.ndarray:
+    """``a`` as float64; a complex array is rejected, not cast."""
+    if np.iscomplexobj(a):
+        raise ValueError(f"convolution {what} must be real")
+    return np.asarray(a, dtype=np.float64)
+
+
 class Conv2Same:
-    """'Same'-size zero-padded 2-D convolution with a cached kernel spectrum.
+    """'Same'-size zero-padded 2-D convolution with a real kernel, over real
+    FFTs with the kernel's spectrum cached.
 
     ``forward`` crops the full linear convolution to the image shape;
     ``adjoint`` is its exact adjoint (correlation with the kernel), realized
     by embedding at the crop offset and multiplying by the conjugate
     spectrum, so the adjoint identity holds to roundoff for any kernel size.
-
-    When the kernel and the input are both real, both maps run over real
-    FFTs and return float64; any complex operand takes the complex128 path.
+    The kernel and the operands must be real; both maps return float64.
     """
 
     def __init__(self, image_shape, kernel):
-        kernel = np.asarray(kernel)
+        kernel = _real(kernel, "kernel")
         self.shape = tuple(image_shape)
         if 0 in self.shape or kernel.size == 0:
             raise DimensionMismatchError(
@@ -305,69 +310,40 @@ class Conv2Same:
         self.full = (self.shape[0] + kernel.shape[0] - 1,
                      self.shape[1] + kernel.shape[1] - 1)
         self.offset = ((kernel.shape[0] - 1) // 2, (kernel.shape[1] - 1) // 2)
-        self._kernel = kernel.astype(np.complex128)
-        self.real_kernel = not np.iscomplexobj(kernel)
-        if self.real_kernel:
-            self.kernel_rfft = np.fft.rfft2(kernel.astype(np.float64), self.full)
-            self.kernel_rfft_conj = np.conj(self.kernel_rfft)
-
-    @functools.cached_property
-    def kernel_fft(self):
-        """Full complex spectrum, computed when a complex operand first needs it."""
-        return np.fft.fft2(self._kernel, self.full)
-
-    @functools.cached_property
-    def norm(self) -> float:
-        """max |kernel spectrum| on the ``full`` grid, a bound on the map's
-        spectral norm: on that grid the linear convolution is a circular
-        one, between a zero-padding embedding and a crop of norm 1 each."""
-        spectrum = self.kernel_rfft if self.real_kernel else self.kernel_fft
-        return float(np.max(np.abs(spectrum)))
-
-    def _is_real(self, a) -> bool:
-        return self.real_kernel and not np.iscomplexobj(a)
+        self.kernel_rfft = np.fft.rfft2(kernel, self.full)
+        self.kernel_rfft_conj = np.conj(self.kernel_rfft)
+        # max |kernel spectrum| on the ``full`` grid, a bound on the map's
+        # spectral norm: on that grid the linear convolution is a circular
+        # one, between a zero-padding embedding and a crop of norm 1 each
+        self.norm = float(np.max(np.abs(self.kernel_rfft)))
 
     def forward(self, x):
-        x = np.asarray(x)
-        if self._is_real(x):
-            x = np.asarray(x, dtype=np.float64).reshape(self.shape)
-            full = np.fft.irfft2(np.fft.rfft2(x, self.full) * self.kernel_rfft,
-                                 self.full)
-        else:
-            x = np.asarray(x, dtype=np.complex128).reshape(self.shape)
-            full = np.fft.ifft2(np.fft.fft2(x, self.full) * self.kernel_fft)
+        x = _real(x, "operand").reshape(self.shape)
+        full = np.fft.irfft2(np.fft.rfft2(x, self.full) * self.kernel_rfft,
+                             self.full)
         o0, o1 = self.offset
         return full[o0:o0 + self.shape[0], o1:o1 + self.shape[1]]
 
     def adjoint(self, y):
-        y = np.asarray(y)
-        real = self._is_real(y)
-        dtype = np.float64 if real else np.complex128
-        y = np.asarray(y, dtype=dtype).reshape(self.shape)
+        y = _real(y, "operand").reshape(self.shape)
         o0, o1 = self.offset
-        ypad = np.zeros(self.full, dtype=dtype)
+        ypad = np.zeros(self.full)
         ypad[o0:o0 + self.shape[0], o1:o1 + self.shape[1]] = y
-        if real:
-            full = np.fft.irfft2(np.fft.rfft2(ypad) * self.kernel_rfft_conj,
-                                 self.full)
-        else:
-            full = np.fft.ifft2(np.fft.fft2(ypad) * np.conj(self.kernel_fft))
+        full = np.fft.irfft2(np.fft.rfft2(ypad) * self.kernel_rfft_conj,
+                             self.full)
         return full[:self.shape[0], :self.shape[1]]
 
 
 def deconvolve(y, psf, lam: float, max_iters: int = 5000,
                tol: float = 1e-8) -> np.ndarray:
-    """l1-regularized deblurring of an image under a known PSF kernel.
-
-    Real image and PSF: solved and returned in float64; else complex128."""
+    """l1-regularized deblurring of a real image under a known real PSF
+    kernel, solved and returned in float64."""
     y = np.asarray(y)
     psf = np.asarray(psf)
     if psf.shape[0] > y.shape[0] or psf.shape[1] > y.shape[1]:
         raise DimensionMismatchError(
             "dimension-mismatch: psf must be smaller than the image")
-    shape = y.shape
-    real_io = not (np.iscomplexobj(y) or np.iscomplexobj(psf))
-    op = Conv2Same(shape, psf)
+    op = Conv2Same(y.shape, psf)
 
     def forward(x):
         return op.forward(x).ravel()
@@ -376,6 +352,6 @@ def deconvolve(y, psf, lam: float, max_iters: int = 5000,
         return op.adjoint(r).ravel()
 
     problem = SparseProblem(forward, adjoint, y.ravel(), lam, op.norm,
-                            max_iters=max_iters, tol=tol, real=real_io)
+                            max_iters=max_iters, tol=tol, real=True)
     x, _, _ = ista(problem)
-    return x.reshape(shape)
+    return x.reshape(y.shape)

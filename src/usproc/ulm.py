@@ -5,11 +5,11 @@ through a Gaussian PSF and a block-averaging downsampler.  Localization is
 either classic centroid detection on the low-resolution (LR) frame or sparse
 coding: ISTA on the HR grid with forward = convolve-then-downsample, which
 is what resolves bubbles below the diffraction-limited PSF width.  That
-forward map is applied as separable per-axis matrices, one pair per
-rank-one term of the PSF, and a stack of frames is solved as one ISTA
-batch whose every frame gets the bits of its solve alone.  The model's
-norm, from which ISTA takes its step, comes in closed form from those
-matrices' spectral norms.
+model, a :class:`LocalizationModel` built once for a frame shape, PSF and
+factor, applies the forward map as separable per-axis matrices, one pair
+per rank-one term of the PSF, and a stack of frames is solved as one ISTA
+batch whose every frame gets the bits of its solve alone.  ISTA takes its
+step from the model's norm, in closed form from those matrices' norms.
 
 Coordinates are (x, z) = (axis 0, axis 1) fractional HR pixel indices
 throughout.
@@ -17,6 +17,7 @@ throughout.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -137,18 +138,6 @@ def simulate_bubbles(hr_shape, n_frames: int, mean_bubbles_per_frame: float,
     return frames
 
 
-def max_correlation(frame, psf, downsample_factor: int):
-    """||A^H y||_inf of the localization model; the natural lambda scale.
-
-    A float for one (h, w) frame; an (F,) array for an (F, h, w) stack,
-    each entry equal to that frame's value alone.
-    """
-    frame = np.asarray(frame, dtype=np.float64)
-    _, adjoint, _, _ = _hr_model(frame.shape[-2:], psf, int(downsample_factor))
-    scale = np.max(np.abs(adjoint(frame.reshape(frame.shape[:-2] + (-1,)))), axis=-1)
-    return float(scale) if frame.ndim == 2 else scale
-
-
 def _axis_operators(taps, n: int, factor: int) -> np.ndarray:
     """(r, n/f, n) stack: per row of ``taps`` (r, k), 'same' 1-D convolution
     with that row (the full convolution cropped at offset (k-1)//2), then
@@ -160,10 +149,10 @@ def _axis_operators(taps, n: int, factor: int) -> np.ndarray:
     return conv.reshape(taps.shape[0], n // factor, factor, n).mean(axis=2)
 
 
-def _hr_model(lr_shape, psf, factor: int):
-    """Forward (convolve, then block-average) and adjoint maps of the
-    localization model on flattened float64 vectors, the HR shape, and
-    ``norm``, a bound on the model's spectral norm.
+class LocalizationModel:
+    """The localization model: convolve the HR image with a unit-peak PSF,
+    then block-average it by ``factor``, as forward and adjoint maps on
+    flattened float64 frames.
 
     The PSF is split by SVD into its r numerically nonzero rank-one terms
     (numpy's ``matrix_rank`` tolerance); a Gaussian has r = 1.  Term k
@@ -171,78 +160,89 @@ def _hr_model(lr_shape, psf, factor: int):
     forward(X) = sum_k A0_k X A1_k^T and adjoint(Y) = sum_k A0_k^T Y A1_k,
     added in k order.  Both maps take a (..., H*W) or (..., H/f*W/f) stack
     of flattened frames and map each frame as they map it alone: every term
-    is a 2-D product of the same views, whatever the stack.  Term k is the
-    Kronecker product A0_k (x) A1_k, of norm ||A0_k||_2 ||A1_k||_2, so
-    their sum ``norm`` is the model's norm for r = 1 and bounds it else.
+    is a 2-D product of the same views, whatever the stack.
     """
-    lr_shape = tuple(lr_shape)
-    psf = np.asarray(psf, dtype=np.float64)
-    if factor < 1:
-        raise ValueError("downsample factor must be >= 1")
-    hr_shape = (lr_shape[0] * factor, lr_shape[1] * factor)
-    if 0 in hr_shape or psf.size == 0:
-        raise DimensionMismatchError(
-            "dimension-mismatch: frame and psf need at least one pixel")
-    if not np.all(np.isfinite(psf)):
-        raise ValueError("psf must be finite")
-    u, s, vh = np.linalg.svd(psf, full_matrices=False)
-    rank = int(np.sum(s > s[0] * max(psf.shape) * np.finfo(np.float64).eps))
-    a0 = _axis_operators((u[:, :rank] * s[:rank]).T, hr_shape[0], factor)
-    a1 = _axis_operators(vh[:rank], hr_shape[1], factor)
-    norm = float(np.sum(np.linalg.norm(a0, 2, axis=(1, 2))
-                        * np.linalg.norm(a1, 2, axis=(1, 2))))
-    # transposed views, not copies: BLAS's transpose flag sets the bits
-    a0_t, a1_t = a0.transpose(0, 2, 1), a1.transpose(0, 2, 1)
 
-    def terms(left, v, right, shape):
+    def __init__(self, lr_shape, psf, factor: int):
+        self.lr_shape = tuple(lr_shape)
+        psf = np.asarray(psf, dtype=np.float64)
+        if factor < 1:
+            raise ValueError("downsample factor must be >= 1")
+        self.hr_shape = (self.lr_shape[0] * factor, self.lr_shape[1] * factor)
+        if 0 in self.hr_shape or psf.size == 0:
+            raise DimensionMismatchError(
+                "dimension-mismatch: frame and psf need at least one pixel")
+        if not np.all(np.isfinite(psf)):
+            raise ValueError("psf must be finite")
+        if abs(psf.max() - 1.0) > 1e-9:
+            raise ValueError("psf must be normalized to unit peak")
+        u, s, vh = np.linalg.svd(psf, full_matrices=False)
+        rank = int(np.sum(s > s[0] * max(psf.shape) * np.finfo(np.float64).eps))
+        self._a0 = _axis_operators((u[:, :rank] * s[:rank]).T, self.hr_shape[0], factor)
+        self._a1 = _axis_operators(vh[:rank], self.hr_shape[1], factor)
+        # transposed views, not copies: BLAS's transpose flag sets the bits
+        self._a0_t = self._a0.transpose(0, 2, 1)
+        self._a1_t = self._a1.transpose(0, 2, 1)
+
+    @functools.cached_property
+    def norm(self) -> float:
+        """sum_k ||A0_k||_2 ||A1_k||_2 over terms A0_k (x) A1_k of these norms,
+        on first use: the model's spectral norm for r = 1, a bound on it else."""
+        return float(np.sum(np.linalg.norm(self._a0, 2, axis=(1, 2))
+                            * np.linalg.norm(self._a1, 2, axis=(1, 2))))
+
+    @staticmethod
+    def _terms(left, v, right, shape):
         v = v.reshape(v.shape[:-1] + shape)
         out = left[0] @ v @ right[0]
-        for k in range(1, rank):
+        for k in range(1, left.shape[0]):
             out += left[k] @ v @ right[k]
         return out.reshape(v.shape[:-2] + (-1,))
 
-    def forward(x):
-        return terms(a0, x, a1_t, hr_shape)
+    def forward(self, x):
+        return self._terms(self._a0, x, self._a1_t, self.hr_shape)
 
-    def adjoint(y):
-        return terms(a0_t, y, a1, lr_shape)
-
-    return forward, adjoint, hr_shape, norm
+    def adjoint(self, y):
+        return self._terms(self._a0_t, y, self._a1, self.lr_shape)
 
 
-def _unit_peak(psf) -> np.ndarray:
-    psf = np.asarray(psf, dtype=np.float64)
-    if abs(psf.max() - 1.0) > 1e-9:
-        raise ValueError("psf must be normalized to unit peak")
-    return psf
+def _flat_frames(frames, model: LocalizationModel) -> np.ndarray:
+    """An (h, w) frame or an (F, h, w) stack as float64 rows of h*w values,
+    checked against the model's LR shape."""
+    frames = np.asarray(frames, dtype=np.float64)
+    if frames.shape[-2:] != model.lr_shape:
+        raise DimensionMismatchError(f"dimension-mismatch: frames {frames.shape} "
+                                     f"do not end in LR shape {model.lr_shape}")
+    return frames.reshape(frames.shape[:-2] + (-1,))
 
 
-def localize_sparse(frame, psf, lam, downsample_factor: int,
+def max_correlation(frames, model: LocalizationModel):
+    """||A^H y||_inf of the localization model; the natural lambda scale.
+
+    A float for one (h, w) frame; an (F,) array for an (F, h, w) stack,
+    each entry equal to that frame's value alone.
+    """
+    scale = np.max(np.abs(model.adjoint(_flat_frames(frames, model))), axis=-1)
+    return float(scale) if np.ndim(scale) == 0 else scale
+
+
+def localize_sparse(frames, model: LocalizationModel, lam, *,
                     max_iters: int = 2000, tol: float = 1e-6) -> np.ndarray:
     """Sparse-coding localization: ISTA on the HR grid, nonneg-clamped.
 
-    ``psf`` must be normalized to unit peak.  Forward model: HR image
-    convolved with the PSF, then block-averaged by ``downsample_factor``.
-    The frame, the PSF and the HR unknown are real, so ISTA runs in float64
-    over separable per-axis matrices.  ISTA takes its step from L, the
-    :func:`_hr_model` bound on the model's norm: no norm is estimated.
-    L is the norm exactly for a separable PSF (rank 1: every Gaussian) and
-    a looser bound for a PSF of rank r > 1, whose step is then smaller than
-    it need be (2.09 and 2.70 times the dense model's norm for the tests'
-    unit-peak 9 x 9 PSFs of rank 4 and 7, 8 x 8 frames, factor 2).  A model
-    that maps everything to zero gives zeros.  An
-    (F, h, w) stack of frames, with ``lam`` one weight or one per frame, is
-    solved as one batch and gives (F, H, W) maps, each equal to that frame's
-    solve alone.
+    ISTA runs in float64 with its step from ``model.norm``; for a PSF of
+    rank r > 1 that bound makes the step smaller than it need be (2.09 and
+    2.70 times the dense model's norm for the tests' unit-peak 9 x 9 PSFs
+    of rank 4 and 7, 8 x 8 frames, factor 2).  A model that maps everything
+    to zero gives zeros.  An (F, h, w) stack of frames, with ``lam`` one
+    weight or one per frame, is solved as one batch and gives (F, H, W)
+    maps, each equal to that frame's solve alone.
     """
-    frame = np.asarray(frame, dtype=np.float64)
-    forward, adjoint, hr_shape, norm = _hr_model(
-        frame.shape[-2:], _unit_peak(psf), int(downsample_factor))
-    problem = SparseProblem(forward, adjoint,
-                            frame.reshape(frame.shape[:-2] + (-1,)), lam, norm,
+    y = _flat_frames(frames, model)
+    problem = SparseProblem(model.forward, model.adjoint, y, lam, model.norm,
                             max_iters=max_iters, tol=tol, real=True)
     x, _, _ = ista(problem)
-    return np.clip(x.reshape(frame.shape[:-2] + hr_shape), 0.0, None)
+    return np.clip(x.reshape(y.shape[:-1] + model.hr_shape), 0.0, None)
 
 
 def detect_centroids(frame, threshold_fraction: float,
@@ -295,15 +295,14 @@ def detect_centroids(frame, threshold_fraction: float,
 
 def accumulate(sets, hr_shape) -> np.ndarray:
     """2-D histogram of detections on the HR grid; sums to the detection count."""
-    out = np.zeros(hr_shape)
-    for lset in sets:
-        det = lset.detections if isinstance(lset, LocalizationSet) else \
-            np.asarray(lset, dtype=np.float64).reshape(-1, 3)
-        for x, z, _ in det:
-            i = min(max(int(math.floor(x)), 0), hr_shape[0] - 1)
-            j = min(max(int(math.floor(z)), 0), hr_shape[1] - 1)
-            out[i, j] += 1.0
-    return out
+    det = np.concatenate([np.zeros((0, 3))] + [
+        lset.detections if isinstance(lset, LocalizationSet)
+        else np.asarray(lset, dtype=np.float64).reshape(-1, 3) for lset in sets])
+    # floor and clip as floats, so a coordinate far off the grid casts safely
+    i = np.clip(np.floor(det[:, 0]), 0, hr_shape[0] - 1).astype(np.intp)
+    j = np.clip(np.floor(det[:, 1]), 0, hr_shape[1] - 1).astype(np.intp)
+    counts = np.bincount(i * hr_shape[1] + j, minlength=hr_shape[0] * hr_shape[1])
+    return counts.reshape(hr_shape).astype(np.float64)
 
 
 def score(detections, truth, match_radius: float):

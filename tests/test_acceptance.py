@@ -336,10 +336,9 @@ ULM_RADIUS = 1
 
 
 def localize_frame(frame):
-    psf = ulm.gaussian_psf(ULM_SIGMA)
-    lam = ULM_LAMBDA_FRAC * ulm.max_correlation(frame, psf, ULM_FACTOR)
-    hr = ulm.localize_sparse(frame, psf, lam, ULM_FACTOR,
-                             max_iters=700, tol=1e-5)
+    model = ulm.LocalizationModel(frame.shape, ulm.gaussian_psf(ULM_SIGMA), ULM_FACTOR)
+    lam = ULM_LAMBDA_FRAC * ulm.max_correlation(frame, model)
+    hr = ulm.localize_sparse(frame, model, lam, max_iters=700, tol=1e-5)
     return hr, ulm.detect_centroids(hr, ULM_THRESHOLD, ULM_RADIUS)
 
 
@@ -401,13 +400,13 @@ def test_criterion_10b_ulm_twin_bubble_resolution():
     clean = ulm.block_average(ulm.render_frame(hr_shape, pos, ULM_SIGMA),
                               ULM_FACTOR)
     noise = ulm.reference_peak(ULM_SIGMA, ULM_FACTOR) * 10 ** (-30 / 20)
+    model = ulm.LocalizationModel(clean.shape, psf, ULM_FACTOR)
     resolved = 0
     for seed in range(10):
         rng = np.random.Generator(np.random.Philox(key=seed))
         frame = clean + noise * rng.standard_normal(clean.shape)
-        lam = ULM_LAMBDA_FRAC * ulm.max_correlation(frame, psf, ULM_FACTOR)
-        hr = ulm.localize_sparse(frame, psf, lam, ULM_FACTOR,
-                                 max_iters=2000, tol=1e-7)
+        lam = ULM_LAMBDA_FRAC * ulm.max_correlation(frame, model)
+        hr = ulm.localize_sparse(frame, model, lam, max_iters=2000, tol=1e-7)
         if count_clusters(hr > 0.1 * hr.max()) == 2:
             resolved += 1
     ok = resolved >= 8

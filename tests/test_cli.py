@@ -574,6 +574,20 @@ class TestExitCodes:
         assert {p.name for p in tmp_path.iterdir()} == before
         assert peak < 2 ** 25
 
+    def test_tall_ulm_frame_capped(self, tmp_path, capsys):
+        # one 2**20 x 1 frame: its 2**22 x 4 HR grid fits the cap, but the
+        # (n, n) temporaries of the per-axis operators, n = 2**22, do not;
+        # numpy used to raise MemoryError asking for 128 TiB
+        frames = tmp_path / "tall.uim1"
+        uio.write_uim1_seq(frames, np.ones((1, 2 ** 20, 1)))
+        before = {p.name for p in tmp_path.iterdir()}
+        capsys.readouterr()
+        rc, peak = traced_peak(run, ["ulm", "--frames", str(frames), "--method",
+                                     "sparse", "--out", str(tmp_path / "o")])
+        assert_config_error(rc, capsys, "ulm.factor")
+        assert {p.name for p in tmp_path.iterdir()} == before
+        assert peak < 2 ** 25
+
     def test_single_element_array_exit_1(self, tmp_path, capsys):
         field = write_field(tmp_path / "f.txt")
         rc = run(["simulate", "--field", field, "--out", str(tmp_path / "c.urf"),
@@ -1023,6 +1037,27 @@ class TestRecoverDeconvolveClutterUlm:
         assert outs[1] == outs[2 ** 40]
         assert outs[1][2].count(b"\r\n") > 3   # some detections written
 
+    def test_ulm_builds_one_model_per_run(self, tmp_path, monkeypatch):
+        # one block per frame: the blocks share the model built before them
+        from usproc import ulm
+        monkeypatch.setattr(core, "BLOCK_ELEMENTS", 1)
+        built = []
+        model = ulm.LocalizationModel
+
+        def counting_model(*args):
+            built.append(args[0])
+            return model(*args)
+
+        monkeypatch.setattr(ulm, "LocalizationModel", counting_model)
+        seq = tmp_path / "frames.uim1"
+        assert len(self.bubble_sequence(seq, zero_frame=False)) == 5
+        assert run(["ulm", "--frames", str(seq), "--out", str(tmp_path / "u"),
+                    "--method", "sparse", "--set", "ulm.max_iters", "20"]) == 0
+        assert built == [(8, 8)]
+        assert run(["ulm", "--frames", str(seq), "--out", str(tmp_path / "c"),
+                    "--method", "centroid"]) == 0
+        assert built == [(8, 8)]
+
     def test_ulm_batch_equals_frame_by_frame(self, tmp_path, monkeypatch):
         # a zero frame between bubble frames, all in one batch, against the
         # library's one-frame solves written in the CLI's CSV format
@@ -1032,12 +1067,12 @@ class TestRecoverDeconvolveClutterUlm:
         self.bubble_sequence(seq, zero_frame=True)
         assert run(["ulm", "--frames", str(seq), "--out", str(tmp_path / "u"),
                     "--method", "sparse", "--set", "ulm.max_iters", "200"]) == 0
-        psf = ulm.gaussian_psf(2.0)
         frames = uio.read_uim1_seq(seq)   # the float32 values the CLI reads
+        model = ulm.LocalizationModel(frames.shape[1:], ulm.gaussian_psf(2.0), 4)
         rows = ["frame,x,z,intensity"]
         for t, frame in enumerate(frames):
-            lam = 0.05 * ulm.max_correlation(frame, psf, 4)
-            hr = ulm.localize_sparse(frame, psf, lam, 4, max_iters=200, tol=1e-5)
+            lam = 0.05 * ulm.max_correlation(frame, model)
+            hr = ulm.localize_sparse(frame, model, lam, max_iters=200, tol=1e-5)
             rows += [f"{t},{float(x)!r},{float(z)!r},{float(i)!r}"
                      for x, z, i in ulm.detect_centroids(hr, 0.10, 1).detections]
         assert (tmp_path / "u_detections.csv").read_bytes() == \
@@ -1045,7 +1080,7 @@ class TestRecoverDeconvolveClutterUlm:
         assert not any(r.startswith("2,") for r in rows)
 
     def test_ulm_threads_byte_identical(self, tmp_path):
-        # one step is computed before the frame pool and shared by all
+        # --threads is accepted and changes nothing
         from usproc.ulm import simulate_bubbles
         frames = simulate_bubbles((32, 32), 4, 3.0, 2.0, 4, 30.0, 8)
         seq = tmp_path / "frames.uim1"

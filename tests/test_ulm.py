@@ -14,6 +14,7 @@ from oracles import (
 from usproc import ulm as ulm_module
 from usproc.errors import DimensionMismatchError
 from usproc.ulm import (
+    LocalizationModel,
     LocalizationSet,
     accumulate,
     block_average,
@@ -59,31 +60,37 @@ class TestBlockOps:
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
+def model_of(frames, psf, factor):
+    """The localization model of ``frames``' LR shape."""
+    return LocalizationModel(np.shape(frames)[-2:], psf, factor)
+
+
 class TestLocalizeSparse:
     def test_zero_frame(self):
-        psf = gaussian_psf(1.5)
-        out = localize_sparse(np.zeros((8, 8)), psf, 0.1, 2)
+        model = LocalizationModel((8, 8), gaussian_psf(1.5), 2)
+        out = localize_sparse(np.zeros((8, 8)), model, 0.1)
         assert not np.any(out)
 
     def test_single_on_grid_bubble(self):
         psf = gaussian_psf(2.0)
         hr = render_frame((32, 32), np.array([[16.0, 12.0]]), 2.0)
         lr = block_average(hr, 4)
-        lam = 0.05 * max_correlation(lr, psf, 4)
-        x = localize_sparse(lr, psf, lam, 4, max_iters=2000, tol=1e-8)
+        model = model_of(lr, psf, 4)
+        lam = 0.05 * max_correlation(lr, model)
+        x = localize_sparse(lr, model, lam, max_iters=2000, tol=1e-8)
         assert np.all(x >= 0.0)
         i, j = np.unravel_index(np.argmax(x), x.shape)
         assert abs(i - 16) <= 1 and abs(j - 12) <= 1
 
     def test_requires_unit_peak_psf(self):
         with pytest.raises(ValueError):
-            localize_sparse(np.zeros((8, 8)), 0.5 * gaussian_psf(1.0), 0.1, 2)
+            LocalizationModel((8, 8), 0.5 * gaussian_psf(1.0), 2)
 
     def test_output_support_bounded(self):
         frames = simulate_bubbles((32, 32), 1, 3.0, 2.0, 4, 30.0, 3)
-        psf = gaussian_psf(2.0)
-        lam = 0.05 * max_correlation(frames[0].image, psf, 4)
-        x = localize_sparse(frames[0].image, psf, lam, 4, max_iters=500)
+        model = model_of(frames[0].image, gaussian_psf(2.0), 4)
+        lam = 0.05 * max_correlation(frames[0].image, model)
+        x = localize_sparse(frames[0].image, model, lam, max_iters=500)
         assert np.all(x >= 0)
         assert np.count_nonzero(x) <= x.size
 
@@ -96,7 +103,7 @@ def random_unit_peak_psf(shape, seed):
 
 def model_step(lr_shape, psf, factor):
     """ISTA's step 1 / (1.01 L)^2 from the localization model's norm L."""
-    return 1.0 / (1.01 * ulm_module._hr_model(lr_shape, psf, factor)[3]) ** 2
+    return 1.0 / (1.01 * LocalizationModel(lr_shape, psf, factor).norm) ** 2
 
 
 def bits(a):
@@ -120,18 +127,18 @@ class TestFrameStacks:
         ((48, 40), 5, 1e-3),         # frames stop at different iterations
     ])
     def test_stack_matches_each_frame_alone(self, hr_shape, count, tol):
-        psf = gaussian_psf(2.0)
         stack = self.frames(hr_shape, count, 40)
-        lam = 0.05 * max_correlation(stack, psf, 4)
-        hr = localize_sparse(stack, psf, lam, 4, max_iters=300, tol=tol)
+        model = model_of(stack, gaussian_psf(2.0), 4)
+        lam = 0.05 * max_correlation(stack, model)
+        hr = localize_sparse(stack, model, lam, max_iters=300, tol=tol)
         assert hr.shape == (count,) + hr_shape
-        forward, adjoint, _, norm = ulm_module._hr_model(stack.shape[1:], psf, 4)
         counts = []
         for f, frame in enumerate(stack):
-            assert lam[f] == 0.05 * max_correlation(frame, psf, 4)
-            alone = localize_sparse(frame, psf, lam[f], 4, max_iters=300, tol=tol)
-            x, iters, _ = ista_single(forward, adjoint, frame.ravel(), lam[f],
-                                      norm, max_iters=300, tol=tol, real=True)
+            assert lam[f] == 0.05 * max_correlation(frame, model)
+            alone = localize_sparse(frame, model, lam[f], max_iters=300, tol=tol)
+            x, iters, _ = ista_single(model.forward, model.adjoint, frame.ravel(),
+                                      lam[f], model.norm, max_iters=300, tol=tol,
+                                      real=True)
             ref = np.clip(x.reshape(hr_shape), 0.0, None)
             assert np.array_equal(bits(hr[f]), bits(alone))
             assert np.array_equal(bits(hr[f]), bits(ref))
@@ -141,25 +148,26 @@ class TestFrameStacks:
             assert len(set(counts)) >= 3
 
     def test_one_lambda_for_the_stack(self):
-        psf = gaussian_psf(2.0)
         stack = self.frames((32, 32), 3, 41)
-        hr = localize_sparse(stack, psf, 0.2, 4, max_iters=50)
+        model = model_of(stack, gaussian_psf(2.0), 4)
+        hr = localize_sparse(stack, model, 0.2, max_iters=50)
         for f, frame in enumerate(stack):
-            alone = localize_sparse(frame, psf, 0.2, 4, max_iters=50)
+            alone = localize_sparse(frame, model, 0.2, max_iters=50)
             assert np.array_equal(bits(hr[f]), bits(alone))
 
     def test_max_correlation_of_a_stack(self):
-        psf = gaussian_psf(2.0)
         stack = self.frames((32, 24), 3, 42)
-        scale = max_correlation(stack, psf, 4)
+        model = model_of(stack, gaussian_psf(2.0), 4)
+        scale = max_correlation(stack, model)
         assert scale.shape == (3,) and scale[1] == 0.0
-        assert list(scale) == [max_correlation(f, psf, 4) for f in stack]
-        assert type(max_correlation(stack[0], psf, 4)) is float
+        assert list(scale) == [max_correlation(f, model) for f in stack]
+        assert type(max_correlation(stack[0], model)) is float
 
     @pytest.mark.parametrize("psf", [gaussian_psf(2.0),
                                      random_unit_peak_psf((5, 4), 1)])
     def test_model_maps_stacks_row_by_row(self, psf):
-        forward, adjoint, hr_shape, _ = ulm_module._hr_model((7, 5), psf, 3)
+        model = LocalizationModel((7, 5), psf, 3)
+        forward, adjoint, hr_shape = model.forward, model.adjoint, model.hr_shape
         rng = np.random.default_rng(12)
         x = rng.standard_normal((4, hr_shape[0] * hr_shape[1]))
         y = rng.standard_normal((4, 35))
@@ -189,13 +197,14 @@ class TestSeparableModel:
     ])
     def test_matches_fft_oracle(self, lr_shape, psf, factor):
         psf = psf / psf.max()
-        forward, adjoint, hr_shape, _ = ulm_module._hr_model(lr_shape, psf, factor)
+        model = LocalizationModel(lr_shape, psf, factor)
         ref_fwd, ref_adj, ref_shape = ulm_model_fft(lr_shape, psf, factor)
-        assert hr_shape == ref_shape
+        assert model.hr_shape == ref_shape
         rng = np.random.default_rng(7)
-        x = rng.standard_normal(hr_shape[0] * hr_shape[1])
+        x = rng.standard_normal(ref_shape[0] * ref_shape[1])
         y = rng.standard_normal(lr_shape[0] * lr_shape[1])
-        for new, ref in ((forward(x), ref_fwd(x)), (adjoint(y), ref_adj(y))):
+        for new, ref in ((model.forward(x), ref_fwd(x)),
+                         (model.adjoint(y), ref_adj(y))):
             assert new.dtype == np.float64 and new.shape == ref.shape
             assert np.max(np.abs(new - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -206,32 +215,32 @@ class TestSeparableModel:
     @pytest.mark.parametrize("psf", [gaussian_psf(2.0),
                                      random_unit_peak_psf((6, 3), 3)])
     def test_adjoint_identity(self, psf):
-        forward, adjoint, hr_shape, _ = ulm_module._hr_model((6, 9), psf, 2)
+        model = LocalizationModel((6, 9), psf, 2)
         rng = np.random.default_rng(11)
         for _ in range(5):
-            x = rng.standard_normal(hr_shape[0] * hr_shape[1])
+            x = rng.standard_normal(model.hr_shape[0] * model.hr_shape[1])
             y = rng.standard_normal(54)
-            lhs, rhs = np.dot(forward(x), y), np.dot(x, adjoint(y))
+            lhs, rhs = np.dot(model.forward(x), y), np.dot(x, model.adjoint(y))
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
     def test_rejects_bad_inputs(self):
         psf = gaussian_psf(2.0)
         with pytest.raises(ValueError, match="factor"):
-            ulm_module._hr_model((4, 4), psf, 0)
+            LocalizationModel((4, 4), psf, 0)
         with pytest.raises(DimensionMismatchError):
-            ulm_module._hr_model((0, 4), psf, 2)
+            LocalizationModel((0, 4), psf, 2)
         with pytest.raises(DimensionMismatchError):
-            ulm_module._hr_model((4, 4), np.zeros((0, 3)), 2)
+            LocalizationModel((4, 4), np.zeros((0, 3)), 2)
         with pytest.raises(ValueError, match="finite"):
-            localize_sparse(np.ones((4, 4)), np.where(psf < 1.0, np.nan, psf),
-                            0.1, 2)
+            LocalizationModel((4, 4), np.where(psf < 1.0, np.nan, psf), 2)
 
     def test_max_correlation_is_the_model_adjoint(self):
         frame = simulate_bubbles((32, 24), 1, 3.0, 2.0, 4, 30.0, 4)[0].image
         psf = gaussian_psf(2.0)
         _, ref_adj, _ = ulm_model_fft(frame.shape, psf, 4)
         ref = np.max(np.abs(ref_adj(frame.ravel())))
-        assert max_correlation(frame, psf, 4) == pytest.approx(ref, rel=1e-12)
+        assert max_correlation(frame, model_of(frame, psf, 4)) == \
+            pytest.approx(ref, rel=1e-12)
 
 
 class TestRealSolveAgainstComplexOracle:
@@ -249,8 +258,9 @@ class TestRealSolveAgainstComplexOracle:
     @staticmethod
     def solve_both(image, tol=1e-5):
         psf = gaussian_psf(2.0)
-        lam = 0.05 * max_correlation(image, psf, 4)
-        hr = localize_sparse(image, psf, lam, 4, max_iters=700, tol=tol)
+        model = model_of(image, psf, 4)
+        lam = 0.05 * max_correlation(image, model)
+        hr = localize_sparse(image, model, lam, max_iters=700, tol=tol)
         ref, iters = localize_sparse_complex(image, psf, lam, 4,
                                              model_step(image.shape, psf, 4),
                                              max_iters=700, tol=tol)
@@ -276,7 +286,7 @@ class TestRealSolveAgainstComplexOracle:
 
     def test_empty_frame_exact_zeros(self):
         psf = gaussian_psf(2.0)
-        hr = localize_sparse(np.zeros((8, 6)), psf, 0.1, 4)
+        hr = localize_sparse(np.zeros((8, 6)), LocalizationModel((8, 6), psf, 4), 0.1)
         ref, _ = localize_sparse_complex(np.zeros((8, 6)), psf, 0.1, 4,
                                          model_step((8, 6), psf, 4))
         assert hr.shape == (32, 24)
@@ -301,9 +311,32 @@ class TestRealSolveAgainstComplexOracle:
 
 class TestSharedStep:
     def test_unit_peak_checked(self):
-        # a stack of frames is checked as one frame is
         with pytest.raises(ValueError, match="unit peak"):
-            localize_sparse(np.zeros((3, 8, 8)), 0.5 * gaussian_psf(1.0), 0.1, 2)
+            LocalizationModel((8, 8), 0.5 * gaussian_psf(1.0), 2)
+
+    @pytest.mark.parametrize("frames", [np.zeros((8, 6)), np.zeros((3, 8, 6)),
+                                        np.zeros((6, 9)), np.zeros(48)])
+    def test_frames_must_match_the_model(self, frames):
+        # an (8, 6) frame holds as many pixels as the model's (6, 8) one
+        model = LocalizationModel((6, 8), gaussian_psf(1.0), 2)
+        with pytest.raises(DimensionMismatchError, match="LR shape"):
+            max_correlation(frames, model)
+        with pytest.raises(DimensionMismatchError, match="LR shape"):
+            localize_sparse(frames, model, 0.1)
+
+    def test_old_positional_factor_fails(self):
+        # max_iters is keyword-only: a factor passed where it used to go
+        # raises instead of capping ISTA at that many iterations
+        model = LocalizationModel((8, 8), gaussian_psf(1.0), 2)
+        with pytest.raises(TypeError):
+            localize_sparse(np.zeros((8, 8)), model, 0.1, 2)
+
+    def test_norm_computed_on_first_use(self):
+        # max_correlation reads no norm, so it computes none
+        model = LocalizationModel((8, 8), gaussian_psf(1.0), 2)
+        max_correlation(np.ones((8, 8)), model)
+        assert "norm" not in vars(model)
+        assert model.norm > 0.0 and "norm" in vars(model)
 
 
 def rank_r_psf(shape, rank, seed):
@@ -327,32 +360,32 @@ class TestStepFromModel:
         ((9, 5), 5.0, 1),            # kernel 41 wider than the HR grid
     ])
     def test_separable_psf_norm_is_exact(self, lr_shape, sigma, factor):
-        psf = gaussian_psf(sigma)
-        forward, _, hr_shape, norm = ulm_module._hr_model(lr_shape, psf, factor)
-        dense = dense_norm(forward, hr_shape[0] * hr_shape[1])
-        assert norm == pytest.approx(dense, rel=1e-12)
+        model = LocalizationModel(lr_shape, gaussian_psf(sigma), factor)
+        dense = dense_norm(model.forward, model.hr_shape[0] * model.hr_shape[1])
+        assert model.norm == pytest.approx(dense, rel=1e-12)
 
     @pytest.mark.parametrize("rank,seed", [(4, 0), (7, 1)])
     def test_bound_for_non_separable_psf(self, rank, seed):
         psf = rank_r_psf((9, 9), rank, seed)
         assert np.linalg.matrix_rank(psf) == rank
-        forward, _, hr_shape, norm = ulm_module._hr_model((8, 8), psf, 2)
-        assert norm >= dense_norm(forward, hr_shape[0] * hr_shape[1])
+        model = LocalizationModel((8, 8), psf, 2)
+        assert model.norm >= dense_norm(model.forward, 16 * 16)
         frame = np.random.default_rng(seed).standard_normal((8, 8))
-        lam = 0.05 * max_correlation(frame, psf, 2)
+        lam = 0.05 * max_correlation(frame, model)
         # ISTA raises step-too-large if the objective ever rises
-        hr = localize_sparse(frame, psf, lam, 2, max_iters=300)
-        assert hr.shape == hr_shape and np.all(np.isfinite(hr))
+        hr = localize_sparse(frame, model, lam, max_iters=300)
+        assert hr.shape == model.hr_shape and np.all(np.isfinite(hr))
 
     def test_zero_model_gives_zeros(self):
         # a 1 x 1 HR grid sees only the PSF's centre tap, here 0
         psf = np.zeros((5, 5))
         psf[0, 0] = 1.0
-        assert ulm_module._hr_model((1, 1), psf, 1)[3] == 0.0
-        assert np.array_equal(localize_sparse(np.ones((1, 1)), psf, 0.1, 1),
+        model = LocalizationModel((1, 1), psf, 1)
+        assert model.norm == 0.0
+        assert np.array_equal(localize_sparse(np.ones((1, 1)), model, 0.1),
                               np.zeros((1, 1)))
         with pytest.raises(ValueError, match="lambda"):
-            localize_sparse(np.ones((1, 1)), psf, -0.1, 1)
+            localize_sparse(np.ones((1, 1)), model, -0.1)
 
 
 class TestDetectCentroids:
@@ -411,6 +444,22 @@ class TestAccumulate:
             for _ in range(3)]
         out = accumulate(sets, (8, 8))
         assert out.sum() == 15.0
+
+    def test_beyond_both_edges(self):
+        # each coordinate is floored, then clipped to the grid, however far
+        # off it lies; the counts are those of the per-detection loop
+        dets = [LocalizationSet(np.array([[-1e300, 1e300, 1.0], [-0.5, 4.99, 1.0],
+                                          [3.0, -7.0, 1.0]])),
+                np.array([[1e300, -1e300, 2.0], [4.0, 5.0, 1.0],
+                          [2.5, 2.0, 1.0], [2.0, 2.999, 1.0]])]
+        want = np.zeros((4, 5))
+        want[0, 4] = 2.0
+        want[3, 0] = 2.0
+        want[3, 4] = 1.0
+        want[2, 2] = 2.0
+        out = accumulate(dets, (4, 5))
+        assert out.dtype == np.float64
+        assert np.array_equal(out, want)
 
 
 class TestScore:
