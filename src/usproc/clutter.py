@@ -10,7 +10,11 @@ plus a row-sparse flow component by alternating proximal-gradient steps
 minimizing 0.5||Y - X_t - X_b||_F^2 + lam1 ||X_t||_* + lam2 ||X_b||_{1,2}.
 The mixed norm groups each spatial pixel's time series (l2 along time, l1
 across pixels): a sparse set of flowing pixels, each temporally coherent.
-Real frames (B-mode or RF sequences) stay float64 through every step, SVDs
+Singular value thresholding needs no left singular vectors: it takes V and
+s^2 from the eigendecomposition of the small (frames x frames) Gram Y^H Y,
+the temporal covariance of SVD clutter filtering, and falls back to a full
+SVD only for a threshold too small for the Gram to resolve.  Real frames
+(B-mode or RF sequences) stay float64 through every step, Gram and SVD
 included; complex (IQ) frames run in complex128.
 """
 
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, ShapeMismatchError, StepTooLargeError
-from .numerics import svd, working_dtype
+from .numerics import gram_eigh, svd, working_dtype
 
 
 @dataclass(frozen=True)
@@ -69,16 +73,46 @@ def unbuild_casorati(data, spatial_shape) -> np.ndarray:
     return np.asarray(data).reshape((n, m, -1), order="F").transpose(2, 0, 1)
 
 
-def _svt_with_nuclear(y: np.ndarray, lam: float):
-    u, s, vh = svd(y)
-    s = np.maximum(s - lam, 0.0)
-    out = (u * s) @ vh
-    return out, float(np.sum(s))
+# The Gram gives each squared singular value to about r u s_1^2 absolute (u
+# float64's eps, r the Gram's order, s_1 the largest singular value): an s
+# below about sqrt(r u) s_1 is lost, and a kept component's s - tau carries
+# an error of about r u s_1^2 / (2 tau).  Thresholds tau <= _GRAM_MARGIN *
+# sqrt(r u) s_1 take the SVD instead, which bounds that error by
+# sqrt(r u) s_1 / (2 _GRAM_MARGIN) and keeps svt(y, 0) exact.
+_GRAM_MARGIN = 8.0
+_EPS = np.finfo(np.float64).eps
+
+
+def _svt_with_nuclear(y: np.ndarray, tau: float):
+    """SVT_tau(Y) and its nuclear norm, from the smaller Gram of Y.
+
+    With V, s^2 the Gram Y^H Y's eigenpairs, SVT_tau(Y) =
+    ((Y V) * (1 - tau/s)) V^H over the components with s > tau, and its
+    nuclear norm is sum(s - tau) over them.  A wide Y is thresholded as
+    SVT_tau(Y^H)^H, so the Gram is the smaller of Y^H Y and Y Y^H.
+    """
+    wide = y.shape[1] > y.shape[0]
+    a = y.conj().T if wide else y
+    w, v = gram_eigh(a)
+    if tau <= _GRAM_MARGIN * np.sqrt(w.size * _EPS * max(w[-1], 0.0)):
+        u, s, vh = svd(y)
+        s = np.maximum(s - tau, 0.0)
+        return (u * s) @ vh, float(np.sum(s))
+    keep = np.count_nonzero(w > tau * tau)   # w ascends: the last ones
+    v = v[:, w.size - keep:]
+    s = np.sqrt(w[w.size - keep:])
+    out = ((a @ v) * (1.0 - tau / s)) @ v.conj().T
+    return (out.conj().T if wide else out), float(np.sum(s - tau))
 
 
 def svt(y, lam: float) -> np.ndarray:
-    """Singular value thresholding, the proximal operator of the nuclear norm."""
-    if lam < 0:
+    """Singular value thresholding, the proximal operator of the nuclear norm.
+
+    Computed from the smaller Gram of ``y`` to about r u s_1^2 / lam (r =
+    min(M, N), u float64's eps, s_1 = ||y||_2); a threshold too small for
+    that takes the SVD, so ``svt(y, 0)`` reproduces ``y`` to roundoff.
+    """
+    if not lam >= 0:                 # NaN included
         raise ValueError("threshold must be >= 0")
     return _svt_with_nuclear(np.asarray(y, dtype=working_dtype(y)), lam)[0]
 
@@ -112,9 +146,9 @@ def rpca(cas: CasoratiMatrix, lam1: float, lam2: float, mu1: float = 0.5,
 
     Returns (x_tissue, x_blood, iterations), both of the Casorati data's
     dtype: a real Casorati matrix is separated in float64 throughout, its
-    SVDs included, a complex one in complex128.  Both proximal steps threshold
-    with mu_i * lam_i so the iteration is a proximal-gradient step on the
-    joint objective, whose monotone descent is asserted every iteration
+    thresholding included, a complex one in complex128.  Both proximal steps
+    threshold with mu_i * lam_i so the iteration is a proximal-gradient step
+    on the joint objective, whose monotone descent is asserted every iteration
     (``step-too-large`` otherwise; mu1 = mu2 = 0.5 matches the Lipschitz
     bound of the coupled quadratic and always descends).  Zero weights are
     allowed: on Y = 0 every iterate is zero and the solve stops after one.

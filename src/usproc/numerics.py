@@ -1,14 +1,18 @@
-"""Numerical kernels: Hermitian solve, SVD.
+"""Numerical kernels: Hermitian solve, SVD, Gram eigendecomposition.
 
-All kernels are pure functions with no global state.  The solve and the
-SVD are numpy's own (``numpy.linalg``, backed by LAPACK); this module keeps
-the toolkit's input checks, maps LAPACK failures onto the toolkit's named
-errors and takes LAPACK's results as they come.  The Hermitian solve's
-Cholesky is only its positive-definite test: one LU solve gives x.  The
-solve and the SVD work in float64 on real operands and in complex128 as
-soon as one operand is complex (:func:`working_dtype`), so real data never
-pays for complex arithmetic.  FFTs are ``numpy.fft``, called where they are
-needed.
+All kernels are pure functions with no global state.  The solve, the SVD
+and the Gram's eigendecomposition are numpy's own (``numpy.linalg``, backed
+by LAPACK); this module keeps the toolkit's input checks, maps LAPACK
+failures onto the toolkit's named errors and takes LAPACK's results as they
+come.  The Hermitian solve's Cholesky is only its positive-definite test:
+one LU solve gives x.  Singular value thresholding takes the singular
+values and right singular vectors it needs from :func:`gram_eigh`, the
+eigendecomposition of the small Gram A^H A; :func:`svd` serves the
+thresholds too small for the Gram to resolve, the clutter filter's default
+weight and the tests.  Every kernel works in float64 on real operands and
+in complex128 as soon as one operand is complex (:func:`working_dtype`), so
+real data never pays for complex arithmetic.  FFTs are ``numpy.fft``,
+called where they are needed.
 """
 
 from __future__ import annotations
@@ -60,7 +64,18 @@ def solve_hermitian(a, b) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# SVD
+# SVD and the Gram's eigendecomposition
+
+
+def _finite_matrix(a, name: str) -> np.ndarray:
+    """``a`` as a nonempty finite 2-D matrix of its working dtype."""
+    a = np.asarray(a, dtype=working_dtype(a))
+    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
+        raise DimensionMismatchError(f"dimension-mismatch: {name} expects a 2-D matrix")
+    from .core import all_finite   # core imports this module
+    if not all_finite(a):
+        raise ValueError(f"{name} input must be finite")
+    return a
 
 
 def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -69,15 +84,31 @@ def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     A real matrix is decomposed in float64 with real factors, a complex one
     in complex128.  Raises ``no-convergence`` when LAPACK's SVD does not
-    converge, which signals pathological input.
+    converge, which signals pathological input.  It serves the clutter
+    filter's default weight, thresholds below what :func:`gram_eigh`
+    resolves, and the tests; thresholding otherwise goes through the Gram.
     """
-    a = np.asarray(a, dtype=working_dtype(a))
-    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-        raise DimensionMismatchError("dimension-mismatch: svd expects a 2-D matrix")
-    from .core import all_finite   # core imports this module
-    if not all_finite(a):
-        raise ValueError("svd input must be finite")
+    a = _finite_matrix(a, "svd")
     try:
         return np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"no-convergence: SVD failed ({exc})") from exc
+
+
+def gram_eigh(a) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of the Gram A^H A of a finite (M, N) matrix, as
+    numpy's ``(w, v)``: N ascending eigenvalues, A's squared singular values,
+    and the orthonormal eigenvectors, A's right singular vectors, as columns.
+
+    Forming the Gram squares the condition number: each w carries an
+    absolute error of a few N u ||A||_2^2 (u float64's eps), so singular
+    values below about sqrt(N u) ||A||_2 are not resolved.  A caller with a
+    wide matrix passes A^H for the smaller Gram.  The dtype and the input
+    checks are :func:`svd`'s; raises ``no-convergence`` when LAPACK's
+    eigensolver does not converge.
+    """
+    a = _finite_matrix(a, "gram_eigh")
+    try:
+        return np.linalg.eigh(a.conj().T @ a)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"no-convergence: eigh failed ({exc})") from exc

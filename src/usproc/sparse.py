@@ -283,10 +283,10 @@ def recover_scanline(model: ScanlineModel, y_tilde, lam: float,
 # 2-D convolution operators (zero padded) and deconvolution
 
 
-def _real(a, what: str) -> np.ndarray:
+def real_array(a, what: str) -> np.ndarray:
     """``a`` as float64; a complex array is rejected, not cast."""
     if np.iscomplexobj(a):
-        raise ValueError(f"convolution {what} must be real")
+        raise ValueError(f"{what} must be real")
     return np.asarray(a, dtype=np.float64)
 
 
@@ -302,7 +302,7 @@ class Conv2Same:
     """
 
     def __init__(self, image_shape, kernel):
-        kernel = _real(kernel, "kernel")
+        kernel = real_array(kernel, "convolution kernel")
         self.shape = tuple(image_shape)
         if 0 in self.shape or kernel.size == 0:
             raise DimensionMismatchError(
@@ -318,14 +318,14 @@ class Conv2Same:
         self.norm = float(np.max(np.abs(self.kernel_rfft)))
 
     def forward(self, x):
-        x = _real(x, "operand").reshape(self.shape)
+        x = real_array(x, "convolution operand").reshape(self.shape)
         full = np.fft.irfft2(np.fft.rfft2(x, self.full) * self.kernel_rfft,
                              self.full)
         o0, o1 = self.offset
         return full[o0:o0 + self.shape[0], o1:o1 + self.shape[1]]
 
     def adjoint(self, y):
-        y = _real(y, "operand").reshape(self.shape)
+        y = real_array(y, "convolution operand").reshape(self.shape)
         o0, o1 = self.offset
         ypad = np.zeros(self.full)
         ypad[o0:o0 + self.shape[0], o1:o1 + self.shape[1]] = y

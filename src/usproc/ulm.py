@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .sparse import SparseProblem, ista
+from .sparse import SparseProblem, ista, real_array
 
 
 @dataclass(frozen=True)
@@ -152,7 +152,9 @@ def _axis_operators(taps, n: int, factor: int) -> np.ndarray:
 class LocalizationModel:
     """The localization model: convolve the HR image with a unit-peak PSF,
     then block-average it by ``factor``, as forward and adjoint maps on
-    flattened float64 frames.
+    flattened float64 frames.  The PSF must be real: a complex one raises a
+    ``ValueError`` rather than losing its imaginary part, as do complex
+    frames passed to :func:`max_correlation` or :func:`localize_sparse`.
 
     The PSF is split by SVD into its r numerically nonzero rank-one terms
     (numpy's ``matrix_rank`` tolerance); a Gaussian has r = 1.  Term k
@@ -165,7 +167,7 @@ class LocalizationModel:
 
     def __init__(self, lr_shape, psf, factor: int):
         self.lr_shape = tuple(lr_shape)
-        psf = np.asarray(psf, dtype=np.float64)
+        psf = real_array(psf, "ULM psf")
         if factor < 1:
             raise ValueError("downsample factor must be >= 1")
         self.hr_shape = (self.lr_shape[0] * factor, self.lr_shape[1] * factor)
@@ -208,8 +210,8 @@ class LocalizationModel:
 
 def _flat_frames(frames, model: LocalizationModel) -> np.ndarray:
     """An (h, w) frame or an (F, h, w) stack as float64 rows of h*w values,
-    checked against the model's LR shape."""
-    frames = np.asarray(frames, dtype=np.float64)
+    checked against the model's LR shape; complex frames are rejected."""
+    frames = real_array(frames, "ULM frames")
     if frames.shape[-2:] != model.lr_shape:
         raise DimensionMismatchError(f"dimension-mismatch: frames {frames.shape} "
                                      f"do not end in LR shape {model.lr_shape}")

@@ -14,7 +14,8 @@ ISTA reference solves one problem on 1-D vectors with a fresh array per
 step and the ``np.where`` form of the soft threshold, as the solver did
 before it took stacks of problems.  A linear map's norm is the top
 singular value of its dense matrix, built from the map one identity column
-at a time.
+at a time.  Singular value thresholding's reference takes numpy's full SVD,
+the form the clutter filter computed before it went through the Gram.
 """
 
 import math
@@ -111,6 +112,14 @@ def nuclear_norm_direct(a):
     gram = a.conj().T @ a if a.shape[0] >= a.shape[1] else a @ a.conj().T
     lam = eigvals_jacobi_hermitian(gram)
     return float(np.sum(np.sqrt(np.clip(lam, 0.0, None))))
+
+
+def svt_svd(y, tau):
+    """Singular value thresholding and its nuclear norm from numpy's SVD:
+    (U * (s - tau)_+) V^H and sum (s - tau)_+, in y's dtype."""
+    u, s, vh = np.linalg.svd(y, full_matrices=False)
+    s = np.maximum(s - tau, 0.0)
+    return (u * s) @ vh, float(np.sum(s))
 
 
 def simulate_full_trace(array, events, field, pulse, v, nt, chunk=32):

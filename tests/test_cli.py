@@ -1151,10 +1151,12 @@ def test_demo_detects_each_envelope_once(tmp_path, monkeypatch):
 
 
 def test_real_pipelines_factor_in_float64(tmp_path, monkeypatch):
-    # RPCA's SVDs and the Capon Cholesky solves of real data must run in
-    # float64: a single missed cast silently makes every later call complex
-    # while the rounded outputs keep their bytes, so only the calls show it
-    seen = {"svd": [], "cholesky": []}
+    # RPCA's factorizations (default_lambda1's SVD, then one Gram
+    # eigendecomposition per iteration) and the Capon Cholesky solves of real
+    # data must run in float64: a single missed cast silently makes every
+    # later call complex while the rounded outputs keep their bytes, so only
+    # the calls show it
+    seen = {"svd": [], "eigh": [], "cholesky": []}
 
     def spy(real, calls):
         def call(a, *args, **kwargs):
@@ -1174,8 +1176,10 @@ def test_real_pipelines_factor_in_float64(tmp_path, monkeypatch):
                 "--set", "demo.num_scatterers", "20",
                 "--set", "sim.num_elements", "8",
                 "--set", "bf.grid_nx", "8", "--set", "bf.grid_nz", "24"]) == 0
-    assert len(seen["svd"]) > 2 and len(seen["cholesky"]) > 2, seen
-    assert set(seen["svd"]) == set(seen["cholesky"]) == {np.dtype(np.float64)}
+    assert len(seen["svd"]) == 1 and len(seen["eigh"]) > 2, seen
+    assert len(seen["cholesky"]) > 2, seen
+    assert set(seen["svd"]) == set(seen["eigh"]) == set(seen["cholesky"]) \
+        == {np.dtype(np.float64)}
 
 
 @pytest.mark.slow

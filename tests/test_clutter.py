@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import nuclear_norm_direct
+from oracles import nuclear_norm_direct, svt_svd
 from usproc import clutter
 from usproc import io as uio
 from usproc.cli import run
@@ -74,6 +74,11 @@ class TestSvt:
             for _ in range(100):
                 delta = rng.standard_normal((6, 5)) * rng.choice([1e-3, 1e-1, 1.0])
                 assert base <= objective(x + delta) + 1e-9
+
+    @pytest.mark.parametrize("lam", [-1e-300, np.nan])
+    def test_bad_threshold_rejected(self, lam):
+        with pytest.raises(ValueError, match="threshold must be >= 0"):
+            svt(np.eye(3), lam)
 
     def test_loading_free_hermitian_inputs_ok(self):
         y = np.array([[2.0, 1.0], [1.0, 2.0]])
@@ -150,26 +155,109 @@ def benchmark_flow_scene():
     return np.stack([y[:, i].reshape((10, 10), order="F") for i in range(t)])
 
 
-def test_svd_factors_orthonormal_on_flow_scene(tmp_path, monkeypatch):
-    # numerics.svd trusts LAPACK's factors; this checks them on every SVD
-    # that `usproc clutter --method rpca` takes of the benchmark's scene
-    results = []
+def test_rpca_svts_match_svd_oracle_on_flow_scene(tmp_path, monkeypatch):
+    # every SVT that `usproc clutter --method rpca` takes of the benchmark's
+    # scene, against numpy's SVD: each goes through the Gram, whose kept
+    # right singular vectors must be orthonormal; only default_lambda1 takes
+    # an SVD
+    svts, grams, svds = [], [], []
+    real_svt, real_gram_eigh = clutter._svt_with_nuclear, clutter.gram_eigh
+
+    def recording_svt(y, tau):
+        svts.append((y, tau) + real_svt(y, tau))
+        return svts[-1][2:]
+
+    def recording_gram_eigh(a):
+        grams.append(real_gram_eigh(a))
+        return grams[-1]
 
     def recording_svd(a):
-        results.append(svd(a))
-        return results[-1]
+        svds.append(svd(a))
+        return svds[-1]
 
+    monkeypatch.setattr(clutter, "_svt_with_nuclear", recording_svt)
+    monkeypatch.setattr(clutter, "gram_eigh", recording_gram_eigh)
     monkeypatch.setattr(clutter, "svd", recording_svd)
     seq = tmp_path / "seq.uim1"
     uio.write_uim1_seq(seq, benchmark_flow_scene())
     assert run(["clutter", "--in", str(seq), "--method", "rpca",
                 "--out", str(tmp_path / "flow")]) == 0
-    assert len(results) > 30          # default_lambda1's, then one per iteration
-    for u, s, vh in results:
-        assert np.all(s >= 0) and np.all(np.diff(s) <= 0)
-        for q in (u, vh.T):
-            assert q.dtype == np.float64
-            assert np.max(np.abs(q.T @ q - np.eye(q.shape[1]))) <= 1e-10
+    assert len(svts) == len(grams) == 63 and len(svds) == 1
+    for (y, tau, out, nuc), (w, v) in zip(svts, grams):
+        want, want_nuc = svt_svd(y, tau)
+        peak = np.max(np.abs(want))
+        assert out.dtype == np.float64
+        assert np.max(np.abs(out - want)) <= 1e-12 * peak
+        assert abs(nuc - want_nuc) <= 1e-12 * want_nuc
+        kept = v[:, w > tau * tau]
+        assert kept.dtype == np.float64 and kept.shape[1] >= 1
+        assert np.max(np.abs(kept.T @ kept - np.eye(kept.shape[1]))) <= 1e-10
+
+
+def spectrum_sweep(count, seed):
+    """(y, s1) for ``count`` random matrices, tall and wide, real and
+    complex: full rank, rank-deficient (the zero matrix among them), and
+    with singular values spread from s1 down to 1e-9 s1, some of them near
+    the Gram's resolution limit."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        m, n = (int(d) for d in rng.integers(1, 41, 2))
+        cplx = i % 2 == 1
+
+        def gaussian(a, b):
+            g = rng.standard_normal((a, b))
+            return g + 1j * rng.standard_normal((a, b)) if cplx else g
+
+        r = min(m, n)
+        kind = i % 3
+        if kind == 0:
+            y = gaussian(m, n)
+        elif kind == 1:
+            rank = int(rng.integers(0, r))
+            y = gaussian(m, rank) @ gaussian(rank, n)
+        else:
+            s = np.sort(10.0 ** rng.uniform(-9.0, 0.0, r))[::-1]
+            y = (np.linalg.qr(gaussian(m, r))[0] * s) \
+                @ np.linalg.qr(gaussian(n, r))[0].conj().T
+        y = y * 10.0 ** rng.uniform(-3.0, 3.0)
+        yield y, np.linalg.svd(y, compute_uv=False)[0]
+
+
+def test_svt_sweep_against_svd_oracle(monkeypatch):
+    # Fallback: tau <= 8 sqrt(r u) s1 takes the SVD (u = float64's eps, r =
+    # min(M, N), the Gram's order), agreeing with the oracle to r u s1.
+    # Gram: each kept s - tau carries about r u s1^2 / tau, so the output
+    # is held to r u s1 (1 + s1 / tau) and its nuclear norm to r times that.
+    svd_calls = []
+
+    def counting_svd(a):
+        svd_calls.append(a.shape)
+        return svd(a)
+
+    monkeypatch.setattr(clutter, "svd", counting_svd)
+    eps = np.finfo(np.float64).eps
+    rng = np.random.default_rng(271)
+    paths = {True: 0, False: 0}
+    for y, s1 in spectrum_sweep(200, 27):
+        r = min(y.shape)
+        bound = 8.0 * np.sqrt(r * eps) * s1
+        taus = [0.0, 0.5 * bound, 0.999 * bound, 1.001 * bound,
+                s1 * rng.uniform(1e-3, 1.0), 1.01 * s1, 1.0 + 2.0 * s1]
+        for tau in taus:
+            fallback = tau <= bound
+            want, want_nuc = svt_svd(y, tau)
+            tol = r * eps * s1 if fallback else r * eps * s1 * (1.0 + s1 / tau)
+            del svd_calls[:]
+            out, nuc = clutter._svt_with_nuclear(y, tau)
+            assert len(svd_calls) == fallback, (y.shape, tau, bound)
+            assert np.array_equal(svt(y, tau), out)
+            assert out.dtype == y.dtype and out.shape == y.shape
+            assert np.max(np.abs(out - want), initial=0.0) <= tol
+            assert abs(nuc - want_nuc) <= r * tol
+            if tau >= 1.01 * s1:
+                assert not np.any(out) and nuc == 0.0
+            paths[fallback] += 1
+    assert paths[True] >= 400 and paths[False] >= 700, paths
 
 
 class TestRealData:

@@ -3,7 +3,7 @@
 Oracles: direct O(N^2) DFT summation for the FFT (which
 ``sparse.ScanlineModel`` applies), Gaussian elimination with
 full pivoting for the Hermitian solve, and a two-sided Jacobi eigensolver on
-A^H A (or A A^H) for the singular values.  The production kernels are numpy's
+A^H A (or A A^H) for the singular values and the Gram's eigenvalues.  The production kernels are numpy's
 pocketfft and LAPACK; none is ever checked against numpy itself.
 """
 
@@ -12,8 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from usproc.errors import DimensionMismatchError, SingularMatrixError
-from usproc.numerics import solve_hermitian, svd
+from usproc.errors import (
+    DimensionMismatchError,
+    NoConvergenceError,
+    SingularMatrixError,
+)
+from usproc.numerics import gram_eigh, solve_hermitian, svd
 from usproc.sparse import ScanlineModel
 
 from oracles import dft_direct, eigvals_jacobi_hermitian, solve_full_pivot
@@ -278,3 +282,54 @@ class TestSvd:
         assert np.all(s[rank:] <= 1e-6 * np.sqrt(scale))
         fro = np.sqrt(np.sum(np.abs(a) ** 2))
         assert np.sqrt(np.sum(np.abs((u * s) @ vh - a) ** 2)) <= 1e-10 * max(fro, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# Gram eigendecomposition
+
+
+class TestGramEigh:
+    def test_matches_jacobi_oracle(self):
+        rng = np.random.default_rng(11)
+        a = rand_complex(rng, 9, 5)
+        w, v = gram_eigh(a)
+        gram = a.conj().T @ a
+        scale = eigvals_jacobi_hermitian(gram)[0]
+        assert np.all(np.diff(w) >= 0)
+        assert np.max(np.abs(w - eigvals_jacobi_hermitian(gram)[::-1])) <= 1e-12 * scale
+        assert np.max(np.abs(v.conj().T @ v - np.eye(5))) <= 1e-12
+        assert np.max(np.abs(gram @ v - v * w)) <= 1e-12 * scale
+
+    def test_dtype_follows_input(self):
+        rng = np.random.default_rng(12)
+        a = rng.standard_normal((7, 4))
+        w, v = gram_eigh(a)
+        assert w.dtype == v.dtype == np.float64
+        w_c, v_c = gram_eigh(a.astype(complex))
+        assert w_c.dtype == np.float64 and v_c.dtype == np.complex128
+        assert np.max(np.abs(w - w_c)) <= 1e-12 * w[-1]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        a = np.ones((4, 3))
+        a[2, 1] = bad
+        with pytest.raises(ValueError, match="gram_eigh input must be finite"):
+            gram_eigh(a)
+        with pytest.raises(ValueError, match="svd input must be finite"):
+            svd(a)
+
+    @pytest.mark.parametrize("shape", [(4,), (0, 3), (3, 0), (2, 2, 2)])
+    def test_non_matrix_rejected(self, shape):
+        with pytest.raises(DimensionMismatchError, match="dimension-mismatch"):
+            gram_eigh(np.ones(shape))
+
+    def test_lapack_failure_is_no_convergence(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        monkeypatch.setattr(np.linalg, "svd", failing)
+        with pytest.raises(NoConvergenceError, match="no-convergence: eigh failed"):
+            gram_eigh(np.eye(3))
+        with pytest.raises(NoConvergenceError, match="no-convergence: SVD failed"):
+            svd(np.eye(3))

@@ -1,5 +1,7 @@
 """Bubble simulation, sparse localization, centroid detection, scoring."""
 
+import warnings
+
 import numpy as np
 import pytest
 from oracles import (
@@ -330,6 +332,26 @@ class TestSharedStep:
         model = LocalizationModel((8, 8), gaussian_psf(1.0), 2)
         with pytest.raises(TypeError):
             localize_sparse(np.zeros((8, 8)), model, 0.1, 2)
+
+    @pytest.mark.parametrize("imag", [1.0, 0.0])
+    def test_complex_frames_rejected_not_cast(self, imag):
+        # numpy would cast with a ComplexWarning and drop the imaginary part;
+        # a complex dtype is refused even when its imaginary part is zero
+        model = LocalizationModel((8, 8), gaussian_psf(1.0), 2)
+        frames = np.ones((8, 8)) + 1j * imag
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="ULM frames must be real"):
+                max_correlation(frames, model)
+            with pytest.raises(ValueError, match="ULM frames must be real"):
+                localize_sparse(np.stack([frames, frames]), model, 0.1)
+
+    def test_complex_psf_rejected_not_cast(self):
+        psf = gaussian_psf(1.0) + 0j
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="ULM psf must be real"):
+                LocalizationModel((8, 8), psf, 2)
 
     def test_norm_computed_on_first_use(self):
         # max_correlation reads no norm, so it computes none
