@@ -522,18 +522,18 @@ def _cmd_deconvolve(args) -> int:
 def _cmd_clutter(args) -> int:
     cfg = _resolve_config(args)
     frames = uio.read_uim1_seq(args.infile)
-    cas = cl.build_casorati(list(frames))
-    lam1 = cfg["clutter.lambda1"] or cl.default_lambda1(cas.data)
+    y = cl.build_casorati(frames)
+    lam1 = cfg["clutter.lambda1"] or cl.default_lambda1(y)
     lam2 = cfg["clutter.lambda2"] or 0.5 * lam1
     if args.method == "svt":
-        tissue = cl.svt(cas.data, lam1)
-        blood = cas.data - tissue
+        tissue = cl.svt(y, lam1)
+        blood = y - tissue
         iters = 1
     else:
         tissue, blood, iters = cl.rpca(
-            cas, lam1, lam2, cfg["clutter.mu1"], cfg["clutter.mu2"],
+            y, lam1, lam2, cfg["clutter.mu1"], cfg["clutter.mu2"],
             cfg["clutter.iters"], cfg["clutter.tol"])
-    shape = cas.spatial_shape
+    shape = frames.shape[1:]
     uio.write_uim1_seq(args.out + "_tissue.uim1", cl.unbuild_casorati(tissue, shape))
     uio.write_uim1_seq(args.out + "_blood.uim1", cl.unbuild_casorati(blood, shape))
     power = cl.power_doppler(blood, shape)
@@ -558,8 +558,8 @@ def _cmd_ulm(args) -> int:
             det[:, :2] = det[:, :2] * factor + (factor - 1) / 2.0
             sets.append(ulm.LocalizationSet(det))
     else:
-        _check_size("ULM per-axis operators n x n, n = max(HR grid) (ulm.factor)",
-                    max(hr_shape), max(hr_shape))
+        _check_size("ULM per-axis operators' build, 4 n x n temporaries, "
+                    "n = max(HR grid) (ulm.factor)", 4, max(hr_shape), max(hr_shape))
         model = ulm.LocalizationModel(frames.shape[1:],
                                       ulm.gaussian_psf(cfg["ulm.psf_sigma"]), factor)
         # each block of frames is solved as one batch

@@ -1,7 +1,9 @@
 """Spatio-temporal clutter suppression: Casorati matrices, SVT, RPCA.
 
-The RPCA solver splits a Casorati matrix Y into a low-rank tissue component
-plus a row-sparse flow component by alternating proximal-gradient steps
+A Casorati matrix is a plain (N*M, T) array: column t is frame t raveled
+column-major (:func:`build_casorati`; :func:`unbuild_casorati` undoes it).
+The RPCA solver splits one, Y, into a low-rank tissue component plus a
+row-sparse flow component by alternating proximal-gradient steps
 
     G         = Y - X_tissue - X_blood
     X_tissue <- SVT_{mu1 lam1}(X_tissue + mu1 G)
@@ -10,17 +12,17 @@ plus a row-sparse flow component by alternating proximal-gradient steps
 minimizing 0.5||Y - X_t - X_b||_F^2 + lam1 ||X_t||_* + lam2 ||X_b||_{1,2}.
 The mixed norm groups each spatial pixel's time series (l2 along time, l1
 across pixels): a sparse set of flowing pixels, each temporally coherent.
-Singular value thresholding needs no left singular vectors: it takes V and
-s^2 from the eigendecomposition of the small (frames x frames) Gram Y^H Y,
-the temporal covariance of SVD clutter filtering, and falls back to a full
-SVD only for a threshold too small for the Gram to resolve.  Real frames
-(B-mode or RF sequences) stay float64 through every step, Gram and SVD
-included; complex (IQ) frames run in complex128.
+Each proximal step also returns its output's penalty, so an iteration
+computes each norm once.  Singular value thresholding needs no left
+singular vectors: it takes V and s^2 from the eigendecomposition of the
+small (frames x frames) Gram Y^H Y, the temporal covariance of SVD clutter
+filtering, and falls back to a full SVD only for a threshold too small for
+the Gram to resolve.  Real frames (B-mode or RF sequences) stay float64
+through every step, Gram and SVD included; complex (IQ) frames run in
+complex128.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,41 +30,22 @@ from .errors import DimensionMismatchError, ShapeMismatchError, StepTooLargeErro
 from .numerics import gram_eigh, svd, working_dtype
 
 
-@dataclass(frozen=True)
-class CasoratiMatrix:
-    """Frames vectorized as columns of an (N*M, T) space-time matrix.
-
-    ``data`` is float64 for real frames and complex128 for complex ones.
-    """
-
-    data: np.ndarray
-    spatial_shape: tuple[int, int]
-    num_frames: int
-
-    def __post_init__(self):
-        d = np.asarray(self.data, dtype=working_dtype(self.data))
-        n, m = self.spatial_shape
-        if d.ndim != 2 or d.shape != (n * m, self.num_frames):
-            raise DimensionMismatchError(
-                f"dimension-mismatch: data {d.shape} vs spatial {self.spatial_shape} "
-                f"x T={self.num_frames}")
-        if self.num_frames < 2:
-            raise DimensionMismatchError("dimension-mismatch: need T >= 2 frames")
-        d.flags.writeable = False
-        object.__setattr__(self, "data", d)
-
-
-def build_casorati(frames) -> CasoratiMatrix:
-    """Stack equally-shaped frames column-major into a Casorati matrix."""
-    frames = [np.asarray(f) for f in frames]
-    if len(frames) < 2:
+def build_casorati(frames) -> np.ndarray:
+    """The (N*M, T) Casorati matrix, float64 or complex128, of T >= 2 equal
+    (N, M) frames given as a (T, N, M) array or a list of frames."""
+    try:
+        stack = np.asarray(frames)
+    except ValueError:               # a ragged list
+        raise ShapeMismatchError("shape-mismatch: frames differ in shape") from None
+    if stack.ndim == 0 or len(stack) < 2:
         raise DimensionMismatchError("dimension-mismatch: need T >= 2 frames")
-    shape = frames[0].shape
-    for f in frames:
-        if f.shape != shape or f.ndim != 2:
-            raise ShapeMismatchError("shape-mismatch: frames differ in shape")
-    cols = np.stack([f.ravel(order="F") for f in frames], axis=1)
-    return CasoratiMatrix(cols, shape, len(frames))
+    if stack.ndim != 3:
+        raise ShapeMismatchError("shape-mismatch: frames are not 2-D")
+    t, n, m = stack.shape
+    if n * m == 0:
+        raise DimensionMismatchError(f"dimension-mismatch: frames of {n} x {m} pixels")
+    return np.asarray(stack.transpose(2, 1, 0).reshape(n * m, t),
+                      dtype=working_dtype(stack))
 
 
 def unbuild_casorati(data, spatial_shape) -> np.ndarray:
@@ -117,20 +100,22 @@ def svt(y, lam: float) -> np.ndarray:
     return _svt_with_nuclear(np.asarray(y, dtype=working_dtype(y)), lam)[0]
 
 
-def mixed_l12_threshold(x, lam: float) -> np.ndarray:
-    """Group soft threshold with one group per spatial row (time series)."""
-    if lam < 0:
-        raise ValueError("threshold must be >= 0")
-    x = np.asarray(x, dtype=working_dtype(x))
+def _group_threshold_with_norm(x: np.ndarray, tau: float):
+    """T12_tau(X), each row shrunk by tau in l2, and its mixed norm."""
     norms = np.sqrt(np.sum(np.abs(x) ** 2, axis=1))
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         scale = np.where(norms > 0.0,
-                         np.maximum(1.0 - lam / np.maximum(norms, 1e-300), 0.0), 0.0)
-    return x * scale[:, None]
+                         np.maximum(1.0 - tau / np.maximum(norms, 1e-300), 0.0), 0.0)
+    return x * scale[:, None], float(np.sum(norms * scale))
 
 
-def mixed_l12_norm(x) -> float:
-    return float(np.sum(np.sqrt(np.sum(np.abs(np.asarray(x)) ** 2, axis=1))))
+def mixed_l12_threshold(x, lam: float) -> np.ndarray:
+    """Group soft threshold, the proximal operator of the mixed l1,2 norm:
+    each row (one pixel's time series) shrinks by ``lam`` in l2, to zero if
+    its norm is at most ``lam``."""
+    if not lam >= 0:                 # NaN included
+        raise ValueError("threshold must be >= 0")
+    return _group_threshold_with_norm(np.asarray(x, dtype=working_dtype(x)), lam)[0]
 
 
 def default_lambda1(y) -> float:
@@ -140,12 +125,17 @@ def default_lambda1(y) -> float:
     return float(s[0] / np.sqrt(max(y.shape)))
 
 
-def rpca(cas: CasoratiMatrix, lam1: float, lam2: float, mu1: float = 0.5,
-         mu2: float = 0.5, max_iters: int = 500, tol: float = 1e-6):
-    """Low-rank plus row-sparse separation of a Casorati matrix.
+def _sq_norm(a: np.ndarray) -> float:
+    """||a||_F^2 in one pass."""
+    return float(np.vdot(a, a).real)
 
-    Returns (x_tissue, x_blood, iterations), both of the Casorati data's
-    dtype: a real Casorati matrix is separated in float64 throughout, its
+
+def rpca(y, lam1: float, lam2: float, mu1: float = 0.5, mu2: float = 0.5,
+         max_iters: int = 500, tol: float = 1e-6):
+    """Low-rank plus row-sparse separation of an (N*M, T) Casorati matrix.
+
+    Returns (x_tissue, x_blood, iterations), both (N*M, T) arrays of ``y``'s
+    working dtype: a real matrix is separated in float64 throughout, its
     thresholding included, a complex one in complex128.  Both proximal steps
     threshold with mu_i * lam_i so the iteration is a proximal-gradient step
     on the joint objective, whose monotone descent is asserted every iteration
@@ -157,27 +147,25 @@ def rpca(cas: CasoratiMatrix, lam1: float, lam2: float, mu1: float = 0.5,
         raise ValueError("lam1 and lam2 must be >= 0")
     if not (0 < mu1 <= 1 and 0 < mu2 <= 1):
         raise ValueError("mu1 and mu2 must lie in (0, 1]")
-    y = cas.data
-    x_t = np.zeros_like(y)
-    x_b = np.zeros_like(y)
-    obj = 0.5 * float(np.sum(np.abs(y) ** 2))
+    y = np.asarray(y, dtype=working_dtype(y))
+    if y.ndim != 2:
+        raise DimensionMismatchError("dimension-mismatch: rpca expects a 2-D matrix")
+    x_t = x_b = np.zeros_like(y)     # replaced, never written in place
+    obj = 0.5 * _sq_norm(y)
     resid = y                        # Y - X_t - X_b at X = 0
     iters = 0
     for _ in range(max_iters):
         x_t_new, nuc = _svt_with_nuclear(x_t + mu1 * resid, mu1 * lam1)
-        x_b_new = mixed_l12_threshold(x_b + mu2 * resid, mu2 * lam2)
+        x_b_new, l12 = _group_threshold_with_norm(x_b + mu2 * resid, mu2 * lam2)
         iters += 1
         resid = y - x_t_new - x_b_new
-        obj_new = 0.5 * float(np.sum(np.abs(resid) ** 2)) \
-            + lam1 * nuc + lam2 * mixed_l12_norm(x_b_new)
+        obj_new = 0.5 * _sq_norm(resid) + lam1 * nuc + lam2 * l12
         if obj_new > obj + 1e-12 * max(1.0, abs(obj)):
             raise StepTooLargeError(
                 f"step-too-large: RPCA objective rose {obj:.6e} -> {obj_new:.6e} "
                 f"at iteration {iters}")
-        dt = np.sqrt(np.sum(np.abs(x_t_new - x_t) ** 2)) \
-            / max(np.sqrt(np.sum(np.abs(x_t_new) ** 2)), 1e-30)
-        db = np.sqrt(np.sum(np.abs(x_b_new - x_b) ** 2)) \
-            / max(np.sqrt(np.sum(np.abs(x_b_new) ** 2)), 1e-30)
+        dt = (_sq_norm(x_t_new - x_t) / max(_sq_norm(x_t_new), 1e-60)) ** 0.5
+        db = (_sq_norm(x_b_new - x_b) / max(_sq_norm(x_b_new), 1e-60)) ** 0.5
         x_t, x_b, obj = x_t_new, x_b_new, obj_new
         if dt < tol and db < tol:
             break

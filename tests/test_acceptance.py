@@ -314,9 +314,8 @@ def rpca_synthetic(seed=42):
 def test_criterion_9_rpca_separation():
     t0 = time.time()
     tissue, blood, y = rpca_synthetic()
-    cas = cl.CasoratiMatrix(y.astype(complex), (20, 20), 60)
-    x_t, x_b, iters = cl.rpca(cas, lam1=0.3, lam2=0.25, mu1=0.5, mu2=0.5,
-                              max_iters=500, tol=1e-6)
+    x_t, x_b, iters = cl.rpca(y.astype(complex), lam1=0.3, lam2=0.25, mu1=0.5,
+                              mu2=0.5, max_iters=500, tol=1e-6)
     err_t = float(np.linalg.norm(x_t.real - tissue) / np.linalg.norm(tissue))
     err_b = float(np.linalg.norm(x_b.real - blood) / np.linalg.norm(blood))
     elapsed = time.time() - t0

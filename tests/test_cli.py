@@ -255,6 +255,24 @@ class TestExitCodes:
         assert "non-finite-sample: pixels" in capsys.readouterr().err
         assert sorted(tmp_path.iterdir()) == before
 
+    @pytest.mark.parametrize("lam1", [[], ["--set", "clutter.lambda1", "0.5"]])
+    @pytest.mark.parametrize("method", ["rpca", "svt"])
+    @pytest.mark.parametrize("shape,message", [
+        ((1, 4, 5), "dimension-mismatch: need T >= 2 frames"),
+        ((4, 0, 5), "dimension-mismatch: frames of 0 x 5 pixels"),
+        ((4, 3, 0), "dimension-mismatch: frames of 3 x 0 pixels")])
+    def test_clutter_sequence_without_matrix_exit_2(self, tmp_path, capsys, shape,
+                                                    message, method, lam1):
+        # one frame, or frames without pixels, make no Casorati matrix; the
+        # error names the frames before any weight or solve is computed
+        seq = tmp_path / "s.uim1"
+        uio.write_uim1_seq(seq, np.ones(shape))
+        rc = run(["clutter", "--in", str(seq), "--method", method,
+                  "--out", str(tmp_path / "cl")] + lam1)
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.glob("cl*")) == []
+
     @pytest.mark.parametrize("text", ["1 2 x\n", "1 2.5\n", "1 \u00b2\n",
                                       f"{2 ** 64}\n", "1 1\n", "512\n", "-1\n"])
     def test_non_integer_bins_exit_2(self, tmp_path, capsys, text):
@@ -587,6 +605,18 @@ class TestExitCodes:
         assert_config_error(rc, capsys, "ulm.factor")
         assert {p.name for p in tmp_path.iterdir()} == before
         assert peak < 2 ** 25
+
+    def test_ulm_operator_cap_counts_the_build(self, tmp_path, capsys, monkeypatch):
+        # one 64 x 1 frame at factor 4: n = 256, so n x n = 2**16 fits a cap
+        # of 2**16, but the build's four n x n temporaries do not
+        monkeypatch.setattr(cli, "MAX_ELEMENTS", 2 ** 16)
+        frames = tmp_path / "f.uim1"
+        uio.write_uim1_seq(frames, np.ones((1, 64, 1)))
+        capsys.readouterr()
+        rc = run(["ulm", "--frames", str(frames), "--method", "sparse",
+                  "--factor", "4", "--out", str(tmp_path / "o")])
+        assert_config_error(rc, capsys, "ulm.factor")
+        assert not list(tmp_path.glob("o*"))
 
     def test_single_element_array_exit_1(self, tmp_path, capsys):
         field = write_field(tmp_path / "f.txt")

@@ -8,17 +8,15 @@ from usproc import clutter
 from usproc import io as uio
 from usproc.cli import run
 from usproc.clutter import (
-    CasoratiMatrix,
     build_casorati,
     default_lambda1,
-    mixed_l12_norm,
     mixed_l12_threshold,
     power_doppler,
     rpca,
     svt,
     unbuild_casorati,
 )
-from usproc.errors import DimensionMismatchError
+from usproc.errors import DimensionMismatchError, ShapeMismatchError
 from usproc.numerics import svd
 
 
@@ -26,20 +24,45 @@ class TestCasorati:
     def test_column_major_contract(self):
         frame = np.array([[1.0, 2.0], [3.0, 4.0]])
         cas = build_casorati([frame, frame * 0])
-        assert np.allclose(cas.data[:, 0].real, [1.0, 3.0, 2.0, 4.0])
+        assert np.array_equal(cas[:, 0], [1.0, 3.0, 2.0, 4.0])
 
     def test_round_trip_bit_exact(self):
         rng = np.random.default_rng(0)
         frames = [rng.standard_normal((3, 5)) for _ in range(4)]
-        cas = build_casorati(frames)
-        back = unbuild_casorati(cas.data, cas.spatial_shape)
+        back = unbuild_casorati(build_casorati(frames), (3, 5))
         assert back.shape == (4, 3, 5)
         for a, b in zip(frames, back):
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("cplx", [False, True])
+    @pytest.mark.parametrize("as_list", [False, True])
+    def test_matches_per_frame_stacking(self, cplx, as_list):
+        # oracle: each frame raveled column-major, stacked as a column
+        rng = np.random.default_rng(11)
+        frames = rng.standard_normal((5, 3, 4))
+        if cplx:
+            frames = frames + 1j * rng.standard_normal(frames.shape)
+        want = np.stack([f.ravel(order="F") for f in frames], axis=1)
+        got = build_casorati(list(frames) if as_list else frames)
+        assert got.dtype == want.dtype and got.shape == (12, 5)
+        assert got.tobytes() == want.tobytes()
+
     def test_single_frame_rejected(self):
-        with pytest.raises(DimensionMismatchError, match="dimension-mismatch"):
-            build_casorati([np.zeros((2, 2))])
+        for frames in [np.zeros((2, 2))], np.zeros((1, 3, 3)), [], [np.zeros(3)]:
+            with pytest.raises(DimensionMismatchError, match="need T >= 2 frames"):
+                build_casorati(frames)
+
+    @pytest.mark.parametrize("shape", [(3, 0, 5), (3, 4, 0), (2, 0, 0)])
+    def test_frames_without_pixels_rejected(self, shape):
+        with pytest.raises(DimensionMismatchError, match="frames of .* pixels"):
+            build_casorati(np.zeros(shape))
+
+    @pytest.mark.parametrize("frames", [
+        [np.zeros((2, 2)), np.zeros((2, 3))], [np.zeros((2, 2)), np.zeros(3)],
+        [np.zeros(3), np.zeros(3)], np.zeros((2, 3, 4, 5))])
+    def test_ragged_or_not_2d_frames_rejected(self, frames):
+        with pytest.raises(ShapeMismatchError, match="shape-mismatch"):
+            build_casorati(frames)
 
 
 class TestSvt:
@@ -100,6 +123,35 @@ class TestMixedThreshold:
         x = rng.standard_normal((5, 7))
         assert np.allclose(mixed_l12_threshold(x, 0.0).real, x, atol=1e-15)
 
+    @pytest.mark.parametrize("lam", [-1e-300, np.nan])
+    def test_bad_threshold_rejected(self, lam):
+        with pytest.raises(ValueError, match="threshold must be >= 0"):
+            mixed_l12_threshold(np.eye(3), lam)
+
+    def test_large_threshold_with_zero_row_is_quiet(self):
+        # lam / 1e-300 overflows for a zero row: the row stays zero and
+        # numpy's overflow warning (an error under this suite) is not raised
+        x = np.ones((3, 4))
+        x[1] = 0.0
+        assert not np.any(mixed_l12_threshold(x, 1e9))
+
+    def test_penalty_is_mixed_norm_of_output(self):
+        # the penalty comes from the input's row norms; the oracle
+        # recomputes it from the thresholded rows
+        rng = np.random.default_rng(12)
+        for i in range(60):
+            m, n = (int(d) for d in rng.integers(1, 30, 2))
+            x = rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-3.0, 3.0)
+            if i % 2:
+                x = x + 1j * rng.standard_normal((m, n))
+            x[rng.random(m) < 0.2] = 0.0
+            norms = np.linalg.norm(x, axis=1)
+            for tau in (0.0, rng.uniform(0.0, 1.2) * norms.max(), 2.0 * norms.max()):
+                out, pen = clutter._group_threshold_with_norm(x, tau)
+                assert np.array_equal(out, mixed_l12_threshold(x, tau))
+                want = np.sum(np.linalg.norm(out, axis=1))
+                assert abs(pen - want) <= 1e-12 * want
+
     def test_prox_objective_beats_perturbations(self):
         rng = np.random.default_rng(5)
         lam = 0.9
@@ -107,17 +159,13 @@ class TestMixedThreshold:
         x = mixed_l12_threshold(y, lam).real
 
         def objective(m):
-            return 0.5 * np.sum((y - m) ** 2) + lam * mixed_l12_norm(m)
+            return 0.5 * np.sum((y - m) ** 2) \
+                + lam * np.sum(np.linalg.norm(m, axis=1))
 
         base = objective(x)
         for _ in range(100):
             delta = rng.standard_normal((6, 4)) * rng.choice([1e-3, 1e-1, 1.0])
             assert base <= objective(x + delta) + 1e-9
-
-
-def casoratify(y):
-    nm, t = y.shape
-    return CasoratiMatrix(y.astype(complex), (nm, 1), t)
 
 
 def flow_scene(seed=7, nm=60, t=24):
@@ -194,6 +242,29 @@ def test_rpca_svts_match_svd_oracle_on_flow_scene(tmp_path, monkeypatch):
         assert np.max(np.abs(kept.T @ kept - np.eye(kept.shape[1]))) <= 1e-10
 
 
+def test_rpca_group_penalties_match_recomputed_norm_on_flow_scene(
+        tmp_path, monkeypatch):
+    # every group threshold of `usproc clutter --method rpca` on the
+    # benchmark's scene hands back the mixed norm of its output
+    steps = []
+    real = clutter._group_threshold_with_norm
+
+    def recording(x, tau):
+        steps.append(real(x, tau))
+        return steps[-1]
+
+    monkeypatch.setattr(clutter, "_group_threshold_with_norm", recording)
+    seq = tmp_path / "seq.uim1"
+    uio.write_uim1_seq(seq, benchmark_flow_scene())
+    assert run(["clutter", "--in", str(seq), "--method", "rpca",
+                "--out", str(tmp_path / "flow")]) == 0
+    assert len(steps) == 63
+    assert sum(pen > 0.0 for _, pen in steps) >= 60
+    for out, pen in steps:
+        want = np.sum(np.linalg.norm(out, axis=1))
+        assert abs(pen - want) <= 1e-12 * want
+
+
 def spectrum_sweep(count, seed):
     """(y, s1) for ``count`` random matrices, tall and wide, real and
     complex: full rank, rank-deficient (the zero matrix among them), and
@@ -267,16 +338,15 @@ class TestRealData:
     def test_casorati_keeps_dtype(self):
         rng = np.random.default_rng(20)
         frames = rng.standard_normal((3, 4, 5))
-        assert build_casorati(list(frames)).data.dtype == np.float64
+        assert build_casorati(frames).dtype == np.float64
         iq = frames + 1j * rng.standard_normal(frames.shape)
-        assert build_casorati(list(iq)).data.dtype == np.complex128
+        assert build_casorati(list(iq)).dtype == np.complex128
 
     def test_rpca_matches_complex_oracle(self):
         y = flow_scene()[0]
         lam1 = default_lambda1(y)
-        real = rpca(CasoratiMatrix(y, (60, 1), 24), lam1, 0.5 * lam1,
-                    0.5, 0.5, 500, 1e-5)
-        oracle = rpca(casoratify(y), lam1, 0.5 * lam1, 0.5, 0.5, 500, 1e-5)
+        real = rpca(y, lam1, 0.5 * lam1, 0.5, 0.5, 500, 1e-5)
+        oracle = rpca(y.astype(complex), lam1, 0.5 * lam1, 0.5, 0.5, 500, 1e-5)
         assert real[2] == oracle[2] < 500
         for got, want in zip(real[:2], oracle[:2]):
             peak = np.max(np.abs(want))
@@ -305,12 +375,12 @@ class TestRealData:
 
 class TestRpca:
     def test_zero_input_one_iteration(self):
-        xt, xb, iters = rpca(casoratify(np.zeros((8, 4))), 1.0, 1.0)
+        xt, xb, iters = rpca(np.zeros((8, 4), complex), 1.0, 1.0)
         assert not np.any(xt) and not np.any(xb)
         assert iters == 1
 
     def test_zero_weights_on_zero_input_one_iteration(self):
-        xt, xb, iters = rpca(casoratify(np.zeros((8, 4))), 0.0, 0.0)
+        xt, xb, iters = rpca(np.zeros((8, 4), complex), 0.0, 0.0)
         assert not np.any(xt) and not np.any(xb)
         assert iters == 1
 
@@ -318,7 +388,7 @@ class TestRpca:
                                            (np.nan, 0.1)])
     def test_negative_weight_rejected(self, lam1, lam2):
         with pytest.raises(ValueError, match="lam1 and lam2 must be >= 0"):
-            rpca(casoratify(np.ones((6, 4))), lam1, lam2)
+            rpca(np.ones((6, 4), complex), lam1, lam2)
 
     def test_rank_one_fixed_point(self):
         rng = np.random.default_rng(6)
@@ -327,7 +397,7 @@ class TestRpca:
         y = np.outer(u, v)
         s1 = np.linalg.norm(u) * np.linalg.norm(v)
         lam1 = 0.04 * s1
-        xt, xb, _ = rpca(casoratify(y), lam1, 1e9 * s1, 0.5, 0.5, 800, 1e-10)
+        xt, xb, _ = rpca(y.astype(complex), lam1, 1e9 * s1, 0.5, 0.5, 800, 1e-10)
         assert np.max(np.abs(xb)) == 0.0
         rel = np.linalg.norm(y - xt) / np.linalg.norm(y)
         assert rel <= lam1 / s1 + 1e-6
@@ -336,7 +406,7 @@ class TestRpca:
         # slow (DC + drift) tissue modes vs fast orthogonal-harmonic blood
         # rows: the separable regime the mixed-norm grouping encodes
         y, tissue, blood, rows = flow_scene()
-        xt, xb, iters = rpca(casoratify(y), 0.12, 0.1, 0.5, 0.5, 500, 1e-7)
+        xt, xb, iters = rpca(y.astype(complex), 0.12, 0.1, 0.5, 0.5, 500, 1e-7)
         # structure: exactly the active rows carry flow, tissue stays rank 2
         found = np.any(np.abs(xb) > 1e-9, axis=1)
         assert set(np.flatnonzero(found)) == set(rows)
@@ -350,17 +420,23 @@ class TestRpca:
     def test_positive_homogeneity(self):
         rng = np.random.default_rng(8)
         y = rng.standard_normal((12, 6))
-        xt1, xb1, _ = rpca(casoratify(y), 0.4, 0.2, 0.5, 0.5, 200, 1e-9)
+        xt1, xb1, _ = rpca(y.astype(complex), 0.4, 0.2, 0.5, 0.5, 200, 1e-9)
         c = 3.5
-        xt2, xb2, _ = rpca(casoratify(c * y), c * 0.4, c * 0.2, 0.5, 0.5, 200, 1e-9)
+        xt2, xb2, _ = rpca((c * y).astype(complex), c * 0.4, c * 0.2,
+                           0.5, 0.5, 200, 1e-9)
         assert np.allclose(xt2, c * xt1, atol=1e-8 * max(1, np.abs(xt2).max()))
         assert np.allclose(xb2, c * xb1, atol=1e-8 * max(1, np.abs(xb2).max()))
+
+    @pytest.mark.parametrize("shape", [(6,), (2, 3, 4)])
+    def test_non_matrix_rejected(self, shape):
+        with pytest.raises(DimensionMismatchError, match="rpca expects a 2-D matrix"):
+            rpca(np.ones(shape), 0.1, 0.1)
 
     def test_step_domain_validated(self):
         # mu outside (0, 1] is rejected up front; within the domain the
         # sum-coupled quadratic contracts (mu1 + mu2 <= 2), so the internal
         # monotonicity assertion is a safety net rather than a reachable path
-        y = casoratify(np.ones((6, 4)))
+        y = np.ones((6, 4), complex)
         with pytest.raises(ValueError):
             rpca(y, 0.1, 0.1, 1.5, 0.5)
         with pytest.raises(ValueError):
@@ -370,7 +446,6 @@ class TestRpca:
 def test_power_doppler_is_temporal_l2():
     rng = np.random.default_rng(10)
     frames = rng.standard_normal((6, 2, 3))
-    cas = build_casorati(list(frames))
-    pd = power_doppler(cas.data, cas.spatial_shape)
+    pd = power_doppler(build_casorati(frames), (2, 3))
     manual = np.sqrt(np.sum(frames ** 2, axis=0))
     assert np.allclose(pd, manual, atol=1e-12)
