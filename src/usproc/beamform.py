@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import ApodizationWindow, BeamformedImage, FocusedTensor
+from .core import ApodizationWindow, BeamformedImage, FocusedTensor, working_dtype
 from .errors import GridMismatchError, ShapeMismatchError
-from .numerics import solve_hermitian, working_dtype
+from .numerics import solve_hermitian
 
 MEAN = "mean"
 MV = "mv"

@@ -554,9 +554,9 @@ def _cmd_ulm(args) -> int:
     sets = []
     if method == "centroid":
         for frame in frames:
-            det = ulm.detect_centroids(frame, thr, radius).detections.copy()
+            det = ulm.detect_centroids(frame, thr, radius)
             det[:, :2] = det[:, :2] * factor + (factor - 1) / 2.0
-            sets.append(ulm.LocalizationSet(det))
+            sets.append(det)
     else:
         _check_size("ULM per-axis operators' build, 4 n x n temporaries, "
                     "n = max(HR grid) (ulm.factor)", 4, max(hr_shape), max(hr_shape))
@@ -573,7 +573,7 @@ def _cmd_ulm(args) -> int:
     uio.write_uim1(args.out + "_density.uim1", density)
     uio.write_pgm_linear(args.out + "_density.pgm", density)
     _write_csv(args.out + "_detections.csv", ("frame", "x", "z", "intensity"),
-               ((t, *det) for t, lset in enumerate(sets) for det in lset.detections))
+               ((t, *row) for t, det in enumerate(sets) for row in det))
     cfg.dump(args.out + ".config.txt", args.seed)
     print(f"wrote {args.out}_density.uim1/.pgm and _detections.csv "
           f"({sum(len(s) for s in sets)} detections)")

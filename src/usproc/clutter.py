@@ -26,8 +26,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from .core import working_dtype
 from .errors import DimensionMismatchError, ShapeMismatchError, StepTooLargeError
-from .numerics import gram_eigh, svd, working_dtype
+from .numerics import gram_eigh, svd
 
 
 def build_casorati(frames) -> np.ndarray:

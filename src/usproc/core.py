@@ -4,8 +4,11 @@ Geometry convention: coordinates are 2-D ``(lateral x, axial z)`` in meters,
 origin at the array's lateral center, ``z = 0`` at the array face, ``z``
 increasing into the medium.  Samples are ``float64`` for real data and
 ``complex128`` (an explicit pair of 64-bit floats) for complex data: focused
-channel vectors and images keep the dtype of what they were made from.  All
-types are immutable after construction and safe to share across threads.
+channel vectors and images keep the dtype of what they were made from.  That
+rule is :func:`working_dtype`, which the numerics, beamforming, clutter and
+sparse modules import from here; this module imports no other usproc module
+but ``errors``.  All types are immutable after construction and safe to
+share across threads.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from .errors import (
     NonFiniteSampleError,
     NonPositiveSpeedError,
 )
-from .numerics import working_dtype
 
 PLANE_WAVE = "plane_wave"
 SYNTHETIC_APERTURE = "synthetic_aperture"
@@ -41,6 +43,11 @@ def row_blocks(rows: int, row_size: int):
     ``row_size`` values as fit in :data:`BLOCK_ELEMENTS`, and at least one."""
     step = max(1, BLOCK_ELEMENTS // max(row_size, 1))
     return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+
+
+def working_dtype(*arrays) -> type:
+    """complex128 if any operand is complex, float64 otherwise."""
+    return np.complex128 if any(map(np.iscomplexobj, arrays)) else np.float64
 
 
 def all_finite(a) -> bool:

@@ -10,7 +10,7 @@ values and right singular vectors it needs from :func:`gram_eigh`, the
 eigendecomposition of the small Gram A^H A; :func:`svd` serves the
 thresholds too small for the Gram to resolve, the clutter filter's default
 weight and the tests.  Every kernel works in float64 on real operands and
-in complex128 as soon as one operand is complex (:func:`working_dtype`), so
+in complex128 as soon as one operand is complex (``core.working_dtype``), so
 real data never pays for complex arithmetic.  FFTs are ``numpy.fft``,
 called where they are needed.
 """
@@ -19,16 +19,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from .core import all_finite, working_dtype
 from .errors import (
     DimensionMismatchError,
     NoConvergenceError,
     SingularMatrixError,
 )
-
-
-def working_dtype(*arrays) -> type:
-    """complex128 if any operand is complex, float64 otherwise."""
-    return np.complex128 if any(map(np.iscomplexobj, arrays)) else np.float64
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +68,6 @@ def _finite_matrix(a, name: str) -> np.ndarray:
     a = np.asarray(a, dtype=working_dtype(a))
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise DimensionMismatchError(f"dimension-mismatch: {name} expects a 2-D matrix")
-    from .core import all_finite   # core imports this module
     if not all_finite(a):
         raise ValueError(f"{name} input must be finite")
     return a

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import working_dtype
 from .errors import AdjointMismatchError, DimensionMismatchError, StepTooLargeError
-from .numerics import working_dtype
 
 
 def soft_threshold(x, lam: float):

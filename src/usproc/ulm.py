@@ -12,7 +12,9 @@ batch whose every frame gets the bits of its solve alone.  ISTA takes its
 step from the model's norm, in closed form from those matrices' norms.
 
 Coordinates are (x, z) = (axis 0, axis 1) fractional HR pixel indices
-throughout.
+throughout.  A frame's detections are a plain float64 (n, 3) array of rows
+(x, z, intensity): :func:`detect_centroids` returns one, :func:`accumulate`
+takes a sequence of them and :func:`score` one.
 """
 
 from __future__ import annotations
@@ -43,23 +45,6 @@ class BubbleFrame:
         tr.flags.writeable = False
         object.__setattr__(self, "image", img)
         object.__setattr__(self, "truth", tr)
-
-
-@dataclass(frozen=True)
-class LocalizationSet:
-    """Per-frame detections as an (n, 3) array of (x, z, intensity)."""
-
-    detections: np.ndarray
-
-    def __post_init__(self):
-        det = np.asarray(self.detections, dtype=np.float64).reshape(-1, 3)
-        if not np.all(np.isfinite(det)):
-            raise ValueError("detections must be finite")
-        det.flags.writeable = False
-        object.__setattr__(self, "detections", det)
-
-    def __len__(self):
-        return self.detections.shape[0]
 
 
 def psf_radius(sigma: float) -> int:
@@ -248,11 +233,13 @@ def localize_sparse(frames, model: LocalizationModel, lam, *,
 
 
 def detect_centroids(frame, threshold_fraction: float,
-                     window_radius: int) -> LocalizationSet:
-    """Thresholded local maxima refined to intensity-weighted centroids.
+                     window_radius: int) -> np.ndarray:
+    """Thresholded local maxima refined to intensity-weighted centroids, as a
+    new float64 (n, 3) array of (x, z, intensity) rows, (0, 3) for none.
 
     Maxima closer than ``window_radius`` (Euclidean) are merged keeping the
-    brighter one; ties break to the smaller row then column index.
+    brighter one; ties break to the smaller row then column index.  The
+    merge and window arithmetic is in Python ints, so any radius >= 1 works.
     """
     if not 0.0 < threshold_fraction < 1.0:
         raise ValueError("threshold fraction must lie in (0, 1)")
@@ -271,17 +258,15 @@ def detect_centroids(frame, threshold_fraction: float,
             is_max &= frame >= shifted
     cand = np.argwhere(is_max & (frame > threshold_fraction * peak))
     order = np.lexsort((cand[:, 1], cand[:, 0], -frame[cand[:, 0], cand[:, 1]]))
-    kept: list[np.ndarray] = []
-    for idx in order:
-        p = cand[idx]
-        if all((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 >= window_radius ** 2
-               for q in kept):
+    r = window_radius
+    kept: list[list[int]] = []
+    for p in cand[order].tolist():
+        if all((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 >= r * r for q in kept):
             kept.append(p)
     rows = []
-    r = window_radius
-    for p in kept:
-        xlo, xhi = max(p[0] - r, 0), min(p[0] + r + 1, frame.shape[0])
-        zlo, zhi = max(p[1] - r, 0), min(p[1] + r + 1, frame.shape[1])
+    for px, pz in kept:
+        xlo, xhi = max(px - r, 0), min(px + r + 1, frame.shape[0])
+        zlo, zhi = max(pz - r, 0), min(pz + r + 1, frame.shape[1])
         win = np.clip(frame[xlo:xhi, zlo:zhi], 0.0, None)
         total = win.sum()
         if total > 0:
@@ -290,16 +275,19 @@ def detect_centroids(frame, threshold_fraction: float,
             cx = float((win * gi).sum() / total)
             cz = float((win * gj).sum() / total)
         else:
-            cx, cz = float(p[0]), float(p[1])
-        rows.append([cx, cz, frame[p[0], p[1]]])
-    return LocalizationSet(np.asarray(rows, dtype=np.float64).reshape(-1, 3))
+            cx, cz = float(px), float(pz)
+        rows.append([cx, cz, frame[px, pz]])
+    return np.asarray(rows, dtype=np.float64).reshape(-1, 3)
 
 
 def accumulate(sets, hr_shape) -> np.ndarray:
-    """2-D histogram of detections on the HR grid; sums to the detection count."""
+    """2-D histogram on the HR grid of a sequence of (n, 3) detection arrays;
+    sums to the detection count.  A NaN or infinite coordinate raises
+    ``ValueError``."""
     det = np.concatenate([np.zeros((0, 3))] + [
-        lset.detections if isinstance(lset, LocalizationSet)
-        else np.asarray(lset, dtype=np.float64).reshape(-1, 3) for lset in sets])
+        np.asarray(d, dtype=np.float64).reshape(-1, 3) for d in sets])
+    if not np.isfinite(det[:, :2]).all():
+        raise ValueError("detections must be finite")
     # floor and clip as floats, so a coordinate far off the grid casts safely
     i = np.clip(np.floor(det[:, 0]), 0, hr_shape[0] - 1).astype(np.intp)
     j = np.clip(np.floor(det[:, 1]), 0, hr_shape[1] - 1).astype(np.intp)
@@ -316,8 +304,7 @@ def score(detections, truth, match_radius: float):
     """
     if match_radius <= 0:
         raise ValueError("match radius must be > 0")
-    det = np.asarray(detections, dtype=np.float64).reshape(-1, 3) \
-        if not isinstance(detections, LocalizationSet) else detections.detections
+    det = np.asarray(detections, dtype=np.float64).reshape(-1, 3)
     tru = np.asarray(truth, dtype=np.float64).reshape(-1, 2)
     k, n = det.shape[0], tru.shape[0]
     if k == 0 or n == 0:

@@ -1104,10 +1104,28 @@ class TestRecoverDeconvolveClutterUlm:
             lam = 0.05 * ulm.max_correlation(frame, model)
             hr = ulm.localize_sparse(frame, model, lam, max_iters=200, tol=1e-5)
             rows += [f"{t},{float(x)!r},{float(z)!r},{float(i)!r}"
-                     for x, z, i in ulm.detect_centroids(hr, 0.10, 1).detections]
+                     for x, z, i in ulm.detect_centroids(hr, 0.10, 1)]
         assert (tmp_path / "u_detections.csv").read_bytes() == \
             "".join(r + "\r\n" for r in rows).encode("ascii")
         assert not any(r.startswith("2,") for r in rows)
+
+    @pytest.mark.parametrize("method", ["centroid", "sparse"])
+    def test_ulm_huge_window_radius(self, tmp_path, method):
+        # every radius >= 1 is in the key's domain; one past int64 merges and
+        # windows as a frame-sized radius does
+        seq = tmp_path / "frames.uim1"
+        self.bubble_sequence(seq, zero_frame=True)
+        outs = {}
+        for radius in ("1000000", "100000000000000000000"):
+            prefix = tmp_path / f"r{len(radius)}"
+            assert run(["ulm", "--frames", str(seq), "--out", str(prefix),
+                        "--method", method, "--set", "ulm.max_iters", "50",
+                        "--set", "ulm.window_radius", radius]) == 0
+            outs[radius] = [(tmp_path / f"r{len(radius)}{suffix}").read_bytes()
+                            for suffix in ("_density.uim1", "_density.pgm",
+                                           "_detections.csv")]
+        assert outs["1000000"] == outs["100000000000000000000"]
+        assert outs["1000000"][2].count(b"\r\n") > 3   # some detections written
 
     def test_ulm_threads_byte_identical(self, tmp_path):
         # --threads is accepted and changes nothing

@@ -1,5 +1,5 @@
-"""Import guards: importing usproc must not pull in scipy, and no module
-imports a name it never uses.
+"""Import guards: importing usproc must not pull in scipy, no module
+imports a name it never uses, and no module imports inside a function.
 
 numpy is the only runtime dependency.  scipy may be installed next to it, so
 an accidental ``import scipy.linalg`` would go unnoticed in every other test;
@@ -7,7 +7,8 @@ this one imports the package and all of its submodules in a fresh
 interpreter and inspects ``sys.modules``.  Deleting code tends to leave its
 imports behind, so a second test reads each module's syntax tree (standard
 library ``ast``, no linter needed) and lists the names it imports but never
-mentions.
+mentions.  An import inside a function body hides a module's dependencies,
+and usually an import cycle, so a third test lists those.
 """
 
 import ast
@@ -66,4 +67,30 @@ def test_no_module_imports_a_name_it_never_uses():
              for path in sorted((SRC / "usproc").glob("*.py"))
              if path.name != "__init__.py"}
     assert len(found) >= 12
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+def function_imports(source: str) -> list[str]:
+    """Imports made inside a function body, each named by its innermost
+    enclosing function."""
+    found = {}
+    for func in ast.walk(ast.parse(source)):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(func):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    found[node.lineno] = func.name
+    return [f"{name} (line {line})" for line, name in sorted(found.items())]
+
+
+def test_function_import_check_finds_one():
+    source = ("import os\n\ndef f():\n    import math\n"
+              "    def g():\n        from os import sep\n")
+    assert function_imports(source) == ["f (line 4)", "g (line 6)"]
+    assert function_imports("import os\nclass A:\n    x = 1\n") == []
+
+
+def test_no_module_imports_inside_a_function():
+    found = {path.name: function_imports(path.read_text(encoding="utf-8"))
+             for path in sorted((SRC / "usproc").glob("*.py"))}
+    assert len(found) >= 13
     assert {name: names for name, names in found.items() if names} == {}

@@ -17,7 +17,6 @@ from usproc import ulm as ulm_module
 from usproc.errors import DimensionMismatchError
 from usproc.ulm import (
     LocalizationModel,
-    LocalizationSet,
     accumulate,
     block_average,
     detect_centroids,
@@ -275,8 +274,7 @@ class TestRealSolveAgainstComplexOracle:
         assert len(det) == len(det_ref)
         assert np.array_equal(accumulate([det], hr.shape),
                               accumulate([det_ref], ref.shape))
-        assert np.all(np.abs(det.detections[:, :2]
-                             - det_ref.detections[:, :2]) <= 1e-6)
+        assert np.all(np.abs(det[:, :2] - det_ref[:, :2]) <= 1e-6)
 
     @pytest.mark.parametrize("hr_shape", [(32, 32), (48, 40), (64, 64),
                                           (96, 80)])
@@ -414,7 +412,7 @@ class TestDetectCentroids:
     def test_symmetric_blob_centroid(self):
         d = np.arange(-6, 7)
         blob = np.exp(-(d[:, None] ** 2 + d[None, :] ** 2) / (2 * 1.5 ** 2))
-        det = detect_centroids(blob, 0.2, 2).detections
+        det = detect_centroids(blob, 0.2, 2)
         assert det.shape[0] == 1
         assert det[0, 0] == pytest.approx(6.0, abs=0.1)
         assert det[0, 1] == pytest.approx(6.0, abs=0.1)
@@ -422,13 +420,19 @@ class TestDetectCentroids:
     def test_zero_frame_no_detections(self):
         assert len(detect_centroids(np.zeros((8, 8)), 0.5, 2)) == 0
 
+    @pytest.mark.parametrize("frame, n", [(np.zeros((8, 8)), 0), (np.eye(8), 8)])
+    def test_returns_writable_float64_array(self, frame, n):
+        det = detect_centroids(frame, 0.5, 1)
+        assert type(det) is np.ndarray and det.dtype == np.float64
+        assert det.shape == (n, 3) and det.flags.writeable
+
     def test_two_separated_blobs(self):
         frame = np.zeros((24, 24))
         d = np.arange(-3, 4)
         blob = np.exp(-(d[:, None] ** 2 + d[None, :] ** 2) / 2.0)
         frame[2:9, 2:9] += blob
         frame[12:19, 12:19] += 0.8 * blob
-        det = detect_centroids(frame, 0.3, 3).detections
+        det = detect_centroids(frame, 0.3, 3)
         assert det.shape[0] == 2
 
     def test_count_non_increasing_in_threshold(self):
@@ -442,7 +446,7 @@ class TestDetectCentroids:
         frame = np.zeros((10, 10))
         frame[4, 4] = 1.0
         frame[4, 5] = 0.9
-        det = detect_centroids(frame, 0.5, 2).detections
+        det = detect_centroids(frame, 0.5, 2)
         assert det.shape[0] == 1
         assert det[0, 2] == 1.0
 
@@ -452,17 +456,17 @@ class TestAccumulate:
         assert not np.any(accumulate([], (8, 8)))
 
     def test_bin_count(self):
-        dets = LocalizationSet(np.array([[2.2, 3.7, 1.0],
-                                         [2.9, 3.1, 2.0],
-                                         [5.0, 5.0, 1.0]]))
+        dets = np.array([[2.2, 3.7, 1.0],
+                         [2.9, 3.1, 2.0],
+                         [5.0, 5.0, 1.0]])
         out = accumulate([dets], (8, 8))
         assert out[2, 3] == 2.0
         assert out[5, 5] == 1.0
 
     def test_conservation(self):
         rng = np.random.default_rng(2)
-        sets = [LocalizationSet(np.column_stack([
-            rng.uniform(-1, 9, 5), rng.uniform(-1, 9, 5), np.ones(5)]))
+        sets = [np.column_stack([
+            rng.uniform(-1, 9, 5), rng.uniform(-1, 9, 5), np.ones(5)])
             for _ in range(3)]
         out = accumulate(sets, (8, 8))
         assert out.sum() == 15.0
@@ -470,8 +474,8 @@ class TestAccumulate:
     def test_beyond_both_edges(self):
         # each coordinate is floored, then clipped to the grid, however far
         # off it lies; the counts are those of the per-detection loop
-        dets = [LocalizationSet(np.array([[-1e300, 1e300, 1.0], [-0.5, 4.99, 1.0],
-                                          [3.0, -7.0, 1.0]])),
+        dets = [np.array([[-1e300, 1e300, 1.0], [-0.5, 4.99, 1.0],
+                          [3.0, -7.0, 1.0]]),
                 np.array([[1e300, -1e300, 2.0], [4.0, 5.0, 1.0],
                           [2.5, 2.0, 1.0], [2.0, 2.999, 1.0]])]
         want = np.zeros((4, 5))
@@ -482,6 +486,14 @@ class TestAccumulate:
         out = accumulate(dets, (4, 5))
         assert out.dtype == np.float64
         assert np.array_equal(out, want)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("col", [0, 1])
+    def test_non_finite_coordinate_raises(self, bad, col):
+        det = np.array([[1.0, 2.0, 1.0], [3.0, 4.0, 1.0]])
+        det[1, col] = bad
+        with pytest.raises(ValueError, match="detections must be finite"):
+            accumulate([np.zeros((0, 3)), det], (8, 8))
 
 
 class TestScore:
