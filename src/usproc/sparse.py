@@ -11,7 +11,11 @@ own objective, monotonicity check and stopping rule, and a row that stops
 is frozen while the others go on, so every row ends with the bits it would
 have had alone; a single problem is a one-row stack.  The step is
 1 / (1.01 ||A||)^2, with ||A|| the spectral norm, or a bound on it, that
-each model states in closed form: nothing is estimated.  On top of it sit
+each model states in closed form: nothing is estimated.  Each iteration
+makes few passes over the stack: a real problem soft-thresholds as
+z - clip(z, -t, t), two passes, and a complex one shrinks magnitudes in
+six; the stop test compares squares, each one BLAS dot product per row,
+with ||x^k||^2 carried from the iteration before.  On top of it sit
 the Fourier-domain sub-Nyquist scanline recovery (partial DFT times pulse
 spectrum, of norm sqrt(N) max|h|) and zero-padded deconvolution of a real
 image under a real kernel (of norm at most the kernel spectrum's peak).
@@ -31,24 +35,46 @@ from .errors import AdjointMismatchError, DimensionMismatchError, StepTooLargeEr
 def soft_threshold(x, lam: float):
     """Proximal operator of lam*||.||_1: shrink magnitudes by lam, clip at 0.
 
-    Complex-safe (magnitude shrinkage); for reals equals sgn(x)(|x|-lam)_+.
-    Computed in float64, or complex128 for complex x.
+    Real x gives sgn(x)(|x|-lam)_+, as x - clip(x, -lam, lam), so that an
+    entry it kills is +0; complex x is shrunk in magnitude.  Computed in
+    float64, or complex128 for complex x.
     """
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError("threshold must be >= 0")
     x = np.array(x, dtype=working_dtype(x))
     with np.errstate(invalid="ignore", divide="ignore"):
-        _shrink(x, lam, np.empty(x.shape))
+        if np.iscomplexobj(x):
+            _shrink(x, lam, np.empty(x.shape))
+        else:
+            _shrink_real(x, *_clip_bounds(lam), np.empty(x.shape))
     return x
 
 
-def _shrink(z, lam, scale):
-    """Soft-threshold ``z`` in place by ``lam`` (a scalar, or a column per
-    row of z), with ``scale`` (float64, z's shape) as scratch.
+def _clip_bounds(t):
+    """The clip bounds (-t, t) of the real soft threshold by t >= 0 (a
+    scalar or an array), with -0 for the upper bound where t = 0: both
+    bounds are then -0, so a zero of either sign clips to -0 and leaves +0."""
+    t = np.asarray(t, dtype=np.float64)
+    return -t, np.where(t > 0, t, -0.0)
 
-    z * max(1 - lam / max(|z|, 1e-300), 0): where z = +-0 the factor is 0,
-    or 1 when lam = 0, so z keeps its bits; a NaN stays NaN.  Call with
-    invalid and divide-by-zero floating-point errors ignored.
+
+def _shrink_real(z, lo, hi, scratch):
+    """Soft-threshold real ``z`` in place as z - clip(z, lo, hi), with the
+    bounds from :func:`_clip_bounds` and ``scratch`` (float64, z's shape):
+    two passes.  Where |z| > t that is z -+ t, rounded once; elsewhere
+    z - z = +0.  A NaN stays NaN, and so does an infinite z when t = inf."""
+    np.clip(z, lo, hi, out=scratch)
+    np.subtract(z, scratch, out=z)
+
+
+def _shrink(z, lam, scale):
+    """Soft-threshold complex ``z`` in place by ``lam`` (a scalar, or a
+    column per row of z), with ``scale`` (float64, z's shape) as scratch.
+
+    z * max(1 - lam / max(|z|, 1e-300), 0), six passes: where z = +-0 the
+    factor is 0, or 1 when lam = 0, so z keeps its bits; a NaN stays NaN.
+    Real arrays take :func:`_shrink_real` instead.  Call with invalid and
+    divide-by-zero floating-point errors ignored.
     """
     np.abs(z, out=scale)
     np.maximum(scale, 1e-300, out=scale)
@@ -98,10 +124,14 @@ class SparseProblem:
         # 0 is least squares; on A^H y = 0 it stops at x = 0
         if not np.all(self.lam >= 0):
             raise ValueError("lambda must be >= 0")
+        if not np.all(self.lam < math.inf):
+            raise ValueError("lambda must be finite")
         if not 0 <= self.norm < math.inf:
             raise ValueError("norm must be finite and >= 0")
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ValueError("tol must be > 0")
+        if not self.max_iters >= 0:
+            raise ValueError("max_iters must be >= 0")
 
 
 def _unit_normal(rng, n, real: bool):
@@ -141,6 +171,14 @@ def _sum_squares(v, out, real: bool):
     return np.add.reduce(out, axis=-1)
 
 
+def _dot_views(v):
+    """The (k, 1, 2n) and (k, 2n, 1) views of a C-ordered (k, n) stack whose
+    product is ||v||^2 per row, one BLAS dot product each; a complex row is
+    read as its 2n float64 parts."""
+    w = v.view(np.float64)
+    return w[:, None, :], w[:, :, None]
+
+
 def ista(problem: SparseProblem):
     """Run ISTA from x = 0; returns (x_hat, iterations_used, final_objective).
 
@@ -149,7 +187,11 @@ def ista(problem: SparseProblem):
     one whose square underflows, gives x = 0 without iterating.  The
     objective is tracked every iterate and must never increase: a rise
     beyond roundoff raises ``step-too-large``.  Stops when the relative step
-    ||x_{k+1} - x_k|| / max(||x_k||, 1) drops below ``tol``.
+    ||x_{k+1} - x_k|| / max(||x_k||, 1) drops below ``tol``, compared on
+    squares, ||x_{k+1} - x_k||^2 < tol^2 max(||x_k||^2, 1), each square one
+    BLAS dot product per row and ||x_k||^2 carried from the step before.
+    A real problem soft-thresholds as z - clip(z, -t, t), two passes, so an
+    entry it kills is +0; a complex one shrinks magnitudes in six.
 
     Every solve runs as a stack.  A (B, m) stack gives a (B, n) ``x_hat``
     and a (B,) ``final_objective``.  Each row has its own objective, check
@@ -180,50 +222,54 @@ def ista(problem: SparseProblem):
     # underflows to inf or 0 where Python's would raise
     with np.errstate(over="ignore", divide="ignore"):
         mu = float(1.0 / np.float64(1.01 * problem.norm) ** 2)
+        # a tol whose square underflows still stops on a zero step
+        tol_sq = max(float(np.float64(problem.tol) ** 2), 5e-324)
     if mu == math.inf:               # the zero operator: x = 0 minimizes for any y
         return result(x, 0, obj)
 
     rows = np.arange(y.shape[0])     # the unfinished rows
     lam = np.broadcast_to(lam, rows.shape)
     thresh = (mu * lam)[:, None]
+    shrink, bounds = (_shrink_real, _clip_bounds(thresh)) if real else (_shrink, (thresh,))
     x_out, obj_out = np.empty_like(x), np.empty_like(obj)
     z, mag = np.empty_like(x), np.empty(x.shape)   # scratch, in place throughout
-    x_norm = 0.0                     # ||x||
+    x_sq = 0.0                       # ||x||^2
+    xd, zd = _dot_views(x), _dot_views(z)
     iters = 0
     with np.errstate(invalid="ignore", divide="ignore"):
         for _ in range(problem.max_iters):
             grad = np.asarray(problem.adjoint(view(residual)), dtype=dtype).reshape(x.shape)
             np.multiply(mu, grad, out=z)
             np.subtract(x, z, out=z)
-            _shrink(z, thresh, mag)  # z is x_new from here on
+            shrink(z, *bounds, mag)  # z is x_new from here on
             np.subtract(np.asarray(problem.forward(view(z))).reshape(y.shape), y,
                         out=residual)
             np.abs(z, out=mag)
             obj_new = 0.5 * _sum_squares(residual, res_sq, real) \
                 + lam * np.add.reduce(mag, axis=-1)
             iters += 1
-            rise = obj_new > obj + 1e-12 * np.maximum(obj, 1.0)   # obj >= 0
-            if np.count_nonzero(rise):   # cheaper than .any() on a few rows
-                i = rise.argmax()
-                where = "" if one else f" in row {rows[i]}"
-                raise StepTooLargeError(
-                    f"step-too-large: objective rose {obj[i]:.6e} -> {obj_new[i]:.6e} "
-                    f"at iteration {iters}{where} (mu={mu:.3e})")
-            np.multiply(mag, mag, out=mag)           # ||x_new||, the next reference
-            x_norm_new = np.sqrt(np.add.reduce(mag, axis=-1))
+            x_sq_new = (zd[0] @ zd[1])[:, 0, 0]      # the next reference
             np.subtract(z, x, out=x)                 # the old x is not needed again
-            delta = np.sqrt(_sum_squares(x, x if real else mag, real))
-            stop = delta / np.maximum(x_norm, 1.0) < problem.tol
-            x, z, obj, x_norm = z, x, obj_new, x_norm_new
-            if np.count_nonzero(stop):
-                x_out[rows[stop]], obj_out[rows[stop]] = x[stop], obj[stop]
+            rise = obj_new > obj + 1e-12 * np.maximum(obj, 1.0)   # obj >= 0
+            stop = (xd[0] @ xd[1])[:, 0, 0] < tol_sq * np.maximum(x_sq, 1.0)
+            if np.count_nonzero(rise | stop):   # one test for both, rarely true
+                if np.count_nonzero(rise):
+                    i = rise.argmax()
+                    where = "" if one else f" in row {rows[i]}"
+                    raise StepTooLargeError(
+                        f"step-too-large: objective rose {obj[i]:.6e} -> {obj_new[i]:.6e} "
+                        f"at iteration {iters}{where} (mu={mu:.3e})")
+                x_out[rows[stop]], obj_out[rows[stop]] = z[stop], obj_new[stop]
                 keep = ~stop
-                rows, x, obj, x_norm = rows[keep], x[keep], obj[keep], x_norm[keep]
+                rows = rows[keep]
                 if not rows.size:
-                    break
+                    return result(x_out, iters, obj_out)
+                z, obj_new, x_sq_new = z[keep], obj_new[keep], x_sq_new[keep]
                 y, residual = y[keep], residual[keep]
-                lam, thresh = lam[keep], thresh[keep]
-                z, mag, res_sq = np.empty_like(x), np.empty(x.shape), np.empty(y.shape)
+                lam, bounds = lam[keep], tuple(b[keep] for b in bounds)
+                x, mag, res_sq = np.empty_like(z), np.empty(z.shape), np.empty(y.shape)
+                xd, zd = _dot_views(x), _dot_views(z)
+            x, z, xd, zd, obj, x_sq = z, x, zd, xd, obj_new, x_sq_new
     x_out[rows], obj_out[rows] = x, obj
     return result(x_out, iters, obj_out)
 

@@ -12,7 +12,9 @@ the production code.  The real ULM operator's reference is the FFT
 composition it ran before it became separable per-axis matrices.  The
 ISTA reference solves one problem on 1-D vectors with a fresh array per
 step and the ``np.where`` form of the soft threshold, as the solver did
-before it took stacks of problems.  A linear map's norm is the top
+before it took stacks of problems; a real problem thresholds as
+np.where(|v| > t, v - copysign(t, v), 0), which the solver's two-pass
+clip form must match bit for bit.  A linear map's norm is the top
 singular value of its dense matrix, built from the map one identity column
 at a time.  Singular value thresholding's reference takes numpy's full SVD,
 the form the clutter filter computed before it went through the Gram.
@@ -327,6 +329,16 @@ def soft_threshold_where(x, lam):
     return x * scale
 
 
+def soft_threshold_real(v, t):
+    """Real soft threshold sgn(v)(|v| - t)_+ as np.where(|v| > t,
+    v - copysign(t, v), 0): an entry it kills is +0.  A NaN stays NaN, and
+    an infinite v at t = inf is NaN, as the solver's inf - clip(inf) is."""
+    v = np.asarray(v, dtype=np.float64)
+    with np.errstate(invalid="ignore"):
+        out = np.where(np.abs(v) > t, v - np.copysign(t, v), 0.0)
+    return np.where(np.isnan(v) | (np.isinf(v) & (t == math.inf)), np.nan, out)
+
+
 def ista_single(forward, adjoint, y, lam, norm, max_iters=5000,
                 tol=1e-8, real=False):
     """ISTA on one problem, one 1-D vector at a time, as the solver ran
@@ -335,6 +347,7 @@ def ista_single(forward, adjoint, y, lam, norm, max_iters=5000,
     The step is 1 / (1.01 norm)^2, as in the solver.
     """
     dtype = np.float64 if real else np.complex128
+    shrink = soft_threshold_real if real else soft_threshold_where
     y = np.asarray(y, dtype=dtype).ravel()
 
     def objective(residual, x):
@@ -348,7 +361,7 @@ def ista_single(forward, adjoint, y, lam, norm, max_iters=5000,
     iters = 0
     for _ in range(max_iters):
         grad = np.asarray(adjoint(residual), dtype=dtype).ravel()
-        x_new = soft_threshold_where(x - mu * grad, mu * lam)
+        x_new = shrink(x - mu * grad, mu * lam)
         residual = np.asarray(forward(x_new)).ravel() - y
         obj_new = objective(residual, x_new)
         iters += 1

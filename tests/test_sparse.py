@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import dense_norm, ista_single, soft_threshold_where
+from oracles import dense_norm, ista_single, soft_threshold_real, soft_threshold_where
 
 from usproc.errors import AdjointMismatchError, DimensionMismatchError, StepTooLargeError
 from usproc.sparse import (
@@ -48,6 +48,11 @@ class TestSoftThreshold:
     def test_sign_preserved(self):
         assert soft_threshold(np.array([-3.0]), 1.0)[0] == pytest.approx(-2.0)
 
+    @pytest.mark.parametrize("lam", [-1.0, np.nan])
+    def test_bad_threshold_rejected(self, lam):
+        with pytest.raises(ValueError, match="threshold must be >= 0"):
+            soft_threshold(np.ones(3), lam)
+
     def test_complex_magnitude_shrink(self):
         z = np.array([3.0 + 4.0j])
         out = soft_threshold(z, 2.5)
@@ -72,9 +77,11 @@ def bits(a):
 
 
 class TestSoftThresholdAgainstOracle:
-    """The threshold without the ``np.where(|x| > 0, ..., 0)`` branch
-    against the form with it: where |x| = 0, x is +-0 and x * scale keeps
-    those bits for any lam >= 0, so the two agree bit for bit."""
+    """The threshold against independent ``np.where`` forms, bit for bit.
+    Complex: without the ``np.where(|x| > 0, ..., 0)`` branch against the
+    form with it; where |x| = 0, x is +-0 and x * scale keeps those bits for
+    any lam >= 0.  Real: x - clip(x, -lam, lam) against
+    np.where(|x| > lam, x - copysign(lam, x), 0), which kills to +0."""
 
     REAL = [0.0, -0.0, np.nan, np.inf, -np.inf, 1e-310, -2.5, 0.25, 3.0]
     COMPLEX = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
@@ -85,15 +92,18 @@ class TestSoftThresholdAgainstOracle:
     @pytest.mark.parametrize("lam", [0.0, 1e-320, 0.7, 1e300, np.inf])
     def test_bits_match_where_form(self, values, lam):
         x = np.array(values)
+        oracle = soft_threshold_where if np.iscomplexobj(x) else soft_threshold_real
         with np.errstate(all="ignore"):
-            got, ref = soft_threshold(x, lam), soft_threshold_where(x, lam)
+            got, ref = soft_threshold(x, lam), oracle(x, lam)
         nan = np.isnan(ref)
         assert np.array_equal(np.isnan(got), nan)
         assert np.array_equal(bits(got[~nan]), bits(ref[~nan]))
 
     def test_zero_lambda_is_identity_on_signed_zeros(self):
+        # nonzero reals keep their bits; a real zero of either sign is +0
         x = np.array([0.0, -0.0, 1.5, -2.0])
-        assert np.array_equal(bits(soft_threshold(x, 0.0)), bits(x))
+        ref = soft_threshold_real(x, 0.0)
+        assert np.array_equal(bits(soft_threshold(x, 0.0)), bits(ref))
 
 
 def row_maps(a):
@@ -280,6 +290,27 @@ class TestIsta:
     def test_negative_lambda_rejected(self, lam):
         with pytest.raises(ValueError, match="lambda must be >= 0"):
             matrix_problem(np.eye(2), np.ones(2), lam)
+
+    @pytest.mark.parametrize("lam, y", [(np.inf, np.ones(2)),
+                                        ([0.1, np.inf], np.ones((2, 2)))])
+    def test_infinite_lambda_rejected(self, lam, y):
+        with pytest.raises(ValueError, match="lambda must be finite"):
+            matrix_problem(np.eye(2), y, lam)
+
+    def test_nan_tol_rejected(self):
+        with pytest.raises(ValueError, match="tol must be > 0"):
+            matrix_problem(np.eye(2), np.ones(2), 0.1, tol=np.nan)
+
+    @pytest.mark.parametrize("max_iters", [-1, -5000])
+    def test_negative_max_iters_rejected(self, max_iters):
+        with pytest.raises(ValueError, match="max_iters must be >= 0"):
+            matrix_problem(np.eye(2), np.ones(2), 0.1, max_iters=max_iters)
+
+    @pytest.mark.parametrize("real", [False, True])
+    def test_tol_whose_square_underflows_stops_on_a_zero_step(self, real):
+        x, iters, _ = ista(SparseProblem(lambda v: v, lambda r: r, np.zeros(3), 0.1,
+                                         1.0, tol=1e-200, real=real))
+        assert iters == 1 and not np.any(x)
 
     def test_adjoint_mismatch_detected(self):
         rng = np.random.default_rng(12)
