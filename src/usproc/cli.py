@@ -132,7 +132,7 @@ CONFIG_SCHEMA: dict[str, tuple[str, Domain, str]] = {
     "ulm.threshold": ("0.10", _UNIT, "centroid detection threshold fraction"),
     "ulm.window_radius": ("1", _ints(1), "centroid merge/refine radius [px]"),
     "ulm.method": ("sparse", _choice("sparse", "centroid"), "localization method"),
-    "ulm.max_iters": ("700", _ints(1), "ISTA iteration cap for localization"),
+    "ulm.max_iters": ("100", _ints(1), "ISTA iteration cap for localization"),
     "ulm.tol": ("1e-5", _POSITIVE, "ISTA stopping tolerance for localization"),
     "metrics.region_a": ("", _REGION, "rectangle [m] (region A)"),
     "metrics.region_b": ("", _REGION, "rectangle [m] (region B)"),
@@ -533,6 +533,9 @@ def _cmd_clutter(args) -> int:
         tissue, blood, iters = cl.rpca(
             y, lam1, lam2, cfg["clutter.mu1"], cfg["clutter.mu2"],
             cfg["clutter.iters"], cfg["clutter.tol"])
+        if iters >= cfg["clutter.iters"]:
+            print(f"warning: RPCA stopped at its iteration cap, clutter.iters = {iters}",
+                  file=sys.stderr)
     shape = frames.shape[1:]
     uio.write_uim1_seq(args.out + "_tissue.uim1", cl.unbuild_casorati(tissue, shape))
     uio.write_uim1_seq(args.out + "_blood.uim1", cl.unbuild_casorati(blood, shape))

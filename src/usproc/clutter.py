@@ -3,13 +3,18 @@
 A Casorati matrix is a plain (N*M, T) array: column t is frame t raveled
 column-major (:func:`build_casorati`; :func:`unbuild_casorati` undoes it).
 The RPCA solver splits one, Y, into a low-rank tissue component plus a
-row-sparse flow component by alternating proximal-gradient steps
+row-sparse flow component by proximal-gradient steps on both blocks at
+once, each taken from a point P = X + beta (X - X_prev) with FISTA's
+momentum,
 
-    G         = Y - X_tissue - X_blood
-    X_tissue <- SVT_{mu1 lam1}(X_tissue + mu1 G)
-    X_blood  <- T12_{mu2 lam2}(X_blood + mu2 G)
+    G         = Y - P_tissue - P_blood
+    X_tissue <- SVT_{mu1 lam1}(P_tissue + mu1 G)
+    X_blood  <- T12_{mu2 lam2}(P_blood + mu2 G)
 
 minimizing 0.5||Y - X_t - X_b||_F^2 + lam1 ||X_t||_* + lam2 ||X_b||_{1,2}.
+A step that would raise that objective is redone from X as a plain step
+and the momentum starts over (function-value restart), the rule the l1
+solver in :mod:`sparse` follows too; both take it from :mod:`numerics`.
 The mixed norm groups each spatial pixel's time series (l2 along time, l1
 across pixels): a sparse set of flowing pixels, each temporally coherent.
 Each proximal step also returns its output's penalty, so an iteration
@@ -28,7 +33,7 @@ import numpy as np
 
 from .core import working_dtype
 from .errors import DimensionMismatchError, ShapeMismatchError, StepTooLargeError
-from .numerics import gram_eigh, svd
+from .numerics import gram_eigh, momentum, rose, svd
 
 
 def build_casorati(frames) -> np.ndarray:
@@ -102,11 +107,15 @@ def svt(y, lam: float) -> np.ndarray:
 
 
 def _group_threshold_with_norm(x: np.ndarray, tau: float):
-    """T12_tau(X), each row shrunk by tau in l2, and its mixed norm."""
+    """T12_tau(X), each row shrunk by tau in l2, and its mixed norm.
+
+    A row of norm n > tau scales by 1 - tau / n and one at or below tau by
+    1 - tau / tau = 0 exactly, for a finite tau > 0; tau = 0 is the identity.
+    """
     norms = np.sqrt(np.sum(np.abs(x) ** 2, axis=1))
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        scale = np.where(norms > 0.0,
-                         np.maximum(1.0 - tau / np.maximum(norms, 1e-300), 0.0), 0.0)
+    if not tau:
+        return x.copy(), float(np.sum(norms))
+    scale = 1.0 - tau / np.maximum(norms, tau)
     return x * scale[:, None], float(np.sum(norms * scale))
 
 
@@ -114,8 +123,8 @@ def mixed_l12_threshold(x, lam: float) -> np.ndarray:
     """Group soft threshold, the proximal operator of the mixed l1,2 norm:
     each row (one pixel's time series) shrinks by ``lam`` in l2, to zero if
     its norm is at most ``lam``."""
-    if not lam >= 0:                 # NaN included
-        raise ValueError("threshold must be >= 0")
+    if not 0 <= lam < np.inf:        # NaN included
+        raise ValueError("threshold must be >= 0 and finite")
     return _group_threshold_with_norm(np.asarray(x, dtype=working_dtype(x)), lam)[0]
 
 
@@ -138,35 +147,54 @@ def rpca(y, lam1: float, lam2: float, mu1: float = 0.5, mu2: float = 0.5,
     Returns (x_tissue, x_blood, iterations), both (N*M, T) arrays of ``y``'s
     working dtype: a real matrix is separated in float64 throughout, its
     thresholding included, a complex one in complex128.  Both proximal steps
-    threshold with mu_i * lam_i so the iteration is a proximal-gradient step
-    on the joint objective, whose monotone descent is asserted every iteration
-    (``step-too-large`` otherwise; mu1 = mu2 = 0.5 matches the Lipschitz
-    bound of the coupled quadratic and always descends).  Zero weights are
-    allowed: on Y = 0 every iterate is zero and the solve stops after one.
+    threshold with mu_i * lam_i, so an iteration is a proximal-gradient step
+    on the joint objective, taken from the point X + beta (X - X_prev) with
+    FISTA's momentum (:func:`numerics.momentum`).  The objective never
+    rises: an accelerated step that would raise it is redone from X as a
+    plain step, with the momentum restarted (:func:`numerics.rose`), and a
+    plain step that raises it raises ``step-too-large`` (mu1 = mu2 = 0.5
+    matches the Lipschitz bound of the coupled quadratic and always
+    descends).  Stops when both blocks' relative changes ||X' - X|| / ||X'||
+    drop below ``tol``.  Zero weights are allowed: on Y = 0 every iterate is
+    zero and the solve stops after one.
     """
-    if not (lam1 >= 0 and lam2 >= 0):
-        raise ValueError("lam1 and lam2 must be >= 0")
+    if not (0 <= lam1 < np.inf and 0 <= lam2 < np.inf):
+        raise ValueError("lam1 and lam2 must be >= 0 and finite")
     if not (0 < mu1 <= 1 and 0 < mu2 <= 1):
         raise ValueError("mu1 and mu2 must lie in (0, 1]")
     y = np.asarray(y, dtype=working_dtype(y))
     if y.ndim != 2:
         raise DimensionMismatchError("dimension-mismatch: rpca expects a 2-D matrix")
-    x_t = x_b = np.zeros_like(y)     # replaced, never written in place
+
+    def descend(p_t, p_b):
+        """The step from the point (p_t, p_b): the new blocks and their
+        objective."""
+        resid = y - p_t - p_b
+        x_t, nuc = _svt_with_nuclear(p_t + mu1 * resid, mu1 * lam1)
+        x_b, l12 = _group_threshold_with_norm(p_b + mu2 * resid, mu2 * lam2)
+        resid = y - x_t - x_b
+        return x_t, x_b, 0.5 * _sq_norm(resid) + lam1 * nuc + lam2 * l12
+
+    x_t = x_b = d_t = d_b = np.zeros_like(y)   # replaced, never written in place
     obj = 0.5 * _sq_norm(y)
-    resid = y                        # Y - X_t - X_b at X = 0
+    t = 1.0
     iters = 0
     for _ in range(max_iters):
-        x_t_new, nuc = _svt_with_nuclear(x_t + mu1 * resid, mu1 * lam1)
-        x_b_new, l12 = _group_threshold_with_norm(x_b + mu2 * resid, mu2 * lam2)
+        t, beta = momentum(t)
+        x_t_new, x_b_new, obj_new = descend(x_t + beta * d_t, x_b + beta * d_b)
         iters += 1
-        resid = y - x_t_new - x_b_new
-        obj_new = 0.5 * _sq_norm(resid) + lam1 * nuc + lam2 * l12
-        if obj_new > obj + 1e-12 * max(1.0, abs(obj)):
+        rise = rose(obj_new, obj)
+        if rise and beta > 0:                  # restart with a plain step
+            x_t_new, x_b_new, obj_new = descend(x_t, x_b)
+            t = momentum(1.0)[0]
+            rise = rose(obj_new, obj)
+        if rise:
             raise StepTooLargeError(
                 f"step-too-large: RPCA objective rose {obj:.6e} -> {obj_new:.6e} "
                 f"at iteration {iters}")
-        dt = (_sq_norm(x_t_new - x_t) / max(_sq_norm(x_t_new), 1e-60)) ** 0.5
-        db = (_sq_norm(x_b_new - x_b) / max(_sq_norm(x_b_new), 1e-60)) ** 0.5
+        d_t, d_b = x_t_new - x_t, x_b_new - x_b
+        dt = (_sq_norm(d_t) / max(_sq_norm(x_t_new), 1e-60)) ** 0.5
+        db = (_sq_norm(d_b) / max(_sq_norm(x_b_new), 1e-60)) ** 0.5
         x_t, x_b, obj = x_t_new, x_b_new, obj_new
         if dt < tol and db < tol:
             break

@@ -12,7 +12,9 @@ thresholds too small for the Gram to resolve, the clutter filter's default
 weight and the tests.  Every kernel works in float64 on real operands and
 in complex128 as soon as one operand is complex (``core.working_dtype``), so
 real data never pays for complex arithmetic.  FFTs are ``numpy.fft``,
-called where they are needed.
+called where they are needed.  The module also holds the two pieces of
+accelerated proximal gradient that the l1 solver and RPCA share: FISTA's
+momentum coefficient and the function-value restart rule.
 """
 
 from __future__ import annotations
@@ -107,3 +109,33 @@ def gram_eigh(a) -> tuple[np.ndarray, np.ndarray]:
         return np.linalg.eigh(a.conj().T @ a)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"no-convergence: eigh failed ({exc})") from exc
+
+
+# ---------------------------------------------------------------------------
+# Accelerated proximal gradient: FISTA's momentum and its restart rule
+
+
+def momentum(t):
+    """FISTA's momentum (Beck & Teboulle, SIAM J. Imaging Sci. 2009): from
+    t_k, t_{k+1} = (1 + sqrt(1 + 4 t_k^2)) / 2 and the weight beta_k =
+    (t_k - 1) / t_{k+1} of x_k - x_{k-1} in the next step's point
+    x_k + beta_k (x_k - x_{k-1}).  ``t`` is a float, or an array of one per
+    problem.  A solve starts at t = 1, whose beta is 0: a plain step.
+    """
+    t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+    return t_next, (t - 1.0) / t_next
+
+
+def rose(obj_new, obj):
+    """The restart rule (function-value restart, O'Donoghue & Candes, Found.
+    Comput. Math. 2015): true where an objective ``obj_new`` >= 0 exceeds
+    its predecessor ``obj`` beyond roundoff, by more than 1e-12 max(obj, 1).
+    An accelerated step that rose is redone from x_k as a plain step, with
+    the momentum started over (t back at 1, so that step's t_{k+1} is
+    ``momentum(1.0)[0]``); a plain step that rose means the step is too large.
+    A rise within roundoff does not count: near the minimum the objective
+    changes by less than its rounding error, and restarts on such changes
+    would follow the rounding, so that the same problem in real and in
+    complex arithmetic would restart at different iterations.
+    """
+    return obj_new > obj + 1e-12 * np.maximum(obj, 1.0)

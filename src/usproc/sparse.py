@@ -1,24 +1,31 @@
 """Proximal-gradient MAP solvers for l1-regularized least squares.
 
-The core solver is plain ISTA,
+The core solver is ISTA with FISTA's momentum (Beck & Teboulle 2009) and
+function-value restart (O'Donoghue & Candes 2015),
 
-    x^{k+1} = soft_threshold(x^k - mu A^H (A x^k - y), mu * lambda),
+    p       = x^k + beta_k (x^k - x^{k-1})
+    x^{k+1} = soft_threshold(p - mu A^H (A p - y), mu * lambda),
 
-minimizing 0.5 ||y - A x||^2 + lambda ||x||_1.  FISTA-style acceleration is
-deliberately not used.  One call solves a single problem or a stack of
-independent ones that share the operator: each row of the stack keeps its
-own objective, monotonicity check and stopping rule, and a row that stops
-is frozen while the others go on, so every row ends with the bits it would
-have had alone; a single problem is a one-row stack.  The step is
-1 / (1.01 ||A||)^2, with ||A|| the spectral norm, or a bound on it, that
-each model states in closed form: nothing is estimated.  Each iteration
-makes few passes over the stack: a real problem soft-thresholds as
-z - clip(z, -t, t), two passes, and a complex one shrinks magnitudes in
-six; the stop test compares squares, each one BLAS dot product per row,
-with ||x^k||^2 carried from the iteration before.  On top of it sit
-the Fourier-domain sub-Nyquist scanline recovery (partial DFT times pulse
-spectrum, of norm sqrt(N) max|h|) and zero-padded deconvolution of a real
-image under a real kernel (of norm at most the kernel spectrum's peak).
+minimizing 0.5 ||y - A x||^2 + lambda ||x||_1.  A step that would raise the
+objective is redone from x^k as a plain step with the momentum started
+over, so the objective never rises; the coefficient beta_k and that rule
+come from :mod:`numerics`, shared with the clutter filter's RPCA.  A p is
+formed by linearity from the last two forward images, so an iteration makes
+one adjoint and one forward map, and only a restart pays a second pair.
+One call solves a single problem or a stack of independent ones that share
+the operator: each row of the stack keeps its own momentum, restart,
+objective check and stopping rule, and a row that stops is frozen while
+the others go on, so every row ends with the bits it would have had alone;
+a single problem is a one-row stack.  The step is 1 / (1.01 ||A||)^2, with
+||A|| the spectral norm, or a bound on it, that each model states in
+closed form: nothing is estimated.  Each iteration makes few passes over
+the stack: a real problem soft-thresholds as z - clip(z, -t, t), two
+passes, and a complex one shrinks magnitudes in six; the stop test
+compares squares, each one BLAS dot product per row, with ||x^k||^2
+carried from the iteration before.  On top of it sit the Fourier-domain
+sub-Nyquist scanline recovery (partial DFT times pulse spectrum, of norm
+sqrt(N) max|h|) and zero-padded deconvolution of a real image under a real
+kernel (of norm at most the kernel spectrum's peak).
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ import numpy as np
 
 from .core import working_dtype
 from .errors import AdjointMismatchError, DimensionMismatchError, StepTooLargeError
+from .numerics import momentum, rose
 
 
 def soft_threshold(x, lam: float):
@@ -180,26 +188,37 @@ def _dot_views(v):
 
 
 def ista(problem: SparseProblem):
-    """Run ISTA from x = 0; returns (x_hat, iterations_used, final_objective).
+    """Run restart-accelerated ISTA from x = 0; returns (x_hat,
+    iterations_used, final_objective).
 
-    The step is mu = 1 / (1.01 ``norm``)^2: 1/L for the gradient's Lipschitz
-    constant L = ||A||^2, with a 1.01 margin on the norm.  A zero norm, or
-    one whose square underflows, gives x = 0 without iterating.  The
-    objective is tracked every iterate and must never increase: a rise
-    beyond roundoff raises ``step-too-large``.  Stops when the relative step
-    ||x_{k+1} - x_k|| / max(||x_k||, 1) drops below ``tol``, compared on
-    squares, ||x_{k+1} - x_k||^2 < tol^2 max(||x_k||^2, 1), each square one
-    BLAS dot product per row and ||x_k||^2 carried from the step before.
-    A real problem soft-thresholds as z - clip(z, -t, t), two passes, so an
-    entry it kills is +0; a complex one shrinks magnitudes in six.
+    Each iteration is a proximal-gradient step with FISTA's momentum from
+    :func:`numerics.momentum`: from the point p = x_k + beta_k (x_k -
+    x_{k-1}), x_{k+1} = soft_threshold(p - mu A^H (A p - y), mu lambda).
+    A p comes by linearity from the last two forward images, so A p - y =
+    r_k + beta_k (r_k - r_{k-1}) with r_k = A x_k - y, and an iteration
+    makes one adjoint and one forward map.  The step is mu = 1 / (1.01
+    ``norm``)^2: 1/L for the gradient's Lipschitz constant L = ||A||^2,
+    with a 1.01 margin on the norm.  A zero norm, or one whose square
+    underflows, gives x = 0 without iterating.  The objective is tracked
+    every iterate and never rises: an accelerated step that would raise it
+    beyond roundoff (:func:`numerics.rose`) is redone from x_k as a plain
+    step, with the momentum restarted, which costs that row a second
+    adjoint and forward map; a plain step that raises it raises
+    ``step-too-large``.  Stops when the relative step ||x_{k+1} - x_k|| /
+    max(||x_k||, 1) drops below ``tol``, compared on squares,
+    ||x_{k+1} - x_k||^2 < tol^2 max(||x_k||^2, 1), each square one BLAS dot
+    product per row and ||x_k||^2 carried from the step before; that step
+    is the next iteration's momentum direction.  A real problem
+    soft-thresholds as z - clip(z, -t, t), two passes, so an entry it kills
+    is +0; a complex one shrinks magnitudes in six.
 
     Every solve runs as a stack.  A (B, m) stack gives a (B, n) ``x_hat``
-    and a (B,) ``final_objective``.  Each row has its own objective, check
-    and stop; a row that stops is frozen while the rest go on, so every row
-    has the bits of its solve alone.  ``iterations_used`` is then the
-    batch's loop count, the largest row count.  A vector ``y`` is a one-row
-    stack whose maps see 1-D views; it gives a 1-D ``x_hat`` and a float
-    ``final_objective``.
+    and a (B,) ``final_objective``.  Each row has its own momentum, restart,
+    objective check and stop; a row that stops is frozen while the rest go
+    on, so every row has the bits of its solve alone.  ``iterations_used``
+    is then the batch's loop count, the largest row count; a redone step is
+    not counted again.  A vector ``y`` is a one-row stack whose maps see 1-D
+    views; it gives a 1-D ``x_hat`` and a float ``final_objective``.
     """
     real, lam = problem.real, problem.lam
     dtype = np.float64 if real else np.complex128
@@ -227,49 +246,78 @@ def ista(problem: SparseProblem):
     if mu == math.inf:               # the zero operator: x = 0 minimizes for any y
         return result(x, 0, obj)
 
+    def descend(p, r_p, y, lam, bounds, z, mag, r_new, res_sq):
+        """The step from p, whose residual A p - y is r_p: x_{k+1} into z,
+        its residual into r_new (r_p's buffer may be reused); returns its
+        objective.  ``mag`` and ``res_sq`` are float64 scratch."""
+        grad = np.asarray(problem.adjoint(view(r_p)), dtype=dtype).reshape(p.shape)
+        np.multiply(mu, grad, out=z)
+        np.subtract(p, z, out=z)
+        shrink(z, *bounds, mag)
+        np.subtract(np.asarray(problem.forward(view(z))).reshape(y.shape), y,
+                    out=r_new)
+        np.abs(z, out=mag)
+        return 0.5 * _sum_squares(r_new, res_sq, real) + lam * np.add.reduce(mag, axis=-1)
+
     rows = np.arange(y.shape[0])     # the unfinished rows
     lam = np.broadcast_to(lam, rows.shape)
     thresh = (mu * lam)[:, None]
     shrink, bounds = (_shrink_real, _clip_bounds(thresh)) if real else (_shrink, (thresh,))
     x_out, obj_out = np.empty_like(x), np.empty_like(obj)
-    z, mag = np.empty_like(x), np.empty(x.shape)   # scratch, in place throughout
+    # scratch, in place throughout: d holds x_k - x_{k-1}, then the point p;
+    # dres holds r_k - r_{k-1}, and r_new A p - y, then r_{k+1}
+    d, z, mag = np.zeros_like(x), np.empty_like(x), np.empty(x.shape)
+    dres, r_new = np.zeros_like(y), np.empty_like(y)
+    t = np.ones(rows.shape)
     x_sq = 0.0                       # ||x||^2
-    xd, zd = _dot_views(x), _dot_views(z)
+    xv, zv, dv = _dot_views(x), _dot_views(z), _dot_views(d)
     iters = 0
     with np.errstate(invalid="ignore", divide="ignore"):
         for _ in range(problem.max_iters):
-            grad = np.asarray(problem.adjoint(view(residual)), dtype=dtype).reshape(x.shape)
-            np.multiply(mu, grad, out=z)
-            np.subtract(x, z, out=z)
-            shrink(z, *bounds, mag)  # z is x_new from here on
-            np.subtract(np.asarray(problem.forward(view(z))).reshape(y.shape), y,
-                        out=residual)
-            np.abs(z, out=mag)
-            obj_new = 0.5 * _sum_squares(residual, res_sq, real) \
-                + lam * np.add.reduce(mag, axis=-1)
+            t, beta = momentum(t)
+            col = beta[:, None]
+            np.multiply(col, d, out=d)
+            np.add(x, d, out=d)
+            np.multiply(col, dres, out=r_new)
+            np.add(residual, r_new, out=r_new)
+            obj_new = descend(d, r_new, y, lam, bounds, z, mag, r_new, res_sq)
             iters += 1
-            x_sq_new = (zd[0] @ zd[1])[:, 0, 0]      # the next reference
-            np.subtract(z, x, out=x)                 # the old x is not needed again
-            rise = obj_new > obj + 1e-12 * np.maximum(obj, 1.0)   # obj >= 0
-            stop = (xd[0] @ xd[1])[:, 0, 0] < tol_sq * np.maximum(x_sq, 1.0)
-            if np.count_nonzero(rise | stop):   # one test for both, rarely true
+            rise = rose(obj_new, obj)
+            if np.count_nonzero(rise):   # rare: a restart or a step too large
+                redo = rise & (beta > 0)
+                if np.count_nonzero(redo):   # a plain step from x_k on these rows
+                    z_k, r_k = np.empty_like(x[redo]), np.empty_like(y[redo])
+                    obj_new[redo] = descend(x[redo], residual[redo], y[redo], lam[redo],
+                                            tuple(b[redo] for b in bounds), z_k,
+                                            np.empty(z_k.shape), r_k, np.empty(r_k.shape))
+                    z[redo], r_new[redo] = z_k, r_k
+                    t[redo] = momentum(1.0)[0]
+                    rise = rose(obj_new, obj)
                 if np.count_nonzero(rise):
                     i = rise.argmax()
                     where = "" if one else f" in row {rows[i]}"
                     raise StepTooLargeError(
                         f"step-too-large: objective rose {obj[i]:.6e} -> {obj_new[i]:.6e} "
                         f"at iteration {iters}{where} (mu={mu:.3e})")
-                x_out[rows[stop]], obj_out[rows[stop]] = z[stop], obj_new[stop]
+            x_sq_new = (zv[0] @ zv[1])[:, 0, 0]      # the next reference
+            np.subtract(z, x, out=d)
+            np.subtract(r_new, residual, out=dres)
+            stop = (dv[0] @ dv[1])[:, 0, 0] < tol_sq * np.maximum(x_sq, 1.0)
+            x, z, xv, zv, residual, r_new = z, x, zv, xv, r_new, residual
+            obj, x_sq = obj_new, x_sq_new
+            if np.count_nonzero(stop):
+                x_out[rows[stop]], obj_out[rows[stop]] = x[stop], obj[stop]
                 keep = ~stop
                 rows = rows[keep]
                 if not rows.size:
                     return result(x_out, iters, obj_out)
-                z, obj_new, x_sq_new = z[keep], obj_new[keep], x_sq_new[keep]
-                y, residual = y[keep], residual[keep]
-                lam, bounds = lam[keep], tuple(b[keep] for b in bounds)
-                x, mag, res_sq = np.empty_like(z), np.empty(z.shape), np.empty(y.shape)
-                xd, zd = _dot_views(x), _dot_views(z)
-            x, z, xd, zd, obj, x_sq = z, x, zd, xd, obj_new, x_sq_new
+                x, d, y = x[keep], d[keep], y[keep]
+                residual, dres = residual[keep], dres[keep]
+                obj, x_sq, t, lam = obj[keep], x_sq[keep], t[keep], lam[keep]
+                bounds = tuple(b[keep] for b in bounds)
+                z, mag = np.empty_like(x), np.empty(x.shape)
+                r_new, res_sq = np.empty_like(y), np.empty(y.shape)
+                xv, zv, dv = _dot_views(x), _dot_views(z), _dot_views(d)
     x_out[rows], obj_out[rows] = x, obj
     return result(x_out, iters, obj_out)
 

@@ -3,7 +3,8 @@
 Microbubbles are point scatterers on a high-resolution (HR) grid observed
 through a Gaussian PSF and a block-averaging downsampler.  Localization is
 either classic centroid detection on the low-resolution (LR) frame or sparse
-coding: ISTA on the HR grid with forward = convolve-then-downsample, which
+coding: restart-accelerated ISTA (:func:`sparse.ista`) on the HR grid with
+forward = convolve-then-downsample, which
 is what resolves bubbles below the diffraction-limited PSF width.  That
 model, a :class:`LocalizationModel` built once for a frame shape, PSF and
 factor, applies the forward map as separable per-axis matrices, one pair

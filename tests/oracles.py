@@ -5,18 +5,20 @@ O(N^2) summation, the linear solve is Gaussian elimination with full
 pivoting, and eigenvalues come from a two-sided Jacobi sweep.  The
 simulator and focusing references keep the plain whole-array formulas that
 the production code computes piecewise, in the same floating-point order,
-so the two must agree bit for bit.  The sparse-localization reference is
-the complex128 ISTA that ULM ran before its solve moved to real arithmetic,
-kept whole (operator, power iteration, solver) so that it cannot drift with
-the production code.  The real ULM operator's reference is the FFT
-composition it ran before it became separable per-axis matrices.  The
-ISTA reference solves one problem on 1-D vectors with a fresh array per
-step and the ``np.where`` form of the soft threshold, as the solver did
-before it took stacks of problems; a real problem thresholds as
-np.where(|v| > t, v - copysign(t, v), 0), which the solver's two-pass
-clip form must match bit for bit.  A linear map's norm is the top
-singular value of its dense matrix, built from the map one identity column
-at a time.  Singular value thresholding's reference takes numpy's full SVD,
+so the two must agree bit for bit.  The sparse-localization reference
+runs complex128 arithmetic over the full complex FFTs that ULM used before
+its solve moved to real arithmetic.  The real ULM operator's reference is
+the FFT composition it ran before it became separable per-axis matrices.
+Two l1 references solve one problem on 1-D vectors with a fresh array per
+step and the ``np.where`` form of the soft threshold: plain ISTA, as the
+solver ran before it was accelerated, and restart-accelerated ISTA (FISTA
+with function-value restart) written out from its papers in a plain loop,
+which the solver must match bit for bit, row by row; a real problem
+thresholds as np.where(|v| > t, v - copysign(t, v), 0), which the solver's
+two-pass clip form must match bit for bit.  The RPCA reference is the
+accelerated loop's twin over numpy's full SVD.  A linear map's norm is the
+top singular value of its dense matrix, built from the map one identity
+column at a time.  Singular value thresholding's reference takes numpy's full SVD,
 the form the clutter filter computed before it went through the Gram.
 """
 
@@ -287,34 +289,18 @@ def dense_norm(forward, dim):
     return float(np.linalg.svd(matrix, compute_uv=False)[0])
 
 
-def localize_sparse_complex(frame, psf, lam, factor, mu,
+def localize_sparse_complex(frame, psf, lam, factor, norm,
                             max_iters=2000, tol=1e-6):
-    """ULM sparse localization with complex128 ISTA from x = 0 at step mu.
+    """ULM sparse localization with complex128 restart-accelerated ISTA
+    (:func:`fista_single`) over :func:`ulm_model_complex`, from x = 0 with
+    the step of a model of norm ``norm``.
 
     Returns the nonneg-clamped (H, W) HR map and the iterations used.
     """
     frame = np.asarray(frame, dtype=np.float64)
     forward, adjoint = ulm_model_complex(frame.shape, psf, factor)
-    y = frame.astype(np.complex128).ravel()
-    dim = y.size * factor * factor
-    x = np.zeros(dim, dtype=np.complex128)
-    residual = -y
-    iters = 0
-    for _ in range(max_iters):
-        grad = np.asarray(adjoint(residual), dtype=np.complex128)
-        z = x - mu * grad
-        mag = np.abs(z)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            scale = np.where(mag > 0.0, np.maximum(
-                1.0 - mu * lam / np.maximum(mag, 1e-300), 0.0), 0.0)
-        x_new = z * scale
-        residual = forward(x_new) - y
-        iters += 1
-        delta = np.sqrt(np.sum(np.abs(x_new - x) ** 2))
-        ref = max(np.sqrt(np.sum(np.abs(x) ** 2)), 1.0)
-        x = x_new
-        if delta / ref < tol:
-            break
+    x, iters, _ = fista_single(forward, adjoint, frame.ravel(), lam, norm,
+                               max_iters=max_iters, tol=tol)
     shape = (frame.shape[0] * factor, frame.shape[1] * factor)
     return np.clip(np.real(x).reshape(shape), 0.0, None), iters
 
@@ -373,3 +359,109 @@ def ista_single(forward, adjoint, y, lam, norm, max_iters=5000,
         if delta / ref < tol:
             break
     return x, iters, obj
+
+
+def fista_single(forward, adjoint, y, lam, norm, max_iters=5000,
+                 tol=1e-8, real=False):
+    """Restart-accelerated ISTA on one problem, one 1-D vector at a time:
+    returns (x, iterations, objective).
+
+    FISTA (Beck & Teboulle 2009) from x = 0 with t = 1: t' = (1 + sqrt(1 +
+    4 t^2)) / 2 and beta = (t - 1) / t' give the point p = x + beta (x -
+    x_prev), whose residual A p - y is r + beta (r - r_prev), r = A x - y.
+    Function-value restart (O'Donoghue & Candes 2015): a step with beta > 0
+    that raises the objective beyond roundoff, by more than 1e-12 max(obj,
+    1), is redone from x as a plain step, as a first step from t = 1.  The
+    step is 1 / (1.01 norm)^2, with fresh arrays every step and the soft
+    thresholds of :func:`ista_single`.
+    """
+    dtype = np.float64 if real else np.complex128
+    shrink = soft_threshold_real if real else soft_threshold_where
+    y = np.asarray(y, dtype=dtype).ravel()
+
+    def step(p, r_p):
+        grad = np.asarray(adjoint(r_p), dtype=dtype).ravel()
+        x_new = shrink(p - mu * grad, mu * lam)
+        residual = np.asarray(forward(x_new)).ravel() - y
+        obj = 0.5 * float(np.sum(np.abs(residual) ** 2)) \
+            + lam * float(np.sum(np.abs(x_new)))
+        return x_new, residual, obj
+
+    mu = 1.0 / (1.01 * norm) ** 2
+    x = np.zeros(np.asarray(adjoint(y)).size, dtype=dtype)
+    x_prev, residual, r_prev = x, -y, -y
+    obj = 0.5 * float(np.sum(np.abs(y) ** 2))
+    t = 1.0
+    iters = 0
+    for _ in range(max_iters):
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        beta = (t - 1.0) / t_next
+        t = t_next
+        x_new, r_new, obj_new = step(x + beta * (x - x_prev),
+                                     residual + beta * (residual - r_prev))
+        if obj_new > obj + 1e-12 * max(1.0, abs(obj)) and beta > 0:
+            x_new, r_new, obj_new = step(x, residual)
+            t = 0.5 * (1.0 + math.sqrt(5.0))
+        iters += 1
+        if obj_new > obj + 1e-12 * max(1.0, abs(obj)):
+            raise AssertionError("objective rose")
+        delta = np.sqrt(np.sum(np.abs(x_new - x) ** 2))
+        ref = max(np.sqrt(np.sum(np.abs(x) ** 2)), 1.0)
+        x_prev, x, r_prev, residual, obj = x, x_new, residual, r_new, obj_new
+        if delta / ref < tol:
+            break
+    return x, iters, obj
+
+
+def group_threshold_where(x, tau):
+    """Group soft threshold of each row of ``x`` by ``tau`` in l2, with the
+    explicit zero branch, and the mixed l1,2 norm of the output."""
+    norms = np.sqrt(np.sum(np.abs(x) ** 2, axis=1))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        scale = np.where(norms > tau, 1.0 - tau / np.where(norms > 0, norms, 1.0), 0.0)
+    out = x * scale[:, None]
+    return out, float(np.sum(np.sqrt(np.sum(np.abs(out) ** 2, axis=1))))
+
+
+def rpca_fista(y, lam1, lam2, mu1=0.5, mu2=0.5, max_iters=500, tol=1e-6):
+    """RPCA by restart-accelerated proximal gradient, the twin of
+    :func:`fista_single`: returns (x_tissue, x_blood, iterations).
+
+    From the point (P_t, P_b) = X + beta (X - X_prev) with residual R = Y -
+    P_t - P_b, X_t' = SVT_{mu1 lam1}(P_t + mu1 R) by numpy's full SVD
+    (:func:`svt_svd`) and X_b' = T12_{mu2 lam2}(P_b + mu2 R)
+    (:func:`group_threshold_where`); the same momentum, restart and
+    objective check as :func:`fista_single`, and the stop when both blocks'
+    relative changes ||X' - X|| / ||X'|| drop below ``tol``.
+    """
+    y = np.asarray(y)
+
+    def step(p_t, p_b):
+        r_p = y - p_t - p_b
+        x_t, nuc = svt_svd(p_t + mu1 * r_p, mu1 * lam1)
+        x_b, l12 = group_threshold_where(p_b + mu2 * r_p, mu2 * lam2)
+        obj = 0.5 * float(np.sum(np.abs(y - x_t - x_b) ** 2)) + lam1 * nuc + lam2 * l12
+        return x_t, x_b, obj
+
+    x_t = x_b = x_t_prev = x_b_prev = np.zeros_like(y)
+    obj = 0.5 * float(np.sum(np.abs(y) ** 2))
+    t = 1.0
+    iters = 0
+    for _ in range(max_iters):
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        beta = (t - 1.0) / t_next
+        t = t_next
+        x_t_new, x_b_new, obj_new = step(x_t + beta * (x_t - x_t_prev),
+                                         x_b + beta * (x_b - x_b_prev))
+        if obj_new > obj + 1e-12 * max(1.0, abs(obj)) and beta > 0:
+            x_t_new, x_b_new, obj_new = step(x_t, x_b)
+            t = 0.5 * (1.0 + math.sqrt(5.0))
+        iters += 1
+        if obj_new > obj + 1e-12 * max(1.0, abs(obj)):
+            raise AssertionError("objective rose")
+        dt = np.linalg.norm(x_t_new - x_t) / max(np.linalg.norm(x_t_new), 1e-30)
+        db = np.linalg.norm(x_b_new - x_b) / max(np.linalg.norm(x_b_new), 1e-30)
+        x_t_prev, x_b_prev, x_t, x_b, obj = x_t, x_b, x_t_new, x_b_new, obj_new
+        if dt < tol and db < tol:
+            break
+    return x_t, x_b, iters

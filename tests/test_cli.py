@@ -17,6 +17,7 @@ from oracles import analytic_direct, dense_norm, simulate_full_trace
 
 from usproc import beamform as bf
 from usproc import cli, core
+from usproc import clutter as cl
 from usproc import io as uio
 from usproc import tof
 from usproc.cli import PipelineConfig, run
@@ -68,7 +69,7 @@ DEFAULT_SIDECAR = "".join(f"{line}\n" for line in [
     "sim.pitch_factor = 0.5", "sim.pw_angles = 0.0", "sim.scheme = pw",
     "sim.v = 1540.0", "sparse.lambda = 0.0", "sparse.lambda_frac = 0.015",
     "sparse.max_iters = 5000", "sparse.tol = 1e-8", "ulm.factor = 4",
-    "ulm.lambda_frac = 0.05", "ulm.max_iters = 700", "ulm.method = sparse",
+    "ulm.lambda_frac = 0.05", "ulm.max_iters = 100", "ulm.method = sparse",
     "ulm.psf_sigma = 2.0", "ulm.threshold = 0.10", "ulm.tol = 1e-5",
     "ulm.window_radius = 1"]).encode("ascii")
 
@@ -965,6 +966,31 @@ class TestRecoverDeconvolveClutterUlm:
         tis = uio.read_uim1_seq(tmp_path / "cl_tissue.uim1")
         assert tis.shape == (8, 5, 5)
         assert (tmp_path / "cl_doppler.pgm").exists()
+
+    def test_clutter_cap_hit_warns_on_stderr_only(self, tmp_path, capsys):
+        rng = np.random.default_rng(3)
+        seq = tmp_path / "seq.uim1"
+        uio.write_uim1_seq(seq, rng.random((8, 5, 5)))
+        out = str(tmp_path / "cl")
+        assert run(["clutter", "--in", str(seq), "--method", "rpca", "--out", out,
+                    "--set", "clutter.iters", "3"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == (f"wrote {out}_tissue/_blood/.uim1 and _doppler.pgm "
+                                f"(rpca, 3 iterations)\n")
+        assert captured.err == \
+            "warning: RPCA stopped at its iteration cap, clutter.iters = 3\n"
+        # the files hold the capped split, as the library returns it
+        y = cl.build_casorati(uio.read_uim1_seq(seq))
+        lam1 = cl.default_lambda1(y)
+        tissue, blood, iters = cl.rpca(y, lam1, 0.5 * lam1, max_iters=3)
+        assert iters == 3
+        for name, part in (("tissue", tissue), ("blood", blood)):
+            uio.write_uim1_seq(tmp_path / "want.uim1", cl.unbuild_casorati(part, (5, 5)))
+            assert (tmp_path / f"cl_{name}.uim1").read_bytes() == \
+                (tmp_path / "want.uim1").read_bytes()
+        # a split that converges within its cap warns of nothing
+        assert run(["clutter", "--in", str(seq), "--method", "rpca", "--out", out]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_ulm_subcommand(self, tmp_path):
         from usproc.ulm import simulate_bubbles

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import dense_norm, ista_single, soft_threshold_real, soft_threshold_where
+from oracles import dense_norm, fista_single, soft_threshold_real, soft_threshold_where
 
+from usproc import sparse as sparse_module
 from usproc.errors import AdjointMismatchError, DimensionMismatchError, StepTooLargeError
+from usproc.numerics import rose
 from usproc.sparse import (
     Conv2Same,
     ScanlineModel,
@@ -137,8 +139,8 @@ class TestBatchedIsta:
         lams = np.broadcast_to(lam, y.shape[:1])
         counts = []
         for r in range(y.shape[0]):
-            x_r, it_r, obj_r = ista_single(forward, adjoint, y[r], float(lams[r]),
-                                           real=real, **kw)
+            x_r, it_r, obj_r = fista_single(forward, adjoint, y[r], float(lams[r]),
+                                            real=real, **kw)
             assert np.array_equal(bits(x[r]), bits(x_r)), f"row {r}"
             assert obj[r] == obj_r
             counts.append(it_r)
@@ -162,6 +164,25 @@ class TestBatchedIsta:
         counts = self.check_rows(a, y, 0.01, True, max_iters=150, tol=1e-4)
         assert 150 in counts and min(counts) < 150
 
+    @pytest.mark.parametrize("seed,complex_", [(34, False), (35, True)])
+    def test_rows_restarting_apart_keep_their_bits(self, monkeypatch, seed, complex_):
+        # the rows whose accelerated step the restart rule redoes, per call
+        log = []
+
+        def recording(obj_new, obj):
+            out = rose(obj_new, obj)
+            log.append(np.flatnonzero(out))
+            return out
+
+        monkeypatch.setattr(sparse_module, "rose", recording)
+        a, y = self.stack(seed, 5, 10, 24, complex_=complex_)
+        lam = 0.02 * np.max(np.abs(y @ a.conj()), axis=1)
+        self.check_rows(a, y, lam, not complex_, max_iters=300, tol=1e-12)
+        restarts = [r for r in log if r.size]
+        # several restarts, one row at a time, by at least three rows
+        assert len(restarts) >= 5 and all(r.size == 1 for r in restarts)
+        assert len({int(r[0]) for r in restarts}) >= 3
+
     def test_all_rows_zero(self):
         forward, adjoint = row_maps(np.eye(3) + 0.5)
         x, iters, obj = ista(SparseProblem(forward, adjoint, np.zeros((2, 3)),
@@ -182,8 +203,8 @@ class TestBatchedIsta:
             x, iters, obj = ista(SparseProblem(forward, adjoint, y[0], 0.03, norm,
                                                real=not complex_,
                                                max_iters=900, tol=1e-9))
-            x_r, it_r, obj_r = ista_single(forward, adjoint, y[0], 0.03, norm,
-                                           real=not complex_, max_iters=900, tol=1e-9)
+            x_r, it_r, obj_r = fista_single(forward, adjoint, y[0], 0.03, norm,
+                                            real=not complex_, max_iters=900, tol=1e-9)
             assert np.array_equal(bits(x), bits(x_r))
             assert (iters, obj) == (it_r, obj_r)
 
@@ -259,6 +280,33 @@ class TestIsta:
         lam = 0.01
         x, _, _ = ista(matrix_problem(a, y, lam, max_iters=60000, tol=1e-14))
         assert kkt_residual(a, y, x, lam) <= 1e-6 * lam
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_objective_never_rises_across_restarts(self, monkeypatch, real):
+        rng = np.random.default_rng(36)
+        a = rng.standard_normal((10, 24))
+        y = a[:, :3] @ rng.standard_normal(3) + 0.01 * rng.standard_normal(10)
+        lam = 0.02 * float(np.max(np.abs(a.T @ y)))
+
+        def solve(k):
+            return ista(SparseProblem(lambda v: a @ v, lambda r: a.T @ r, y, lam,
+                                      np.linalg.norm(a, 2), max_iters=k, tol=1e-12,
+                                      real=real))
+
+        calls = []
+
+        def counting(obj_new, obj):
+            calls.append(1)
+            return rose(obj_new, obj)
+
+        monkeypatch.setattr(sparse_module, "rose", counting)
+        _, iters, _ = solve(120)
+        assert iters == 120 and len(calls) - iters >= 3   # a second call per restart
+        # the final objective after k iterations is the k-th iterate's
+        objs = [solve(k)[2] for k in range(121)]
+        assert all(cur <= prev + 1e-12 * max(prev, 1.0)
+                   for prev, cur in zip(objs, objs[1:]))
+        assert objs[-1] < objs[0]
 
     def test_step_too_large_raises(self):
         rng = np.random.default_rng(3)

@@ -7,6 +7,7 @@ import pytest
 from oracles import (
     block_expand,
     dense_norm,
+    fista_single,
     ista_single,
     localize_sparse_complex,
     ulm_model_complex,
@@ -14,7 +15,9 @@ from oracles import (
 )
 
 from usproc import ulm as ulm_module
+from usproc.cli import CONFIG_SCHEMA
 from usproc.errors import DimensionMismatchError
+from usproc.sparse import SparseProblem, ista
 from usproc.ulm import (
     LocalizationModel,
     accumulate,
@@ -102,19 +105,14 @@ def random_unit_peak_psf(shape, seed):
     return psf / psf.max()
 
 
-def model_step(lr_shape, psf, factor):
-    """ISTA's step 1 / (1.01 L)^2 from the localization model's norm L."""
-    return 1.0 / (1.01 * LocalizationModel(lr_shape, psf, factor).norm) ** 2
-
-
 def bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
 class TestFrameStacks:
     """A stack of frames is solved as one batch; every frame must get the
-    bits of its solve alone, checked against the one-problem ISTA reference
-    over the same maps."""
+    bits of its solve alone, checked against the one-problem accelerated
+    reference over the same maps."""
 
     @staticmethod
     def frames(hr_shape, count, seed):
@@ -137,9 +135,9 @@ class TestFrameStacks:
         for f, frame in enumerate(stack):
             assert lam[f] == 0.05 * max_correlation(frame, model)
             alone = localize_sparse(frame, model, lam[f], max_iters=300, tol=tol)
-            x, iters, _ = ista_single(model.forward, model.adjoint, frame.ravel(),
-                                      lam[f], model.norm, max_iters=300, tol=tol,
-                                      real=True)
+            x, iters, _ = fista_single(model.forward, model.adjoint, frame.ravel(),
+                                       lam[f], model.norm, max_iters=300, tol=tol,
+                                       real=True)
             ref = np.clip(x.reshape(hr_shape), 0.0, None)
             assert np.array_equal(bits(hr[f]), bits(alone))
             assert np.array_equal(bits(hr[f]), bits(ref))
@@ -247,24 +245,25 @@ class TestSeparableModel:
 class TestRealSolveAgainstComplexOracle:
     """The float64 solve against the complex128 one it replaced.
 
-    Both start from x = 0 with :func:`localize_sparse`'s step, and ISTA
-    is nonexpansive, so the HR maps differ by accumulated rounding only
-    (measured below 1e-14 relative).  Stated tolerance: HR maps within
+    Both run restart-accelerated ISTA from x = 0 with
+    :func:`localize_sparse`'s step.  Their restart rule ignores objective
+    rises within roundoff, so both restart at the same iterations and the
+    HR maps differ by accumulated rounding only (measured below 4e-14
+    relative at the 100-iteration cap).  Stated tolerance: HR maps within
     1e-9 of the oracle's peak, detections within 1e-6 HR px, and the
     detection counts and density maps exactly equal.
     """
 
     # CLI defaults: factor 4, PSF sigma 2, lambda 0.05 ||A^T y||_inf,
-    # 700-iteration cap, tol 1e-5, threshold 0.10, merge radius 1
+    # 100-iteration cap, tol 1e-5, threshold 0.10, merge radius 1
     @staticmethod
-    def solve_both(image, tol=1e-5):
+    def solve_both(image, tol=1e-5, max_iters=100):
         psf = gaussian_psf(2.0)
         model = model_of(image, psf, 4)
         lam = 0.05 * max_correlation(image, model)
-        hr = localize_sparse(image, model, lam, max_iters=700, tol=tol)
-        ref, iters = localize_sparse_complex(image, psf, lam, 4,
-                                             model_step(image.shape, psf, 4),
-                                             max_iters=700, tol=tol)
+        hr = localize_sparse(image, model, lam, max_iters=max_iters, tol=tol)
+        ref, iters = localize_sparse_complex(image, psf, lam, 4, model.norm,
+                                             max_iters=max_iters, tol=tol)
         return hr, ref, iters
 
     def assert_within_tolerance(self, hr, ref):
@@ -288,7 +287,7 @@ class TestRealSolveAgainstComplexOracle:
         psf = gaussian_psf(2.0)
         hr = localize_sparse(np.zeros((8, 6)), LocalizationModel((8, 6), psf, 4), 0.1)
         ref, _ = localize_sparse_complex(np.zeros((8, 6)), psf, 0.1, 4,
-                                         model_step((8, 6), psf, 4))
+                                         LocalizationModel((8, 6), psf, 4).norm)
         assert hr.shape == (32, 24)
         assert np.array_equal(hr.view(np.uint64), ref.view(np.uint64))
         assert np.all(hr.view(np.uint64) == 0)
@@ -304,9 +303,38 @@ class TestRealSolveAgainstComplexOracle:
 
         monkeypatch.setattr(ulm_module, "ista", counting_ista)
         frame = simulate_bubbles((32, 32), 1, 3.0, 2.0, 4, 30.0, 3)[0]
-        hr, ref, iters = self.solve_both(frame.image, tol=1e-3)
+        hr, ref, iters = self.solve_both(frame.image, tol=1e-3, max_iters=700)
         assert iters < 700 and used == [iters]
         self.assert_within_tolerance(hr, ref)
+
+
+class TestDefaultCap:
+    """The CLI's default ``ulm.max_iters`` against plain ISTA at 700, the
+    default it replaced: at its cap the accelerated solve ends, frame by
+    frame, at an objective no higher than the plain-ISTA oracle's."""
+
+    @pytest.mark.parametrize("hr_shape,count,bubbles,seed,used", [
+        ((64, 64), 2, 6.0, 0, 2),    # the benchmark's ulm-sparse frames
+        ((64, 64), 2, 6.0, 1, 2),
+        ((64, 64), 2, 6.0, 2, 2),
+        ((96, 96), 50, 10.0, 7, 10),   # the first 10 of criterion 10a's frames
+    ])
+    def test_no_higher_objective_than_plain_ista_700(self, hr_shape, count,
+                                                      bubbles, seed, used):
+        cap = int(CONFIG_SCHEMA["ulm.max_iters"][0])
+        tol = float(CONFIG_SCHEMA["ulm.tol"][0])
+        stack = np.stack([f.image for f in simulate_bubbles(
+            hr_shape, count, bubbles, 2.0, 4, 30.0, seed)[:used]])
+        model = model_of(stack, gaussian_psf(2.0), 4)
+        lam = 0.05 * max_correlation(stack, model)
+        _, iters, obj = ista(SparseProblem(model.forward, model.adjoint,
+                                           stack.reshape(used, -1), lam, model.norm,
+                                           max_iters=cap, tol=tol, real=True))
+        assert cap < 700 and iters == cap
+        for f, frame in enumerate(stack):
+            _, _, ref = ista_single(model.forward, model.adjoint, frame.ravel(), lam[f],
+                                    model.norm, max_iters=700, tol=tol, real=True)
+            assert obj[f] <= ref, f"frame {f}"
 
 
 class TestSharedStep:
