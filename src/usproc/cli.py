@@ -534,7 +534,7 @@ def _cmd_clutter(args) -> int:
             y, lam1, lam2, cfg["clutter.mu1"], cfg["clutter.mu2"],
             cfg["clutter.iters"], cfg["clutter.tol"])
         if iters >= cfg["clutter.iters"]:
-            print(f"warning: RPCA stopped at its iteration cap, clutter.iters = {iters}",
+            print(f"warning: RPCA used all clutter.iters = {iters} iterations",
                   file=sys.stderr)
     shape = frames.shape[1:]
     uio.write_uim1_seq(args.out + "_tissue.uim1", cl.unbuild_casorati(tissue, shape))

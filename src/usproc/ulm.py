@@ -283,15 +283,17 @@ def detect_centroids(frame, threshold_fraction: float,
 
 def accumulate(sets, hr_shape) -> np.ndarray:
     """2-D histogram on the HR grid of a sequence of (n, 3) detection arrays;
-    sums to the detection count.  A NaN or infinite coordinate raises
-    ``ValueError``."""
+    sums to the detection count.  A detection counts in the pixel nearest
+    to it: pixel i's centre is coordinate i, so its bin is [i - 1/2, i + 1/2)
+    and a half-integer coordinate rounds up.  A NaN or infinite coordinate
+    raises ``ValueError``."""
     det = np.concatenate([np.zeros((0, 3))] + [
         np.asarray(d, dtype=np.float64).reshape(-1, 3) for d in sets])
     if not np.isfinite(det[:, :2]).all():
         raise ValueError("detections must be finite")
-    # floor and clip as floats, so a coordinate far off the grid casts safely
-    i = np.clip(np.floor(det[:, 0]), 0, hr_shape[0] - 1).astype(np.intp)
-    j = np.clip(np.floor(det[:, 1]), 0, hr_shape[1] - 1).astype(np.intp)
+    # round and clip as floats, so a coordinate far off the grid casts safely
+    i = np.clip(np.floor(det[:, 0] + 0.5), 0, hr_shape[0] - 1).astype(np.intp)
+    j = np.clip(np.floor(det[:, 1] + 0.5), 0, hr_shape[1] - 1).astype(np.intp)
     counts = np.bincount(i * hr_shape[1] + j, minlength=hr_shape[0] * hr_shape[1])
     return counts.reshape(hr_shape).astype(np.float64)
 

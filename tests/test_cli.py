@@ -978,7 +978,7 @@ class TestRecoverDeconvolveClutterUlm:
         assert captured.out == (f"wrote {out}_tissue/_blood/.uim1 and _doppler.pgm "
                                 f"(rpca, 3 iterations)\n")
         assert captured.err == \
-            "warning: RPCA stopped at its iteration cap, clutter.iters = 3\n"
+            "warning: RPCA used all clutter.iters = 3 iterations\n"
         # the files hold the capped split, as the library returns it
         y = cl.build_casorati(uio.read_uim1_seq(seq))
         lam1 = cl.default_lambda1(y)

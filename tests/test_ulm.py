@@ -249,9 +249,9 @@ class TestRealSolveAgainstComplexOracle:
     :func:`localize_sparse`'s step.  Their restart rule ignores objective
     rises within roundoff, so both restart at the same iterations and the
     HR maps differ by accumulated rounding only (measured below 4e-14
-    relative at the 100-iteration cap).  Stated tolerance: HR maps within
-    1e-9 of the oracle's peak, detections within 1e-6 HR px, and the
-    detection counts and density maps exactly equal.
+    relative at the 100-iteration cap and 3e-13 at 700).  Stated
+    tolerance: HR maps within 1e-9 of the oracle's peak, detections within
+    1e-6 HR px, and the detection counts and density maps exactly equal.
     """
 
     # CLI defaults: factor 4, PSF sigma 2, lambda 0.05 ||A^T y||_inf,
@@ -275,12 +275,23 @@ class TestRealSolveAgainstComplexOracle:
                               accumulate([det_ref], ref.shape))
         assert np.all(np.abs(det[:, :2] - det_ref[:, :2]) <= 1e-6)
 
-    @pytest.mark.parametrize("hr_shape", [(32, 32), (48, 40), (64, 64),
-                                          (96, 80)])
-    @pytest.mark.parametrize("seed", [21, 22, 23])
-    def test_matches_oracle(self, hr_shape, seed):
+    FRAMES = pytest.mark.parametrize("hr_shape", [(32, 32), (48, 40), (64, 64),
+                                                  (96, 80)])
+    SEEDS = pytest.mark.parametrize("seed", [21, 22, 23])
+
+    @FRAMES
+    @SEEDS
+    def test_matches_oracle_at_default_cap(self, hr_shape, seed):
         frame = simulate_bubbles(hr_shape, 1, 6.0, 2.0, 4, 30.0, seed)[0]
         hr, ref, _ = self.solve_both(frame.image)
+        self.assert_within_tolerance(hr, ref)
+
+    @FRAMES
+    @SEEDS
+    def test_matches_oracle(self, hr_shape, seed):
+        # at 700 iterations, the old default cap
+        frame = simulate_bubbles(hr_shape, 1, 6.0, 2.0, 4, 30.0, seed)[0]
+        hr, ref, _ = self.solve_both(frame.image, max_iters=700)
         self.assert_within_tolerance(hr, ref)
 
     def test_empty_frame_exact_zeros(self):
@@ -484,12 +495,17 @@ class TestAccumulate:
         assert not np.any(accumulate([], (8, 8)))
 
     def test_bin_count(self):
-        dets = np.array([[2.2, 3.7, 1.0],
-                         [2.9, 3.1, 2.0],
-                         [5.0, 5.0, 1.0]])
+        # pixel i's centre is coordinate i: each detection counts in the
+        # nearest pixel, and a half rounds up
+        dets = np.array([[2.2, 3.4, 1.0],
+                         [1.6, 2.9, 2.0],
+                         [5.0, 5.0, 1.0],
+                         [4.5, 6.49, 1.0]])
         out = accumulate([dets], (8, 8))
         assert out[2, 3] == 2.0
         assert out[5, 5] == 1.0
+        assert out[5, 6] == 1.0
+        assert out.sum() == 4.0
 
     def test_conservation(self):
         rng = np.random.default_rng(2)
@@ -500,12 +516,13 @@ class TestAccumulate:
         assert out.sum() == 15.0
 
     def test_beyond_both_edges(self):
-        # each coordinate is floored, then clipped to the grid, however far
-        # off it lies; the counts are those of the per-detection loop
-        dets = [np.array([[-1e300, 1e300, 1.0], [-0.5, 4.99, 1.0],
+        # each coordinate is rounded to the nearest pixel, then clipped to
+        # the grid, however far off it lies; the counts are those of the
+        # per-detection loop
+        dets = [np.array([[-1e300, 1e300, 1.0], [-0.51, 4.99, 1.0],
                           [3.0, -7.0, 1.0]]),
                 np.array([[1e300, -1e300, 2.0], [4.0, 5.0, 1.0],
-                          [2.5, 2.0, 1.0], [2.0, 2.999, 1.0]])]
+                          [2.49, 2.0, 1.0], [1.5, 2.499, 1.0]])]
         want = np.zeros((4, 5))
         want[0, 4] = 2.0
         want[3, 0] = 2.0
