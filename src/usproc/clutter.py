@@ -3,28 +3,21 @@
 A Casorati matrix is a plain (N*M, T) array: column t is frame t raveled
 column-major (:func:`build_casorati`; :func:`unbuild_casorati` undoes it).
 The RPCA solver splits one, Y, into a low-rank tissue component plus a
-row-sparse flow component by proximal-gradient steps on both blocks at
-once, each taken from a point P = X + beta (X - X_prev) with FISTA's
-momentum,
+row-sparse flow component, minimizing
 
-    G         = Y - P_tissue - P_blood
-    X_tissue <- SVT_{mu1 lam1}(P_tissue + mu1 G)
-    X_blood  <- T12_{mu2 lam2}(P_blood + mu2 G)
+    0.5||Y - X_t - X_b||_F^2 + lam1 ||X_t||_* + lam2 ||X_b||_{1,2}
 
-minimizing 0.5||Y - X_t - X_b||_F^2 + lam1 ||X_t||_* + lam2 ||X_b||_{1,2}.
-A step that would raise that objective is redone from X as a plain step
-and the momentum starts over (function-value restart), the rule the l1
-solver in :mod:`sparse` follows too; both take it from :mod:`numerics`.
-The mixed norm groups each spatial pixel's time series (l2 along time, l1
+on the loop of :func:`numerics.proximal_gradient`, as a one-row stack of
+the blocks (X_t, X_b) (:func:`rpca`).  Each proximal step returns its
+output's penalty, so that an iteration computes each norm once.  The mixed
+norm groups each spatial pixel's time series (l2 along time, l1
 across pixels): a sparse set of flowing pixels, each temporally coherent.
-Each proximal step also returns its output's penalty, so an iteration
-computes each norm once.  Singular value thresholding needs no left
-singular vectors: it takes V and s^2 from the eigendecomposition of the
-small (frames x frames) Gram Y^H Y, the temporal covariance of SVD clutter
-filtering, and falls back to a full SVD only for a threshold too small for
-the Gram to resolve.  Real frames (B-mode or RF sequences) stay float64
-through every step, Gram and SVD included; complex (IQ) frames run in
-complex128.
+Singular value thresholding needs no left singular vectors: it takes V and
+s^2 from the eigendecomposition of the small (frames x frames) Gram Y^H Y,
+the temporal covariance of SVD clutter filtering, and falls back to a full
+SVD only for a threshold too small for the Gram to resolve.  Real frames
+(B-mode or RF sequences) stay float64 through every step, Gram and SVD
+included; complex (IQ) frames run in complex128.
 """
 
 from __future__ import annotations
@@ -32,8 +25,8 @@ from __future__ import annotations
 import numpy as np
 
 from .core import working_dtype
-from .errors import DimensionMismatchError, ShapeMismatchError, StepTooLargeError
-from .numerics import gram_eigh, momentum, rose, svd
+from .errors import DimensionMismatchError, ShapeMismatchError
+from .numerics import gram_eigh, proximal_gradient, svd
 
 
 def build_casorati(frames) -> np.ndarray:
@@ -86,12 +79,12 @@ def _svt_with_nuclear(y: np.ndarray, tau: float):
     if tau <= _GRAM_MARGIN * np.sqrt(w.size * _EPS * max(w[-1], 0.0)):
         u, s, vh = svd(y)
         s = np.maximum(s - tau, 0.0)
-        return (u * s) @ vh, float(np.sum(s))
+        return (u * s) @ vh, float(np.add.reduce(s))
     keep = np.count_nonzero(w > tau * tau)   # w ascends: the last ones
     v = v[:, w.size - keep:]
     s = np.sqrt(w[w.size - keep:])
     out = ((a @ v) * (1.0 - tau / s)) @ v.conj().T
-    return (out.conj().T if wide else out), float(np.sum(s - tau))
+    return (out.conj().T if wide else out), float(np.add.reduce(s - tau))
 
 
 def svt(y, lam: float) -> np.ndarray:
@@ -112,11 +105,12 @@ def _group_threshold_with_norm(x: np.ndarray, tau: float):
     A row of norm n > tau scales by 1 - tau / n and one at or below tau by
     1 - tau / tau = 0 exactly, for a finite tau > 0; tau = 0 is the identity.
     """
-    norms = np.sqrt(np.sum(np.abs(x) ** 2, axis=1))
+    # x * x has the bits of |x|^2 for real x, in one pass
+    norms = np.sqrt(np.add.reduce(np.abs(x) ** 2 if np.iscomplexobj(x) else x * x, axis=1))
     if not tau:
-        return x.copy(), float(np.sum(norms))
+        return x.copy(), float(np.add.reduce(norms))
     scale = 1.0 - tau / np.maximum(norms, tau)
-    return x * scale[:, None], float(np.sum(norms * scale))
+    return x * scale[:, None], float(np.add.reduce(norms * scale))
 
 
 def mixed_l12_threshold(x, lam: float) -> np.ndarray:
@@ -135,28 +129,19 @@ def default_lambda1(y) -> float:
     return float(s[0] / np.sqrt(max(y.shape)))
 
 
-def _sq_norm(a: np.ndarray) -> float:
-    """||a||_F^2 in one pass."""
-    return float(np.vdot(a, a).real)
-
-
 def rpca(y, lam1: float, lam2: float, mu1: float = 0.5, mu2: float = 0.5,
          max_iters: int = 500, tol: float = 1e-6):
     """Low-rank plus row-sparse separation of an (N*M, T) Casorati matrix.
 
     Returns (x_tissue, x_blood, iterations), both (N*M, T) arrays of ``y``'s
-    working dtype: a real matrix is separated in float64 throughout, its
-    thresholding included, a complex one in complex128.  Both proximal steps
-    threshold with mu_i * lam_i, so an iteration is a proximal-gradient step
-    on the joint objective, taken from the point X + beta (X - X_prev) with
-    FISTA's momentum (:func:`numerics.momentum`).  The objective never
-    rises: an accelerated step that would raise it is redone from X as a
-    plain step, with the momentum restarted (:func:`numerics.rose`), and a
-    plain step that raises it raises ``step-too-large`` (mu1 = mu2 = 0.5
-    matches the Lipschitz bound of the coupled quadratic and always
-    descends).  Stops when both blocks' relative changes ||X' - X|| / ||X'||
-    drop below ``tol``.  Zero weights are allowed: on Y = 0 every iterate is
-    zero and the solve stops after one.
+    working dtype.  The loop runs on the one-row stack of the blocks (X_t,
+    X_b): the forward map X_t + X_b, the step (mu1 R, mu2 R) and the prox
+    (SVT_{mu1 lam1}, T12_{mu2 lam2}).  mu1 = mu2 = 0.5 matches the
+    Lipschitz bound of the coupled quadratic and always descends; a plain
+    step that raises the objective raises ``step-too-large``.  Stops when
+    each block's change ||X' - X|| / max(||X||, 1e-30) drops below ``tol``,
+    a test with no scale of its own.  Zero weights are allowed: on Y = 0
+    every iterate is zero and the solve stops after one.
     """
     if not (0 <= lam1 < np.inf and 0 <= lam2 < np.inf):
         raise ValueError("lam1 and lam2 must be >= 0 and finite")
@@ -165,40 +150,23 @@ def rpca(y, lam1: float, lam2: float, mu1: float = 0.5, mu2: float = 0.5,
     y = np.asarray(y, dtype=working_dtype(y))
     if y.ndim != 2:
         raise DimensionMismatchError("dimension-mismatch: rpca expects a 2-D matrix")
+    mu = np.array([mu1, mu2])[:, None, None]
 
-    def descend(p_t, p_b):
-        """The step from the point (p_t, p_b): the new blocks and their
-        objective."""
-        resid = y - p_t - p_b
-        x_t, nuc = _svt_with_nuclear(p_t + mu1 * resid, mu1 * lam1)
-        x_b, l12 = _group_threshold_with_norm(p_b + mu2 * resid, mu2 * lam2)
-        resid = y - x_t - x_b
-        return x_t, x_b, 0.5 * _sq_norm(resid) + lam1 * nuc + lam2 * l12
+    def forward(x):
+        return x[:, 0] + x[:, 1]
 
-    x_t = x_b = d_t = d_b = np.zeros_like(y)   # replaced, never written in place
-    obj = 0.5 * _sq_norm(y)
-    t = 1.0
-    iters = 0
-    for _ in range(max_iters):
-        t, beta = momentum(t)
-        x_t_new, x_b_new, obj_new = descend(x_t + beta * d_t, x_b + beta * d_b)
-        iters += 1
-        rise = rose(obj_new, obj)
-        if rise and beta > 0:                  # restart with a plain step
-            x_t_new, x_b_new, obj_new = descend(x_t, x_b)
-            t = momentum(1.0)[0]
-            rise = rose(obj_new, obj)
-        if rise:
-            raise StepTooLargeError(
-                f"step-too-large: RPCA objective rose {obj:.6e} -> {obj_new:.6e} "
-                f"at iteration {iters}")
-        d_t, d_b = x_t_new - x_t, x_b_new - x_b
-        dt = (_sq_norm(d_t) / max(_sq_norm(x_t_new), 1e-60)) ** 0.5
-        db = (_sq_norm(d_b) / max(_sq_norm(x_b_new), 1e-60)) ** 0.5
-        x_t, x_b, obj = x_t_new, x_b_new, obj_new
-        if dt < tol and db < tol:
-            break
-    return x_t, x_b, iters
+    def step(r):
+        return mu * r[:, None]
+
+    def prox(z):
+        z[0, 0], nuc = _svt_with_nuclear(z[0, 0], mu1 * lam1)
+        z[0, 1], l12 = _group_threshold_with_norm(z[0, 1], mu2 * lam2)
+        return lam1 * nuc + lam2 * l12
+
+    x, iters, _ = proximal_gradient(forward, step, prox, y[None], (2,) + y.shape,
+                                    max_iters, tol, blocks=2, floor=1e-60,
+                                    detail=f" (mu1={mu1:.3e}, mu2={mu2:.3e})")
+    return x[0, 0], x[0, 1], iters
 
 
 def power_doppler(x_blood, spatial_shape) -> np.ndarray:

@@ -1,31 +1,17 @@
 """Proximal-gradient MAP solvers for l1-regularized least squares.
 
-The core solver is ISTA with FISTA's momentum (Beck & Teboulle 2009) and
-function-value restart (O'Donoghue & Candes 2015),
-
-    p       = x^k + beta_k (x^k - x^{k-1})
-    x^{k+1} = soft_threshold(p - mu A^H (A p - y), mu * lambda),
-
-minimizing 0.5 ||y - A x||^2 + lambda ||x||_1.  A step that would raise the
-objective is redone from x^k as a plain step with the momentum started
-over, so the objective never rises; the coefficient beta_k and that rule
-come from :mod:`numerics`, shared with the clutter filter's RPCA.  A p is
-formed by linearity from the last two forward images, so an iteration makes
-one adjoint and one forward map, and only a restart pays a second pair.
-One call solves a single problem or a stack of independent ones that share
-the operator: each row of the stack keeps its own momentum, restart,
-objective check and stopping rule, and a row that stops is frozen while
-the others go on, so every row ends with the bits it would have had alone;
-a single problem is a one-row stack.  The step is 1 / (1.01 ||A||)^2, with
-||A|| the spectral norm, or a bound on it, that each model states in
-closed form: nothing is estimated.  Each iteration makes few passes over
-the stack: a real problem soft-thresholds as z - clip(z, -t, t), two
-passes, and a complex one shrinks magnitudes in six; the stop test
-compares squares, each one BLAS dot product per row, with ||x^k||^2
-carried from the iteration before.  On top of it sit the Fourier-domain
-sub-Nyquist scanline recovery (partial DFT times pulse spectrum, of norm
-sqrt(N) max|h|) and zero-padded deconvolution of a real image under a real
-kernel (of norm at most the kernel spectrum's peak).
+:func:`ista` minimizes 0.5 ||y - A x||^2 + lambda ||x||_1 on the
+restart-accelerated loop of :func:`numerics.proximal_gradient`, with the
+step mu A^H r and the prox soft_threshold(z, mu lambda), mu = 1 / (1.01
+||A||)^2.  ||A|| is the spectral norm, or a bound on it, that each model
+states in closed form: nothing is estimated.  One call solves a single
+problem or a stack of independent ones that share the operator, each row
+with the bits of its solve alone.  A real problem soft-thresholds as z -
+clip(z, -t, t), two passes, and a complex one shrinks magnitudes in six.
+On top of it sit the Fourier-domain sub-Nyquist scanline recovery (partial
+DFT times pulse spectrum, of norm sqrt(N) max|h|) and zero-padded
+deconvolution of a real image under a real kernel (of norm at most the
+kernel spectrum's peak).
 """
 
 from __future__ import annotations
@@ -36,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import working_dtype
-from .errors import AdjointMismatchError, DimensionMismatchError, StepTooLargeError
-from .numerics import momentum, rose
+from .errors import AdjointMismatchError, DimensionMismatchError
+from .numerics import proximal_gradient
 
 
 def soft_threshold(x, lam: float):
@@ -103,8 +89,7 @@ class SparseProblem:
     A 2-D ``y`` of shape (B, m) is B problems under one operator, solved
     together: ``lam`` is one weight or a (B,) array of them, and the maps
     must take (k, n) and (k, m) stacks row by row as well as 1-D vectors.
-    ``norm`` is the operator's spectral norm ||A||, or a bound on it, as the
-    model states it in closed form; :func:`ista` takes its step from it.
+    ``norm`` is ||A||, or a bound on it, from which :func:`ista` takes its step.
     """
 
     forward: callable
@@ -136,10 +121,6 @@ class SparseProblem:
             raise ValueError("lambda must be finite")
         if not 0 <= self.norm < math.inf:
             raise ValueError("norm must be finite and >= 0")
-        if not self.tol > 0:
-            raise ValueError("tol must be > 0")
-        if not self.max_iters >= 0:
-            raise ValueError("max_iters must be >= 0")
 
 
 def _unit_normal(rng, n, real: bool):
@@ -168,158 +149,54 @@ def _check_adjoint(forward, adjoint, dim: int, real: bool):
                 f"adjoint-mismatch: <Ax,y>={lhs:.6e} vs <x,A^H y>={rhs:.6e}")
 
 
-def _sum_squares(v, out, real: bool):
-    """sum |v|^2 along the last axis, with ``out`` (float64, v's shape) as
-    scratch: v * v for real v, which has the bits of np.abs(v) ** 2."""
-    if real:
-        np.multiply(v, v, out=out)
-    else:
-        np.abs(v, out=out)
-        np.multiply(out, out, out=out)
-    return np.add.reduce(out, axis=-1)
-
-
-def _dot_views(v):
-    """The (k, 1, 2n) and (k, 2n, 1) views of a C-ordered (k, n) stack whose
-    product is ||v||^2 per row, one BLAS dot product each; a complex row is
-    read as its 2n float64 parts."""
-    w = v.view(np.float64)
-    return w[:, None, :], w[:, :, None]
-
-
 def ista(problem: SparseProblem):
-    """Run restart-accelerated ISTA from x = 0; returns (x_hat,
-    iterations_used, final_objective).
+    """Run restart-accelerated ISTA from x = 0 with the module's step and
+    prox; returns (x_hat, iterations_used, final_objective).
 
-    Each iteration is a proximal-gradient step with FISTA's momentum from
-    :func:`numerics.momentum`: from the point p = x_k + beta_k (x_k -
-    x_{k-1}), x_{k+1} = soft_threshold(p - mu A^H (A p - y), mu lambda).
-    A p comes by linearity from the last two forward images, so A p - y =
-    r_k + beta_k (r_k - r_{k-1}) with r_k = A x_k - y, and an iteration
-    makes one adjoint and one forward map.  The step is mu = 1 / (1.01
-    ``norm``)^2: 1/L for the gradient's Lipschitz constant L = ||A||^2,
-    with a 1.01 margin on the norm.  A zero norm, or one whose square
-    underflows, gives x = 0 without iterating.  The objective is tracked
-    every iterate and never rises: an accelerated step that would raise it
-    beyond roundoff (:func:`numerics.rose`) is redone from x_k as a plain
-    step, with the momentum restarted, which costs that row a second
-    adjoint and forward map; a plain step that raises it raises
-    ``step-too-large``.  Stops when the relative step ||x_{k+1} - x_k|| /
-    max(||x_k||, 1) drops below ``tol``, compared on squares,
-    ||x_{k+1} - x_k||^2 < tol^2 max(||x_k||^2, 1), each square one BLAS dot
-    product per row and ||x_k||^2 carried from the step before; that step
-    is the next iteration's momentum direction.  A real problem
-    soft-thresholds as z - clip(z, -t, t), two passes, so an entry it kills
-    is +0; a complex one shrinks magnitudes in six.
-
-    Every solve runs as a stack.  A (B, m) stack gives a (B, n) ``x_hat``
-    and a (B,) ``final_objective``.  Each row has its own momentum, restart,
-    objective check and stop; a row that stops is frozen while the rest go
-    on, so every row has the bits of its solve alone.  ``iterations_used``
-    is then the batch's loop count, the largest row count; a redone step is
-    not counted again.  A vector ``y`` is a one-row stack whose maps see 1-D
-    views; it gives a 1-D ``x_hat`` and a float ``final_objective``.
+    mu = 1 / (1.01 ``norm``)^2 is 1/L for the gradient's Lipschitz constant
+    L = ||A||^2, with a 1.01 margin on the norm; a zero norm, or one whose
+    square underflows, gives x = 0 without iterating.  Stops when the
+    relative step ||x_{k+1} - x_k|| / max(||x_k||, 1) drops below ``tol``.
+    A (B, m) stack gives a (B, n) ``x_hat`` and a (B,) ``final_objective``,
+    and ``iterations_used`` is the largest row count; a vector ``y`` is a
+    one-row stack whose maps see 1-D views, and gives a 1-D ``x_hat`` and a
+    float ``final_objective``.
     """
-    real, lam = problem.real, problem.lam
-    dtype = np.float64 if real else np.complex128
+    real = problem.real
     one = problem.y.ndim == 1
     y = problem.y[None] if one else problem.y
 
     def view(v):   # what the maps see of a (k, .) stack
         return v[0] if one else v
 
-    def result(x, iters, obj):
-        return (x[0], iters, float(obj[0])) if one else (x, iters, obj)
-
     dim = np.asarray(problem.adjoint(y[0])).size
     _check_adjoint(problem.forward, problem.adjoint, dim, real)
-    x = np.zeros((y.shape[0], dim), dtype=dtype)
-    residual = -y                    # A x - y at x = 0
-    res_sq = np.empty(y.shape)
-    obj = 0.5 * _sum_squares(residual, res_sq, real) + lam * 0.0
+    lam = np.broadcast_to(problem.lam, y.shape[:1])
     # numpy's scalar pow has the bits of Python's, and overflows or
     # underflows to inf or 0 where Python's would raise
-    with np.errstate(over="ignore", divide="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         mu = float(1.0 / np.float64(1.01 * problem.norm) ** 2)
-        # a tol whose square underflows still stops on a zero step
-        tol_sq = max(float(np.float64(problem.tol) ** 2), 5e-324)
-    if mu == math.inf:               # the zero operator: x = 0 minimizes for any y
-        return result(x, 0, obj)
-
-    def descend(p, r_p, y, lam, bounds, z, mag, r_new, res_sq):
-        """The step from p, whose residual A p - y is r_p: x_{k+1} into z,
-        its residual into r_new (r_p's buffer may be reused); returns its
-        objective.  ``mag`` and ``res_sq`` are float64 scratch."""
-        grad = np.asarray(problem.adjoint(view(r_p)), dtype=dtype).reshape(p.shape)
-        np.multiply(mu, grad, out=z)
-        np.subtract(p, z, out=z)
-        shrink(z, *bounds, mag)
-        np.subtract(np.asarray(problem.forward(view(z))).reshape(y.shape), y,
-                    out=r_new)
-        np.abs(z, out=mag)
-        return 0.5 * _sum_squares(r_new, res_sq, real) + lam * np.add.reduce(mag, axis=-1)
-
-    rows = np.arange(y.shape[0])     # the unfinished rows
-    lam = np.broadcast_to(lam, rows.shape)
-    thresh = (mu * lam)[:, None]
+        thresh = (mu * lam)[:, None]
+    # the zero operator: x = 0 minimizes for any y (a negative cap still fails)
+    max_iters = problem.max_iters if mu < math.inf else min(problem.max_iters, 0)
     shrink, bounds = (_shrink_real, _clip_bounds(thresh)) if real else (_shrink, (thresh,))
-    x_out, obj_out = np.empty_like(x), np.empty_like(obj)
-    # scratch, in place throughout: d holds x_k - x_{k-1}, then the point p;
-    # dres holds r_k - r_{k-1}, and r_new A p - y, then r_{k+1}
-    d, z, mag = np.zeros_like(x), np.empty_like(x), np.empty(x.shape)
-    dres, r_new = np.zeros_like(y), np.empty_like(y)
-    t = np.ones(rows.shape)
-    x_sq = 0.0                       # ||x||^2
-    xv, zv, dv = _dot_views(x), _dot_views(z), _dot_views(d)
-    iters = 0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        for _ in range(problem.max_iters):
-            t, beta = momentum(t)
-            col = beta[:, None]
-            np.multiply(col, d, out=d)
-            np.add(x, d, out=d)
-            np.multiply(col, dres, out=r_new)
-            np.add(residual, r_new, out=r_new)
-            obj_new = descend(d, r_new, y, lam, bounds, z, mag, r_new, res_sq)
-            iters += 1
-            rise = rose(obj_new, obj)
-            if np.count_nonzero(rise):   # rare: a restart or a step too large
-                redo = rise & (beta > 0)
-                if np.count_nonzero(redo):   # a plain step from x_k on these rows
-                    z_k, r_k = np.empty_like(x[redo]), np.empty_like(y[redo])
-                    obj_new[redo] = descend(x[redo], residual[redo], y[redo], lam[redo],
-                                            tuple(b[redo] for b in bounds), z_k,
-                                            np.empty(z_k.shape), r_k, np.empty(r_k.shape))
-                    z[redo], r_new[redo] = z_k, r_k
-                    t[redo] = momentum(1.0)[0]
-                    rise = rose(obj_new, obj)
-                if np.count_nonzero(rise):
-                    i = rise.argmax()
-                    where = "" if one else f" in row {rows[i]}"
-                    raise StepTooLargeError(
-                        f"step-too-large: objective rose {obj[i]:.6e} -> {obj_new[i]:.6e} "
-                        f"at iteration {iters}{where} (mu={mu:.3e})")
-            x_sq_new = (zv[0] @ zv[1])[:, 0, 0]      # the next reference
-            np.subtract(z, x, out=d)
-            np.subtract(r_new, residual, out=dres)
-            stop = (dv[0] @ dv[1])[:, 0, 0] < tol_sq * np.maximum(x_sq, 1.0)
-            x, z, xv, zv, residual, r_new = z, x, zv, xv, r_new, residual
-            obj, x_sq = obj_new, x_sq_new
-            if np.count_nonzero(stop):
-                x_out[rows[stop]], obj_out[rows[stop]] = x[stop], obj[stop]
-                keep = ~stop
-                rows = rows[keep]
-                if not rows.size:
-                    return result(x_out, iters, obj_out)
-                x, d, y = x[keep], d[keep], y[keep]
-                residual, dres = residual[keep], dres[keep]
-                obj, x_sq, t, lam = obj[keep], x_sq[keep], t[keep], lam[keep]
-                bounds = tuple(b[keep] for b in bounds)
-                z, mag = np.empty_like(x), np.empty(x.shape)
-                r_new, res_sq = np.empty_like(y), np.empty(y.shape)
-                xv, zv, dv = _dot_views(x), _dot_views(z), _dot_views(d)
-    x_out[rows], obj_out[rows] = x, obj
-    return result(x_out, iters, obj_out)
+
+    def forward(v):
+        return np.asarray(problem.forward(view(v))).reshape(len(v), -1)
+
+    def step(r):
+        return mu * np.asarray(problem.adjoint(view(r)), dtype=y.dtype).reshape(len(r), -1)
+
+    def prox(z, lam, *bounds):
+        mag = np.empty(z.shape)
+        shrink(z, *bounds, mag)
+        np.abs(z, out=mag)
+        return lam * np.add.reduce(mag, axis=-1)
+
+    x, iters, obj = proximal_gradient(forward, step, prox, y, (dim,), max_iters,
+                                      problem.tol, params=(lam, *bounds),
+                                      detail=f" (mu={mu:.3e})")
+    return (x[0], iters, float(obj[0])) if one else (x, iters, obj)
 
 
 # ---------------------------------------------------------------------------

@@ -343,7 +343,7 @@ def ista_single(forward, adjoint, y, lam, norm, max_iters=5000,
     mu = 1.0 / (1.01 * norm) ** 2
     x = np.zeros(np.asarray(adjoint(y)).size, dtype=dtype)
     residual = -y
-    obj = objective(residual, x)
+    obj = obj_start = objective(residual, x)
     iters = 0
     for _ in range(max_iters):
         grad = np.asarray(adjoint(residual), dtype=dtype).ravel()
@@ -351,7 +351,7 @@ def ista_single(forward, adjoint, y, lam, norm, max_iters=5000,
         residual = np.asarray(forward(x_new)).ravel() - y
         obj_new = objective(residual, x_new)
         iters += 1
-        if obj_new > obj + 1e-12 * max(1.0, abs(obj)):
+        if obj_new > obj + 1e-12 * obj_start:
             raise AssertionError("objective rose")
         delta = np.sqrt(np.sum(np.abs(x_new - x) ** 2))
         ref = max(np.sqrt(np.sum(np.abs(x) ** 2)), 1.0)
@@ -370,10 +370,10 @@ def fista_single(forward, adjoint, y, lam, norm, max_iters=5000,
     4 t^2)) / 2 and beta = (t - 1) / t' give the point p = x + beta (x -
     x_prev), whose residual A p - y is r + beta (r - r_prev), r = A x - y.
     Function-value restart (O'Donoghue & Candes 2015): a step with beta > 0
-    that raises the objective beyond roundoff, by more than 1e-12 max(obj,
-    1), is redone from x as a plain step, as a first step from t = 1.  The
-    step is 1 / (1.01 norm)^2, with fresh arrays every step and the soft
-    thresholds of :func:`ista_single`.
+    that raises the objective beyond roundoff, by more than 1e-12 of the
+    starting objective 0.5 ||y||^2, is redone from x as a plain step, as a
+    first step from t = 1.  The step is 1 / (1.01 norm)^2, with fresh arrays
+    every step and the soft thresholds of :func:`ista_single`.
     """
     dtype = np.float64 if real else np.complex128
     shrink = soft_threshold_real if real else soft_threshold_where
@@ -390,7 +390,7 @@ def fista_single(forward, adjoint, y, lam, norm, max_iters=5000,
     mu = 1.0 / (1.01 * norm) ** 2
     x = np.zeros(np.asarray(adjoint(y)).size, dtype=dtype)
     x_prev, residual, r_prev = x, -y, -y
-    obj = 0.5 * float(np.sum(np.abs(y) ** 2))
+    obj = obj_start = 0.5 * float(np.sum(np.abs(y) ** 2))
     t = 1.0
     iters = 0
     for _ in range(max_iters):
@@ -399,11 +399,11 @@ def fista_single(forward, adjoint, y, lam, norm, max_iters=5000,
         t = t_next
         x_new, r_new, obj_new = step(x + beta * (x - x_prev),
                                      residual + beta * (residual - r_prev))
-        if obj_new > obj + 1e-12 * max(1.0, abs(obj)) and beta > 0:
+        if obj_new > obj + 1e-12 * obj_start and beta > 0:
             x_new, r_new, obj_new = step(x, residual)
             t = 0.5 * (1.0 + math.sqrt(5.0))
         iters += 1
-        if obj_new > obj + 1e-12 * max(1.0, abs(obj)):
+        if obj_new > obj + 1e-12 * obj_start:
             raise AssertionError("objective rose")
         delta = np.sqrt(np.sum(np.abs(x_new - x) ** 2))
         ref = max(np.sqrt(np.sum(np.abs(x) ** 2)), 1.0)
@@ -432,7 +432,7 @@ def rpca_fista(y, lam1, lam2, mu1=0.5, mu2=0.5, max_iters=500, tol=1e-6):
     (:func:`svt_svd`) and X_b' = T12_{mu2 lam2}(P_b + mu2 R)
     (:func:`group_threshold_where`); the same momentum, restart and
     objective check as :func:`fista_single`, and the stop when both blocks'
-    relative changes ||X' - X|| / ||X'|| drop below ``tol``.
+    relative changes ||X' - X|| / max(||X||, 1e-30) drop below ``tol``.
     """
     y = np.asarray(y)
 
@@ -444,7 +444,7 @@ def rpca_fista(y, lam1, lam2, mu1=0.5, mu2=0.5, max_iters=500, tol=1e-6):
         return x_t, x_b, obj
 
     x_t = x_b = x_t_prev = x_b_prev = np.zeros_like(y)
-    obj = 0.5 * float(np.sum(np.abs(y) ** 2))
+    obj = obj_start = 0.5 * float(np.sum(np.abs(y) ** 2))
     t = 1.0
     iters = 0
     for _ in range(max_iters):
@@ -453,14 +453,14 @@ def rpca_fista(y, lam1, lam2, mu1=0.5, mu2=0.5, max_iters=500, tol=1e-6):
         t = t_next
         x_t_new, x_b_new, obj_new = step(x_t + beta * (x_t - x_t_prev),
                                          x_b + beta * (x_b - x_b_prev))
-        if obj_new > obj + 1e-12 * max(1.0, abs(obj)) and beta > 0:
+        if obj_new > obj + 1e-12 * obj_start and beta > 0:
             x_t_new, x_b_new, obj_new = step(x_t, x_b)
             t = 0.5 * (1.0 + math.sqrt(5.0))
         iters += 1
-        if obj_new > obj + 1e-12 * max(1.0, abs(obj)):
+        if obj_new > obj + 1e-12 * obj_start:
             raise AssertionError("objective rose")
-        dt = np.linalg.norm(x_t_new - x_t) / max(np.linalg.norm(x_t_new), 1e-30)
-        db = np.linalg.norm(x_b_new - x_b) / max(np.linalg.norm(x_b_new), 1e-30)
+        dt = np.linalg.norm(x_t_new - x_t) / max(np.linalg.norm(x_t), 1e-30)
+        db = np.linalg.norm(x_b_new - x_b) / max(np.linalg.norm(x_b), 1e-30)
         x_t_prev, x_b_prev, x_t, x_b, obj = x_t, x_b, x_t_new, x_b_new, obj_new
         if dt < tol and db < tol:
             break

@@ -7,6 +7,7 @@ from oracles import group_threshold_where, nuclear_norm_direct, rpca_fista, svt_
 from test_acceptance import rpca_synthetic
 from usproc import clutter
 from usproc import io as uio
+from usproc import numerics
 from usproc.cli import run
 from usproc.clutter import (
     build_casorati,
@@ -228,8 +229,8 @@ def test_rpca_svts_match_svd_oracle_on_flow_scene(tmp_path, monkeypatch):
     svts, grams, svds = [], [], []
     real_svt, real_gram_eigh = clutter._svt_with_nuclear, clutter.gram_eigh
 
-    def recording_svt(y, tau):
-        svts.append((y, tau) + real_svt(y, tau))
+    def recording_svt(y, tau):   # rpca's prox overwrites y with the result
+        svts.append((y.copy(), tau) + real_svt(y, tau))
         return svts[-1][2:]
 
     def recording_gram_eigh(a):
@@ -438,13 +439,13 @@ class TestRpca:
         y = flow_scene()[0]
         lam1 = default_lambda1(y)
         calls = []
-        real_rose = clutter.rose
+        real_rose = numerics.rose
 
-        def counting(obj_new, obj):
+        def counting(*args):
             calls.append(1)
-            return real_rose(obj_new, obj)
+            return real_rose(*args)
 
-        monkeypatch.setattr(clutter, "rose", counting)
+        monkeypatch.setattr(numerics, "rose", counting)
         _, _, iters = rpca(y, lam1, 0.5 * lam1, 0.5, 0.5, 500, 1e-5)
         assert len(calls) - iters >= 2    # a second call per restart
 
@@ -494,6 +495,42 @@ class TestRpca:
                            0.5, 0.5, 200, 1e-9)
         assert np.allclose(xt2, c * xt1, atol=1e-8 * max(1, np.abs(xt2).max()))
         assert np.allclose(xb2, c * xb1, atol=1e-8 * max(1, np.abs(xb2).max()))
+
+    @pytest.mark.parametrize("c", [1e-3, 1e-6])
+    def test_small_scale_restarts_as_at_unit_scale(self, monkeypatch, c):
+        # the restart rule's slack scales with the data: Y and the weights
+        # scaled by c restart at the same iterations and give c times the
+        # solution, also where 0.5 ||c Y||^2 is far below 1
+        rng = np.random.default_rng(8)
+        y = rng.standard_normal((12, 6)).astype(complex)
+        real_rose = numerics.rose
+
+        def solve(scale):
+            log = []
+
+            def recording(*args):
+                out = real_rose(*args)
+                log.append(bool(out[0]))
+                return out
+
+            monkeypatch.setattr(numerics, "rose", recording)
+            return rpca(scale * y, scale * 0.4, scale * 0.2, 0.5, 0.5, 200, 1e-9), log
+
+        (xt1, xb1, iters1), log1 = solve(1.0)
+        (xtc, xbc, itersc), logc = solve(c)
+        assert sum(log1) >= 3                 # restarts, each a second call
+        assert logc == log1 and itersc == iters1
+        for got, want in ((xtc, xt1), (xbc, xb1)):
+            assert np.max(np.abs(got / c - want)) <= 1e-9 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("tol", [np.nan, -1e-6, 0.0])
+    def test_tol_must_be_positive(self, tol):
+        with pytest.raises(ValueError, match="tol must be > 0"):
+            rpca(np.ones((6, 4)), 0.1, 0.1, tol=tol)
+
+    def test_negative_max_iters_rejected(self):
+        with pytest.raises(ValueError, match="max_iters must be >= 0"):
+            rpca(np.ones((6, 4)), 0.1, 0.1, max_iters=-1)
 
     @pytest.mark.parametrize("shape", [(6,), (2, 3, 4)])
     def test_non_matrix_rejected(self, shape):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import dense_norm, fista_single, soft_threshold_real, soft_threshold_where
 
-from usproc import sparse as sparse_module
+from usproc import numerics
 from usproc.errors import AdjointMismatchError, DimensionMismatchError, StepTooLargeError
 from usproc.numerics import rose
 from usproc.sparse import (
@@ -169,12 +169,12 @@ class TestBatchedIsta:
         # the rows whose accelerated step the restart rule redoes, per call
         log = []
 
-        def recording(obj_new, obj):
-            out = rose(obj_new, obj)
+        def recording(*args):
+            out = rose(*args)
             log.append(np.flatnonzero(out))
             return out
 
-        monkeypatch.setattr(sparse_module, "rose", recording)
+        monkeypatch.setattr(numerics, "rose", recording)
         a, y = self.stack(seed, 5, 10, 24, complex_=complex_)
         lam = 0.02 * np.max(np.abs(y @ a.conj()), axis=1)
         self.check_rows(a, y, lam, not complex_, max_iters=300, tol=1e-12)
@@ -295,11 +295,11 @@ class TestIsta:
 
         calls = []
 
-        def counting(obj_new, obj):
+        def counting(*args):
             calls.append(1)
-            return rose(obj_new, obj)
+            return rose(*args)
 
-        monkeypatch.setattr(sparse_module, "rose", counting)
+        monkeypatch.setattr(numerics, "rose", counting)
         _, iters, _ = solve(120)
         assert iters == 120 and len(calls) - iters >= 3   # a second call per restart
         # the final objective after k iterations is the k-th iterate's
@@ -307,6 +307,34 @@ class TestIsta:
         assert all(cur <= prev + 1e-12 * max(prev, 1.0)
                    for prev, cur in zip(objs, objs[1:]))
         assert objs[-1] < objs[0]
+
+    @pytest.mark.parametrize("c", [1e-3, 1e-6])
+    def test_small_scale_restarts_as_at_unit_scale(self, monkeypatch, c):
+        # y and lambda scaled by c: the same restarts and c times the iterate;
+        # every solve runs to the cap, as the stop test's floor of 1 is absolute
+        rng = np.random.default_rng(36)
+        a = rng.standard_normal((10, 24))
+        y = a[:, :3] @ rng.standard_normal(3) + 0.01 * rng.standard_normal(10)
+        lam = 0.02 * float(np.max(np.abs(a.T @ y)))
+
+        def solve(scale):
+            log = []
+
+            def recording(*args):
+                out = rose(*args)
+                log.append(bool(out[0]))
+                return out
+
+            monkeypatch.setattr(numerics, "rose", recording)
+            x, iters, _ = ista(SparseProblem(lambda v: a @ v, lambda r: a.T @ r,
+                                             scale * y, scale * lam, np.linalg.norm(a, 2),
+                                             max_iters=120, tol=1e-300, real=True))
+            return x, iters, log
+
+        x1, iters1, log1 = solve(1.0)
+        xc, itersc, logc = solve(c)
+        assert sum(log1) >= 3 and logc == log1 and itersc == iters1 == 120
+        assert np.max(np.abs(xc / c - x1)) <= 1e-9 * np.max(np.abs(x1))
 
     def test_step_too_large_raises(self):
         rng = np.random.default_rng(3)
@@ -347,12 +375,14 @@ class TestIsta:
 
     def test_nan_tol_rejected(self):
         with pytest.raises(ValueError, match="tol must be > 0"):
-            matrix_problem(np.eye(2), np.ones(2), 0.1, tol=np.nan)
+            ista(matrix_problem(np.eye(2), np.ones(2), 0.1, tol=np.nan))
 
     @pytest.mark.parametrize("max_iters", [-1, -5000])
     def test_negative_max_iters_rejected(self, max_iters):
         with pytest.raises(ValueError, match="max_iters must be >= 0"):
-            matrix_problem(np.eye(2), np.ones(2), 0.1, max_iters=max_iters)
+            ista(matrix_problem(np.eye(2), np.ones(2), 0.1, max_iters=max_iters))
+        with pytest.raises(ValueError, match="max_iters must be >= 0"):   # A = 0
+            ista(matrix_problem(np.zeros((2, 2)), np.ones(2), 0.1, max_iters=max_iters))
 
     @pytest.mark.parametrize("real", [False, True])
     def test_tol_whose_square_underflows_stops_on_a_zero_step(self, real):
