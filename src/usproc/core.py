@@ -7,8 +7,10 @@ increasing into the medium.  Samples are ``float64`` for real data and
 channel vectors and images keep the dtype of what they were made from.  That
 rule is :func:`working_dtype`, which the numerics, beamforming, clutter and
 sparse modules import from here; this module imports no other usproc module
-but ``errors``.  All types are immutable after construction and safe to
-share across threads.
+but ``errors``.  The one exception is an :class:`RfDataCube` of float32
+samples, as URF1 stores them: it keeps them as float32, and its consumers
+widen them to float64 before they compute.  All types are immutable after
+construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -158,13 +160,17 @@ class TransmitEvent:
 class RfDataCube:
     """Raw channel recordings of shape (E, C, Nt) plus acquisition metadata."""
 
-    samples: np.ndarray         # (E, C, Nt) float64
+    # (E, C, Nt): float32 kept as float32 (as read from URF1), any other
+    # real input as float64; consumers widen to float64 as they compute
+    samples: np.ndarray
     fs: float                   # [Hz]
     speed_of_sound: float       # v [m/s]
     events: tuple[TransmitEvent, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", _frozen(self.samples, dtype=np.float64))
+        a = self.samples.array if isinstance(self.samples, _Handover) else self.samples
+        dtype = np.float32 if getattr(a, "dtype", None) == np.float32 else np.float64
+        object.__setattr__(self, "samples", _frozen(self.samples, dtype=dtype))
         object.__setattr__(self, "events", tuple(self.events))
 
     @property

@@ -9,11 +9,15 @@ URF1 raw RF cubes::
 
 The format intentionally carries no transmit-event metadata; readers attach
 events supplied by the caller (the CLI reconstructs them from its config).
+:func:`read_urf1` reads the payload with one ``readinto`` straight into the
+cube's (E, C, Nt) float32 array, so a read holds one payload's worth of
+memory; consumers widen to float64 a block at a time when they compute.
 
 UIM1 images: ASCII "UIM1", u32 Rx, u32 Rz, then Rx*Rz f32 values in
 lateral-major order.  Multi-frame sequences extend the header with u32 T
-before the payload (T frames back to back).  Readers reject a NaN or Inf
-value as ``non-finite-sample``, as :func:`read_urf1` does.
+before the payload (T frames back to back).  Readers return float64 pixels
+and reject a NaN or Inf value as ``non-finite-sample``, as :func:`read_urf1`
+does.
 
 PGM output is binary P5 with maxval 255.
 """
@@ -59,18 +63,24 @@ def _check_size(fh, count: int, what: str) -> None:
 
 
 def _read_f32(fh, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """The float32 payload of ``shape``, read by one ``readinto`` into the
+    array itself: no bytes object and no copy."""
     count = math.prod(shape)
     _check_size(fh, count, what)
     # an empty payload can still declare a shape too big for numpy to hold:
-    # its other dimensions times the float64 itemsize must fit an intp
+    # its other dimensions times the float64 itemsize a consumer widens to
+    # must fit an intp
     if 8 * math.prod(max(n, 1) for n in shape) > np.iinfo(np.intp).max:
         raise FileFormatError(f"bad header: {what} of shape {shape} is too "
                               "large for an array")
-    raw = _read_exact(fh, 4 * count, what)
-    # a signalling NaN raises numpy's invalid flag when cast; the readers
-    # report it as a non-finite value
-    with np.errstate(invalid="ignore"):
-        return np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
+    out = np.empty(shape, dtype="<f4")
+    # short only if the file shrank after the size check: never hand on an
+    # array with samples the file did not fill
+    got = fh.readinto(out)
+    if got != 4 * count:
+        raise FileFormatError(f"truncated payload: expected {4 * count} bytes "
+                              f"of {what}, read {got}")
+    return out
 
 
 def _read_urf1_header(fh):
@@ -107,7 +117,9 @@ def write_urf1(path, cube: RfDataCube, f0: float) -> None:
 def read_urf1(path, events: list[TransmitEvent]):
     """Read a URF1 file; returns (RfDataCube, f0).
 
-    ``events`` must describe the E transmits (the file stores none).
+    ``events`` must describe the E transmits (the file stores none).  The
+    cube's samples are the file's float32 values, handed over without a
+    copy.
     """
     with open(path, "rb") as fh:
         e, c, nt, fs, v, f0 = _read_urf1_header(fh)
@@ -128,7 +140,10 @@ def write_uim1(path, image: np.ndarray) -> None:
 
 
 def _read_pixels(fh, shape: tuple[int, ...]) -> np.ndarray:
-    pixels = _read_f32(fh, shape, "pixels")
+    # a signalling NaN raises numpy's invalid flag when cast; the readers
+    # report it as a non-finite value
+    with np.errstate(invalid="ignore"):
+        pixels = _read_f32(fh, shape, "pixels").astype(np.float64)
     if not np.all(np.isfinite(pixels)):
         raise NonFiniteSampleError("non-finite-sample: pixels")
     return pixels

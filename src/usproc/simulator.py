@@ -21,8 +21,8 @@ by less than (scatterers) * 2^-150 plus the rounding of its kept sum.  Its
 float32 samples are the whole-trace sum's up to the sign of zero, except
 where that difference carries a sum near float32's underflow across a
 rounding midpoint: such a sample moves by one float32 step.  The echoes of
-a scatterer chunk are still added in scatterer order and each chunk's sum
-is then added to the trace.
+a scatterer chunk are still added in scatterer order; the first chunk's sum
+is the trace and each later chunk's sum is added to it.
 
 A synthetic-aperture set is reciprocal: the echo sent from element i and
 received on element j equals the echo sent from j and received on i (Prada &
@@ -207,8 +207,9 @@ def simulate(array: TransducerArray, events, field: ScattererField,
         rows = np.flatnonzero(~sent) if own is not None else np.arange(c_count)
         for block in row_blocks(len(rows), chunk * width + 2 * nt):
             rb = rows[block]
-            traces = np.zeros((len(rb), nt))
-            row_starts = np.arange(0, traces.size, nt)[:, None, None]
+            size = len(rb) * nt
+            row_starts = np.arange(0, size, nt)[:, None, None]
+            traces = None
             for lo in range(0, len(field), _SCATTERER_CHUNK):
                 hi = min(lo + _SCATTERER_CHUNK, len(field))
                 tau = (tx_dist[None, lo:hi] + rx_dist[rb, lo:hi]) / v  # (R, k)
@@ -220,11 +221,17 @@ def simulate(array: TransducerArray, events, field: ScattererField,
                 arg -= tau[:, :, None]
                 echoes = gaussian_pulse(pulse, arg)
                 echoes *= amps[None, lo:hi, None]
-                # bincount adds in input order: scatterers in order per sample
+                # bincount adds in input order: scatterers in order per sample;
+                # its bins start at +0.0, so the first chunk's sum is the
+                # traces and later chunks add to it
                 window += row_starts
-                traces += np.bincount(window.ravel(), echoes.ravel(),
-                                      traces.size).reshape(traces.shape)
-            samples[e, rb] = traces
+                summed = np.bincount(window.ravel(), echoes.ravel(), size)
+                if traces is None:
+                    traces = summed
+                else:
+                    traces += summed
+            if traces is not None:      # an empty field leaves the zeros
+                samples[e, rb] = traces.reshape(len(rb), nt)
         if own is not None:
             # reciprocity: trace (e, c) is trace (sender[c], own)
             mirrored = np.flatnonzero(sent)

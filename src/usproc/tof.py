@@ -11,7 +11,10 @@ one event and one block of receive channels at a time, as many channels as
 keep a (channels, Rx, Rz) array within ``core.BLOCK_ELEMENTS`` float64
 values, so its temporaries stay cache-sized and no (E, C, Rx, Rz) array is
 built.  Each channel still sums its events in the order 0..E-1, so the
-block size never changes a bit.
+block size never changes a bit.  A cube's samples may be float32 (as read
+from URF1): each block's traces are widened to float64 before they are
+gathered, which is exact, so the focused values are those of the cube
+widened whole, and the cube is never held twice.
 
 Reciprocal synthetic aperture: in a full SA set recorded without noise,
 trace (e, c) equals trace (c, e) and so do their delays, because the
@@ -136,11 +139,12 @@ def focus(cube: RfDataCube, delays: DelayTensor, grid: ImagingGrid,
           event: int | None = None) -> FocusedTensor:
     """Delay-and-interpolate the cube onto the grid (time-to-space migration).
 
-    Returns the (C, Rx, Rz) per-pixel channel vectors, float64 like the
-    cube's samples and handed to the tensor without a copy: the coherent
-    sum over all events, or with ``event`` set that event's alone.  Each
-    event is focused one block of channels (:func:`core.row_blocks`) at a
-    time from :meth:`DelayTensor.event` and added to a zero start, so
+    Returns the (C, Rx, Rz) per-pixel channel vectors, float64 whether the
+    cube's samples are float64 or float32 (widened exactly, a block of
+    traces at a time), and handed to the tensor without a copy: the
+    coherent sum over all events, or with ``event`` set that event's alone.
+    Each event is focused one block of channels (:func:`core.row_blocks`)
+    at a time from :meth:`DelayTensor.event` and added to a zero start, so
     besides the output only one block's slabs are held.  When the sum over
     all events is asked for and :func:`_reciprocal` shows slab (e, c) equals
     slab (c, e), event i is gathered for channels i..C-1 only and row k is
@@ -197,7 +201,9 @@ def _reciprocal(samples: np.ndarray, delays: DelayTensor) -> bool:
 def _focus_event(traces: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Linear interpolation of (C, Nt) traces at (C, Rx, Rz) sample indices.
 
-    ``idx`` is delay times fs; indices outside [0, Nt - 1] give 0.  Both
+    ``idx`` is delay times fs; indices outside [0, Nt - 1] give 0.  The
+    traces are widened to float64 first (a float32 block is copied, a
+    float64 one is used as it is), so the result is float64.  Both
     samples around each index come from one ``take`` each on the flattened
     traces, at c Nt + floor(idx) and one past it.  The arithmetic runs in
     place but in the same order as (1 - frac) * lo + frac * hi, and
@@ -205,6 +211,7 @@ def _focus_event(traces: np.ndarray, idx: np.ndarray) -> np.ndarray:
     of the shape of ``idx``: one channel block's worth when called from
     :func:`focus`.
     """
+    traces = np.asarray(traces, dtype=np.float64)
     c_count, nt = traces.shape
     outside = (idx < 0.0) | (idx > nt - 1)
     if nt == 1:

@@ -900,6 +900,56 @@ class TestSimulateBeamform:
             assert uio.read_uim1(tmp_path / f"{method}.uim1").shape == (9, 12)
 
 
+class TestFloat32CubeKeepsBytes:
+    """``beamform`` and ``recover`` compute from the float32 samples that a
+    URF1 read keeps as they do from that cube widened to float64 at read:
+    every output byte is the same."""
+
+    CASES = {
+        # plane waves compounded one event's focus at a time (event=e)
+        "pw_event": (["--pw-angles=-0.1,0,0.1", "--noise-std", "0.01"],
+                     ["beamform", "--set", "bf.compound", "mean"]),
+        # plane waves summed over events, the event loop, through MV
+        "pw_summed": (["--pw-angles=-0.1,0,0.1", "--noise-std", "0.01"],
+                      ["beamform", "--method", "mv"]),
+        # a noise-free SA set: the reciprocal focus
+        "sa": (["--set", "sim.scheme", "sa"], ["beamform"]),
+        "recover": (["--nt", "256"], ["recover", "--event", "0",
+                                      "--channel", "2"]),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_same_bytes_as_widened_cube(self, tmp_path, monkeypatch, case):
+        sim, command = self.CASES[case]
+        field = write_field(tmp_path / "f.txt",
+                            "-0.001 0.003 1.0\n0.0005 0.004 -0.6\n")
+        cube = str(tmp_path / "c.urf")
+        assert run(["simulate", "--field", field, "--out", cube,
+                    "--num-elements", "6"] + sim) == 0
+        bins = tmp_path / "bins.txt"
+        bins.write_text("\n".join(map(str, range(0, 256, 3))) + "\n")
+        extra = (["--bins", str(bins)] if command[0] == "recover" else
+                 ["--set", "bf.grid_nx", "9", "--set", "bf.grid_nz", "16"])
+        read, dtypes = uio.read_urf1, []
+
+        def widened(path, events):
+            narrow, f0 = read(path, events)
+            dtypes.append(narrow.samples.dtype)
+            return core.RfDataCube(narrow.samples.astype(np.float64), narrow.fs,
+                                   narrow.speed_of_sound, narrow.events), f0
+
+        outputs = {}
+        for name in ("float32", "float64"):
+            (tmp_path / name).mkdir()
+            assert run(command + ["--in", cube, "--config", cube + ".config.txt",
+                                  "--out", str(tmp_path / name / "out")]
+                       + extra) == 0
+            outputs[name] = file_map(tmp_path / name)
+            monkeypatch.setattr(uio, "read_urf1", widened)
+        assert dtypes == [np.float32]
+        assert outputs["float32"] == outputs["float64"]
+
+
 class TestNegativePlaneWaveDelays:
     def test_demo_with_pixels_reached_before_t0(self, tmp_path):
         # steered 1.2 rad, the plane wave reaches the far left of this grid

@@ -230,6 +230,9 @@ class TestUrf1:
         back, f0 = uio.read_urf1(path, events)
         assert f0 == 5e6
         assert back.fs == cube.fs and back.speed_of_sound == 1540.0
+        # the file's float32 values, kept as float32 and read-only
+        assert back.samples.dtype == np.float32
+        assert not back.samples.flags.writeable
         assert np.array_equal(back.samples, samples)
 
     def test_cube_copies_caller_array(self):
@@ -240,6 +243,30 @@ class TestUrf1:
         samples[0, 0, 0] = 5.0
         assert cube.samples[0, 0, 0] == 1.0
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.float16,
+                                       np.int32])
+    def test_cube_keeps_float32_widens_other_reals(self, dtype):
+        # float32 samples stay float32, any other real input is float64
+        samples = np.arange(8).reshape(1, 2, 4).astype(dtype)
+        events = [TransmitEvent.plane_wave(0.0)]
+        want = np.float32 if dtype == np.float32 else np.float64
+        for given in (samples, _Handover(samples.copy())):
+            cube = RfDataCube(given, 40e6, 1540.0, events)
+            assert cube.samples.dtype == want
+            assert np.array_equal(cube.samples, samples)
+        # a list carries no dtype: float64
+        assert RfDataCube(samples.tolist(), 40e6, 1540.0,
+                          events).samples.dtype == np.float64
+
+    def test_handed_over_float32_frozen_in_place(self):
+        # a float32 cube handed over is not copied; a caller's is
+        samples = np.ones((1, 2, 4), dtype=np.float32)
+        events = [TransmitEvent.plane_wave(0.0)]
+        copied = RfDataCube(samples, 40e6, 1540.0, events)
+        assert not np.shares_memory(copied.samples, samples)
+        held = RfDataCube(_Handover(samples), 40e6, 1540.0, events)
+        assert held.samples is samples and not samples.flags.writeable
+
     def test_payload_is_c_order_float32(self, tmp_path):
         # the payload is the (E, C, Nt) cube in C order whatever its layout
         rng = np.random.default_rng(1)
@@ -249,16 +276,32 @@ class TestUrf1:
         uio.write_urf1(path, RfDataCube(samples, 40e6, 1540.0, events), 5e6)
         assert path.read_bytes()[40:] == samples.astype("<f4").tobytes(order="C")
 
-    def test_read_peak_below_two_cubes(self, tmp_path):
-        # the float64 cube read from the file is handed over, not copied:
-        # the peak is that cube plus the float32 payload
+    def test_read_peak_near_one_payload(self, tmp_path):
+        # the payload is read straight into the cube's float32 array, which
+        # is handed over: no bytes object, no float64 copy.  The peak is
+        # the payload plus validate's one-block finiteness mask (32 KiB,
+        # 6% of this 512 KB payload)
         events = [TransmitEvent.plane_wave(0.0)] * 4
         cube = RfDataCube(np.ones((4, 16, 2000)), 40e6, 1540.0, events)
         path = tmp_path / "t.urf"
         uio.write_urf1(path, cube, 5e6)
+        payload = path.stat().st_size - 40
         (back, _), peak = traced_peak(uio.read_urf1, path, events)
         assert np.array_equal(back.samples, cube.samples)
-        assert peak < 1.75 * cube.samples.nbytes, peak / cube.samples.nbytes
+        assert back.samples.nbytes == payload
+        assert peak < 1.1 * payload, peak / payload
+
+    def test_short_read_rejected(self, tmp_path, monkeypatch):
+        # a file that shrinks after the size check reads short: that is a
+        # truncated payload, never an array with samples the file did not
+        # fill
+        cube = make_cube(e=2, c=3, nt=16)
+        path = tmp_path / "t.urf"
+        uio.write_urf1(path, cube, 5e6)
+        path.write_bytes(path.read_bytes()[:-8])
+        monkeypatch.setattr(uio, "_check_size", lambda *args: None)
+        with pytest.raises(FileFormatError, match="truncated payload"):
+            uio.read_urf1(path, cube.events)
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.urf"

@@ -442,6 +442,49 @@ class TestChannelBlocks:
         assert np.array_equal(bits(out), bits(ref))
 
 
+class TestFloat32Cube:
+    """A float32 cube, as URF1 stores it, focuses to the bits of the same
+    cube widened to float64 on every path: each block of traces is widened
+    before it is gathered, and widening is exact."""
+
+    @staticmethod
+    def narrow_and_wide(cube):
+        narrow = RfDataCube(cube.samples.astype(np.float32), cube.fs, V,
+                            cube.events)
+        wide = RfDataCube(narrow.samples.astype(np.float64), cube.fs, V,
+                          cube.events)
+        assert narrow.samples.dtype == np.float32
+        return narrow, wide
+
+    @pytest.mark.parametrize("block", [351, 2 ** 40],
+                             ids=["three_rows", "one_block"])
+    @pytest.mark.parametrize("variant,per_event", [
+        ("symmetric", False), ("plane_waves", False), ("plane_waves", True),
+        ("symmetric", True)])
+    def test_matches_widened_cube(self, monkeypatch, block, variant,
+                                  per_event):
+        monkeypatch.setattr(core, "BLOCK_ELEMENTS", block)
+        cube, delays = TestReciprocalFocus.setup(variant)
+        narrow, wide = self.narrow_and_wide(cube)
+        # the float32 SA set is still symmetric: the reciprocal path
+        assert _reciprocal(narrow.samples, delays) is (variant == "symmetric")
+        grid = TestReciprocalFocus.GRID
+        out = focused_values(narrow, delays, grid, per_event)
+        ref = focused_values(wide, delays, grid, per_event)
+        assert out.dtype == np.float64 and np.any(ref)
+        assert np.array_equal(bits(out), bits(ref))
+
+    @pytest.mark.parametrize("per_event", [False, True])
+    @pytest.mark.parametrize("nt", [1, 2])
+    def test_short_traces_match_widened_cube(self, nt, per_event):
+        cube, delays, grid = TestFocusMatchesPerTrace.setup(3, 4, nt, seed=nt)
+        narrow, wide = self.narrow_and_wide(cube)
+        out = focused_values(narrow, delays, grid, per_event)
+        ref = focused_values(wide, delays, grid, per_event)
+        assert out.dtype == np.float64 and np.any(ref)
+        assert np.array_equal(bits(out), bits(ref))
+
+
 @pytest.mark.parametrize("variant,per_event", [
     ("plane_waves", False), ("reciprocal", False), ("plane_waves", True)])
 def test_working_set_independent_of_channel_count(variant, per_event):
